@@ -1,0 +1,48 @@
+"""Exception hierarchy shared across the package."""
+
+
+class LrcsspError(Exception):
+    """Base class for all package errors."""
+
+
+class StructuralError(LrcsspError):
+    """Dimension mismatch or malformed input data."""
+
+
+class ConfigError(LrcsspError):
+    """Invalid configuration or generator specification."""
+
+
+class NonConvergenceError(LrcsspError):
+    """Value iteration failed to reach the requested residual."""
+
+    def __init__(self, residual, max_iter):
+        super().__init__(
+            f"residual {residual:.3e} after {max_iter} iterations "
+            "(possible zero-loss loop or improper structure)"
+        )
+        self.residual = residual
+        self.max_iter = max_iter
+
+
+class ImproperPolicyError(LrcsspError):
+    """Policy evaluation diverged: the policy does not reach the goal."""
+
+    def __init__(self, detail=""):
+        super().__init__(f"policy appears improper: {detail}")
+
+
+class ProjectionError(LrcsspError):
+    """The stochastic-matrix projection exceeded its iteration budget."""
+
+    def __init__(self, gap, iterations):
+        super().__init__(
+            f"projection did not converge: objective gap {gap:.3e} "
+            f"after {iterations} iterations"
+        )
+        self.gap = gap
+        self.iterations = iterations
+
+
+class ProtocolError(LrcsspError):
+    """An adversary callback emitted an invalid context."""

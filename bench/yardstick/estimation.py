@@ -1,0 +1,216 @@
+"""Per-pair online ridge regression, confidence radii, and projection.
+
+Each state-action pair keeps sufficient statistics only: the design matrix
+V = lambda*I + sum c c^T, its incrementally maintained inverse, and the
+regression moments for the loss target and the one-hot next-state targets.
+"""
+
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ProjectionError, StructuralError
+from .ssp import GOAL
+
+# full re-inversion cadence; bounds drift of the rank-one inverse updates
+REFRESH_EVERY = 1024
+
+
+class SaStatistics:
+    """Mutable sufficient statistics for one (s, a) pair; single-owner."""
+
+    def __init__(self, d, n_states, lam=1.0):
+        if lam <= 0:
+            raise StructuralError("lambda must be positive")
+        self.d = d
+        self.n_states = n_states
+        self.lam = float(lam)
+        self.tau = 0
+        self.v_bar = lam * np.eye(d)
+        self.v_bar_inv = np.eye(d) / lam
+        self.xty_loss = np.zeros(d)
+        self.xty_trans = np.zeros((n_states, d))
+        self._since_refresh = 0
+
+    def record_visit(self, c, next_state, loss):
+        """Fold one observed transition into the statistics.
+
+        A goal transition contributes no next-state row (residual-mass
+        convention); the design matrix and count always advance.
+        """
+        c = np.asarray(c, dtype=float)
+        self.tau += 1
+        self.v_bar += np.outer(c, c)
+        vc = self.v_bar_inv @ c
+        self.v_bar_inv -= np.outer(vc, vc) / (1.0 + c @ vc)
+        self._since_refresh += 1
+        if self._since_refresh >= REFRESH_EVERY:
+            self.v_bar_inv = np.linalg.inv(self.v_bar)
+            self._since_refresh = 0
+        self.xty_loss += loss * c
+        if next_state != GOAL:
+            self.xty_trans[next_state] += c
+
+    def context_norm(self, c):
+        """||c||_{V^-1}: the context-weighted uncertainty at this pair."""
+        return math.sqrt(max(0.0, float(c @ self.v_bar_inv @ c)))
+
+    def reset(self):
+        self.__init__(self.d, self.n_states, self.lam)
+
+
+def ridge_loss_estimate(stats):
+    """Closed-form ridge minimizer for the loss embedding."""
+    return stats.v_bar_inv @ stats.xty_loss
+
+
+def ridge_dynamics_estimate(stats):
+    """(S, d) matrix of per-next-state ridge solves sharing one inverse."""
+    return stats.xty_trans @ stats.v_bar_inv
+
+
+def capped_simplex_projection(y):
+    """Euclidean projection of y onto {x >= 0, sum x <= 1}, exact (sort-based)."""
+    x = np.maximum(y, 0.0)
+    total = x.sum()
+    if total <= 1.0:
+        return x
+    # project onto the full simplex {x >= 0, sum x = 1}
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(y) + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(y - theta, 0.0)
+
+
+def _capped_simplex_columns(y):
+    """Column-wise capped-simplex projection of an (n, m) matrix."""
+    x = np.maximum(y, 0.0)
+    over = x.sum(axis=0) > 1.0
+    if not over.any():
+        return x
+    z = y[:, over]
+    n = z.shape[0]
+    u = -np.sort(-z, axis=0)
+    css = np.cumsum(u, axis=0) - 1.0
+    ranks = np.arange(1, n + 1)[:, None]
+    cond = u * ranks > css
+    rho = n - 1 - np.argmax(cond[::-1], axis=0)  # last True per column
+    cols = np.arange(z.shape[1])
+    theta = css[rho, cols] / (rho + 1.0)
+    x[:, over] = np.maximum(z - theta, 0.0)
+    return x
+
+
+def project_to_stochastic(p_raw, v_bar, tol=1e-10, max_iter=10_000):
+    """Weighted projection of p_raw onto matrices with sub-stochastic columns.
+
+    Minimizes tr((P - p_raw) v_bar (P - p_raw)^T) over {P : columns >= 0,
+    column sums <= 1} by projected gradient with the exact per-column
+    capped-simplex projection.  Feasible inputs are returned unchanged.
+    """
+    p_raw = np.asarray(p_raw, dtype=float)
+    v_bar = np.asarray(v_bar, dtype=float)
+    if p_raw.ndim != 2 or v_bar.shape != (p_raw.shape[1], p_raw.shape[1]):
+        raise StructuralError("p_raw must be (S, d) and v_bar (d, d)")
+    if np.all(p_raw >= 0) and np.all(p_raw.sum(axis=0) <= 1.0):
+        return p_raw.copy()
+    lam_max = float(np.linalg.eigvalsh(v_bar)[-1])
+    step = 1.0 / (2.0 * lam_max)
+
+    def objective(p):
+        diff = p - p_raw
+        return float(np.einsum("ij,jk,ik->", diff, v_bar, diff))
+
+    p = _capped_simplex_columns(p_raw)
+    obj = objective(p)
+    for _ in range(max_iter):
+        grad = 2.0 * (p - p_raw) @ v_bar
+        q = p - step * grad
+        q = _capped_simplex_columns(q)
+        new_obj = objective(q)
+        if obj - new_obj < tol:
+            return q if new_obj <= obj else p
+        p, obj = q, new_obj
+    raise ProjectionError(obj - new_obj, max_iter)
+
+
+def loss_radius(tau, d, n_states, n_actions, lam, delta):
+    """Confidence-ellipsoid radius for the loss embedding."""
+    arg = 8.0 * n_states * n_actions * (1.0 + tau / lam) / delta
+    return math.sqrt(d * math.log(arg)) + math.sqrt(lam)
+
+
+def dynamics_radius(tau, d, n_states, n_actions, lam, delta):
+    """|S|-scaled confidence radius for the projected dynamics embedding."""
+    arg = 8.0 * n_states**2 * n_actions * (1.0 + tau / lam) / delta
+    return n_states * (math.sqrt(d * math.log(arg)) + math.sqrt(lam))
+
+
+def is_known(stats, c, l_min, b_star, m, delta, n_states, n_actions):
+    """Known test: context-weighted uncertainty below the safety threshold."""
+    beta = dynamics_radius(stats.tau, stats.d, n_states, n_actions,
+                           stats.lam, delta)
+    threshold = l_min / (10.0 * b_star
+                         * max(beta, math.sqrt(math.log(4.0 * m / delta))))
+    return stats.context_norm(c) < threshold
+
+
+@dataclass(frozen=True)
+class Estimates:
+    """Immutable snapshot of all per-pair estimates at an interval boundary.
+
+    l_hat     : (S, A, d)
+    p_hat_raw : (S, A, S, d) unprojected dynamics estimates
+    p_hat     : (S, A, S, d) projected, sub-stochastic columns
+    beta_loss : (S, A)
+    beta_dyn  : (S, A)
+    """
+
+    l_hat: np.ndarray
+    p_hat_raw: np.ndarray
+    p_hat: np.ndarray
+    beta_loss: np.ndarray
+    beta_dyn: np.ndarray
+
+    def to_text(self):
+        """Versioned structured-text serialization (see docs/estimates-format.md)."""
+        payload = {
+            "format": "lrcssp-estimates",
+            "version": 1,
+            "shape": list(self.l_hat.shape),
+            "l_hat": self.l_hat.ravel().tolist(),
+            "p_hat_raw": self.p_hat_raw.ravel().tolist(),
+            "p_hat": self.p_hat.ravel().tolist(),
+            "beta_loss": self.beta_loss.ravel().tolist(),
+            "beta_dyn": self.beta_dyn.ravel().tolist(),
+        }
+        return json.dumps(payload, indent=1)
+
+    @classmethod
+    def from_text(cls, text):
+        payload = json.loads(text)
+        if payload.get("format") != "lrcssp-estimates" or payload.get("version") != 1:
+            raise StructuralError("unrecognized estimates serialization")
+        s, a, d = payload["shape"]
+        return cls(
+            l_hat=np.array(payload["l_hat"]).reshape(s, a, d),
+            p_hat_raw=np.array(payload["p_hat_raw"]).reshape(s, a, s, d),
+            p_hat=np.array(payload["p_hat"]).reshape(s, a, s, d),
+            beta_loss=np.array(payload["beta_loss"]).reshape(s, a),
+            beta_dyn=np.array(payload["beta_dyn"]).reshape(s, a),
+        )
+
+
+def compute_pair_estimate(stats, n_actions, delta):
+    """(l_hat, p_raw, p_hat, beta_l, beta_p) for a single pair's statistics."""
+    l_hat = ridge_loss_estimate(stats)
+    p_raw = ridge_dynamics_estimate(stats)
+    p_hat = project_to_stochastic(p_raw, stats.v_bar)
+    beta_l = loss_radius(stats.tau, stats.d, stats.n_states, n_actions,
+                         stats.lam, delta)
+    beta_p = dynamics_radius(stats.tau, stats.d, stats.n_states, n_actions,
+                             stats.lam, delta)
+    return l_hat, p_raw, p_hat, beta_l, beta_p
