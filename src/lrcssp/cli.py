@@ -13,7 +13,9 @@ import numpy as np
 from .errors import ConfigError, LrcsspError
 from .harness import (
     ExperimentConfig,
+    SENTINEL,
     aggregate_summaries,
+    final_regret,
     generate_instance,
     model_fingerprint,
     model_from_dict,
@@ -109,15 +111,19 @@ def cmd_report(args):
         finals, truncs, curves = [], 0, {}
         for sd in seeds:
             cols = _read_csv(os.path.join(vdir, sd, "regret.csv"))
-            finals.append(float(cols["cum_regret"][-1]))
-            truncs += sum(int(t) for t in cols["truncated"])
+            truncated = [int(t) for t in cols["truncated"]]
             curves[sd] = [float(x) for x in cols["cum_regret"]]
-        mean = float(np.mean([f for f in finals if not np.isnan(f)]))
+            finals.append(final_regret(curves[sd], truncated))
+            truncs += sum(truncated)
+        finite = [f for f in finals if not np.isnan(f)]
+        mean = float(np.mean(finite)) if finite else SENTINEL
         stored_mean = stored.get(f"{variant}.final_regret_mean")
         # CSV cells are rounded to 9 significant digits, so the recomputed
-        # mean can differ from the stored full-precision one in the last digit
+        # mean can differ from the stored full-precision one in the last
+        # digit; a variant whose every seed truncated stores nan
         if stored_mean is not None and not np.isclose(
-                mean, float(stored_mean), rtol=1e-7, atol=1e-9):
+                mean, float(stored_mean), rtol=1e-7, atol=1e-9,
+                equal_nan=True):
             raise LrcsspError(
                 f"recomputed mean {_fmt(mean)} != stored {stored_mean} "
                 f"for {variant}")

@@ -3,6 +3,9 @@
 Each state-action pair keeps sufficient statistics only: the design matrix
 V = lambda*I + sum c c^T, its incrementally maintained inverse, and the
 regression moments for the loss target and the one-hot next-state targets.
+A run keeps those of all pairs as stacked arrays (PairStore), so context
+norms and the known test cover every pair in one array expression;
+SaStatistics is the per-pair view into them.
 """
 
 import json
@@ -18,21 +21,73 @@ from .ssp import GOAL
 REFRESH_EVERY = 1024
 
 
-class SaStatistics:
-    """Mutable sufficient statistics for one (s, a) pair; single-owner."""
+class PairStore:
+    """Sufficient statistics of a grid of (s, a) pairs as stacked arrays.
 
-    def __init__(self, d, n_states, lam=1.0):
+    tau       : (S, A) visit counts, float64 so any count a caller sets fits
+    v_bar     : (S, A, d, d) design matrices lambda*I + sum c c^T
+    v_bar_inv : (S, A, d, d) their inverses, maintained by rank-one updates
+    xty_loss  : (S, A, d) loss regression moments
+    xty_trans : (S, A, n_states, d) next-state regression moments
+    """
+
+    def __init__(self, shape, d, n_states, lam=1.0):
         if lam <= 0:
             raise StructuralError("lambda must be positive")
         self.d = d
         self.n_states = n_states
         self.lam = float(lam)
-        self.tau = 0
-        self.v_bar = lam * np.eye(d)
-        self.v_bar_inv = np.eye(d) / lam
-        self.xty_loss = np.zeros(d)
-        self.xty_trans = np.zeros((n_states, d))
-        self._since_refresh = 0
+        self.tau = np.zeros(shape)
+        self.v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
+        self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
+        self.xty_loss = np.zeros(shape + (d,))
+        self.xty_trans = np.zeros(shape + (n_states, d))
+
+    def pair(self, s, a):
+        """The per-pair view of (s, a); writes through it land in the stacks."""
+        stats = SaStatistics.__new__(SaStatistics)
+        stats._bind(self, (s, a))
+        return stats
+
+
+def context_norms(v_bar_inv, c):
+    """||c||_{V^-1} for one (d, d) inverse or a stack (..., d, d) of them.
+
+    vecmat/vecdot sum in the same order for a stack as for a single matrix,
+    so the batched norms equal the per-pair ones bit for bit.
+    """
+    return np.sqrt(np.maximum(0.0, np.vecdot(np.vecmat(c, v_bar_inv), c)))
+
+
+class SaStatistics:
+    """Sufficient statistics of one (s, a) pair: views into a PairStore.
+
+    Built directly, it owns a one-pair store of its own.  The array
+    attributes are views, so every update writes in place: rebinding one
+    would detach it from the store.
+    """
+
+    def __init__(self, d, n_states, lam=1.0):
+        self._bind(PairStore((1, 1), d, n_states, lam), (0, 0))
+
+    def _bind(self, store, index):
+        self._store = store
+        self._index = index
+        self.d = store.d
+        self.n_states = store.n_states
+        self.lam = store.lam
+        self.v_bar = store.v_bar[index]
+        self.v_bar_inv = store.v_bar_inv[index]
+        self.xty_loss = store.xty_loss[index]
+        self.xty_trans = store.xty_trans[index]
+
+    @property
+    def tau(self):
+        return int(self._store.tau[self._index])
+
+    @tau.setter
+    def tau(self, value):
+        self._store.tau[self._index] = value
 
     def record_visit(self, c, next_state, loss):
         """Fold one observed transition into the statistics.
@@ -41,24 +96,26 @@ class SaStatistics:
         convention); the design matrix and count always advance.
         """
         c = np.asarray(c, dtype=float)
-        self.tau += 1
+        self._store.tau[self._index] += 1
         self.v_bar += np.outer(c, c)
         vc = self.v_bar_inv @ c
         self.v_bar_inv -= np.outer(vc, vc) / (1.0 + c @ vc)
-        self._since_refresh += 1
-        if self._since_refresh >= REFRESH_EVERY:
-            self.v_bar_inv = np.linalg.inv(self.v_bar)
-            self._since_refresh = 0
+        if self._store.tau[self._index] % REFRESH_EVERY == 0:
+            self.v_bar_inv[...] = np.linalg.inv(self.v_bar)
         self.xty_loss += loss * c
         if next_state != GOAL:
             self.xty_trans[next_state] += c
 
     def context_norm(self, c):
         """||c||_{V^-1}: the context-weighted uncertainty at this pair."""
-        return math.sqrt(max(0.0, float(c @ self.v_bar_inv @ c)))
+        return float(context_norms(self.v_bar_inv, c))
 
     def reset(self):
-        self.__init__(self.d, self.n_states, self.lam)
+        self.tau = 0
+        self.v_bar[...] = self.lam * np.eye(self.d)
+        self.v_bar_inv[...] = np.eye(self.d) / self.lam
+        self.xty_loss[...] = 0.0
+        self.xty_trans[...] = 0.0
 
 
 def ridge_loss_estimate(stats):
@@ -149,13 +206,18 @@ def dynamics_radius(tau, d, n_states, n_actions, lam, delta):
     return n_states * (math.sqrt(d * math.log(arg)) + math.sqrt(lam))
 
 
+def known_threshold(beta_dyn, l_min, b_star, m, delta):
+    """Context norm below which a pair is known; beta_dyn may be an array."""
+    floor = math.sqrt(math.log(4.0 * m / delta))
+    return l_min / (10.0 * b_star * np.maximum(beta_dyn, floor))
+
+
 def is_known(stats, c, l_min, b_star, m, delta, n_states, n_actions):
     """Known test: context-weighted uncertainty below the safety threshold."""
     beta = dynamics_radius(stats.tau, stats.d, n_states, n_actions,
                            stats.lam, delta)
-    threshold = l_min / (10.0 * b_star
-                         * max(beta, math.sqrt(math.log(4.0 * m / delta))))
-    return stats.context_norm(c) < threshold
+    return bool(stats.context_norm(c)
+                < known_threshold(beta, l_min, b_star, m, delta))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Experiment orchestration: oracles, regret curves, diagnostics, sweeps."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +84,17 @@ def compute_regret(run_log, oracle):
     regret = np.where(truncated, SENTINEL, regret)
     cum = np.cumsum(np.where(truncated, 0.0, regret))
     return RegretCurve(realized, oracle.v_star.copy(), regret, cum, truncated)
+
+
+def final_regret(cum_regret, truncated):
+    """A seed's final cumulative regret: NaN when every episode truncated.
+
+    Shared by the run summary and `report`, which re-derives it from the
+    regret.csv columns.
+    """
+    if len(truncated) and all(truncated):
+        return SENTINEL
+    return float(cum_regret[-1])
 
 
 def hpe_diagnostics(run_log, oracle, delta):
@@ -288,13 +300,11 @@ def slope_statistic(curve, frac=0.1):
 def summarize_run(run_log, curve, oracle, delta):
     diag = hpe_diagnostics(run_log, oracle, delta)
     head_mean, tail_mean, ratio = slope_statistic(curve)
-    all_trunc = bool(np.all(curve.truncated)) if len(curve.truncated) else False
-    final = SENTINEL if all_trunc else float(curve.cum_regret[-1])
     return {
         "episodes": len(run_log.episodes),
         "total_steps": run_log.total_steps,
         "total_intervals": run_log.total_intervals,
-        "final_cum_regret": final,
+        "final_cum_regret": final_regret(curve.cum_regret, curve.truncated),
         "regret_head_mean": head_mean,
         "regret_tail_mean": tail_mean,
         "regret_slope_ratio": ratio,
@@ -339,12 +349,7 @@ def _single_run(cfg, model, seed, variant):
     lcfg = cfg.learner
     oracle = oracle_values(model, contexts)
     if cfg.oracle_informed:
-        lcfg = learner_mod.LearnerConfig(
-            delta=lcfg.delta, lam=lcfg.lam, l_min=lcfg.l_min,
-            epsilon_perturb=lcfg.epsilon_perturb,
-            b_star_init=max(1.0, oracle.b_star_emp),
-            evi_tol=lcfg.evi_tol, evi_max_iter=lcfg.evi_max_iter,
-            episode_step_cap=lcfg.episode_step_cap)
+        lcfg = dataclasses.replace(lcfg, b_star_init=max(1.0, oracle.b_star_emp))
     if variant == "lrcssp":
         run_log = learner_mod.run(lcfg, model, contexts, seed=seed)
     elif variant == "context_blind":

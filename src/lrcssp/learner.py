@@ -8,12 +8,13 @@ projected estimate, with freed mass absorbed by the zero-value goal.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import estimation
 from .errors import ConfigError
-from .linear_model import AdaptiveContexts, induce_ssp, sample_step, validate_context
+from .linear_model import AdaptiveContexts, validate_context
 from .ssp import GOAL, SspInstance
 
 
@@ -73,11 +74,17 @@ def l1_optimistic_distribution(p, radius, values):
 @dataclass
 class EviResult:
     policy: np.ndarray
-    optimistic_ssp: SspInstance
+    opt_loss: np.ndarray  # (S, A)
+    opt_trans: np.ndarray  # (S, A, S)
     values: np.ndarray
     residual: float
     converged: bool
     iterations: int
+
+    @cached_property
+    def optimistic_ssp(self):
+        """The optimistic model as a validated SspInstance, built on demand."""
+        return SspInstance(self.opt_loss, self.opt_trans)
 
 
 def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
@@ -117,8 +124,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     q_trans[:, :, order] = q_ord
     q_vals = opt_loss + q_ord @ v[order]
     policy = q_vals.argmin(axis=1)
-    opt_ssp = SspInstance(opt_loss, q_trans)
-    return EviResult(policy, opt_ssp, v, residual, converged, iterations)
+    return EviResult(policy, opt_loss, q_trans, v, residual, converged,
+                     iterations)
 
 
 @dataclass
@@ -177,6 +184,12 @@ class RunLog:
     step_trace: list = field(default_factory=list)
 
 
+def _read_only(x):
+    view = x.view()
+    view.flags.writeable = False
+    return view
+
+
 class Learner:
     """State of one run of the interval-based optimistic learner."""
 
@@ -194,40 +207,37 @@ class Learner:
         self._init_statistics()
         self.policy = np.zeros(self.n_states, dtype=int)
         self.current_values = np.zeros(self.n_states)
-        self.current_estimates = None
 
     def _init_statistics(self):
         S, A, d = self.n_states, self.n_actions, self.d
-        self.stats = [
-            [estimation.SaStatistics(d, S, self.cfg.lam) for _ in range(A)]
-            for _ in range(S)
-        ]
-        self._versions = np.zeros((S, A), dtype=int)
-        self._computed_versions = np.full((S, A), -1, dtype=int)
+        self.store = estimation.PairStore((S, A), d, S, self.cfg.lam)
+        self.stats = [[self.store.pair(s, a) for a in range(A)]
+                      for s in range(S)]
+        # visit count each pair's estimate was last computed at
+        self._computed_tau = np.full((S, A), -1.0)
         self._l_hat = np.zeros((S, A, d))
         self._p_raw = np.zeros((S, A, S, d))
         self._p_hat = np.zeros((S, A, S, d))
         self._beta_l = np.zeros((S, A))
         self._beta_p = np.zeros((S, A))
+        self._estimates = estimation.Estimates(*(
+            _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
+                                    self._beta_l, self._beta_p)))
 
     def snapshot_estimates(self):
-        """Current Estimates over all pairs (recomputed only where stats moved)."""
-        stale = np.argwhere(self._computed_versions != self._versions)
+        """Current Estimates over all pairs (recomputed only where stats moved).
+
+        The arrays are read-only views of the learner's state: they follow
+        later visits, so copy them to keep a snapshot.
+        """
+        stale = np.argwhere(self._computed_tau != self.store.tau)
         for s, a in stale:
             (self._l_hat[s, a], self._p_raw[s, a], self._p_hat[s, a],
              self._beta_l[s, a], self._beta_p[s, a]) = \
                 estimation.compute_pair_estimate(
                     self.stats[s][a], self.n_actions, self.cfg.delta)
-            self._computed_versions[s, a] = self._versions[s, a]
-        return estimation.Estimates(
-            self._l_hat.copy(), self._p_raw.copy(), self._p_hat.copy(),
-            self._beta_l.copy(), self._beta_p.copy())
-
-    def _context_norms(self, c):
-        return np.array([
-            [self.stats[s][a].context_norm(c) for a in range(self.n_actions)]
-            for s in range(self.n_states)
-        ])
+            self._computed_tau[s, a] = self.store.tau[s, a]
+        return self._estimates
 
     def _coverage_ok(self, est):
         """Do the true embeddings lie in every pair's confidence set right now?"""
@@ -249,7 +259,7 @@ class Learner:
         self.m += 1
         while True:
             est = self.snapshot_estimates()
-            norms = self._context_norms(c)
+            norms = estimation.context_norms(self.store.v_bar_inv, c)
             opt_loss = np.clip(
                 np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
                 0.0, 1.0)
@@ -268,13 +278,10 @@ class Learner:
             self._init_statistics()
         self.policy = result.policy
         self.current_values = result.values
-        self.current_estimates = est
-        known = sum(
-            estimation.is_known(self.stats[s][a], c, self.l_min_eff,
-                                self.b_star_cur, self.m, self.cfg.delta,
-                                self.n_states, self.n_actions)
-            for s in range(self.n_states) for a in range(self.n_actions)
-        )
+        threshold = estimation.known_threshold(
+            est.beta_dyn, self.l_min_eff, self.b_star_cur, self.m,
+            self.cfg.delta)
+        known = np.count_nonzero(norms < threshold)
         record = IntervalRecord(
             episode=episode, m=self.m, trigger=trigger,
             evi_residual=result.residual, v_tilde_init=v_init,
@@ -366,7 +373,6 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             nxt, raw_loss = sampler.step(s, a, rng)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
             learner.stats[s][a].record_visit(c_seen, nxt, obs_loss)
-            learner._versions[s, a] += 1
             log.steps += 1
             log.total_loss += raw_loss
             record.steps += 1

@@ -154,6 +154,40 @@ class TestReport:
     def test_report_empty_dir_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2
 
+    # one step per episode and little goal mass: most seeds truncate their
+    # only episode, and such a seed's final regret is nan, not the csv's 0
+    TRUNCATING = {
+        "generator": {"d": 2, "n_states": 5, "n_actions": 3,
+                      "gamma_goal": 0.05, "l_min_target": 0.1, "seed": 7},
+        "contexts": {"kind": "uniform", "K": 1},
+        "learner": {"delta": 0.1, "l_min": 0.1, "episode_step_cap": 1},
+        "baseline_context_blind": False,
+    }
+
+    def _report_line(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, dict(self.TRUNCATING, seeds=seeds))
+        assert main(["gen", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        stored = dict(line.split(": ") for line in
+                      (out / "summary.txt").read_text().splitlines())
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        return stored["lrcssp.final_regret_mean"], row
+
+    def test_report_skips_all_truncated_seeds(self, tmp_path, capsys):
+        stored, row = self._report_line(tmp_path, capsys, list(range(6)))
+        assert row[0] == "lrcssp" and row[1] == "6"
+        assert row[3] == "4"  # truncations
+        assert float(row[2]) == pytest.approx(float(stored), rel=1e-7)
+        assert float(stored) == pytest.approx(-0.340332576, rel=1e-8)
+
+    def test_report_every_seed_truncated(self, tmp_path, capsys):
+        stored, row = self._report_line(tmp_path, capsys, [0, 1, 2, 3])
+        assert stored == "nan"
+        assert row[2] == "nan" and row[3] == "4"
+
 
 class TestUsage:
     def test_no_command_exits_2(self):

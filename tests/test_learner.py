@@ -5,7 +5,16 @@ import pytest
 from scipy.optimize import linprog
 
 from lrcssp.errors import ConfigError
+from lrcssp.estimation import (
+    REFRESH_EVERY,
+    SaStatistics,
+    compute_pair_estimate,
+    context_norms,
+    is_known,
+    known_threshold,
+)
 from lrcssp.learner import (
+    Learner,
     LearnerConfig,
     auto_epsilon,
     evi_plan,
@@ -390,3 +399,97 @@ class TestRun:
         assert [e.total_loss for e in plain.episodes] == \
             [e.total_loss for e in diag.episodes]
         assert all(r.coverage_ok is not None for r in diag.interval_records)
+
+
+class TestStackedStatistics:
+    """The learner's pair statistics live in one stacked store."""
+
+    def _learner(self, visits=40, seed=0):
+        model = generate_instance(REF_SPEC)
+        learner = Learner(REF_CFG, model, REF_CFG.l_min)
+        rng = np.random.default_rng(seed)
+        for _ in range(visits):
+            s = int(rng.integers(model.n_states))
+            a = int(rng.integers(model.n_actions))
+            nxt = int(rng.integers(-1, model.n_states))
+            learner.stats[s][a].record_visit(rng.dirichlet(np.ones(model.d)),
+                                             nxt, float(rng.random()))
+        return model, learner
+
+    def _make_known(self, learner, pairs):
+        # pin a tiny uncertainty, writing through the views into the store
+        for s, a in pairs:
+            learner.stats[s][a].v_bar[...] = 1e12 * np.eye(learner.d)
+            learner.stats[s][a].v_bar_inv[...] = 1e-12 * np.eye(learner.d)
+
+    def test_batched_norms_equal_per_pair_norms(self):
+        model, learner = self._learner(visits=200)
+        rng = np.random.default_rng(1)
+        for c in rng.dirichlet(np.ones(model.d), size=20):
+            batched = context_norms(learner.store.v_bar_inv, c)
+            per_pair = np.array([[st.context_norm(c) for st in row]
+                                 for row in learner.stats])
+            # the per-pair loop the batched expression replaced
+            loop = np.array([
+                [math.sqrt(max(0.0, float(c @ st.v_bar_inv @ c)))
+                 for st in row] for row in learner.stats])
+            np.testing.assert_allclose(batched, per_pair, rtol=1e-12)
+            np.testing.assert_allclose(batched, loop, rtol=1e-12)
+
+    def test_vectorised_known_count_equals_scalar_count(self):
+        model, learner = self._learner()
+        self._make_known(learner, [(0, 0), (2, 1), (4, 2)])
+        c = np.array([0.3, 0.7])
+        record = learner.start_interval(c, 0, "start")
+        assert learner.doubling_events == 0
+        scalar = sum(
+            is_known(st, c, learner.l_min_eff, learner.b_star_cur, learner.m,
+                     REF_CFG.delta, model.n_states, model.n_actions)
+            for row in learner.stats for st in row)
+        assert scalar == 3
+        n_pairs = model.n_states * model.n_actions
+        assert record.known_fraction * n_pairs == pytest.approx(scalar)
+
+    def test_known_threshold_array_matches_scalar(self):
+        beta = np.array([[0.5, 3.0], [40.0, 1e6]])
+        got = known_threshold(beta, 0.1, 2.0, 50, 0.1)
+        want = [[known_threshold(float(b), 0.1, 2.0, 50, 0.1) for b in row]
+                for row in beta]
+        assert np.array_equal(got, want)
+
+    def test_refresh_writes_inverse_in_place(self):
+        model, learner = self._learner(visits=0)
+        stats = learner.stats[1][2]
+        rng = np.random.default_rng(2)
+        for c in rng.dirichlet(np.ones(model.d), size=REFRESH_EVERY + 100):
+            stats.record_visit(c, 0, 0.0)
+        assert stats.tau == REFRESH_EVERY + 100
+        assert np.shares_memory(stats.v_bar_inv, learner.store.v_bar_inv)
+        assert np.shares_memory(stats.v_bar, learner.store.v_bar)
+        np.testing.assert_allclose(stats.v_bar_inv, np.linalg.inv(stats.v_bar),
+                                   atol=1e-10)
+        assert np.array_equal(learner.store.v_bar_inv[1, 2], stats.v_bar_inv)
+
+    def test_snapshot_is_read_only_and_current(self):
+        model, learner = self._learner()
+        est = learner.snapshot_estimates()
+        for name in ("l_hat", "p_hat_raw", "p_hat", "beta_loss", "beta_dyn"):
+            with pytest.raises(ValueError):
+                getattr(est, name)[...] = 0.0
+        fresh = SaStatistics(model.d, model.n_states, REF_CFG.lam)
+        stats = learner.stats[3][1]
+        for name in ("v_bar", "v_bar_inv", "xty_loss", "xty_trans"):
+            getattr(fresh, name)[...] = getattr(stats, name)
+        fresh.tau = stats.tau
+        want = compute_pair_estimate(fresh, model.n_actions, REF_CFG.delta)
+        np.testing.assert_array_equal(est.l_hat[3, 1], want[0])
+        np.testing.assert_array_equal(est.p_hat[3, 1], want[2])
+        assert est.beta_dyn[3, 1] == want[4]
+
+    def test_plan_builds_optimistic_model_on_demand(self):
+        res = evi_plan(np.full((2, 1), 0.5), np.full((2, 1, 2), 0.25),
+                       np.zeros((2, 1)), b_cap=1e6, evi_tol=1e-10,
+                       evi_max_iter=10**5)
+        assert "optimistic_ssp" not in vars(res)
+        assert res.optimistic_ssp is res.optimistic_ssp
+        assert np.array_equal(res.optimistic_ssp.trans, res.opt_trans)

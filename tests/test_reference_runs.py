@@ -1,0 +1,78 @@
+"""Exact run outcomes that every change meant to keep behaviour must keep.
+
+The expected values come from the benchmark's reference table
+(bench/reference.json), which was recorded from the learner before the
+stacked-statistics store: step and interval counts must match exactly and
+the final cumulative regret to a relative 1e-6 (the artifacts print nine
+significant digits).
+"""
+
+import json
+
+import pytest
+
+from lrcssp.cli import main
+from lrcssp.harness import (
+    ExperimentConfig,
+    build_contexts,
+    compute_regret,
+    oracle_values,
+    read_summary,
+    summarize_run,
+)
+from lrcssp.learner import run
+from lrcssp.linear_model import generate_instance
+
+# the acceptance REF_SPEC and REF_CFG
+REF_GENERATOR = {"d": 2, "n_states": 5, "n_actions": 3, "gamma_goal": 0.1,
+                 "l_min_target": 0.1, "seed": 7}
+WIDE_GENERATOR = dict(REF_GENERATOR, d=4, n_states=30, n_actions=5)
+LEARNER = {"delta": 0.1, "l_min": 0.1}
+RTOL = 1e-6
+
+
+def experiment(generator, K, seed, out_dir, baseline=False):
+    return {"generator": dict(generator),
+            "contexts": {"kind": "uniform", "K": K},
+            "learner": dict(LEARNER), "seeds": [seed], "out_dir": out_dir,
+            "baseline_context_blind": baseline}
+
+
+def test_golden_pipeline(tmp_path):
+    """gen, run and report at REF_SPEC, K=60, run seed 0, both variants."""
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        experiment(REF_GENERATOR, 60, 0, str(out), baseline=True)))
+    assert main(["gen", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--jobs", "1"]) == 0
+    assert main(["report", str(out)]) == 0
+    expected = {
+        "lrcssp": (158, 158, 13.8374824),
+        "context_blind": (163, 163, 15.8374824),
+    }
+    for variant, (steps, intervals, regret) in expected.items():
+        summary = read_summary(out / variant / "seed_0" / "summary.txt")
+        assert int(summary["total_steps"]) == steps
+        assert int(summary["total_intervals"]) == intervals
+        assert float(summary["final_cum_regret"]) == pytest.approx(
+            regret, rel=RTOL)
+
+
+@pytest.mark.parametrize("run_seed, steps, intervals, regret", [
+    (2, 153, 153, 25.677368865430882),
+    (4, 112, 112, -8.203314399431703),
+])
+def test_wide_runs(tmp_path, run_seed, steps, intervals, regret):
+    """(S, A, d) = (30, 5, 4), K=25: the benchmark's `wide` parts."""
+    cfg = ExperimentConfig.from_dict(
+        experiment(WIDE_GENERATOR, 25, run_seed, str(tmp_path)))
+    model = generate_instance(cfg.generator)
+    contexts = build_contexts(cfg, run_seed)
+    log = run(cfg.learner, model, contexts, seed=run_seed)
+    assert log.total_steps == steps
+    assert log.total_intervals == intervals
+    oracle = oracle_values(model, contexts)
+    summary = summarize_run(log, compute_regret(log, oracle), oracle,
+                            cfg.learner.delta)
+    assert summary["final_cum_regret"] == pytest.approx(regret, rel=RTOL)
