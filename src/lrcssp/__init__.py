@@ -25,7 +25,6 @@ from .linear_model import (
     generate_instance,
     generate_trap_instance,
     induce_ssp,
-    sample_step,
     validate_context,
     validate_model,
 )
@@ -46,8 +45,6 @@ from .learner import (
     RunLog,
     auto_epsilon,
     evi_plan,
-    l1_optimistic_distribution,
-    optimistic_loss,
     run,
 )
 from .harness import (

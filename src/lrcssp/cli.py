@@ -108,15 +108,18 @@ def cmd_report(args):
     for variant in variants:
         vdir = os.path.join(run_dir, variant)
         seeds = sorted(d for d in os.listdir(vdir) if d.startswith("seed_"))
-        finals, truncs, curves = [], 0, {}
+        truncs, curves, n_episodes = 0, [], 0
         for sd in seeds:
             cols = _read_csv(os.path.join(vdir, sd, "regret.csv"))
             truncated = [int(t) for t in cols["truncated"]]
-            curves[sd] = [float(x) for x in cols["cum_regret"]]
-            finals.append(final_regret(curves[sd], truncated))
+            curve = [float(x) for x in cols["cum_regret"]]
+            n_episodes = len(curve)
             truncs += sum(truncated)
-        finite = [f for f in finals if not np.isnan(f)]
-        mean = float(np.mean(finite)) if finite else SENTINEL
+            # a seed whose every episode truncated has no final regret, so
+            # it enters neither the mean nor the plot
+            if not np.isnan(final_regret(curve, truncated)):
+                curves.append(curve)
+        mean = float(np.mean([c[-1] for c in curves])) if curves else SENTINEL
         stored_mean = stored.get(f"{variant}.final_regret_mean")
         # CSV cells are rounded to 9 significant digits, so the recomputed
         # mean can differ from the stored full-precision one in the last
@@ -128,12 +131,14 @@ def cmd_report(args):
                 f"recomputed mean {_fmt(mean)} != stored {stored_mean} "
                 f"for {variant}")
         print(f"{variant:<16}{len(seeds):>6}{_fmt(mean):>20}{truncs:>13}")
-        # plot-ready data: mean cumulative regret per episode across seeds
-        arr = np.array(list(curves.values()))
+        # plot-ready data: mean cumulative regret per episode over the same
+        # seeds, so the last point is the mean above
+        plot = (np.mean(curves, axis=0) if curves
+                else np.full(n_episodes, SENTINEL))
         plot_path = os.path.join(run_dir, f"plot_{variant}.csv")
         with open(plot_path, "w", newline="") as fh:
             fh.write("episode,cum_regret_mean\n")
-            for k, val in enumerate(arr.mean(axis=0)):
+            for k, val in enumerate(plot):
                 fh.write(f"{k},{_fmt(val)}\n")
     return 0
 

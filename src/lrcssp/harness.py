@@ -41,18 +41,18 @@ class OracleValues:
     t_star_emp: float
 
 
-def oracle_values(model, contexts, tol=1e-10):
+def oracle_values(model, contexts):
     """Exact planning on every induced instance; never leaked to the learner."""
     v_init, v_all, t_max = [], [], 0.0
     for c in contexts:
         ssp = induce_ssp(model, c)
         try:
-            v, pi = value_iteration(ssp, tol=tol)
+            v, pi = value_iteration(ssp)
         except NonConvergenceError as exc:
             raise ConfigError(f"model rejected: oracle planning failed ({exc})")
         v_init.append(float(v[model.s_init]))
         v_all.append(v)
-        t_max = max(t_max, float(expected_hitting_time(ssp, pi, tol=tol).max()))
+        t_max = max(t_max, float(expected_hitting_time(ssp, pi).max()))
     v_all = np.array(v_all)
     return OracleValues(
         v_star=np.array(v_init),

@@ -49,28 +49,6 @@ def auto_epsilon(n_states, d, n_actions, K):
     return n_states * (d * d * n_actions / K) ** (1.0 / 3.0)
 
 
-def optimistic_loss(c, l_hat, beta_loss, c_norm):
-    """Minimum of <c, L> over the loss ellipsoid, clipped to [0, 1]."""
-    return float(np.clip(c @ l_hat - beta_loss * c_norm, 0.0, 1.0))
-
-
-def l1_optimistic_distribution(p, radius, values):
-    """Minimize q . values over sub-distributions with ||q - p||_1 <= radius.
-
-    values are non-negative and the goal (implicit residual mass) has value
-    zero, so the optimum removes mass from the highest-value states first.
-    """
-    q = np.asarray(p, dtype=float).copy()
-    budget = radius
-    for idx in np.argsort(-np.asarray(values)):
-        if budget <= 0:
-            break
-        take = min(q[idx], budget)
-        q[idx] -= take
-        budget -= take
-    return q
-
-
 @dataclass
 class EviResult:
     policy: np.ndarray
@@ -87,6 +65,21 @@ class EviResult:
         return SspInstance(self.opt_loss, self.opt_trans)
 
 
+def _evi_backup(opt_loss, p_ctx, r, v):
+    """One extended Bellman backup at v, before the min over actions.
+
+    Each pair's L1 step takes up to r of mass from the highest-value states
+    first; the goal absorbs it.  Returns the (S, A) Q-values, the
+    value-descending state order, and the optimistic transitions in that
+    order.
+    """
+    order = np.argsort(-v)
+    p_ord = p_ctx[:, :, order]
+    prior = np.cumsum(p_ord, axis=2) - p_ord
+    q_ord = p_ord - np.clip(r - prior, 0.0, p_ord)
+    return opt_loss + q_ord @ v[order], order, q_ord
+
+
 def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     """Extended value iteration over per-pair confidence sets.
 
@@ -96,18 +89,12 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     Values start at zero, grow monotonically, and are truncated to
     [0, b_cap]; non-convergence is flagged, not raised.
     """
-    n_states, n_actions = opt_loss.shape
-    v = np.zeros(n_states)
+    v = np.zeros(opt_loss.shape[0])
     residual = np.inf
     iterations = 0
     r = radius[:, :, None]
     for iterations in range(1, evi_max_iter + 1):
-        order = np.argsort(-v)
-        p_ord = p_ctx[:, :, order]
-        prior = np.cumsum(p_ord, axis=2) - p_ord
-        removal = np.clip(r - prior, 0.0, p_ord)
-        q_ord = p_ord - removal
-        q_vals = opt_loss + q_ord @ v[order]
+        q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
         w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
         residual = float(np.abs(w - v).max())
         v = w
@@ -115,17 +102,11 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
             break
     converged = residual <= evi_tol
     # final optimistic model and greedy policy under the converged values
-    order = np.argsort(-v)
-    p_ord = p_ctx[:, :, order]
-    prior = np.cumsum(p_ord, axis=2) - p_ord
-    removal = np.clip(r - prior, 0.0, p_ord)
-    q_ord = p_ord - removal
+    q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
     q_trans = np.empty_like(p_ctx)
     q_trans[:, :, order] = q_ord
-    q_vals = opt_loss + q_ord @ v[order]
-    policy = q_vals.argmin(axis=1)
-    return EviResult(policy, opt_loss, q_trans, v, residual, converged,
-                     iterations)
+    return EviResult(q_vals.argmin(axis=1), opt_loss, q_trans, v, residual,
+                     converged, iterations)
 
 
 @dataclass
@@ -331,13 +312,20 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         planning instead of the true contexts (context-blind baseline)
     diagnostics_model  : optional ground truth; fills per-interval coverage
         flags without touching learner state or the RNG stream
-    init_states        : optional per-episode initial states
+    init_states        : optional per-episode initial states, one state
+        index in [0, S) per episode
     Deterministic given (seed, cfg, model, contexts).
     """
     adaptive = isinstance(contexts, AdaptiveContexts)
     K = n_episodes if adaptive else len(contexts)
     if adaptive and K is None:
         raise ConfigError("adaptive contexts need an explicit n_episodes")
+    if init_states is not None and (
+            len(init_states) != K
+            or not all(isinstance(s, (int, np.integer))
+                       and 0 <= s < model.n_states for s in init_states)):
+        raise ConfigError(
+            f"init_states must be {K} state indices in [0, {model.n_states})")
     if cfg.l_min == 0:
         eps = (cfg.epsilon_perturb if cfg.epsilon_perturb is not None
                else auto_epsilon(model.n_states, model.d, model.n_actions, K))

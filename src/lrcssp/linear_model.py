@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, StructuralError
-from .ssp import GOAL, SspInstance
+from .ssp import SspInstance
 
 SIMPLEX_TOL = 1e-9
 
@@ -113,36 +113,6 @@ def induce_ssp(model, c):
     loss = np.clip(model.loss_embed @ c, 0.0, 1.0)
     trans = np.clip(model.trans_embed @ c, 0.0, None)
     return SspInstance(loss, trans)
-
-
-def sample_step(model, c, s, a, rng):
-    """Sample one environment step at (s, a) under context c.
-
-    Returns (next_state, loss); next_state is GOAL on goal arrival.  The
-    loss has mean <c, L*(s, a)> and support [0, 1].
-    """
-    c = validate_context(c, model.d)
-    if not (0 <= s < model.n_states and 0 <= a < model.n_actions):
-        raise StructuralError(f"state-action ({s}, {a}) out of range")
-    probs = model.trans_embed[s, a] @ c
-    probs = np.clip(probs, 0.0, None)
-    goal_mass = max(0.0, 1.0 - probs.sum())
-    full = np.append(probs, goal_mass)
-    full /= full.sum()
-    nxt = int(rng.choice(model.n_states + 1, p=full))
-    if nxt == model.n_states:
-        nxt = GOAL
-    mean = float(np.clip(model.loss_embed[s, a] @ c, 0.0, 1.0))
-    if model.loss_noise == "bernoulli":
-        loss = float(rng.random() < mean)
-    else:
-        w = model.noise_width
-        lo = max(0.0, mean - w)
-        hi = min(1.0, mean + w)
-        # keep the draw mean-preserving when the window is clipped
-        half = min(mean - lo, hi - mean)
-        loss = float(rng.uniform(mean - half, mean + half))
-    return nxt, loss
 
 
 @dataclass(frozen=True)

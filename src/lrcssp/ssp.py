@@ -122,38 +122,41 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     raise NonConvergenceError(residual, max_iter)
 
 
-def policy_evaluation(ssp, policy, tol=1e-10, max_iter=10**6, cap=1e9):
-    """Iterate v = loss_pi + P_pi v until the sup-norm residual <= tol.
+def _unreachable_states(ssp, policy):
+    """States whose support graph under the policy never reaches the goal.
 
-    Raises ImproperPolicyError on divergence (any entry above cap) or when
-    max_iter is exhausted; both indicate the policy fails to reach the goal.
+    The goal counts as reached from a state whose goal mass exceeds _MASS_TOL.
+    """
+    p_pi = ssp.trans[np.arange(ssp.n_states), policy]
+    reach = 1.0 - p_pi.sum(axis=1) > _MASS_TOL
+    while True:
+        grown = reach | (p_pi[:, reach] > 0).any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(~reach)
+        reach = grown
+
+
+def policy_evaluation(ssp, policy):
+    """Exact value of a proper policy: solve (I - P_pi) v = loss_pi.
+
+    Raises ImproperPolicyError if some state cannot reach the goal.
     """
     policy = _check_policy(ssp, policy)
+    stuck = _unreachable_states(ssp, policy)
+    if stuck.size:
+        raise ImproperPolicyError(
+            f"states {stuck.tolist()} cannot reach the goal")
     rows = np.arange(ssp.n_states)
-    l_pi = ssp.loss[rows, policy]
-    p_pi = ssp.trans[rows, policy]
-    v = np.zeros(ssp.n_states)
-    for _ in range(max_iter):
-        w = l_pi + p_pi @ v
-        if np.any(w > cap):
-            raise ImproperPolicyError(f"value exceeded cap {cap:.1e}")
-        residual = np.abs(w - v).max() if v.size else 0.0
-        if residual <= tol:
-            return v
-        v = w
-    raise ImproperPolicyError(f"no convergence within {max_iter} iterations")
+    return np.linalg.solve(np.eye(ssp.n_states) - ssp.trans[rows, policy],
+                           ssp.loss[rows, policy])
 
 
-def expected_hitting_time(ssp, policy, tol=1e-10, max_iter=10**6, cap=1e9):
+def expected_hitting_time(ssp, policy):
     """Expected steps to goal under policy: unit losses through the same dynamics."""
     unit = SspInstance(np.ones_like(ssp.loss), ssp.trans)
-    return policy_evaluation(unit, policy, tol=tol, max_iter=max_iter, cap=cap)
+    return policy_evaluation(unit, policy)
 
 
-def is_proper(ssp, policy, max_iter=10**5):
+def is_proper(ssp, policy):
     """True iff the policy reaches the goal with probability 1 from every state."""
-    try:
-        expected_hitting_time(ssp, policy, tol=1e-8, max_iter=max_iter)
-    except ImproperPolicyError:
-        return False
-    return True
+    return _unreachable_states(ssp, _check_policy(ssp, policy)).size == 0

@@ -174,19 +174,23 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
-        return stored["lrcssp.final_regret_mean"], row
+        plot = (out / "plot_lrcssp.csv").read_text().splitlines()
+        return stored["lrcssp.final_regret_mean"], row, plot[-1].split(",")
 
     def test_report_skips_all_truncated_seeds(self, tmp_path, capsys):
-        stored, row = self._report_line(tmp_path, capsys, list(range(6)))
+        stored, row, last = self._report_line(tmp_path, capsys,
+                                              list(range(6)))
         assert row[0] == "lrcssp" and row[1] == "6"
         assert row[3] == "4"  # truncations
         assert float(row[2]) == pytest.approx(float(stored), rel=1e-7)
         assert float(stored) == pytest.approx(-0.340332576, rel=1e-8)
+        assert float(last[1]) == pytest.approx(float(stored), rel=1e-7)
 
     def test_report_every_seed_truncated(self, tmp_path, capsys):
-        stored, row = self._report_line(tmp_path, capsys, [0, 1, 2, 3])
+        stored, row, last = self._report_line(tmp_path, capsys, [0, 1, 2, 3])
         assert stored == "nan"
         assert row[2] == "nan" and row[3] == "4"
+        assert last[1] == "nan"
 
 
 class TestUsage:

@@ -18,12 +18,33 @@ from lrcssp.learner import (
     LearnerConfig,
     auto_epsilon,
     evi_plan,
-    l1_optimistic_distribution,
-    optimistic_loss,
     run,
 )
 from lrcssp.linear_model import GeneratorSpec, context_sequence, generate_instance
 from lrcssp.ssp import value_iteration
+
+
+def optimistic_loss(c, l_hat, beta_loss, c_norm):
+    """Scalar oracle: minimum of <c, L> over the loss ellipsoid, clipped to [0, 1]."""
+    return float(np.clip(c @ l_hat - beta_loss * c_norm, 0.0, 1.0))
+
+
+def l1_optimistic_distribution(p, radius, values):
+    """Scalar oracle: minimize q . values over sub-distributions q with
+    ||q - p||_1 <= radius.
+
+    values are non-negative and the goal (implicit residual mass) has value
+    zero, so the optimum removes mass from the highest-value states first.
+    """
+    q = np.asarray(p, dtype=float).copy()
+    budget = radius
+    for idx in np.argsort(-np.asarray(values)):
+        if budget <= 0:
+            break
+        take = min(q[idx], budget)
+        q[idx] -= take
+        budget -= take
+    return q
 
 
 REF_SPEC = GeneratorSpec(d=2, n_states=5, n_actions=3, gamma_goal=0.1,
@@ -200,6 +221,20 @@ class TestEviPlan:
                 inner = linprog_inner_oracle(p_ctx[s, a], radius[s, a], v)
                 got = res.optimistic_ssp.trans[s, a] @ v
                 assert got == pytest.approx(inner, abs=1e-7)
+
+    def test_optimistic_model_matches_scalar_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            opt_loss, p_ctx = self._random_inputs(rng)
+            radius = rng.uniform(0, 0.6, size=(4, 3))
+            res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e6,
+                           evi_tol=1e-10, evi_max_iter=10**5)
+            for s in range(4):
+                for a in range(3):
+                    want = l1_optimistic_distribution(p_ctx[s, a],
+                                                      radius[s, a], res.values)
+                    np.testing.assert_allclose(res.opt_trans[s, a], want,
+                                               rtol=0, atol=1e-15)
 
     def test_values_below_true_optimum(self):
         # with truthful p_ctx and any radii, optimistic values cannot exceed
@@ -381,6 +416,17 @@ class TestRun:
             first = next(t for t in log.step_trace if t[0] == k)
             assert first[1] == s0
 
+    @pytest.mark.parametrize("init", [
+        [-1, -1, -1, -1], [99, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0, 0],
+        [0, 1.0, 2, 3],
+    ], ids=["goal_sentinel", "out_of_range", "too_few", "too_many", "not_int"])
+    def test_rejects_invalid_init_states(self, init):
+        model = generate_instance(REF_SPEC)
+        contexts = context_sequence("uniform", 4, model.d,
+                                    rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            run(REF_CFG, model, contexts, seed=3, init_states=init)
+
     def test_truncation_counted(self):
         cfg = LearnerConfig(delta=0.1, l_min=0.1, episode_step_cap=1)
         model = generate_instance(REF_SPEC)
@@ -449,6 +495,27 @@ class TestStackedStatistics:
         assert scalar == 3
         n_pairs = model.n_states * model.n_actions
         assert record.known_fraction * n_pairs == pytest.approx(scalar)
+
+    def test_interval_losses_match_scalar_oracle(self, monkeypatch):
+        # enough visits that the optimistic losses lie inside (0, 1)
+        model, learner = self._learner(visits=20_000)
+        calls = []
+
+        def recording_evi_plan(opt_loss, *args, **kwargs):
+            calls.append(opt_loss.copy())
+            return evi_plan(opt_loss, *args, **kwargs)
+
+        monkeypatch.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
+        c = np.array([0.3, 0.7])
+        learner.start_interval(c, 0, "start")
+        assert learner.doubling_events == 0 and len(calls) == 1
+        assert 0 < calls[0].min() and calls[0].max() < 1
+        est = learner.snapshot_estimates()
+        for s in range(model.n_states):
+            for a in range(model.n_actions):
+                want = optimistic_loss(c, est.l_hat[s, a], est.beta_loss[s, a],
+                                       learner.stats[s][a].context_norm(c))
+                assert calls[0][s, a] == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_known_threshold_array_matches_scalar(self):
         beta = np.array([[0.5, 3.0], [40.0, 1e6]])

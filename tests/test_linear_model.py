@@ -10,10 +10,10 @@ from lrcssp.linear_model import (
     generate_instance,
     generate_trap_instance,
     induce_ssp,
-    sample_step,
     validate_context,
     validate_model,
 )
+from lrcssp.learner import _EpisodeSampler
 from lrcssp.ssp import GOAL, value_iteration
 
 
@@ -132,16 +132,19 @@ class TestGenerator:
 
 
 class TestSampleStep:
+    """The environment sampler that `learner.run` steps through."""
+
     def test_transition_frequencies(self):
         model = generate_instance(REF_SPEC)
         c = np.array([0.6, 0.4])
         ssp = induce_ssp(model, c)
         s, a = 2, 1
+        sampler = _EpisodeSampler(model, c)
         rng = np.random.default_rng(10)
         n = 50_000
         counts = np.zeros(model.n_states + 1)
         for _ in range(n):
-            nxt, _ = sample_step(model, c, s, a, rng)
+            nxt, _ = sampler.step(s, a, rng)
             counts[nxt if nxt != GOAL else model.n_states] += 1
         freq = counts / n
         target = np.append(ssp.trans[s, a], ssp.goal_mass[s, a])
@@ -152,8 +155,9 @@ class TestSampleStep:
         model = generate_instance(REF_SPEC)
         c = np.array([0.3, 0.7])
         mean = float(model.loss_embed[0, 0] @ c)
+        sampler = _EpisodeSampler(model, c)
         rng = np.random.default_rng(11)
-        losses = np.array([sample_step(model, c, 0, 0, rng)[1]
+        losses = np.array([sampler.step(0, 0, rng)[1]
                            for _ in range(40_000)])
         assert set(np.unique(losses)) <= {0.0, 1.0}
         se = np.sqrt(mean * (1 - mean) / losses.size)
@@ -166,18 +170,13 @@ class TestSampleStep:
                                 noise_width=0.05)
         c = np.array([0.5, 0.5])
         mean = float(model.loss_embed[1, 2] @ c)
+        sampler = _EpisodeSampler(model, c)
         rng = np.random.default_rng(12)
-        losses = np.array([sample_step(model, c, 1, 2, rng)[1]
+        losses = np.array([sampler.step(1, 2, rng)[1]
                            for _ in range(20_000)])
         assert losses.min() >= 0.0 and losses.max() <= 1.0
         assert np.all(np.abs(losses - mean) <= 0.05 + 1e-12)
         assert abs(losses.mean() - mean) <= 4 * 0.05 / np.sqrt(losses.size)
-
-    def test_rejects_bad_state(self):
-        model = generate_instance(REF_SPEC)
-        with pytest.raises(StructuralError):
-            sample_step(model, np.array([0.5, 0.5]), 99, 0,
-                        np.random.default_rng(0))
 
 
 class TestValidateModel:

@@ -169,27 +169,27 @@ class TestPolicyEvaluation:
         for s in range(n - 1):
             trans[s, 0, s + 1] = 1.0
         ssp = SspInstance(loss, trans)
-        v = policy_evaluation(ssp, np.zeros(n, dtype=int), tol=1e-12)
+        v = policy_evaluation(ssp, np.zeros(n, dtype=int))
         assert v[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_improper_self_loop(self):
         ssp = SspInstance(np.array([[1.0]]), np.ones((1, 1, 1)))
         with pytest.raises(ImproperPolicyError):
-            policy_evaluation(ssp, np.zeros(1, dtype=int), max_iter=10_000)
+            policy_evaluation(ssp, np.zeros(1, dtype=int))
 
     def test_matches_exact_solve(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             ssp = make_random_ssp(rng, 4, 2)
             pi = rng.integers(0, 2, size=4)
-            v = policy_evaluation(ssp, pi, tol=1e-12)
+            v = policy_evaluation(ssp, pi)
             assert np.allclose(v, exact_policy_values(ssp, pi), atol=1e-9)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(8)
         ssp = make_random_ssp(rng, 4, 2, min_goal_mass=0.2)
         pi = rng.integers(0, 2, size=4)
-        v = policy_evaluation(ssp, pi, tol=1e-12)
+        v = policy_evaluation(ssp, pi)
         n_traj = 10**6
         mc_mean, mc_se = _mc_policy_loss(ssp, pi, start=0, n_traj=n_traj,
                                          rng=np.random.default_rng(9))
@@ -200,7 +200,7 @@ class TestPolicyEvaluation:
         ssp = make_random_ssp(rng, 3, 2)
         pi = rng.integers(0, 2, size=3)
         tol = 1e-7
-        v = policy_evaluation(ssp, pi, tol=tol)
+        v = policy_evaluation(ssp, pi)
         rows = np.arange(3)
         resid = np.abs(v - (ssp.loss[rows, pi] + ssp.trans[rows, pi] @ v)).max()
         assert resid <= tol
@@ -244,14 +244,14 @@ class TestHittingTime:
     def test_geometric(self):
         p = 0.7
         ssp = SspInstance(np.array([[0.2]]), np.full((1, 1, 1), p))
-        t = expected_hitting_time(ssp, np.zeros(1, dtype=int), tol=1e-12)
+        t = expected_hitting_time(ssp, np.zeros(1, dtype=int))
         assert t[0] == pytest.approx(1 / (1 - p), abs=1e-8)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(11)
         ssp = make_random_ssp(rng, 3, 2, min_goal_mass=0.25)
         pi = rng.integers(0, 2, size=3)
-        t = expected_hitting_time(ssp, pi, tol=1e-12)
+        t = expected_hitting_time(ssp, pi)
         mc_mean, mc_se = _mc_hitting_time(ssp, pi, 0, 10**6,
                                           np.random.default_rng(12))
         assert abs(t[0] - mc_mean) <= 3 * mc_se
@@ -269,7 +269,14 @@ class TestIsProper:
         trans[0, 0, 1] = 1.0
         trans[1, 0, 0] = 1.0
         ssp = SspInstance(np.full((2, 1), 0.5), trans)
-        assert not is_proper(ssp, np.zeros(2, dtype=int), max_iter=10_000)
+        assert not is_proper(ssp, np.zeros(2, dtype=int))
+
+    def test_goal_mass_below_tolerance_is_not_reached(self):
+        # rounding-sized goal mass does not make a closed class proper
+        ssp = SspInstance(np.array([[0.5]]), np.full((1, 1, 1), 1 - 1e-12))
+        assert not is_proper(ssp, np.zeros(1, dtype=int))
+        with pytest.raises(ImproperPolicyError):
+            expected_hitting_time(ssp, np.zeros(1, dtype=int))
 
     def test_chain_reachability(self):
         # goal reachable only through the end of a chain; compare against a
@@ -299,7 +306,7 @@ class TestIsProper:
 
         for actions in itertools.product(range(2), repeat=n):
             pi = np.array(actions)
-            assert is_proper(ssp, pi, max_iter=10_000) == \
+            assert is_proper(ssp, pi) == \
                 reaches_goal_everywhere(pi)
 
 
