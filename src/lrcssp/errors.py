@@ -33,15 +33,24 @@ class ImproperPolicyError(LrcsspError):
 
 
 class ProjectionError(LrcsspError):
-    """The stochastic-matrix projection exceeded its iteration budget."""
+    """The stochastic-matrix projection exceeded its iteration budget.
 
-    def __init__(self, gap, iterations):
+    Raised inside a learner it also names the pair (s, a), the pair's visit
+    count tau and the interval m the projection ran for.
+    """
+
+    def __init__(self, gap, iterations, pair=None, tau=None, interval=None):
+        where = ("" if pair is None else
+                 f" for pair {pair} at tau {tau} in interval {interval}")
         super().__init__(
-            f"projection did not converge: objective gap {gap:.3e} "
+            f"projection did not converge{where}: objective gap {gap:.3e} "
             f"after {iterations} iterations"
         )
         self.gap = gap
         self.iterations = iterations
+        self.pair = pair
+        self.tau = tau
+        self.interval = interval
 
 
 class ProtocolError(LrcsspError):

@@ -267,12 +267,15 @@ class Estimates:
 
 
 def compute_pair_estimate(stats, n_actions, delta):
-    """(l_hat, p_raw, p_hat, beta_l, beta_p) for a single pair's statistics."""
+    """(l_hat, p_raw, beta_l, beta_p) for a single pair's statistics.
+
+    p_raw is not projected: project_to_stochastic(p_raw, stats.v_bar), by far
+    the costliest part, is left to a caller that needs p_hat.
+    """
     l_hat = ridge_loss_estimate(stats)
     p_raw = ridge_dynamics_estimate(stats)
-    p_hat = project_to_stochastic(p_raw, stats.v_bar)
     beta_l = loss_radius(stats.tau, stats.d, stats.n_states, n_actions,
                          stats.lam, delta)
     beta_p = dynamics_radius(stats.tau, stats.d, stats.n_states, n_actions,
                              stats.lam, delta)
-    return l_hat, p_raw, p_hat, beta_l, beta_p
+    return l_hat, p_raw, beta_l, beta_p

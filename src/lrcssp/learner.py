@@ -13,9 +13,22 @@ from functools import cached_property
 import numpy as np
 
 from . import estimation
-from .errors import ConfigError
+from .errors import ConfigError, ProjectionError
 from .linear_model import AdaptiveContexts, validate_context
 from .ssp import GOAL, SspInstance
+
+
+# L1 radius at or above which a plan empties a pair's optimistic row, so the
+# pair's projected dynamics p_hat cannot affect the plan.  The row is
+# p_hat @ c.  p_hat's columns are non-negative with sums at most 1 up to a few
+# ulps (a projection, or zeros before any visit), and validate_context admits
+# entries >= -SIMPLEX_TOL summing to 1 within SIMPLEX_TOL, so the row's
+# positive mass is at most 1 + d * SIMPLEX_TOL plus rounding.  _evi_backup
+# takes min(radius - prior, p) from each entry p, prior being the mass ahead
+# of it, so a radius above the whole mass leaves every entry exactly 0.  With
+# SIMPLEX_TOL = 1e-9 the margin 1e-6 holds for d below 999 with room for the
+# rounding of the S-term sums.
+ROW_EMPTYING_RADIUS = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -194,35 +207,62 @@ class Learner:
         self.store = estimation.PairStore((S, A), d, S, self.cfg.lam)
         self.stats = [[self.store.pair(s, a) for a in range(A)]
                       for s in range(S)]
-        # visit count each pair's estimate was last computed at
-        self._computed_tau = np.full((S, A), -1.0)
+        # visit counts each pair's l_hat, p_raw and radii, and its p_hat,
+        # were last computed at; every pair starts at tau = 0, where zero
+        # moments give exactly +0.0 estimates and the radii are shared
+        self._computed_tau = np.zeros((S, A))
+        self._projected_tau = np.zeros((S, A))
         self._l_hat = np.zeros((S, A, d))
         self._p_raw = np.zeros((S, A, S, d))
         self._p_hat = np.zeros((S, A, S, d))
-        self._beta_l = np.zeros((S, A))
-        self._beta_p = np.zeros((S, A))
+        lam, delta = self.store.lam, self.cfg.delta
+        self._beta_l = np.full(
+            (S, A), estimation.loss_radius(0, d, S, A, lam, delta))
+        self._beta_p = np.full(
+            (S, A), estimation.dynamics_radius(0, d, S, A, lam, delta))
         self._estimates = estimation.Estimates(*(
             _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
                                     self._beta_l, self._beta_p)))
 
-    def snapshot_estimates(self):
+    def snapshot_estimates(self, norms=None):
         """Current Estimates over all pairs (recomputed only where stats moved).
+
+        Without norms every pair is brought up to date.  Given a plan's
+        (S, A) context norms, a pair's p_hat (the projection, the costly
+        part) is brought up to date only where its L1 radius beta_dyn * norm
+        is below ROW_EMPTYING_RADIUS; the plan empties every other pair's
+        row whatever p_hat holds, so there p_hat may lag behind until a
+        later call needs it.  l_hat, p_hat_raw and the radii are always
+        current.
 
         The arrays are read-only views of the learner's state: they follow
         later visits, so copy them to keep a snapshot.
         """
-        stale = np.argwhere(self._computed_tau != self.store.tau)
-        for s, a in stale:
-            (self._l_hat[s, a], self._p_raw[s, a], self._p_hat[s, a],
+        tau = self.store.tau
+        for s, a in zip(*np.nonzero(self._computed_tau != tau)):
+            (self._l_hat[s, a], self._p_raw[s, a],
              self._beta_l[s, a], self._beta_p[s, a]) = \
                 estimation.compute_pair_estimate(
                     self.stats[s][a], self.n_actions, self.cfg.delta)
-            self._computed_tau[s, a] = self.store.tau[s, a]
+            self._computed_tau[s, a] = tau[s, a]
+        wanted = self._projected_tau != tau
+        if norms is not None:
+            wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
+        for s, a in zip(*np.nonzero(wanted)):
+            try:
+                self._p_hat[s, a] = estimation.project_to_stochastic(
+                    self._p_raw[s, a], self.store.v_bar[s, a])
+            except ProjectionError as err:
+                raise ProjectionError(
+                    err.gap, err.iterations, pair=(int(s), int(a)),
+                    tau=int(tau[s, a]), interval=self.m) from err
+            self._projected_tau[s, a] = tau[s, a]
         return self._estimates
 
-    def _coverage_ok(self, est):
+    def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
         model = self.diagnostics_model
+        est = self.snapshot_estimates()
         for s in range(self.n_states):
             for a in range(self.n_actions):
                 v_bar = self.stats[s][a].v_bar
@@ -239,8 +279,8 @@ class Learner:
         """Advance the interval counter, refresh estimates, and replan."""
         self.m += 1
         while True:
-            est = self.snapshot_estimates()
             norms = estimation.context_norms(self.store.v_bar_inv, c)
+            est = self.snapshot_estimates(norms)
             opt_loss = np.clip(
                 np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
                 0.0, 1.0)
@@ -271,7 +311,7 @@ class Learner:
             context=np.array(c),
         )
         if self.diagnostics_model is not None:
-            record.coverage_ok = self._coverage_ok(est)
+            record.coverage_ok = self._coverage_ok()
         return record
 
 
@@ -326,6 +366,9 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
                        and 0 <= s < model.n_states for s in init_states)):
         raise ConfigError(
             f"init_states must be {K} state indices in [0, {model.n_states})")
+    if perceived_contexts is not None and len(perceived_contexts) != K:
+        raise ConfigError(
+            f"perceived_contexts must have {K} entries, one per episode")
     if cfg.l_min == 0:
         eps = (cfg.epsilon_perturb if cfg.epsilon_perturb is not None
                else auto_epsilon(model.n_states, model.d, model.n_actions, K))

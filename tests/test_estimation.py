@@ -368,10 +368,11 @@ class TestComputePairEstimate:
         stats = SaStatistics(2, 3, lam=1.0)
         for c in random_contexts(rng, 80, 2):
             stats.record_visit(c, int(rng.integers(-1, 3)), float(rng.random()))
-        l_hat, p_raw, p_hat, beta_l, beta_p = compute_pair_estimate(
+        l_hat, p_raw, beta_l, beta_p = compute_pair_estimate(
             stats, n_actions=2, delta=0.1)
         assert np.allclose(l_hat, ridge_loss_estimate(stats))
         assert np.allclose(p_raw, ridge_dynamics_estimate(stats))
+        p_hat = project_to_stochastic(p_raw, stats.v_bar)
         assert np.all(p_hat >= -1e-12)
         assert np.all(p_hat.sum(axis=0) <= 1 + 1e-9)
         assert beta_l == loss_radius(stats.tau, 2, 3, 2, 1.0, 0.1)

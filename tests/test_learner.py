@@ -2,26 +2,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from lrcssp.errors import ConfigError
+from lrcssp import estimation
+from lrcssp.errors import ConfigError, ProjectionError, StructuralError
 from lrcssp.estimation import (
     REFRESH_EVERY,
     SaStatistics,
+    _capped_simplex_columns,
     compute_pair_estimate,
     context_norms,
+    dynamics_radius,
     is_known,
     known_threshold,
+    project_to_stochastic,
 )
 from lrcssp.learner import (
+    ROW_EMPTYING_RADIUS,
     Learner,
     LearnerConfig,
+    _evi_backup,
     auto_epsilon,
     evi_plan,
     run,
 )
-from lrcssp.linear_model import GeneratorSpec, context_sequence, generate_instance
+from lrcssp.linear_model import (
+    SIMPLEX_TOL,
+    GeneratorSpec,
+    context_sequence,
+    generate_instance,
+    validate_context,
+)
 from lrcssp.ssp import value_iteration
+
+
+def pair_estimate(stats, n_actions, delta):
+    """One pair's (l_hat, p_hat_raw, p_hat, beta_loss, beta_dyn)."""
+    l_hat, p_raw, beta_l, beta_p = compute_pair_estimate(
+        stats, n_actions, delta)
+    p_hat = project_to_stochastic(p_raw, stats.v_bar)
+    return l_hat, p_raw, p_hat, beta_l, beta_p
 
 
 def optimistic_loss(c, l_hat, beta_loss, c_norm):
@@ -427,6 +449,14 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(REF_CFG, model, contexts, seed=3, init_states=init)
 
+    def test_rejects_short_perceived_contexts(self):
+        model = generate_instance(REF_SPEC)
+        contexts = context_sequence("uniform", 4, model.d,
+                                    rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            run(REF_CFG, model, contexts, seed=3,
+                perceived_contexts=contexts[:3])
+
     def test_truncation_counted(self):
         cfg = LearnerConfig(delta=0.1, l_min=0.1, episode_step_cap=1)
         model = generate_instance(REF_SPEC)
@@ -548,7 +578,7 @@ class TestStackedStatistics:
         for name in ("v_bar", "v_bar_inv", "xty_loss", "xty_trans"):
             getattr(fresh, name)[...] = getattr(stats, name)
         fresh.tau = stats.tau
-        want = compute_pair_estimate(fresh, model.n_actions, REF_CFG.delta)
+        want = pair_estimate(fresh, model.n_actions, REF_CFG.delta)
         np.testing.assert_array_equal(est.l_hat[3, 1], want[0])
         np.testing.assert_array_equal(est.p_hat[3, 1], want[2])
         assert est.beta_dyn[3, 1] == want[4]
@@ -560,3 +590,179 @@ class TestStackedStatistics:
         assert "optimistic_ssp" not in vars(res)
         assert res.optimistic_ssp is res.optimistic_ssp
         assert np.array_equal(res.optimistic_ssp.trans, res.opt_trans)
+
+
+@st.composite
+def simplex_contexts(draw):
+    """Contexts validate_context admits: interior, vertex, or off by its tolerance."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["interior", "vertex", "tolerance"]))
+    if kind == "vertex":
+        return np.eye(d)[draw(st.integers(0, d - 1))]
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    assume(w.sum() > 0)
+    c = w / w.sum()
+    if kind == "tolerance":
+        c = c + np.array(draw(st.lists(
+            st.floats(-SIMPLEX_TOL / d, SIMPLEX_TOL / d),
+            min_size=d, max_size=d)))
+    try:
+        return validate_context(c)
+    except StructuralError:
+        assume(False)
+
+
+class TestDeferredProjection:
+    """p_hat is projected only for pairs whose radius lets a plan read it."""
+
+    def _pumped_learner(self, visits=40, pumped=(2, 1), pump=20_000):
+        # a few random visits everywhere, and one pair visited so often
+        # that its L1 radius at a context falls below the bound
+        model, learner = TestStackedStatistics()._learner(visits=visits)
+        rng = np.random.default_rng(5)
+        stats = learner.stats[pumped[0]][pumped[1]]
+        for c in rng.dirichlet(np.ones(model.d), size=pump):
+            stats.record_visit(c, int(rng.integers(model.n_states)),
+                               float(rng.random()))
+        return model, learner
+
+    def _radius(self, learner, c):
+        beta = np.array([[dynamics_radius(pair.tau, pair.d, pair.n_states,
+                                          learner.n_actions, pair.lam,
+                                          REF_CFG.delta) for pair in row]
+                         for row in learner.stats])
+        return beta * context_norms(learner.store.v_bar_inv, c)
+
+    def _record_projections(self, monkeypatch, learner):
+        pairs = []
+        project = estimation.project_to_stochastic
+
+        def recording(p_raw, v_bar):
+            pairs.extend(
+                (s, a) for s in range(learner.n_states)
+                for a in range(learner.n_actions)
+                if np.shares_memory(v_bar, learner.store.v_bar[s, a]))
+            return project(p_raw, v_bar)
+
+        monkeypatch.setattr(estimation, "project_to_stochastic", recording)
+        return pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_is_exactly_zero_at_or_above_bound(self, data):
+        c = data.draw(simplex_contexts())
+        d = len(c)
+        n_states = data.draw(st.integers(1, 5))
+        n_actions = data.draw(st.integers(1, 3))
+        n_pairs = n_states * n_actions
+        raw = np.array(data.draw(st.lists(
+            st.floats(-0.5, 1.5), min_size=n_pairs * n_states * d,
+            max_size=n_pairs * n_states * d)))
+        # sub-stochastic columns, as the projection leaves them
+        p = np.stack([_capped_simplex_columns(m)
+                      for m in raw.reshape(n_pairs, n_states, d)])
+        p_ctx = np.einsum("sand,d->san",
+                          p.reshape(n_states, n_actions, n_states, d), c)
+        radius = np.array(data.draw(st.lists(
+            st.floats(ROW_EMPTYING_RADIUS, 1e6),
+            min_size=n_pairs, max_size=n_pairs)))
+        v = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=n_states, max_size=n_states)))
+        opt_loss = np.full((n_states, n_actions), 0.5)
+        q_vals, _, q_ord = _evi_backup(
+            opt_loss, p_ctx, radius.reshape(n_states, n_actions, 1), v)
+        assert np.array_equal(q_ord, np.zeros_like(q_ord))
+        assert np.array_equal(q_vals, opt_loss)
+
+    def test_mixed_regime_plan_equals_fully_projected_plan(self, monkeypatch):
+        model, learner = self._pumped_learner()
+        c = np.array([0.3, 0.7])
+        below = self._radius(learner, c) < ROW_EMPTYING_RADIUS
+        assert 0 < below.sum() < below.size
+        plans = []
+
+        def recording_evi_plan(*args, **kwargs):
+            plans.append(evi_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
+        learner.start_interval(c, 0, "start")
+        assert learner.doubling_events == 0 and len(plans) == 1
+        est = learner.snapshot_estimates()
+        norms = context_norms(learner.store.v_bar_inv, c)
+        opt_loss = np.clip(
+            np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
+            0.0, 1.0)
+        full = evi_plan(opt_loss, np.einsum("sand,d->san", est.p_hat, c),
+                        est.beta_dyn * norms, b_cap=2.0 * learner.b_star_cur,
+                        evi_tol=REF_CFG.evi_tol,
+                        evi_max_iter=REF_CFG.evi_max_iter)
+        lazy = plans[0]
+        assert np.array_equal(lazy.policy, full.policy)
+        assert np.array_equal(lazy.values, full.values)
+        assert np.array_equal(lazy.opt_trans, full.opt_trans)
+        assert lazy.residual == full.residual
+
+    def test_projects_only_pairs_below_bound(self, monkeypatch):
+        model, learner = self._pumped_learner()
+        pairs = self._record_projections(monkeypatch, learner)
+        c = np.array([0.3, 0.7])
+        below = self._radius(learner, c) < ROW_EMPTYING_RADIUS
+        learner.start_interval(c, 0, "start")
+        assert learner.doubling_events == 0
+        assert sorted(pairs) == [tuple(x) for x in np.argwhere(below)]
+        # nothing moved since: the next plan projects nothing
+        pairs.clear()
+        learner.start_interval(c, 0, "unknown")
+        assert pairs == []
+        # the full snapshot projects the visited pairs the plans skipped
+        est = learner.snapshot_estimates()
+        visited = learner.store.tau > 0
+        assert sorted(pairs) == [tuple(x)
+                                 for x in np.argwhere(visited & ~below)]
+        for s in range(model.n_states):
+            for a in range(model.n_actions):
+                want = pair_estimate(learner.stats[s][a],
+                                     model.n_actions, REF_CFG.delta)
+                got = (est.l_hat[s, a], est.p_hat_raw[s, a], est.p_hat[s, a],
+                       est.beta_loss[s, a], est.beta_dyn[s, a])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+    def test_unvisited_pairs_need_no_refresh(self, monkeypatch):
+        calls = []
+        compute = estimation.compute_pair_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "compute_pair_estimate", counting)
+        model, learner = TestStackedStatistics()._learner(visits=0)
+        fresh = SaStatistics(model.d, model.n_states, REF_CFG.lam)
+        want = pair_estimate(fresh, model.n_actions, REF_CFG.delta)
+        est = learner.snapshot_estimates()
+        assert calls == []
+        for s in range(model.n_states):
+            for a in range(model.n_actions):
+                got = (est.l_hat[s, a], est.p_hat_raw[s, a], est.p_hat[s, a],
+                       est.beta_loss[s, a], est.beta_dyn[s, a])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                # +0.0, not -0.0, so to_text writes the same bytes
+                assert not any(np.signbit(g).any() for g in got[:3])
+
+    def test_projection_error_names_pair_tau_and_interval(self, monkeypatch):
+        model, learner = self._pumped_learner(visits=0, pumped=(3, 0))
+
+        def failing(p_raw, v_bar):
+            raise ProjectionError(1e-3, 10)
+
+        monkeypatch.setattr(estimation, "project_to_stochastic", failing)
+        learner.m = 6
+        with pytest.raises(ProjectionError) as info:
+            learner.start_interval(np.array([0.3, 0.7]), 0, "start")
+        err = info.value
+        assert (err.pair, err.tau, err.interval) == ((3, 0), 20_000, 7)
+        assert "pair (3, 0) at tau 20000 in interval 7" in str(err)
+        assert (err.gap, err.iterations) == (1e-3, 10)
