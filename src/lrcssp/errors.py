@@ -14,22 +14,32 @@ class ConfigError(LrcsspError):
 
 
 class NonConvergenceError(LrcsspError):
-    """Value iteration failed to reach the requested residual."""
+    """Value iteration failed to reach the requested residual.
 
-    def __init__(self, residual, max_iter):
+    On a stack of instances `index` is the first one that failed (None for
+    a single instance) and `residual` is its last residual.
+    """
+
+    def __init__(self, residual, max_iter, index=None):
         super().__init__(
             f"residual {residual:.3e} after {max_iter} iterations "
             "(possible zero-loss loop or improper structure)"
         )
         self.residual = residual
         self.max_iter = max_iter
+        self.index = index
 
 
 class ImproperPolicyError(LrcsspError):
-    """Policy evaluation diverged: the policy does not reach the goal."""
+    """Policy evaluation diverged: the policy does not reach the goal.
 
-    def __init__(self, detail=""):
+    On a stack of instances `index` is the first improper one (None for a
+    single instance).
+    """
+
+    def __init__(self, detail="", index=None):
         super().__init__(f"policy appears improper: {detail}")
+        self.index = index
 
 
 class ProjectionError(LrcsspError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner as learner_mod
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, ImproperPolicyError, NonConvergenceError
 from .linear_model import (
     GeneratorSpec,
     LinearCsspModel,
@@ -41,21 +41,35 @@ class OracleValues:
     t_star_emp: float
 
 
+# transition entries per stack of induced instances (2**22 floats, 32 MB):
+# bounds the oracle's memory for large K without changing any value
+ORACLE_STACK_ENTRIES = 2**22
+
+
 def oracle_values(model, contexts):
-    """Exact planning on every induced instance; never leaked to the learner."""
-    v_init, v_all, t_max = [], [], 0.0
-    for c in contexts:
-        ssp = induce_ssp(model, c)
+    """Exact planning on every induced instance; never leaked to the learner.
+
+    The contexts are solved as stacks of induced instances: one value
+    iteration per stack, in which each context stops at its own sweep, and
+    one batched hitting-time solve.  A context whose value iteration does
+    not converge, or whose greedy policy cannot reach the goal, rejects the
+    model with a ConfigError naming the context.
+    """
+    n = model.n_states * model.n_actions * model.n_states
+    chunk = max(1, ORACLE_STACK_ENTRIES // n)
+    v_all, t_max = [], 0.0
+    for start in range(0, len(contexts), chunk):
+        ssp = induce_ssp(model, contexts[start:start + chunk])
         try:
             v, pi = value_iteration(ssp)
-        except NonConvergenceError as exc:
-            raise ConfigError(f"model rejected: oracle planning failed ({exc})")
-        v_init.append(float(v[model.s_init]))
+            t_max = max(t_max, float(expected_hitting_time(ssp, pi).max()))
+        except (NonConvergenceError, ImproperPolicyError) as exc:
+            raise ConfigError(f"model rejected: oracle planning failed at "
+                              f"context {start + exc.index} ({exc})")
         v_all.append(v)
-        t_max = max(t_max, float(expected_hitting_time(ssp, pi).max()))
-    v_all = np.array(v_all)
+    v_all = np.concatenate(v_all)
     return OracleValues(
-        v_star=np.array(v_init),
+        v_star=v_all[:, model.s_init].copy(),
         v_star_all=v_all,
         b_star_emp=float(v_all.max()),
         t_star_emp=t_max,

@@ -108,10 +108,16 @@ def validate_model(model):
 
 
 def induce_ssp(model, c):
-    """The tabular instance selected by context c."""
-    c = validate_context(c, model.d)
-    loss = np.clip(model.loss_embed @ c, 0.0, 1.0)
-    trans = np.clip(model.trans_embed @ c, 0.0, None)
+    """The tabular instance selected by context c, or the stack of the K
+    instances selected by a (K, d) array (or list) of contexts."""
+    c = np.asarray(c, dtype=float)
+    for ck in (c if c.ndim == 2 else [c]):
+        validate_context(ck, model.d)
+    # one (rows, d) @ (d, 1) product per instance and state (and action):
+    # the same BLAS call as `embed @ c` makes for one context
+    loss = np.clip((model.loss_embed @ c[..., None, :, None])[..., 0], 0.0, 1.0)
+    trans = np.clip((model.trans_embed @ c[..., None, None, :, None])[..., 0],
+                    0.0, None)
     return SspInstance(loss, trans)
 
 

@@ -23,10 +23,17 @@ _MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SspInstance:
-    """One tabular instance: losses in [0,1], sub-stochastic transitions.
+    """One tabular instance, or a stack of K of them: losses in [0,1],
+    sub-stochastic transitions.
 
-    loss  : (S, A) array
-    trans : (S, A, S) array; trans[s, a, s'] = P(s' | s, a), goal mass implicit
+    loss  : (S, A) array, or (K, S, A) for a stack
+    trans : (S, A, S) array, or (K, S, A, S); trans[..., s, a, s'] =
+            P(s' | s, a), goal mass implicit
+
+    Every function below treats the K instances of a stack independently,
+    with the same arithmetic as for a single instance, so a stack's results
+    equal bit for bit those of its instances solved one at a time.  Errors
+    about a stack name the first failing instance in their `index`.
     """
 
     loss: np.ndarray
@@ -37,41 +44,46 @@ class SspInstance:
         trans = np.asarray(self.trans, dtype=float)
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "trans", trans)
-        if loss.ndim != 2:
-            raise StructuralError(f"loss must be (S, A), got shape {loss.shape}")
-        s, a = loss.shape
-        if trans.shape != (s, a, s):
+        if loss.ndim not in (2, 3):
             raise StructuralError(
-                f"trans must be (S, A, S) = {(s, a, s)}, got {trans.shape}"
+                f"loss must be (S, A) or (K, S, A), got shape {loss.shape}")
+        s = loss.shape[-2]
+        if trans.shape != loss.shape + (s,):
+            raise StructuralError(
+                f"trans must be loss.shape + (S,) = {loss.shape + (s,)}, "
+                f"got {trans.shape}"
             )
         if np.any(loss < 0) or np.any(loss > 1):
             raise StructuralError("loss entries must lie in [0, 1]")
         if np.any(trans < 0):
             raise StructuralError("transition probabilities must be non-negative")
-        sums = trans.sum(axis=2)
-        if np.any(sums > 1 + _MASS_TOL):
+        sums = trans.sum(axis=-1)
+        over = sums > 1 + _MASS_TOL
+        if np.any(over):
+            if over.ndim == 3:  # report the first offending instance
+                sums = sums[over.any(axis=(1, 2)).argmax()]
             raise StructuralError(
                 f"transition mass exceeds 1 (max {sums.max():.12f})"
             )
 
     @property
     def n_states(self):
-        return self.loss.shape[0]
+        return self.loss.shape[-2]
 
     @property
     def n_actions(self):
-        return self.loss.shape[1]
+        return self.loss.shape[-1]
 
     @property
     def goal_mass(self):
-        """(S, A) array of implicit goal-transition probabilities."""
-        return 1.0 - self.trans.sum(axis=2)
+        """(..., S, A) array of implicit goal-transition probabilities."""
+        return 1.0 - self.trans.sum(axis=-1)
 
 
 def _check_policy(ssp, policy):
     policy = np.asarray(policy, dtype=int)
-    if policy.shape != (ssp.n_states,):
-        raise StructuralError(f"policy must have shape ({ssp.n_states},)")
+    if policy.shape != ssp.loss.shape[:-1]:
+        raise StructuralError(f"policy must have shape {ssp.loss.shape[:-1]}")
     if np.any(policy < 0) or np.any(policy >= ssp.n_actions):
         raise StructuralError("policy action index out of range")
     return policy
@@ -79,60 +91,90 @@ def _check_policy(ssp, policy):
 
 def _check_values(ssp, v):
     v = np.asarray(v, dtype=float)
-    if v.shape != (ssp.n_states,):
+    if v.shape != ssp.loss.shape[:-1]:
         raise StructuralError(
-            f"value function must have shape ({ssp.n_states},), got {v.shape}"
+            f"value function must have shape {ssp.loss.shape[:-1]}, "
+            f"got {v.shape}"
         )
     return v
 
 
-def q_values(v, ssp):
-    """(S, A) array of one-step lookahead values; the goal contributes 0."""
-    v = _check_values(ssp, v)
-    return ssp.loss + ssp.trans @ v
+def _lookahead(loss, trans, v):
+    """Q-values loss + trans @ v of an instance or a stack; the goal
+    contributes 0.  The one Bellman lookahead.
+
+    The product runs as one (A, S) @ (S, 1) matrix-vector product per state
+    and instance, the same BLAS call as `trans @ v` on a single instance.
+    """
+    return loss + (trans @ v[..., None, :, None])[..., 0]
 
 
 def bellman_backup(v, ssp):
     """One optimal Bellman backup: v'(s) = min_a [loss + sum trans * v]."""
-    return q_values(v, ssp).min(axis=1)
-
-
-def greedy_policy(v, ssp):
-    """Argmin policy for v, ties broken by lowest action index."""
-    return q_values(v, ssp).argmin(axis=1)
+    return _lookahead(ssp.loss, ssp.trans, _check_values(ssp, v)).min(axis=-1)
 
 
 def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     """Solve the Bellman optimality equations from the zero function.
 
     Returns (v, policy) where ||v - bellman_backup(v)||_inf <= tol and
-    policy is greedy for v.  Raises NonConvergenceError if the residual
-    is still above tol after max_iter sweeps (e.g. zero-loss loops).
+    policy is greedy for v, ties broken by lowest action index.  Raises
+    NonConvergenceError if the residual is still above tol after max_iter
+    sweeps (e.g. zero-loss loops).
+
+    On a stack each instance stops at its own first sweep whose residual is
+    at most tol and keeps that sweep's input v; only the instances still
+    above tol are swept again.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    v = np.zeros(ssp.n_states)
-    residual = np.inf
+    single = ssp.loss.ndim == 2
+    loss = ssp.loss[None] if single else ssp.loss
+    trans = ssp.trans[None] if single else ssp.trans
+    v_out = np.empty(loss.shape[:-1])
+    pi_out = np.empty(loss.shape[:-1], dtype=int)
+    todo = np.arange(len(loss))  # stack positions still sweeping
+    v = np.zeros(loss.shape[:-1])
+    residual = np.full(len(loss), np.inf)
     for _ in range(max_iter):
-        w = bellman_backup(v, ssp)
-        residual = np.abs(w - v).max() if v.size else 0.0
-        if residual <= tol:
-            return v, greedy_policy(v, ssp)
+        if not todo.size:
+            break
+        q = _lookahead(loss, trans, v)
+        w = q.min(axis=-1)
+        residual = np.abs(w - v).max(axis=-1, initial=0.0)
+        done = residual <= tol
+        if done.any():
+            v_out[todo[done]] = v[done]
+            pi_out[todo[done]] = q[done].argmin(axis=-1)
+            keep = ~done
+            todo, loss, trans = todo[keep], loss[keep], trans[keep]
+            w, residual = w[keep], residual[keep]
         v = w
-    raise NonConvergenceError(residual, max_iter)
+    if todo.size:
+        raise NonConvergenceError(residual[0], max_iter,
+                                  index=None if single else int(todo[0]))
+    return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
 
 
-def _unreachable_states(ssp, policy):
-    """States whose support graph under the policy never reaches the goal.
+def _policy_rows(ssp, policy):
+    """Loss (..., S) and transition rows (..., S, S) of the chosen actions."""
+    loss = np.take_along_axis(ssp.loss, policy[..., None], axis=-1)[..., 0]
+    trans = np.take_along_axis(ssp.trans, policy[..., None, None],
+                               axis=-2)[..., 0, :]
+    return loss, trans
+
+
+def _unreachable_states(p_pi):
+    """Mask of the states whose support graph under the policy never reaches
+    the goal, for transition rows p_pi (..., S, S).
 
     The goal counts as reached from a state whose goal mass exceeds _MASS_TOL.
     """
-    p_pi = ssp.trans[np.arange(ssp.n_states), policy]
-    reach = 1.0 - p_pi.sum(axis=1) > _MASS_TOL
+    reach = 1.0 - p_pi.sum(axis=-1) > _MASS_TOL
     while True:
-        grown = reach | (p_pi[:, reach] > 0).any(axis=1)
+        grown = reach | ((p_pi > 0) & reach[..., None, :]).any(axis=-1)
         if np.array_equal(grown, reach):
-            return np.flatnonzero(~reach)
+            return ~reach
         reach = grown
 
 
@@ -141,14 +183,15 @@ def policy_evaluation(ssp, policy):
 
     Raises ImproperPolicyError if some state cannot reach the goal.
     """
-    policy = _check_policy(ssp, policy)
-    stuck = _unreachable_states(ssp, policy)
-    if stuck.size:
+    loss_pi, p_pi = _policy_rows(ssp, _check_policy(ssp, policy))
+    stuck = _unreachable_states(p_pi)
+    if stuck.any():
+        index = None if stuck.ndim == 1 else int(stuck.any(axis=1).argmax())
+        states = np.flatnonzero(stuck if index is None else stuck[index])
         raise ImproperPolicyError(
-            f"states {stuck.tolist()} cannot reach the goal")
-    rows = np.arange(ssp.n_states)
-    return np.linalg.solve(np.eye(ssp.n_states) - ssp.trans[rows, policy],
-                           ssp.loss[rows, policy])
+            f"states {states.tolist()} cannot reach the goal", index=index)
+    return np.linalg.solve(np.eye(ssp.n_states) - p_pi,
+                           loss_pi[..., None])[..., 0]
 
 
 def expected_hitting_time(ssp, policy):
@@ -158,5 +201,7 @@ def expected_hitting_time(ssp, policy):
 
 
 def is_proper(ssp, policy):
-    """True iff the policy reaches the goal with probability 1 from every state."""
-    return _unreachable_states(ssp, _check_policy(ssp, policy)).size == 0
+    """True iff the policy reaches the goal with probability 1 from every
+    state (of every instance of a stack)."""
+    _, p_pi = _policy_rows(ssp, _check_policy(ssp, policy))
+    return not _unreachable_states(p_pi).any()

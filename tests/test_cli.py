@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from lrcssp.cli import main
+from lrcssp.harness import model_to_dict
+from lrcssp.linear_model import LinearCsspModel, validate_model
 
 
 BASE_CONFIG = {
@@ -79,6 +82,26 @@ class TestRun:
         payload["loss_embed"][0] = 0.123456
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", cfg]) == 2
+
+    def test_zero_loss_loop_model_exits_2(self, tmp_path, capsys):
+        # a model validate_model accepts, but whose state 1 only loops to
+        # itself at zero loss: value iteration converges to v = 0 with a
+        # greedy policy that never reaches the goal
+        cfg = write_config(tmp_path, {
+            "generator": {"d": 1, "n_states": 2, "n_actions": 1},
+            "contexts": {"kind": "uniform", "K": 3},
+            "seeds": [0]})
+        trans_embed = np.zeros((2, 1, 2, 1))
+        trans_embed[0, 0, 1] = 0.5
+        trans_embed[1, 0, 1] = 1.0
+        model = LinearCsspModel(np.array([[[0.5]], [[0.0]]]), trans_embed)
+        assert validate_model(model) == []
+        os.makedirs(tmp_path / "out")
+        (tmp_path / "out" / "model.json").write_text(
+            json.dumps(model_to_dict(model)))
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "model rejected" in err and "context 0" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,14 +1,21 @@
+import functools
+import itertools
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrcssp.errors import ConfigError
+from lrcssp import harness, ssp as ssp_mod
+from lrcssp.errors import ConfigError, NonConvergenceError
 from lrcssp.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    OracleValues,
     aggregate_summaries,
     baseline_context_blind,
     build_contexts,
@@ -26,7 +33,14 @@ from lrcssp.harness import (
     write_summary,
 )
 from lrcssp.learner import LearnerConfig, run
-from lrcssp.linear_model import GeneratorSpec, context_sequence, generate_instance
+from lrcssp.linear_model import (
+    GeneratorSpec,
+    LinearCsspModel,
+    context_sequence,
+    generate_instance,
+    induce_ssp,
+    validate_context,
+)
 from lrcssp.ssp import bellman_backup
 
 
@@ -44,10 +58,127 @@ def small_run(K=12, seed=3):
     return model, contexts, log, oracle
 
 
-class TestOracleValues:
-    def test_values_solve_bellman(self):
-        from lrcssp.linear_model import induce_ssp
+def reference_oracle(model, contexts, tol=1e-10):
+    """The per-context oracle in scalar form: per context, induce the
+    instance, run value iteration from zero until the residual is at most
+    tol, take the greedy policy of the last v and solve for its hitting
+    times.  Returns the OracleValues and each context's sweep count."""
+    rows = np.arange(model.n_states)
+    v_init, v_all, t_max, sweeps = [], [], 0.0, []
+    for c in contexts:
+        c = validate_context(c, model.d)
+        loss = np.clip(model.loss_embed @ c, 0.0, 1.0)
+        trans = np.clip(model.trans_embed @ c, 0.0, None)
+        v = np.zeros(model.n_states)
+        for sweep in itertools.count(1):
+            q = loss + trans @ v
+            w = q.min(axis=1)
+            if np.abs(w - v).max() <= tol:
+                break
+            v = w
+        pi = q.argmin(axis=1)
+        t = np.linalg.solve(np.eye(model.n_states) - trans[rows, pi],
+                            np.ones(model.n_states))
+        v_init.append(float(v[model.s_init]))
+        v_all.append(v)
+        t_max = max(t_max, float(t.max()))
+        sweeps.append(sweep)
+    v_all = np.array(v_all)
+    oracle = OracleValues(np.array(v_init), v_all, float(v_all.max()), t_max)
+    return oracle, sweeps
 
+
+def assert_same_oracle(got, want):
+    """Bit-for-bit equality of every OracleValues field."""
+    for name in ("v_star", "v_star_all"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.b_star_emp.hex() == want.b_star_emp.hex()
+    assert got.t_star_emp.hex() == want.t_star_emp.hex()
+
+
+def two_component_model(loop_loss):
+    """S=2, A=1, d=2: under component 0 both states go straight to the goal;
+    under component 1 state 0 moves to state 1 w.p. 0.5 and state 1 loops
+    to itself w.p. 1 at loss `loop_loss`."""
+    loss_embed = np.array([[[0.5, 0.5]], [[0.5, loop_loss]]])
+    trans_embed = np.zeros((2, 1, 2, 2))
+    trans_embed[0, 0, 1, 1] = 0.5
+    trans_embed[1, 0, 1, 1] = 1.0
+    return LinearCsspModel(loss_embed, trans_embed)
+
+
+E0, E1, MID = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])
+
+
+class TestOracleValues:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_batched_equals_per_context_reference(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        n_states = data.draw(st.integers(1, 6), label="S")
+        n_actions = data.draw(st.integers(1, 4), label="A")
+        K = data.draw(st.integers(1, 12), label="K")
+        spec = GeneratorSpec(
+            d=d, n_states=n_states, n_actions=n_actions,
+            gamma_goal=data.draw(st.floats(0.05, 1.0), label="gamma_goal"),
+            l_min_target=data.draw(st.sampled_from([0.0, 0.1, 0.5]),
+                                   label="l_min_target"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"))
+        model = generate_instance(spec)
+        kind = data.draw(st.sampled_from(["uniform", "cyclic_vertices",
+                                          "fixed"]), label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        contexts = context_sequence(kind, K, d, rng=rng,
+                                    c0=rng.dirichlet(np.ones(d)))
+        # stacks of `chunk` contexts, so several stacks are solved too
+        chunk = data.draw(st.integers(1, K), label="chunk")
+        with mock.patch.object(harness, "ORACLE_STACK_ENTRIES",
+                               chunk * n_states * n_actions * n_states):
+            got = oracle_values(model, contexts)
+        want, _ = reference_oracle(model, contexts)
+        assert_same_oracle(got, want)
+
+    def test_contexts_stop_at_their_own_sweep(self):
+        # the contexts of one stack need different sweep counts, and each
+        # keeps the v of its own stopping sweep
+        model = generate_instance(REF_SPEC)
+        contexts = context_sequence("uniform", 40, model.d,
+                                    rng=np.random.default_rng(5))
+        want, sweeps = reference_oracle(model, contexts)
+        assert len(set(sweeps)) > 3
+        assert_same_oracle(oracle_values(model, contexts), want)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_improper_greedy_policy_names_context(self, chunk):
+        # context 2 makes state 1 a zero-loss self-loop: value iteration
+        # converges to v = 0 there, with a greedy policy that never leaves
+        model = two_component_model(loop_loss=0.0)
+        entries = (harness.ORACLE_STACK_ENTRIES if chunk is None
+                   else chunk * 4)
+        with mock.patch.object(harness, "ORACLE_STACK_ENTRIES", entries):
+            with pytest.raises(ConfigError, match=r"model rejected: .* "
+                               r"context 2 \(policy appears improper: "
+                               r"states \[1\]"):
+                oracle_values(model, [E0, MID, E1, E0, E1])
+
+    def test_nonconvergence_names_context(self, monkeypatch):
+        # context 1 loops at loss 1 forever, so its residual stays 1 while
+        # contexts 0 and 2 converge and freeze
+        model = two_component_model(loop_loss=1.0)
+        monkeypatch.setattr(harness, "value_iteration", functools.partial(
+            ssp_mod.value_iteration, max_iter=50))
+        with pytest.raises(ConfigError) as exc:
+            oracle_values(model, [E0, E1, E0, E1])
+        # the batch of one reports the same failure
+        with pytest.raises(NonConvergenceError) as single:
+            ssp_mod.value_iteration(induce_ssp(model, E1), max_iter=50)
+        assert str(exc.value) == (f"model rejected: oracle planning failed "
+                                  f"at context 1 ({single.value})")
+        assert single.value.residual == 1.0 and single.value.index is None
+
+    def test_values_solve_bellman(self):
         model, contexts, _, oracle = small_run(K=6)
         for k, c in enumerate(contexts):
             ssp = induce_ssp(model, c)

@@ -324,3 +324,62 @@ class TestInstanceValidation:
     def test_rejects_out_of_range_loss(self):
         with pytest.raises(StructuralError):
             SspInstance(np.array([[1.5]]), np.zeros((1, 1, 1)))
+
+
+class TestStacks:
+    """A (K, S, A) stack gives each instance's single-instance results."""
+
+    def make_stack(self, rng, n, n_states=4, n_actions=3):
+        parts = [make_random_ssp(rng, n_states, n_actions) for _ in range(n)]
+        stack = SspInstance(np.array([p.loss for p in parts]),
+                            np.array([p.trans for p in parts]))
+        return parts, stack
+
+    def test_value_iteration_matches_instances(self):
+        rng = np.random.default_rng(14)
+        parts, stack = self.make_stack(rng, 6)
+        v, pi = value_iteration(stack, tol=1e-9)
+        assert v.shape == pi.shape == (6, 4)
+        for k, part in enumerate(parts):
+            v_k, pi_k = value_iteration(part, tol=1e-9)
+            assert v[k].tobytes() == v_k.tobytes()
+            assert np.array_equal(pi[k], pi_k)
+
+    def test_evaluation_matches_instances(self):
+        rng = np.random.default_rng(15)
+        parts, stack = self.make_stack(rng, 5)
+        pi = rng.integers(0, 3, size=(5, 4))
+        v = policy_evaluation(stack, pi)
+        t = expected_hitting_time(stack, pi)
+        values = rng.uniform(0, 5, size=(5, 4))
+        backup = bellman_backup(values, stack)
+        assert is_proper(stack, pi)
+        for k, part in enumerate(parts):
+            assert v[k].tobytes() == policy_evaluation(part, pi[k]).tobytes()
+            assert t[k].tobytes() == expected_hitting_time(part, pi[k]).tobytes()
+            assert backup[k].tobytes() == bellman_backup(values[k], part).tobytes()
+
+    def test_errors_name_first_failing_instance(self):
+        good = SspInstance(np.array([[0.3]]), np.full((1, 1, 1), 0.5))
+        loop = SspInstance(np.array([[1.0]]), np.ones((1, 1, 1)))
+        stack = SspInstance(
+            np.array([good.loss, loop.loss, good.loss, loop.loss]),
+            np.array([good.trans, loop.trans, good.trans, loop.trans]))
+        with pytest.raises(NonConvergenceError) as exc:
+            value_iteration(stack, tol=1e-12, max_iter=50)
+        with pytest.raises(NonConvergenceError) as single:
+            value_iteration(loop, tol=1e-12, max_iter=50)
+        assert exc.value.index == 1 and single.value.index is None
+        assert str(exc.value) == str(single.value)
+        pi = np.zeros((4, 1), dtype=int)
+        assert not is_proper(stack, pi)
+        with pytest.raises(ImproperPolicyError, match=r"states \[0\]") as exc:
+            expected_hitting_time(stack, pi)
+        assert exc.value.index == 1
+
+    def test_mass_check_reports_first_instance(self):
+        trans = np.zeros((3, 1, 1, 1))
+        trans[1, 0, 0, 0] = 1.5
+        trans[2, 0, 0, 0] = 2.0
+        with pytest.raises(StructuralError, match=r"max 1\.500000000000"):
+            SspInstance(np.full((3, 1, 1), 0.5), trans)
