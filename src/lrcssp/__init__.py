@@ -33,7 +33,6 @@ from .estimation import (
     SaStatistics,
     capped_simplex_projection,
     dynamics_radius,
-    is_known,
     loss_radius,
     project_to_stochastic,
     ridge_dynamics_estimate,

@@ -6,7 +6,15 @@ class LrcsspError(Exception):
 
 
 class StructuralError(LrcsspError):
-    """Dimension mismatch or malformed input data."""
+    """Dimension mismatch or malformed input data.
+
+    A check over a stack of contexts or instances sets `index` to the first
+    failing one (None otherwise).
+    """
+
+    def __init__(self, message="", index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigError(LrcsspError):

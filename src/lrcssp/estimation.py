@@ -4,7 +4,7 @@ Each state-action pair keeps sufficient statistics only: the design matrix
 V = lambda*I + sum c c^T, its incrementally maintained inverse, and the
 regression moments for the loss target and the one-hot next-state targets.
 A run keeps those of all pairs as stacked arrays (PairStore), so context
-norms and the known test cover every pair in one array expression;
+norms and the known count cover every pair in one array expression;
 SaStatistics is the per-pair view into them.
 """
 
@@ -49,6 +49,26 @@ class PairStore:
         stats._bind(self, (s, a))
         return stats
 
+    def record_visit(self, index, c, next_state, loss):
+        """Fold one observed transition into the statistics of pair `index`.
+
+        A goal transition contributes no next-state row (residual-mass
+        convention); the design matrix and count always advance.
+        """
+        c = np.asarray(c, dtype=float)
+        self.tau[index] += 1
+        v_bar, v_bar_inv = self.v_bar[index], self.v_bar_inv[index]
+        v_bar += c[:, None] * c
+        vc = v_bar_inv @ c
+        v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
+        if self.tau[index] % REFRESH_EVERY == 0:
+            v_bar_inv[...] = np.linalg.inv(v_bar)
+        xty_loss = self.xty_loss[index]
+        xty_loss += loss * c
+        if next_state != GOAL:
+            xty_trans = self.xty_trans[index]
+            xty_trans[next_state] += c
+
 
 def context_norms(v_bar_inv, c):
     """||c||_{V^-1} for one (d, d) inverse or a stack (..., d, d) of them.
@@ -90,25 +110,8 @@ class SaStatistics:
         self._store.tau[self._index] = value
 
     def record_visit(self, c, next_state, loss):
-        """Fold one observed transition into the statistics.
-
-        A goal transition contributes no next-state row (residual-mass
-        convention); the design matrix and count always advance.
-        """
-        c = np.asarray(c, dtype=float)
-        self._store.tau[self._index] += 1
-        self.v_bar += np.outer(c, c)
-        vc = self.v_bar_inv @ c
-        self.v_bar_inv -= np.outer(vc, vc) / (1.0 + c @ vc)
-        if self._store.tau[self._index] % REFRESH_EVERY == 0:
-            self.v_bar_inv[...] = np.linalg.inv(self.v_bar)
-        self.xty_loss += loss * c
-        if next_state != GOAL:
-            self.xty_trans[next_state] += c
-
-    def context_norm(self, c):
-        """||c||_{V^-1}: the context-weighted uncertainty at this pair."""
-        return float(context_norms(self.v_bar_inv, c))
+        """Fold one observed transition into the statistics (see PairStore)."""
+        self._store.record_visit(self._index, c, next_state, loss)
 
     def reset(self):
         self.tau = 0
@@ -130,16 +133,7 @@ def ridge_dynamics_estimate(stats):
 
 def capped_simplex_projection(y):
     """Euclidean projection of y onto {x >= 0, sum x <= 1}, exact (sort-based)."""
-    x = np.maximum(y, 0.0)
-    total = x.sum()
-    if total <= 1.0:
-        return x
-    # project onto the full simplex {x >= 0, sum x = 1}
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(y) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(y - theta, 0.0)
+    return _capped_simplex_columns(np.asarray(y, dtype=float)[:, None])[:, 0]
 
 
 def _capped_simplex_columns(y):
@@ -212,14 +206,6 @@ def known_threshold(beta_dyn, l_min, b_star, m, delta):
     return l_min / (10.0 * b_star * np.maximum(beta_dyn, floor))
 
 
-def is_known(stats, c, l_min, b_star, m, delta, n_states, n_actions):
-    """Known test: context-weighted uncertainty below the safety threshold."""
-    beta = dynamics_radius(stats.tau, stats.d, n_states, n_actions,
-                           stats.lam, delta)
-    return bool(stats.context_norm(c)
-                < known_threshold(beta, l_min, b_star, m, delta))
-
-
 @dataclass(frozen=True)
 class Estimates:
     """Immutable snapshot of all per-pair estimates at an interval boundary.
@@ -264,18 +250,3 @@ class Estimates:
             beta_loss=np.array(payload["beta_loss"]).reshape(s, a),
             beta_dyn=np.array(payload["beta_dyn"]).reshape(s, a),
         )
-
-
-def compute_pair_estimate(stats, n_actions, delta):
-    """(l_hat, p_raw, beta_l, beta_p) for a single pair's statistics.
-
-    p_raw is not projected: project_to_stochastic(p_raw, stats.v_bar), by far
-    the costliest part, is left to a caller that needs p_hat.
-    """
-    l_hat = ridge_loss_estimate(stats)
-    p_raw = ridge_dynamics_estimate(stats)
-    beta_l = loss_radius(stats.tau, stats.d, stats.n_states, n_actions,
-                         stats.lam, delta)
-    beta_p = dynamics_radius(stats.tau, stats.d, stats.n_states, n_actions,
-                             stats.lam, delta)
-    return l_hat, p_raw, beta_l, beta_p

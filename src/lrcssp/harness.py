@@ -11,7 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner as learner_mod
-from .errors import ConfigError, ImproperPolicyError, NonConvergenceError
+from .errors import (
+    ConfigError,
+    ImproperPolicyError,
+    NonConvergenceError,
+    StructuralError,
+)
 from .linear_model import (
     GeneratorSpec,
     LinearCsspModel,
@@ -51,15 +56,22 @@ def oracle_values(model, contexts):
 
     The contexts are solved as stacks of induced instances: one value
     iteration per stack, in which each context stops at its own sweep, and
-    one batched hitting-time solve.  A context whose value iteration does
-    not converge, or whose greedy policy cannot reach the goal, rejects the
-    model with a ConfigError naming the context.
+    one batched hitting-time solve.  A context that induces no valid
+    instance, whose value iteration does not converge, or whose greedy
+    policy cannot reach the goal, rejects the model with a ConfigError
+    naming the context.
     """
     n = model.n_states * model.n_actions * model.n_states
     chunk = max(1, ORACLE_STACK_ENTRIES // n)
     v_all, t_max = [], 0.0
     for start in range(0, len(contexts), chunk):
-        ssp = induce_ssp(model, contexts[start:start + chunk])
+        try:
+            ssp = induce_ssp(model, contexts[start:start + chunk])
+        except StructuralError as exc:
+            # validate_model and validate_context each admit a 1e-9 excess,
+            # so their product can exceed what an SspInstance admits
+            raise ConfigError(f"model rejected: context {start + exc.index} "
+                              f"induces an invalid instance ({exc})")
         try:
             v, pi = value_iteration(ssp)
             t_max = max(t_max, float(expected_hitting_time(ssp, pi).max()))

@@ -97,27 +97,45 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     """Extended value iteration over per-pair confidence sets.
 
     opt_loss : (S, A) optimistic losses for the current context
-    p_ctx    : (S, A, S) projected dynamics applied to the context
+    p_ctx    : (S, A, S) projected dynamics applied to the context; not read
+               (and may be None) when every radius empties its row
     radius   : (S, A) L1 radii beta_P * ||c||_{V^-1}
     Values start at zero, grow monotonically, and are truncated to
     [0, b_cap]; non-convergence is flagged, not raised.
+
+    When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
+    is empty and the backup is opt_loss + 0 @ v = opt_loss + 0.0 (which
+    turns -0.0 into +0.0) whatever v is.  The plan then skips the inner
+    step and p_ctx: every sweep lands on the same values, so the loop stops
+    after one sweep (residual max v) or confirms them in a second (residual
+    0), with the results the full backup gives bit for bit.
     """
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
     iterations = 0
+    emptied = radius.min() >= ROW_EMPTYING_RADIUS
+    if emptied:
+        q_vals = opt_loss + 0.0
+        w_emptied = np.clip(q_vals.min(axis=1), 0.0, b_cap)
     r = radius[:, :, None]
     for iterations in range(1, evi_max_iter + 1):
-        q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
-        w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
+        if emptied:
+            w = w_emptied
+        else:
+            q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
+            w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
         residual = float(np.abs(w - v).max())
         v = w
         if residual <= evi_tol:
             break
     converged = residual <= evi_tol
-    # final optimistic model and greedy policy under the converged values
-    q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
-    q_trans = np.empty_like(p_ctx)
-    q_trans[:, :, order] = q_ord
+    if emptied:
+        q_trans = np.zeros(opt_loss.shape + opt_loss.shape[:1])
+    else:
+        # final optimistic model and greedy policy under the converged values
+        q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
+        q_trans = np.empty_like(p_ctx)
+        q_trans[:, :, order] = q_ord
     return EviResult(q_vals.argmin(axis=1), opt_loss, q_trans, v, residual,
                      converged, iterations)
 
@@ -240,11 +258,7 @@ class Learner:
         """
         tau = self.store.tau
         for s, a in zip(*np.nonzero(self._computed_tau != tau)):
-            (self._l_hat[s, a], self._p_raw[s, a],
-             self._beta_l[s, a], self._beta_p[s, a]) = \
-                estimation.compute_pair_estimate(
-                    self.stats[s][a], self.n_actions, self.cfg.delta)
-            self._computed_tau[s, a] = tau[s, a]
+            self._refresh(s, a)
         wanted = self._projected_tau != tau
         if norms is not None:
             wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
@@ -259,13 +273,45 @@ class Learner:
             self._projected_tau[s, a] = tau[s, a]
         return self._estimates
 
+    def _refresh(self, s, a):
+        """Bring (s, a)'s l_hat, p_hat_raw and both radii up to its count."""
+        store = self.store
+        tau = float(store.tau[s, a])
+        v_bar_inv = store.v_bar_inv[s, a]
+        self._l_hat[s, a] = v_bar_inv @ store.xty_loss[s, a]
+        self._p_raw[s, a] = store.xty_trans[s, a] @ v_bar_inv
+        dims = (self.d, self.n_states, self.n_actions)
+        self._beta_l[s, a] = estimation.loss_radius(
+            tau, *dims, store.lam, self.cfg.delta)
+        self._beta_p[s, a] = estimation.dynamics_radius(
+            tau, *dims, store.lam, self.cfg.delta)
+        self._computed_tau[s, a] = tau
+
+    def visit(self, s, a, c, next_state, loss):
+        """Fold one observed step at (s, a) into the statistics and test it.
+
+        Refreshes the pair's estimates and computes the (S, A) context norms
+        at c once.  Returns the paper's known test for the pair at c (its
+        norm below known_threshold at the pair's new radius, the current
+        interval m and b_star_cur), and the norms, which the next
+        start_interval at c may reuse while nothing else moves the
+        statistics.
+        """
+        self.store.record_visit((s, a), c, next_state, loss)
+        self._refresh(s, a)
+        norms = estimation.context_norms(self.store.v_bar_inv, c)
+        threshold = estimation.known_threshold(
+            self._beta_p[s, a], self.l_min_eff, self.b_star_cur, self.m,
+            self.cfg.delta)
+        return bool(norms[s, a] < threshold), norms
+
     def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
         model = self.diagnostics_model
         est = self.snapshot_estimates()
         for s in range(self.n_states):
             for a in range(self.n_actions):
-                v_bar = self.stats[s][a].v_bar
+                v_bar = self.store.v_bar[s, a]
                 dl = model.loss_embed[s, a] - est.l_hat[s, a]
                 if math.sqrt(dl @ v_bar @ dl) > est.beta_loss[s, a]:
                     return False
@@ -275,17 +321,24 @@ class Learner:
                     return False
         return True
 
-    def start_interval(self, c, episode, trigger):
-        """Advance the interval counter, refresh estimates, and replan."""
+    def start_interval(self, c, episode, trigger, norms=None):
+        """Advance the interval counter, refresh estimates, and replan.
+
+        norms : optional (S, A) context norms at c of the current
+            statistics, as visit returns them; computed here when absent,
+            and again after a doubling reset.
+        """
         self.m += 1
         while True:
-            norms = estimation.context_norms(self.store.v_bar_inv, c)
+            if norms is None:
+                norms = estimation.context_norms(self.store.v_bar_inv, c)
             est = self.snapshot_estimates(norms)
             opt_loss = np.clip(
                 np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
                 0.0, 1.0)
-            p_ctx = np.einsum("sand,d->san", est.p_hat, c)
             radius = est.beta_dyn * norms
+            p_ctx = (np.einsum("sand,d->san", est.p_hat, c)
+                     if radius.min() < ROW_EMPTYING_RADIUS else None)
             result = evi_plan(opt_loss, p_ctx, radius,
                               b_cap=2.0 * self.b_star_cur,
                               evi_tol=self.cfg.evi_tol,
@@ -297,6 +350,7 @@ class Learner:
             self.b_star_cur *= 2.0
             self.doubling_events += 1
             self._init_statistics()
+            norms = None
         self.policy = result.policy
         self.current_values = result.values
         threshold = estimation.known_threshold(
@@ -403,22 +457,19 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             a = int(learner.policy[s])
             nxt, raw_loss = sampler.step(s, a, rng)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
-            learner.stats[s][a].record_visit(c_seen, nxt, obs_loss)
+            known, norms = learner.visit(s, a, c_seen, nxt, obs_loss)
             log.steps += 1
             log.total_loss += raw_loss
             record.steps += 1
             record.interval_loss += raw_loss
             reached_goal = nxt == GOAL
-            known = estimation.is_known(
-                learner.stats[s][a], c_seen, l_min_eff, learner.b_star_cur,
-                learner.m, cfg.delta, model.n_states, model.n_actions)
             step_trace.append((k, s, a, reached_goal, known))
             if reached_goal:
                 break
             if not known:
                 unknown_counts[s, a] += 1
                 log.unknown_triggers += 1
-                record = learner.start_interval(c_seen, k, "unknown")
+                record = learner.start_interval(c_seen, k, "unknown", norms)
                 log.intervals.append(record)
                 log.intervals_started += 1
             s = nxt

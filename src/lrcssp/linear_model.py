@@ -22,13 +22,29 @@ def validate_context(c, d=None):
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise StructuralError(f"context must be a vector, got shape {c.shape}")
-    if d is not None and c.shape[0] != d:
-        raise StructuralError(f"context dimension {c.shape[0]} != model d {d}")
-    if np.any(c < -SIMPLEX_TOL):
-        raise StructuralError("context entries must be non-negative")
-    if abs(c.sum() - 1.0) > SIMPLEX_TOL:
-        raise StructuralError(f"context entries must sum to 1, got {c.sum():.12f}")
+    _check_context_rows(c[None], d)
     return c
+
+
+def _check_context_rows(rows, d):
+    """validate_context's checks over a (K, d) stack, in one array pass.
+
+    Raises the error validate_context would raise for the first row that
+    fails, with that row in the error's index.
+    """
+    if d is not None and rows.shape[1] != d:
+        raise StructuralError(
+            f"context dimension {rows.shape[1]} != model d {d}", 0)
+    negative = (rows < -SIMPLEX_TOL).any(axis=1)
+    # contiguous rows sum in the order a single context's sum takes
+    sums = np.ascontiguousarray(rows).sum(axis=1)
+    bad = negative | (np.abs(sums - 1.0) > SIMPLEX_TOL)
+    if bad.any():
+        k = int(bad.argmax())
+        if negative[k]:
+            raise StructuralError("context entries must be non-negative", k)
+        raise StructuralError(
+            f"context entries must sum to 1, got {sums[k]:.12f}", k)
 
 
 @dataclass(frozen=True)
@@ -111,8 +127,10 @@ def induce_ssp(model, c):
     """The tabular instance selected by context c, or the stack of the K
     instances selected by a (K, d) array (or list) of contexts."""
     c = np.asarray(c, dtype=float)
-    for ck in (c if c.ndim == 2 else [c]):
-        validate_context(ck, model.d)
+    if c.ndim == 2:
+        _check_context_rows(c, model.d)
+    else:
+        validate_context(c, model.d)
     # one (rows, d) @ (d, 1) product per instance and state (and action):
     # the same BLAS call as `embed @ c` makes for one context
     loss = np.clip((model.loss_embed @ c[..., None, :, None])[..., 0], 0.0, 1.0)

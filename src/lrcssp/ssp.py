@@ -60,11 +60,12 @@ class SspInstance:
         sums = trans.sum(axis=-1)
         over = sums > 1 + _MASS_TOL
         if np.any(over):
+            index = None
             if over.ndim == 3:  # report the first offending instance
-                sums = sums[over.any(axis=(1, 2)).argmax()]
+                index = int(over.any(axis=(1, 2)).argmax())
+                sums = sums[index]
             raise StructuralError(
-                f"transition mass exceeds 1 (max {sums.max():.12f})"
-            )
+                f"transition mass exceeds 1 (max {sums.max():.12f})", index)
 
     @property
     def n_states(self):

@@ -103,6 +103,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert "model rejected" in err and "context 0" in err
 
+    @pytest.mark.parametrize("c0, code", [(1.0 + 0.9e-9, 2), (1.0, 0)])
+    def test_mass_at_both_tolerances(self, tmp_path, capsys, c0, code):
+        # column mass and context sum each within validation's 1e-9, whose
+        # product exceeds the 1e-9 an induced instance may carry
+        cfg = write_config(tmp_path, {
+            "generator": {"d": 1, "n_states": 2, "n_actions": 1},
+            "contexts": {"kind": "fixed", "K": 3, "c0": [c0]},
+            "seeds": [0]})
+        trans_embed = np.zeros((2, 1, 2, 1))
+        trans_embed[0, 0, :, 0] = [0.5, 0.5 + 0.9e-9]
+        model = LinearCsspModel(np.full((2, 1, 1), 0.5), trans_embed)
+        assert validate_model(model) == []
+        os.makedirs(tmp_path / "out")
+        (tmp_path / "out" / "model.json").write_text(
+            json.dumps(model_to_dict(model)))
+        assert main(["run", "--config", cfg]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "model rejected: context 0" in err
+            assert "transition mass exceeds 1" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["gen", "--config", cfg])

@@ -8,9 +8,9 @@ from lrcssp.estimation import (
     Estimates,
     SaStatistics,
     capped_simplex_projection,
-    compute_pair_estimate,
+    context_norms,
     dynamics_radius,
-    is_known,
+    known_threshold,
     loss_radius,
     project_to_stochastic,
     ridge_dynamics_estimate,
@@ -21,6 +21,34 @@ from lrcssp.ssp import GOAL
 
 def random_contexts(rng, n, d):
     return rng.dirichlet(np.ones(d), size=n)
+
+
+# Scalar oracles of one pair's statistics; the learner computes all of
+# these for every pair at once (Learner.visit, Learner.snapshot_estimates).
+
+
+def context_norm(stats, c):
+    """||c||_{V^-1}: the context-weighted uncertainty at one pair."""
+    return float(context_norms(stats.v_bar_inv, c))
+
+
+def is_known(stats, c, l_min, b_star, m, delta, n_states, n_actions):
+    """Known test: context-weighted uncertainty below the safety threshold."""
+    beta = dynamics_radius(stats.tau, stats.d, n_states, n_actions,
+                           stats.lam, delta)
+    return bool(context_norm(stats, c)
+                < known_threshold(beta, l_min, b_star, m, delta))
+
+
+def compute_pair_estimate(stats, n_actions, delta):
+    """(l_hat, p_raw, beta_l, beta_p) for a single pair's statistics."""
+    l_hat = ridge_loss_estimate(stats)
+    p_raw = ridge_dynamics_estimate(stats)
+    beta_l = loss_radius(stats.tau, stats.d, stats.n_states, n_actions,
+                         stats.lam, delta)
+    beta_p = dynamics_radius(stats.tau, stats.d, stats.n_states, n_actions,
+                             stats.lam, delta)
+    return l_hat, p_raw, beta_l, beta_p
 
 
 class TestSaStatistics:
@@ -73,7 +101,7 @@ class TestSaStatistics:
         c = np.array([0.7, 0.3])
         norms = []
         for _ in range(20):
-            norms.append(stats.context_norm(c))
+            norms.append(context_norm(stats, c))
             stats.record_visit(c, 0, 0.0)
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -113,6 +141,17 @@ def capped_simplex_oracle(y, iters=200):
     return np.maximum(y - 0.5 * (lo + hi), 0.0)
 
 
+def capped_simplex_sorted(y):
+    """The one-dimensional sort-based rule capped_simplex_projection had."""
+    x = np.maximum(y, 0.0)
+    if x.sum() <= 1.0:
+        return x
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(y) + 1) > css)[0][-1]
+    return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
+
+
 class TestCappedSimplexProjection:
     def test_feasible_point_unchanged(self):
         y = np.array([0.2, 0.3, 0.1])
@@ -128,6 +167,17 @@ class TestCappedSimplexProjection:
             y = rng.normal(0, 1, size=rng.integers(1, 8))
             assert np.allclose(capped_simplex_projection(y),
                                capped_simplex_oracle(y), atol=1e-10)
+
+    def test_bit_equal_to_one_dimensional_rule(self):
+        # now one column of the column-wise pass; rounding makes ties and -0.0
+        rng = np.random.default_rng(6)
+        for i in range(2000):
+            y = rng.normal(rng.normal(0, 1), rng.uniform(0.01, 3),
+                           size=rng.integers(1, 300))
+            if i % 4 == 0:
+                y = np.round(y, 1)
+            got = capped_simplex_projection(y)
+            assert got.tobytes() == capped_simplex_sorted(y).tobytes()
 
     def test_output_always_feasible(self):
         rng = np.random.default_rng(5)
@@ -307,7 +357,7 @@ class TestIsKnown:
         l_min, b_star, m, delta = 0.1, 1.0, 100, 0.1
         beta = dynamics_radius(stats.tau, 2, 3, 2, 1.0, delta)
         thr = l_min / (10 * b_star * max(beta, math.sqrt(math.log(4 * m / delta))))
-        want = stats.context_norm(c) < thr
+        want = context_norm(stats, c) < thr
         assert is_known(stats, c, l_min, b_star, m, delta, 3, 2) == want
 
     def test_becomes_known_with_enough_data(self):

@@ -12,15 +12,14 @@ from lrcssp.estimation import (
     REFRESH_EVERY,
     SaStatistics,
     _capped_simplex_columns,
-    compute_pair_estimate,
     context_norms,
     dynamics_radius,
-    is_known,
     known_threshold,
     project_to_stochastic,
 )
 from lrcssp.learner import (
     ROW_EMPTYING_RADIUS,
+    EviResult,
     Learner,
     LearnerConfig,
     _evi_backup,
@@ -36,6 +35,7 @@ from lrcssp.linear_model import (
     validate_context,
 )
 from lrcssp.ssp import value_iteration
+from test_estimation import compute_pair_estimate, context_norm, is_known
 
 
 def pair_estimate(stats, n_actions, delta):
@@ -305,6 +305,118 @@ class TestEviPlan:
         assert res.policy[0] == 0
 
 
+def evi_plan_full_loop(opt_loss, p_ctx, radius, b_cap, evi_tol,
+                       evi_max_iter):
+    """Reference: evi_plan with every sweep through the L1 inner step."""
+    v = np.zeros(opt_loss.shape[0])
+    residual = np.inf
+    iterations = 0
+    r = radius[:, :, None]
+    for iterations in range(1, evi_max_iter + 1):
+        q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
+        w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
+        residual = float(np.abs(w - v).max())
+        v = w
+        if residual <= evi_tol:
+            break
+    q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
+    q_trans = np.empty_like(p_ctx)
+    q_trans[:, :, order] = q_ord
+    return EviResult(q_vals.argmin(axis=1), opt_loss, q_trans, v, residual,
+                     residual <= evi_tol, iterations)
+
+
+def assert_same_plan(got, want):
+    assert got.policy.tobytes() == want.policy.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.opt_trans.tobytes() == want.opt_trans.tobytes()
+    assert (got.residual, got.iterations, got.converged) == \
+        (want.residual, want.iterations, want.converged)
+
+
+class TestEmptiedPlan:
+    """With every row emptied, evi_plan skips the inner step, same bits."""
+
+    def _case(self, seed, S=4, A=3, d=2, radius_lo=ROW_EMPTYING_RADIUS):
+        rng = np.random.default_rng(seed)
+        p = np.stack([_capped_simplex_columns(m)
+                      for m in rng.uniform(-0.5, 1.5, size=(S * A, S, d))])
+        c = rng.dirichlet(np.ones(d))
+        p_ctx = np.einsum("sand,d->san", p.reshape(S, A, S, d), c)
+        radius = rng.uniform(radius_lo, 10.0, size=(S, A))
+        opt_loss = rng.uniform(0.0, 1.0, size=(S, A))
+        return opt_loss, p_ctx, radius
+
+    def _both(self, opt_loss, p_ctx, radius, b_cap=10.0, evi_tol=1e-6,
+              evi_max_iter=10**5):
+        kwargs = dict(b_cap=b_cap, evi_tol=evi_tol, evi_max_iter=evi_max_iter)
+        # p_ctx=None: the emptied path must not read the dynamics
+        return (evi_plan(opt_loss, None, radius, **kwargs),
+                evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs))
+
+    def test_values_above_tolerance_take_two_sweeps(self):
+        got, want = self._both(*self._case(0))
+        assert_same_plan(got, want)
+        assert (got.iterations, got.residual, got.converged) == (2, 0.0, True)
+        assert np.array_equal(got.opt_trans, np.zeros((4, 3, 4)))
+
+    def test_values_below_tolerance_take_one_sweep(self):
+        opt_loss, p_ctx, radius = self._case(1)
+        got, want = self._both(1e-8 * opt_loss, p_ctx, radius)
+        assert_same_plan(got, want)
+        assert got.iterations == 1 and got.converged
+        assert got.residual == got.values.max() > 0
+
+    def test_cap_clips_values(self):
+        opt_loss, p_ctx, radius = self._case(2)
+        got, want = self._both(opt_loss, p_ctx, radius, b_cap=0.3)
+        assert_same_plan(got, want)
+        assert got.values.max() == 0.3
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_sweep_budget(self, max_iter):
+        got, want = self._both(*self._case(3), evi_max_iter=max_iter)
+        assert_same_plan(got, want)
+        assert got.iterations == max_iter
+        assert got.converged == (max_iter == 2)
+
+    def test_radius_exactly_at_bound(self):
+        opt_loss, p_ctx, radius = self._case(4)
+        radius[::2] = ROW_EMPTYING_RADIUS
+        got, want = self._both(opt_loss, p_ctx, radius)
+        assert_same_plan(got, want)
+
+    def test_signed_zero_losses(self):
+        opt_loss, p_ctx, radius = self._case(5)
+        opt_loss[0] = -0.0
+        opt_loss[1, 0] = 0.0
+        got, want = self._both(opt_loss, p_ctx, radius)
+        assert_same_plan(got, want)
+
+    def test_one_open_row_takes_the_full_path(self):
+        opt_loss, p_ctx, radius = self._case(6)
+        radius[2, 1] = np.nextafter(ROW_EMPTYING_RADIUS, 0.0)
+        kwargs = dict(b_cap=10.0, evi_tol=1e-6, evi_max_iter=10**5)
+        with pytest.raises(TypeError):  # the full path reads p_ctx
+            evi_plan(opt_loss, None, radius, **kwargs)
+        assert_same_plan(evi_plan(opt_loss, p_ctx, radius, **kwargs),
+                         evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_full_loop(self, data):
+        S, A = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        opt_loss, p_ctx, radius = self._case(data.draw(st.integers(0, 10**6)),
+                                             S=S, A=A)
+        opt_loss = opt_loss * data.draw(st.sampled_from([0.0, 1e-7, 1.0]))
+        got, want = self._both(
+            opt_loss, p_ctx, radius,
+            b_cap=data.draw(st.floats(0.0, 4.0)),
+            evi_tol=data.draw(st.sampled_from([1e-10, 1e-6, 0.5])),
+            evi_max_iter=data.draw(st.integers(0, 4)))
+        assert_same_plan(got, want)
+
+
 class TestRun:
     def test_deterministic_replay(self):
         _, log1 = ref_run(K=20)
@@ -503,7 +615,7 @@ class TestStackedStatistics:
         rng = np.random.default_rng(1)
         for c in rng.dirichlet(np.ones(model.d), size=20):
             batched = context_norms(learner.store.v_bar_inv, c)
-            per_pair = np.array([[st.context_norm(c) for st in row]
+            per_pair = np.array([[context_norm(st, c) for st in row]
                                  for row in learner.stats])
             # the per-pair loop the batched expression replaced
             loop = np.array([
@@ -526,6 +638,61 @@ class TestStackedStatistics:
         n_pairs = model.n_states * model.n_actions
         assert record.known_fraction * n_pairs == pytest.approx(scalar)
 
+    def test_visit_known_bit_and_norms_match_scalar_oracles(self):
+        model, learner = self._learner(visits=200)
+        pumped = [(0, 0), (2, 1), (4, 2)]
+        self._make_known(learner, pumped)
+        learner.m = 9
+        rng = np.random.default_rng(3)
+        bits = []
+        for s, a in pumped + [(1, 1), (3, 0), (0, 0)]:
+            c = rng.dirichlet(np.ones(model.d))
+            known, norms = learner.visit(s, a, c, int(rng.integers(-1, 5)),
+                                         float(rng.random()))
+            # the scalar test, after the visit, at the same m and b_star
+            assert known == is_known(
+                learner.stats[s][a], c, learner.l_min_eff, learner.b_star_cur,
+                learner.m, REF_CFG.delta, model.n_states, model.n_actions)
+            fresh = context_norms(learner.store.v_bar_inv, c)
+            assert norms.tobytes() == fresh.tobytes()
+            assert norms[s, a] == context_norm(learner.stats[s][a], c)
+            bits.append(known)
+        assert bits == [True, True, True, False, False, True]
+        # the visit also brought the pair's estimates up to date
+        est = learner.snapshot_estimates()
+        want = compute_pair_estimate(learner.stats[0][0], model.n_actions,
+                                     REF_CFG.delta)
+        for got, w in zip((est.l_hat[0, 0], est.p_hat_raw[0, 0],
+                           est.beta_loss[0, 0], est.beta_dyn[0, 0]), want):
+            assert np.array_equal(got, w)
+
+    def test_doubling_does_not_reuse_carried_norms(self, monkeypatch):
+        model, learner = self._learner(visits=200)
+        c = np.array([0.3, 0.7])
+        learner.m = 3
+        _, norms = learner.visit(1, 1, c, 0, 0.5)
+        radii = []
+
+        def escaping_evi_plan(opt_loss, p_ctx, radius, **kwargs):
+            radii.append(radius.copy())
+            result = evi_plan(opt_loss, p_ctx, radius, **kwargs)
+            if len(radii) == 1:  # the first plan escapes the bound once
+                result.values = result.values + 2 * kwargs["b_cap"]
+            return result
+
+        monkeypatch.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
+        beta_before = learner.snapshot_estimates().beta_dyn.copy()
+        learner.start_interval(c, 0, "unknown", norms)
+        assert learner.doubling_events == 1 and len(radii) == 2
+        assert np.array_equal(radii[0], beta_before * norms)
+        # the reset statistics give every pair the norm of a fresh pair
+        fresh = context_norms(learner.store.v_bar_inv, c)
+        assert np.all(learner.store.tau == 0) and not np.array_equal(
+            fresh, norms)
+        beta0 = dynamics_radius(0, model.d, model.n_states, model.n_actions,
+                                REF_CFG.lam, REF_CFG.delta)
+        assert np.array_equal(radii[1], beta0 * fresh)
+
     def test_interval_losses_match_scalar_oracle(self, monkeypatch):
         # enough visits that the optimistic losses lie inside (0, 1)
         model, learner = self._learner(visits=20_000)
@@ -544,7 +711,7 @@ class TestStackedStatistics:
         for s in range(model.n_states):
             for a in range(model.n_actions):
                 want = optimistic_loss(c, est.l_hat[s, a], est.beta_loss[s, a],
-                                       learner.stats[s][a].context_norm(c))
+                                       context_norm(learner.stats[s][a], c))
                 assert calls[0][s, a] == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_known_threshold_array_matches_scalar(self):
@@ -731,13 +898,13 @@ class TestDeferredProjection:
 
     def test_unvisited_pairs_need_no_refresh(self, monkeypatch):
         calls = []
-        compute = estimation.compute_pair_estimate
+        refresh = Learner._refresh
 
-        def counting(*args, **kwargs):
+        def counting(self, *args):
             calls.append(args)
-            return compute(*args, **kwargs)
+            return refresh(self, *args)
 
-        monkeypatch.setattr(estimation, "compute_pair_estimate", counting)
+        monkeypatch.setattr(Learner, "_refresh", counting)
         model, learner = TestStackedStatistics()._learner(visits=0)
         fresh = SaStatistics(model.d, model.n_states, REF_CFG.lam)
         want = pair_estimate(fresh, model.n_actions, REF_CFG.delta)

@@ -71,6 +71,53 @@ class TestInduceSsp:
             assert np.all(ssp.goal_mass >= REF_SPEC.gamma_goal - 1e-9)
 
 
+class TestStackValidation:
+    """induce_ssp checks a (K, d) stack of contexts in one array pass."""
+
+    def _error(self, fn, *args):
+        with pytest.raises(StructuralError) as info:
+            fn(*args)
+        return info.value
+
+    @pytest.mark.parametrize("bad", [
+        [-0.1, 1.1],  # negative entry
+        [0.4, 0.4],  # sum below 1
+        [0.5, 0.5 + 3e-9],  # sum above 1 by more than the tolerance
+        [-2e-9, 1.0 + 2e-9],  # negative beyond the tolerance, sum fine
+        [0.2, 0.3, 0.5],  # wrong dimension
+    ])
+    def test_bad_row_raises_the_per_row_message(self, bad):
+        model = generate_instance(REF_SPEC)
+        rng = np.random.default_rng(0)
+        good = rng.dirichlet(np.ones(model.d), size=5)
+        if len(bad) == model.d:
+            stack = np.vstack([good[:3], bad, good[3:]])
+            row = 3
+        else:
+            stack = np.full((6, len(bad)), 1.0 / len(bad))
+            row = 0
+        want = self._error(validate_context, bad, model.d)
+        got = self._error(induce_ssp, model, stack)
+        assert str(got) == str(want)
+        assert got.index == row
+
+    def test_first_offending_row_is_reported(self):
+        model = generate_instance(REF_SPEC)
+        stack = np.array([[0.5, 0.5], [0.3, 0.3], [-0.5, 1.5], [0.1, 0.1]])
+        err = self._error(induce_ssp, model, stack)
+        assert str(err) == "context entries must sum to 1, got 0.600000000000"
+        assert err.index == 1
+
+    def test_tolerance_rows_pass(self):
+        model = generate_instance(REF_SPEC)
+        stack = np.array([[0.5, 0.5 + 0.9e-9], [-0.9e-9, 1.0], [1.0, 0.0]])
+        ssp = induce_ssp(model, stack)
+        for k, c in enumerate(stack):
+            single = induce_ssp(model, c)
+            assert ssp.loss[k].tobytes() == single.loss.tobytes()
+            assert ssp.trans[k].tobytes() == single.trans.tobytes()
+
+
 class TestGenerator:
     def test_deterministic_in_seed(self):
         a = generate_instance(REF_SPEC)
