@@ -35,8 +35,6 @@ from .estimation import (
     dynamics_radius,
     loss_radius,
     project_to_stochastic,
-    ridge_dynamics_estimate,
-    ridge_loss_estimate,
 )
 from .learner import (
     EpisodeLog,

@@ -5,7 +5,7 @@ V = lambda*I + sum c c^T, its incrementally maintained inverse, and the
 regression moments for the loss target and the one-hot next-state targets.
 A run keeps those of all pairs as stacked arrays (PairStore), so context
 norms and the known count cover every pair in one array expression;
-SaStatistics is the per-pair view into them.
+SaStatistics is the one-pair PairStore, of shape ().
 """
 
 import json
@@ -22,13 +22,14 @@ REFRESH_EVERY = 1024
 
 
 class PairStore:
-    """Sufficient statistics of a grid of (s, a) pairs as stacked arrays.
+    """Sufficient statistics of an array of (s, a) pairs, stacked.
 
-    tau       : (S, A) visit counts, float64 so any count a caller sets fits
-    v_bar     : (S, A, d, d) design matrices lambda*I + sum c c^T
-    v_bar_inv : (S, A, d, d) their inverses, maintained by rank-one updates
-    xty_loss  : (S, A, d) loss regression moments
-    xty_trans : (S, A, n_states, d) next-state regression moments
+    shape is (S, A) for a run's grid, or () for one pair (SaStatistics).
+    tau       : shape visit counts, float64 so any count a caller sets fits
+    v_bar     : shape + (d, d) design matrices lambda*I + sum c c^T
+    v_bar_inv : shape + (d, d) their inverses, maintained by rank-one updates
+    xty_loss  : shape + (d,) loss regression moments
+    xty_trans : shape + (n_states, d) next-state regression moments
     """
 
     def __init__(self, shape, d, n_states, lam=1.0):
@@ -43,16 +44,11 @@ class PairStore:
         self.xty_loss = np.zeros(shape + (d,))
         self.xty_trans = np.zeros(shape + (n_states, d))
 
-    def pair(self, s, a):
-        """The per-pair view of (s, a); writes through it land in the stacks."""
-        stats = SaStatistics.__new__(SaStatistics)
-        stats._bind(self, (s, a))
-        return stats
-
-    def record_visit(self, index, c, next_state, loss):
+    def record_visit(self, c, next_state, loss, index=()):
         """Fold one observed transition into the statistics of pair `index`.
 
-        A goal transition contributes no next-state row (residual-mass
+        The default index () addresses the whole of a one-pair store.  A
+        goal transition contributes no next-state row (residual-mass
         convention); the design matrix and count always advance.
         """
         c = np.asarray(c, dtype=float)
@@ -70,6 +66,13 @@ class PairStore:
             xty_trans[next_state] += c
 
 
+class SaStatistics(PairStore):
+    """Sufficient statistics of one (s, a) pair: a PairStore of shape ()."""
+
+    def __init__(self, d, n_states, lam=1.0):
+        super().__init__((), d, n_states, lam)
+
+
 def context_norms(v_bar_inv, c):
     """||c||_{V^-1} for one (d, d) inverse or a stack (..., d, d) of them.
 
@@ -77,58 +80,6 @@ def context_norms(v_bar_inv, c):
     so the batched norms equal the per-pair ones bit for bit.
     """
     return np.sqrt(np.maximum(0.0, np.vecdot(np.vecmat(c, v_bar_inv), c)))
-
-
-class SaStatistics:
-    """Sufficient statistics of one (s, a) pair: views into a PairStore.
-
-    Built directly, it owns a one-pair store of its own.  The array
-    attributes are views, so every update writes in place: rebinding one
-    would detach it from the store.
-    """
-
-    def __init__(self, d, n_states, lam=1.0):
-        self._bind(PairStore((1, 1), d, n_states, lam), (0, 0))
-
-    def _bind(self, store, index):
-        self._store = store
-        self._index = index
-        self.d = store.d
-        self.n_states = store.n_states
-        self.lam = store.lam
-        self.v_bar = store.v_bar[index]
-        self.v_bar_inv = store.v_bar_inv[index]
-        self.xty_loss = store.xty_loss[index]
-        self.xty_trans = store.xty_trans[index]
-
-    @property
-    def tau(self):
-        return int(self._store.tau[self._index])
-
-    @tau.setter
-    def tau(self, value):
-        self._store.tau[self._index] = value
-
-    def record_visit(self, c, next_state, loss):
-        """Fold one observed transition into the statistics (see PairStore)."""
-        self._store.record_visit(self._index, c, next_state, loss)
-
-    def reset(self):
-        self.tau = 0
-        self.v_bar[...] = self.lam * np.eye(self.d)
-        self.v_bar_inv[...] = np.eye(self.d) / self.lam
-        self.xty_loss[...] = 0.0
-        self.xty_trans[...] = 0.0
-
-
-def ridge_loss_estimate(stats):
-    """Closed-form ridge minimizer for the loss embedding."""
-    return stats.v_bar_inv @ stats.xty_loss
-
-
-def ridge_dynamics_estimate(stats):
-    """(S, d) matrix of per-next-state ridge solves sharing one inverse."""
-    return stats.xty_trans @ stats.v_bar_inv
 
 
 def capped_simplex_projection(y):

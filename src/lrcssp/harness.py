@@ -23,6 +23,7 @@ from .linear_model import (
     context_sequence,
     generate_instance,
     induce_ssp,
+    validate_context,
     validate_model,
 )
 from .ssp import expected_hitting_time, value_iteration
@@ -163,10 +164,8 @@ def baseline_context_blind(cfg, model, contexts, seed=0):
 # experiment configuration and artifacts
 
 
-_LEARNER_KEYS = {"delta", "lam", "l_min", "epsilon_perturb", "b_star_init",
-                 "evi_tol", "evi_max_iter", "episode_step_cap"}
-_GENERATOR_KEYS = {"d", "n_states", "n_actions", "gamma_goal",
-                   "l_min_target", "seed"}
+_LEARNER_KEYS = {f.name for f in dataclasses.fields(learner_mod.LearnerConfig)}
+_GENERATOR_KEYS = {f.name for f in dataclasses.fields(GeneratorSpec)}
 _CONTEXT_KEYS = {"kind", "K", "c0"}
 _TOP_KEYS = {"generator", "contexts", "learner", "seeds", "out_dir",
              "baseline_context_blind", "oracle_informed", "model_file"}
@@ -201,11 +200,20 @@ class ExperimentConfig:
         ctx = raw["contexts"]
         if "kind" not in ctx or "K" not in ctx:
             raise ConfigError("contexts section needs 'kind' and 'K'")
+        generator = GeneratorSpec(**raw["generator"])
+        c0 = ctx.get("c0")
+        if c0 is None and ctx["kind"] == "fixed":
+            raise ConfigError("contexts of kind 'fixed' need 'c0'")
+        if c0 is not None:
+            try:
+                validate_context(c0, generator.d)
+            except (StructuralError, TypeError, ValueError) as exc:
+                raise ConfigError(f"contexts.c0 rejected: {exc}") from None
         return cls(
-            generator=GeneratorSpec(**raw["generator"]),
+            generator=generator,
             context_kind=ctx["kind"],
             K=int(ctx["K"]),
-            c0=ctx.get("c0"),
+            c0=c0,
             learner=learner_mod.LearnerConfig(**raw["learner"]),
             seeds=[int(s) for s in raw.get("seeds", [0])],
             out_dir=str(raw.get("out_dir", "out")),
@@ -216,22 +224,10 @@ class ExperimentConfig:
 
     def to_canonical_dict(self):
         """Documented canonical key order for round-tripping."""
-        gen = self.generator
-        lrn = self.learner
         out = {
-            "generator": {
-                "d": gen.d, "n_states": gen.n_states,
-                "n_actions": gen.n_actions, "gamma_goal": gen.gamma_goal,
-                "l_min_target": gen.l_min_target, "seed": gen.seed,
-            },
+            "generator": dataclasses.asdict(self.generator),
             "contexts": {"kind": self.context_kind, "K": self.K},
-            "learner": {
-                "delta": lrn.delta, "lam": lrn.lam, "l_min": lrn.l_min,
-                "epsilon_perturb": lrn.epsilon_perturb,
-                "b_star_init": lrn.b_star_init, "evi_tol": lrn.evi_tol,
-                "evi_max_iter": lrn.evi_max_iter,
-                "episode_step_cap": lrn.episode_step_cap,
-            },
+            "learner": dataclasses.asdict(self.learner),
             "seeds": list(self.seeds),
             "out_dir": self.out_dir,
             "baseline_context_blind": self.baseline_context_blind,
@@ -370,33 +366,30 @@ def build_contexts(cfg, seed):
                             rng=rng, c0=cfg.c0)
 
 
-def _single_run(cfg, model, seed, variant):
+def _run_seed(args):
+    """Every variant of one seed, sharing its contexts and exact oracle."""
+    cfg, model_payload, seed, variants, out_dir = args
+    model = model_from_dict(model_payload)
     contexts = build_contexts(cfg, seed)
-    lcfg = cfg.learner
     oracle = oracle_values(model, contexts)
+    lcfg = cfg.learner
     if cfg.oracle_informed:
         lcfg = dataclasses.replace(lcfg, b_star_init=max(1.0, oracle.b_star_emp))
-    if variant == "lrcssp":
-        run_log = learner_mod.run(lcfg, model, contexts, seed=seed)
-    elif variant == "context_blind":
-        run_log = baseline_context_blind(lcfg, model, contexts, seed=seed)
-    else:
-        raise ConfigError(f"unknown variant {variant!r}")
-    curve = compute_regret(run_log, oracle)
-    summary = summarize_run(run_log, curve, oracle, lcfg.delta)
-    return run_log, curve, summary
-
-
-def _run_and_write(args):
-    cfg, model_payload, seed, variant, out_dir = args
-    model = model_from_dict(model_payload)
-    run_log, curve, summary = _single_run(cfg, model, seed, variant)
-    run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
-    os.makedirs(run_dir, exist_ok=True)
-    write_regret_csv(os.path.join(run_dir, "regret.csv"), run_log, curve)
-    write_events_jsonl(os.path.join(run_dir, "events.jsonl"), run_log)
-    write_summary(os.path.join(run_dir, "summary.txt"), summary)
-    return variant, seed, summary
+    out = []
+    for variant in variants:
+        if variant == "lrcssp":
+            run_log = learner_mod.run(lcfg, model, contexts, seed=seed)
+        else:
+            run_log = baseline_context_blind(lcfg, model, contexts, seed=seed)
+        curve = compute_regret(run_log, oracle)
+        summary = summarize_run(run_log, curve, oracle, lcfg.delta)
+        run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
+        os.makedirs(run_dir, exist_ok=True)
+        write_regret_csv(os.path.join(run_dir, "regret.csv"), run_log, curve)
+        write_events_jsonl(os.path.join(run_dir, "events.jsonl"), run_log)
+        write_summary(os.path.join(run_dir, "summary.txt"), summary)
+        out.append((variant, seed, summary))
+    return out
 
 
 def aggregate_summaries(per_run):
@@ -445,13 +438,15 @@ def run_experiment(cfg, model=None, jobs=1):
     variants = ["lrcssp"]
     if cfg.baseline_context_blind:
         variants.append("context_blind")
-    tasks = [(cfg, model_payload, seed, variant, cfg.out_dir)
-             for variant in variants for seed in cfg.seeds]
+    tasks = [(cfg, model_payload, seed, variants, cfg.out_dir)
+             for seed in cfg.seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_run = list(pool.map(_run_and_write, tasks))
+            per_seed = list(pool.map(_run_seed, tasks))
     else:
-        per_run = [_run_and_write(t) for t in tasks]
+        per_seed = [_run_seed(t) for t in tasks]
+    # seed-major, so each variant's summaries still aggregate in seed order
+    per_run = [run for runs in per_seed for run in runs]
     agg = aggregate_summaries(per_run)
     lines = [f"model_fingerprint: {model_fingerprint(model)}"]
     for variant in sorted(agg):

@@ -6,16 +6,14 @@ Cauchy-Schwarz), and over next-state distributions in an L1 ball around the
 projected estimate, with freed mass absorbed by the zero-value goal.
 """
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import estimation
 from .errors import ConfigError, ProjectionError
 from .linear_model import AdaptiveContexts, validate_context
-from .ssp import GOAL, SspInstance
+from .ssp import GOAL
 
 
 # L1 radius at or above which a plan empties a pair's optimistic row, so the
@@ -71,11 +69,6 @@ class EviResult:
     residual: float
     converged: bool
     iterations: int
-
-    @cached_property
-    def optimistic_ssp(self):
-        """The optimistic model as a validated SspInstance, built on demand."""
-        return SspInstance(self.opt_loss, self.opt_trans)
 
 
 def _evi_backup(opt_loss, p_ctx, r, v):
@@ -218,17 +211,13 @@ class Learner:
         self.doubling_events = 0
         self._init_statistics()
         self.policy = np.zeros(self.n_states, dtype=int)
-        self.current_values = np.zeros(self.n_states)
 
     def _init_statistics(self):
         S, A, d = self.n_states, self.n_actions, self.d
         self.store = estimation.PairStore((S, A), d, S, self.cfg.lam)
-        self.stats = [[self.store.pair(s, a) for a in range(A)]
-                      for s in range(S)]
-        # visit counts each pair's l_hat, p_raw and radii, and its p_hat,
-        # were last computed at; every pair starts at tau = 0, where zero
-        # moments give exactly +0.0 estimates and the radii are shared
-        self._computed_tau = np.zeros((S, A))
+        # visit counts each pair's p_hat was last projected at; every pair
+        # starts at tau = 0, where zero moments give exactly +0.0 estimates
+        # and the radii are shared
         self._projected_tau = np.zeros((S, A))
         self._l_hat = np.zeros((S, A, d))
         self._p_raw = np.zeros((S, A, S, d))
@@ -243,22 +232,19 @@ class Learner:
                                     self._beta_l, self._beta_p)))
 
     def snapshot_estimates(self, norms=None):
-        """Current Estimates over all pairs (recomputed only where stats moved).
+        """Current Estimates over all pairs, projecting p_hat where it lags.
 
-        Without norms every pair is brought up to date.  Given a plan's
-        (S, A) context norms, a pair's p_hat (the projection, the costly
-        part) is brought up to date only where its L1 radius beta_dyn * norm
-        is below ROW_EMPTYING_RADIUS; the plan empties every other pair's
-        row whatever p_hat holds, so there p_hat may lag behind until a
-        later call needs it.  l_hat, p_hat_raw and the radii are always
-        current.
+        visit keeps l_hat, p_hat_raw and the radii current; p_hat (the
+        projection, the costly part) is brought up to date here.  Without
+        norms every pair is.  Given a plan's (S, A) context norms, only the
+        pairs whose L1 radius beta_dyn * norm is below ROW_EMPTYING_RADIUS
+        are; the plan empties every other pair's row whatever p_hat holds,
+        so there p_hat may lag behind until a later call needs it.
 
         The arrays are read-only views of the learner's state: they follow
         later visits, so copy them to keep a snapshot.
         """
         tau = self.store.tau
-        for s, a in zip(*np.nonzero(self._computed_tau != tau)):
-            self._refresh(s, a)
         wanted = self._projected_tau != tau
         if norms is not None:
             wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
@@ -273,33 +259,27 @@ class Learner:
             self._projected_tau[s, a] = tau[s, a]
         return self._estimates
 
-    def _refresh(self, s, a):
-        """Bring (s, a)'s l_hat, p_hat_raw and both radii up to its count."""
+    def visit(self, s, a, c, next_state, loss):
+        """Fold one observed step at (s, a) into the statistics and test it.
+
+        The only path that moves a pair's statistics: it refreshes the
+        pair's l_hat, p_hat_raw and both radii, and computes the (S, A)
+        context norms at c once.  Returns the paper's known test for the
+        pair at c (its norm below known_threshold at the pair's new radius,
+        the current interval m and b_star_cur), and the norms, which the
+        next start_interval at c may reuse.
+        """
         store = self.store
+        store.record_visit(c, next_state, loss, (s, a))
         tau = float(store.tau[s, a])
         v_bar_inv = store.v_bar_inv[s, a]
         self._l_hat[s, a] = v_bar_inv @ store.xty_loss[s, a]
         self._p_raw[s, a] = store.xty_trans[s, a] @ v_bar_inv
-        dims = (self.d, self.n_states, self.n_actions)
-        self._beta_l[s, a] = estimation.loss_radius(
-            tau, *dims, store.lam, self.cfg.delta)
-        self._beta_p[s, a] = estimation.dynamics_radius(
-            tau, *dims, store.lam, self.cfg.delta)
-        self._computed_tau[s, a] = tau
-
-    def visit(self, s, a, c, next_state, loss):
-        """Fold one observed step at (s, a) into the statistics and test it.
-
-        Refreshes the pair's estimates and computes the (S, A) context norms
-        at c once.  Returns the paper's known test for the pair at c (its
-        norm below known_threshold at the pair's new radius, the current
-        interval m and b_star_cur), and the norms, which the next
-        start_interval at c may reuse while nothing else moves the
-        statistics.
-        """
-        self.store.record_visit((s, a), c, next_state, loss)
-        self._refresh(s, a)
-        norms = estimation.context_norms(self.store.v_bar_inv, c)
+        dims = (self.d, self.n_states, self.n_actions, store.lam,
+                self.cfg.delta)
+        self._beta_l[s, a] = estimation.loss_radius(tau, *dims)
+        self._beta_p[s, a] = estimation.dynamics_radius(tau, *dims)
+        norms = estimation.context_norms(store.v_bar_inv, c)
         threshold = estimation.known_threshold(
             self._beta_p[s, a], self.l_min_eff, self.b_star_cur, self.m,
             self.cfg.delta)
@@ -309,17 +289,14 @@ class Learner:
         """Do the true embeddings lie in every pair's confidence set right now?"""
         model = self.diagnostics_model
         est = self.snapshot_estimates()
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                v_bar = self.store.v_bar[s, a]
-                dl = model.loss_embed[s, a] - est.l_hat[s, a]
-                if math.sqrt(dl @ v_bar @ dl) > est.beta_loss[s, a]:
-                    return False
-                dp = model.trans_embed[s, a] - est.p_hat[s, a]
-                if math.sqrt(np.einsum("ij,jk,ik->", dp, v_bar, dp)) \
-                        > est.beta_dyn[s, a]:
-                    return False
-        return True
+        v_bar = self.store.v_bar
+        dl = model.loss_embed - est.l_hat
+        dp = model.trans_embed - est.p_hat
+        return not (
+            np.any(np.sqrt(np.einsum("sai,saij,saj->sa", dl, v_bar, dl))
+                   > est.beta_loss)
+            or np.any(np.sqrt(np.einsum("sari,saij,sarj->sa", dp, v_bar, dp))
+                      > est.beta_dyn))
 
     def start_interval(self, c, episode, trigger, norms=None):
         """Advance the interval counter, refresh estimates, and replan.
@@ -352,7 +329,6 @@ class Learner:
             self._init_statistics()
             norms = None
         self.policy = result.policy
-        self.current_values = result.values
         threshold = estimation.known_threshold(
             est.beta_dyn, self.l_min_eff, self.b_star_cur, self.m,
             self.cfg.delta)

@@ -35,12 +35,15 @@ def _check_context_rows(rows, d):
     if d is not None and rows.shape[1] != d:
         raise StructuralError(
             f"context dimension {rows.shape[1]} != model d {d}", 0)
+    finite = np.isfinite(rows).all(axis=1)
     negative = (rows < -SIMPLEX_TOL).any(axis=1)
     # contiguous rows sum in the order a single context's sum takes
     sums = np.ascontiguousarray(rows).sum(axis=1)
-    bad = negative | (np.abs(sums - 1.0) > SIMPLEX_TOL)
+    bad = ~finite | negative | (np.abs(sums - 1.0) > SIMPLEX_TOL)
     if bad.any():
         k = int(bad.argmax())
+        if not finite[k]:
+            raise StructuralError("context entries must be finite", k)
         if negative[k]:
             raise StructuralError("context entries must be non-negative", k)
         raise StructuralError(

@@ -124,6 +124,25 @@ class TestRun:
             assert "model rejected: context 0" in err
             assert "transition mass exceeds 1" in err
 
+    @pytest.mark.parametrize("c0, message", [
+        ([0.5, 0.6], "must sum to 1"),
+        (None, "need 'c0'"),
+        ([0.2, 0.3, 0.5], "context dimension 3 != model d 2"),
+        ([float("nan"), 1.0], "must be finite"),
+    ])
+    def test_bad_fixed_context_exits_2(self, tmp_path, capsys, c0, message):
+        # rejected with the config, before gen writes a model or run
+        # writes config.json
+        contexts = {"kind": "fixed", "K": 3}
+        if c0 is not None:
+            contexts["c0"] = c0
+        cfg = write_config(tmp_path, {"contexts": contexts})
+        assert main(["gen", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["gen", "--config", cfg])

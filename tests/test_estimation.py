@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrcssp.errors import StructuralError
 from lrcssp.estimation import (
+    REFRESH_EVERY,
     Estimates,
+    PairStore,
     SaStatistics,
     capped_simplex_projection,
     context_norms,
@@ -13,8 +17,6 @@ from lrcssp.estimation import (
     known_threshold,
     loss_radius,
     project_to_stochastic,
-    ridge_dynamics_estimate,
-    ridge_loss_estimate,
 )
 from lrcssp.ssp import GOAL
 
@@ -25,6 +27,16 @@ def random_contexts(rng, n, d):
 
 # Scalar oracles of one pair's statistics; the learner computes all of
 # these for every pair at once (Learner.visit, Learner.snapshot_estimates).
+
+
+def ridge_loss_estimate(stats):
+    """Closed-form ridge minimizer for the loss embedding."""
+    return stats.v_bar_inv @ stats.xty_loss
+
+
+def ridge_dynamics_estimate(stats):
+    """(S, d) matrix of per-next-state ridge solves sharing one inverse."""
+    return stats.xty_trans @ stats.v_bar_inv
 
 
 def context_norm(stats, c):
@@ -105,14 +117,6 @@ class TestSaStatistics:
             stats.record_visit(c, 0, 0.0)
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
-    def test_reset_restores_fresh_state(self):
-        stats = SaStatistics(2, 3, lam=2.0)
-        stats.record_visit([0.4, 0.6], 1, 0.5)
-        stats.reset()
-        assert stats.tau == 0
-        assert np.allclose(stats.v_bar, 2.0 * np.eye(2))
-        assert np.all(stats.xty_loss == 0) and np.all(stats.xty_trans == 0)
-
     def test_refresh_keeps_inverse_exact_past_cadence(self):
         rng = np.random.default_rng(3)
         stats = SaStatistics(2, 2, lam=1.0)
@@ -120,6 +124,37 @@ class TestSaStatistics:
             stats.record_visit(c, 0, 0.0)
         assert np.allclose(stats.v_bar_inv, np.linalg.inv(stats.v_bar),
                            atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), n_states=st.integers(1, 3),
+           grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           visits=st.integers(0, REFRESH_EVERY + 50),
+           lam=st.sampled_from([1.0, 2.5]), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, n_states=2, grid=(2, 3), visits=REFRESH_EVERY + 50,
+             lam=1.0, seed=0)
+    def test_one_pair_store_equals_pair_of_grid(self, d, n_states, grid,
+                                                visits, lam, seed):
+        # SaStatistics is the shape-() PairStore: fed the same visits, it
+        # holds the bits pair (s, a) of an (S, A) store holds, whatever
+        # the store's other pairs see
+        rng = np.random.default_rng(seed)
+        index = tuple(int(rng.integers(n)) for n in grid)
+        one = SaStatistics(d, n_states, lam=lam)
+        store = PairStore(grid, d, n_states, lam)
+        # small concentrations put contexts near the simplex's vertices
+        alpha = rng.uniform(0.05, 2.0)
+        for c in rng.dirichlet(np.full(d, alpha), size=visits):
+            nxt = int(rng.integers(-1, n_states))  # -1 is the goal
+            loss = float(rng.random())
+            one.record_visit(c, nxt, loss)
+            store.record_visit(c, nxt, loss, index)
+            other = tuple(int(rng.integers(n)) for n in grid)
+            if other != index:
+                store.record_visit(c[::-1], nxt, 1.0 - loss, other)
+        assert one.tau.shape == ()
+        for name in ("tau", "v_bar", "v_bar_inv", "xty_loss", "xty_trans"):
+            got, want = getattr(one, name), getattr(store, name)[index]
+            assert got.tobytes() == want.tobytes(), name
 
 
 def capped_simplex_oracle(y, iters=200):
@@ -363,7 +398,7 @@ class TestIsKnown:
     def test_becomes_known_with_enough_data(self):
         # drive the norm below the threshold by faking a huge design matrix
         stats = SaStatistics(2, 3, lam=1.0)
-        stats.tau = 10**9
+        stats.tau[...] = 10**9
         stats.v_bar = 1e12 * np.eye(2)
         stats.v_bar_inv = 1e-12 * np.eye(2)
         assert is_known(stats, np.array([0.5, 0.5]), l_min=0.1, b_star=1.0,
@@ -376,9 +411,9 @@ class TestIsKnown:
         stats = SaStatistics(2, 3, lam=1.0)
         c = np.array([0.5, 0.5])
         stats.v_bar_inv = 1.8e-7 * np.eye(2)  # norm ~3e-4, between thresholds
-        stats.tau = 10
+        stats.tau[...] = 10
         known_small = is_known(stats, c, 0.1, 1.0, 100, 0.1, 3, 2)
-        stats.tau = 10**300
+        stats.tau[...] = 10**300
         known_huge = is_known(stats, c, 0.1, 1.0, 100, 0.1, 3, 2)
         assert known_small and not known_huge
 

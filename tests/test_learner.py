@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,8 +35,17 @@ from lrcssp.linear_model import (
     generate_instance,
     validate_context,
 )
-from lrcssp.ssp import value_iteration
+from lrcssp.ssp import SspInstance, value_iteration
 from test_estimation import compute_pair_estimate, context_norm, is_known
+
+
+def pair_stats(learner, s, a):
+    """A one-pair SaStatistics holding a copy of the learner's pair (s, a)."""
+    store = learner.store
+    stats = SaStatistics(store.d, store.n_states, store.lam)
+    for name in ("tau", "v_bar", "v_bar_inv", "xty_loss", "xty_trans"):
+        getattr(stats, name)[...] = getattr(store, name)[s, a]
+    return stats
 
 
 def pair_estimate(stats, n_actions, delta):
@@ -209,7 +219,6 @@ class TestEviPlan:
         opt_loss, p_ctx = self._random_inputs(rng)
         res = evi_plan(opt_loss, p_ctx, np.zeros((4, 3)), b_cap=1e6,
                        evi_tol=1e-12, evi_max_iter=10**6)
-        from lrcssp.ssp import SspInstance
         v_star, pi_star = value_iteration(SspInstance(opt_loss, p_ctx),
                                           tol=1e-12)
         assert np.allclose(res.values, v_star, atol=1e-9)
@@ -220,7 +229,8 @@ class TestEviPlan:
         opt_loss, p_ctx = self._random_inputs(rng)
         res = evi_plan(opt_loss, p_ctx, np.full((4, 3), 2.0), b_cap=1e6,
                        evi_tol=1e-12, evi_max_iter=10**5)
-        assert np.allclose(res.optimistic_ssp.trans, 0.0)
+        assert np.allclose(SspInstance(res.opt_loss, res.opt_trans).trans,
+                           0.0)
         assert np.allclose(res.values, opt_loss.min(axis=1))
 
     def test_backup_uses_exact_inner_minimizer(self):
@@ -241,7 +251,8 @@ class TestEviPlan:
         for s in range(n_states):
             for a in range(n_actions):
                 inner = linprog_inner_oracle(p_ctx[s, a], radius[s, a], v)
-                got = res.optimistic_ssp.trans[s, a] @ v
+                got = SspInstance(res.opt_loss,
+                                  res.opt_trans).trans[s, a] @ v
                 assert got == pytest.approx(inner, abs=1e-7)
 
     def test_optimistic_model_matches_scalar_oracle(self):
@@ -595,20 +606,25 @@ class TestStackedStatistics:
     def _learner(self, visits=40, seed=0):
         model = generate_instance(REF_SPEC)
         learner = Learner(REF_CFG, model, REF_CFG.l_min)
+        learner.m = 1  # known_threshold takes log(4m / delta)
         rng = np.random.default_rng(seed)
         for _ in range(visits):
             s = int(rng.integers(model.n_states))
             a = int(rng.integers(model.n_actions))
             nxt = int(rng.integers(-1, model.n_states))
-            learner.stats[s][a].record_visit(rng.dirichlet(np.ones(model.d)),
-                                             nxt, float(rng.random()))
+            learner.visit(s, a, rng.dirichlet(np.ones(model.d)), nxt,
+                          float(rng.random()))
         return model, learner
 
     def _make_known(self, learner, pairs):
-        # pin a tiny uncertainty, writing through the views into the store
+        # pin a tiny uncertainty in the store
         for s, a in pairs:
-            learner.stats[s][a].v_bar[...] = 1e12 * np.eye(learner.d)
-            learner.stats[s][a].v_bar_inv[...] = 1e-12 * np.eye(learner.d)
+            learner.store.v_bar[s, a] = 1e12 * np.eye(learner.d)
+            learner.store.v_bar_inv[s, a] = 1e-12 * np.eye(learner.d)
+
+    def _pairs(self, learner):
+        return [[pair_stats(learner, s, a) for a in range(learner.n_actions)]
+                for s in range(learner.n_states)]
 
     def test_batched_norms_equal_per_pair_norms(self):
         model, learner = self._learner(visits=200)
@@ -616,11 +632,11 @@ class TestStackedStatistics:
         for c in rng.dirichlet(np.ones(model.d), size=20):
             batched = context_norms(learner.store.v_bar_inv, c)
             per_pair = np.array([[context_norm(st, c) for st in row]
-                                 for row in learner.stats])
+                                 for row in self._pairs(learner)])
             # the per-pair loop the batched expression replaced
             loop = np.array([
                 [math.sqrt(max(0.0, float(c @ st.v_bar_inv @ c)))
-                 for st in row] for row in learner.stats])
+                 for st in row] for row in self._pairs(learner)])
             np.testing.assert_allclose(batched, per_pair, rtol=1e-12)
             np.testing.assert_allclose(batched, loop, rtol=1e-12)
 
@@ -633,7 +649,7 @@ class TestStackedStatistics:
         scalar = sum(
             is_known(st, c, learner.l_min_eff, learner.b_star_cur, learner.m,
                      REF_CFG.delta, model.n_states, model.n_actions)
-            for row in learner.stats for st in row)
+            for row in self._pairs(learner) for st in row)
         assert scalar == 3
         n_pairs = model.n_states * model.n_actions
         assert record.known_fraction * n_pairs == pytest.approx(scalar)
@@ -651,17 +667,18 @@ class TestStackedStatistics:
                                          float(rng.random()))
             # the scalar test, after the visit, at the same m and b_star
             assert known == is_known(
-                learner.stats[s][a], c, learner.l_min_eff, learner.b_star_cur,
-                learner.m, REF_CFG.delta, model.n_states, model.n_actions)
+                pair_stats(learner, s, a), c, learner.l_min_eff,
+                learner.b_star_cur, learner.m, REF_CFG.delta, model.n_states,
+                model.n_actions)
             fresh = context_norms(learner.store.v_bar_inv, c)
             assert norms.tobytes() == fresh.tobytes()
-            assert norms[s, a] == context_norm(learner.stats[s][a], c)
+            assert norms[s, a] == context_norm(pair_stats(learner, s, a), c)
             bits.append(known)
         assert bits == [True, True, True, False, False, True]
         # the visit also brought the pair's estimates up to date
         est = learner.snapshot_estimates()
-        want = compute_pair_estimate(learner.stats[0][0], model.n_actions,
-                                     REF_CFG.delta)
+        want = compute_pair_estimate(pair_stats(learner, 0, 0),
+                                     model.n_actions, REF_CFG.delta)
         for got, w in zip((est.l_hat[0, 0], est.p_hat_raw[0, 0],
                            est.beta_loss[0, 0], est.beta_dyn[0, 0]), want):
             assert np.array_equal(got, w)
@@ -711,8 +728,37 @@ class TestStackedStatistics:
         for s in range(model.n_states):
             for a in range(model.n_actions):
                 want = optimistic_loss(c, est.l_hat[s, a], est.beta_loss[s, a],
-                                       context_norm(learner.stats[s][a], c))
+                                       context_norm(pair_stats(learner, s, a),
+                                                    c))
                 assert calls[0][s, a] == pytest.approx(want, rel=0, abs=1e-15)
+
+    def test_coverage_flag_matches_pair_loop(self):
+        model, learner = self._learner(visits=3000)
+        est = learner.snapshot_estimates()
+
+        def pair_loop(truth):
+            # the per-pair loop the two array expressions replaced
+            for s in range(model.n_states):
+                for a in range(model.n_actions):
+                    v_bar = learner.store.v_bar[s, a]
+                    dl = truth.loss_embed[s, a] - est.l_hat[s, a]
+                    if math.sqrt(dl @ v_bar @ dl) > est.beta_loss[s, a]:
+                        return False
+                    dp = truth.trans_embed[s, a] - est.p_hat[s, a]
+                    if math.sqrt(np.einsum("ij,jk,ik->", dp, v_bar, dp)) \
+                            > est.beta_dyn[s, a]:
+                        return False
+            return True
+
+        flags = []
+        for loss_shift, trans_scale in ((0, 1), (2.0, 1), (0, 30.0), (0, 3.0)):
+            truth = dataclasses.replace(
+                model, loss_embed=np.clip(model.loss_embed + loss_shift, 0, 1),
+                trans_embed=model.trans_embed * trans_scale)
+            learner.diagnostics_model = truth
+            flags.append(learner._coverage_ok())
+            assert flags[-1] == pair_loop(truth)
+        assert True in flags and False in flags
 
     def test_known_threshold_array_matches_scalar(self):
         beta = np.array([[0.5, 3.0], [40.0, 1e6]])
@@ -723,14 +769,14 @@ class TestStackedStatistics:
 
     def test_refresh_writes_inverse_in_place(self):
         model, learner = self._learner(visits=0)
-        stats = learner.stats[1][2]
+        stats = SaStatistics(model.d, model.n_states, REF_CFG.lam)
         rng = np.random.default_rng(2)
         for c in rng.dirichlet(np.ones(model.d), size=REFRESH_EVERY + 100):
+            learner.visit(1, 2, c, 0, 0.0)
             stats.record_visit(c, 0, 0.0)
-        assert stats.tau == REFRESH_EVERY + 100
-        assert np.shares_memory(stats.v_bar_inv, learner.store.v_bar_inv)
-        assert np.shares_memory(stats.v_bar, learner.store.v_bar)
-        np.testing.assert_allclose(stats.v_bar_inv, np.linalg.inv(stats.v_bar),
+        assert learner.store.tau[1, 2] == REFRESH_EVERY + 100
+        np.testing.assert_allclose(learner.store.v_bar_inv[1, 2],
+                                   np.linalg.inv(learner.store.v_bar[1, 2]),
                                    atol=1e-10)
         assert np.array_equal(learner.store.v_bar_inv[1, 2], stats.v_bar_inv)
 
@@ -740,23 +786,11 @@ class TestStackedStatistics:
         for name in ("l_hat", "p_hat_raw", "p_hat", "beta_loss", "beta_dyn"):
             with pytest.raises(ValueError):
                 getattr(est, name)[...] = 0.0
-        fresh = SaStatistics(model.d, model.n_states, REF_CFG.lam)
-        stats = learner.stats[3][1]
-        for name in ("v_bar", "v_bar_inv", "xty_loss", "xty_trans"):
-            getattr(fresh, name)[...] = getattr(stats, name)
-        fresh.tau = stats.tau
-        want = pair_estimate(fresh, model.n_actions, REF_CFG.delta)
+        want = pair_estimate(pair_stats(learner, 3, 1), model.n_actions,
+                             REF_CFG.delta)
         np.testing.assert_array_equal(est.l_hat[3, 1], want[0])
         np.testing.assert_array_equal(est.p_hat[3, 1], want[2])
         assert est.beta_dyn[3, 1] == want[4]
-
-    def test_plan_builds_optimistic_model_on_demand(self):
-        res = evi_plan(np.full((2, 1), 0.5), np.full((2, 1, 2), 0.25),
-                       np.zeros((2, 1)), b_cap=1e6, evi_tol=1e-10,
-                       evi_max_iter=10**5)
-        assert "optimistic_ssp" not in vars(res)
-        assert res.optimistic_ssp is res.optimistic_ssp
-        assert np.array_equal(res.optimistic_ssp.trans, res.opt_trans)
 
 
 @st.composite
@@ -787,17 +821,17 @@ class TestDeferredProjection:
         # that its L1 radius at a context falls below the bound
         model, learner = TestStackedStatistics()._learner(visits=visits)
         rng = np.random.default_rng(5)
-        stats = learner.stats[pumped[0]][pumped[1]]
         for c in rng.dirichlet(np.ones(model.d), size=pump):
-            stats.record_visit(c, int(rng.integers(model.n_states)),
-                               float(rng.random()))
+            learner.visit(*pumped, c, int(rng.integers(model.n_states)),
+                          float(rng.random()))
         return model, learner
 
     def _radius(self, learner, c):
-        beta = np.array([[dynamics_radius(pair.tau, pair.d, pair.n_states,
-                                          learner.n_actions, pair.lam,
-                                          REF_CFG.delta) for pair in row]
-                         for row in learner.stats])
+        store = learner.store
+        beta = np.array([[dynamics_radius(tau, store.d, store.n_states,
+                                          learner.n_actions, store.lam,
+                                          REF_CFG.delta) for tau in row]
+                         for row in store.tau])
         return beta * context_norms(learner.store.v_bar_inv, c)
 
     def _record_projections(self, monkeypatch, learner):
@@ -889,7 +923,7 @@ class TestDeferredProjection:
                                  for x in np.argwhere(visited & ~below)]
         for s in range(model.n_states):
             for a in range(model.n_actions):
-                want = pair_estimate(learner.stats[s][a],
+                want = pair_estimate(pair_stats(learner, s, a),
                                      model.n_actions, REF_CFG.delta)
                 got = (est.l_hat[s, a], est.p_hat_raw[s, a], est.p_hat[s, a],
                        est.beta_loss[s, a], est.beta_dyn[s, a])
@@ -897,15 +931,8 @@ class TestDeferredProjection:
                     assert np.array_equal(g, w)
 
     def test_unvisited_pairs_need_no_refresh(self, monkeypatch):
-        calls = []
-        refresh = Learner._refresh
-
-        def counting(self, *args):
-            calls.append(args)
-            return refresh(self, *args)
-
-        monkeypatch.setattr(Learner, "_refresh", counting)
         model, learner = TestStackedStatistics()._learner(visits=0)
+        calls = self._record_projections(monkeypatch, learner)
         fresh = SaStatistics(model.d, model.n_states, REF_CFG.lam)
         want = pair_estimate(fresh, model.n_actions, REF_CFG.delta)
         est = learner.snapshot_estimates()

@@ -85,6 +85,8 @@ class TestStackValidation:
         [0.5, 0.5 + 3e-9],  # sum above 1 by more than the tolerance
         [-2e-9, 1.0 + 2e-9],  # negative beyond the tolerance, sum fine
         [0.2, 0.3, 0.5],  # wrong dimension
+        [float("nan"), 1.0],  # non-finite, though no comparison fails
+        [float("inf"), 0.0],  # non-finite
     ])
     def test_bad_row_raises_the_per_row_message(self, bad):
         model = generate_instance(REF_SPEC)
