@@ -12,7 +12,6 @@ from .errors import (
 from .ssp import (
     GOAL,
     SspInstance,
-    bellman_backup,
     expected_hitting_time,
     is_proper,
     policy_evaluation,

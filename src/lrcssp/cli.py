@@ -17,68 +17,42 @@ from .harness import (
     aggregate_summaries,
     final_regret,
     generate_instance,
-    model_fingerprint,
-    model_from_dict,
-    model_to_dict,
+    read_model,
     read_summary,
     run_experiment,
-    validate_model,
+    write_model,
     _fmt,
 )
 
 
-def _load_config(path, out_override=None, seed_offset=0):
+def _load_config(args):
+    """The config with --out and --seed-offset applied, and the path of its
+    model file (os.path.join keeps an absolute model_file as it is)."""
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or text
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = ExperimentConfig.from_dict(raw)
-    if out_override:
-        cfg.out_dir = out_override
-    if seed_offset:
-        cfg.seeds = [s + seed_offset for s in cfg.seeds]
-    return cfg
-
-
-def _model_path(cfg):
-    path = cfg.model_file
-    if not os.path.isabs(path):
-        path = os.path.join(cfg.out_dir, path)
-    return path
+    if args.out:
+        cfg.out_dir = args.out
+    if args.seed_offset:
+        cfg.seeds = [s + args.seed_offset for s in cfg.seeds]
+    return cfg, os.path.join(cfg.out_dir, cfg.model_file)
 
 
 def cmd_gen(args):
-    cfg = _load_config(args.config, args.out, args.seed_offset)
-    model = generate_instance(cfg.generator)
-    violations = validate_model(model)
-    if violations:
-        raise ConfigError(f"generated model invalid: {violations[0]}")
+    cfg, path = _load_config(args)
+    # a generated model is valid by construction; run checks the file
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = _model_path(cfg)
-    payload = model_to_dict(model)
-    payload["fingerprint"] = model_fingerprint(model)
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    print(f"wrote {path} fingerprint={payload['fingerprint']}")
+    fingerprint = write_model(path, generate_instance(cfg.generator))
+    print(f"wrote {path} fingerprint={fingerprint}")
     return 0
 
 
 def cmd_run(args):
-    cfg = _load_config(args.config, args.out, args.seed_offset)
-    path = _model_path(cfg)
-    if not os.path.exists(path):
-        raise ConfigError(f"model file missing: {path} (run 'gen' first)")
-    with open(path) as fh:
-        payload = json.load(fh)
-    stored_fp = payload.pop("fingerprint", None)
-    model = model_from_dict(payload)
-    if stored_fp is not None and stored_fp != model_fingerprint(model):
-        raise ConfigError("model file fingerprint mismatch")
-    per_run, agg = run_experiment(cfg, model=model, jobs=args.jobs)
+    cfg, path = _load_config(args)
+    per_run, agg = run_experiment(cfg, model=read_model(path), jobs=args.jobs)
     for variant in sorted(agg):
         print(f"{variant}: final regret mean "
               f"{_fmt(agg[variant]['final_regret_mean'])} over "
@@ -176,10 +150,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LrcsspError as exc:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and config field check shared across the package."""
+
+import dataclasses
+import math
+import numbers
 
 
 class LrcsspError(Exception):
@@ -19,6 +23,28 @@ class StructuralError(LrcsspError):
 
 class ConfigError(LrcsspError):
     """Invalid configuration or generator specification."""
+
+
+def is_of_type(value, kind):
+    """isinstance for a field annotation; an int is any integral number and
+    a float any finite real one, but a bool is neither."""
+    if kind is int or kind is float:
+        return not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) if kind is int
+            else isinstance(value, numbers.Real) and math.isfinite(value))
+    return isinstance(value, kind)
+
+
+def check_field_types(obj):
+    """Raise a ConfigError naming the first field of the dataclass obj whose
+    value is not of its annotated type; a field whose default is None may
+    hold None."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not (value is None and f.default is None
+                or is_of_type(value, f.type)):
+            raise ConfigError(f"{type(obj).__name__}.{f.name} must be of "
+                              f"type {f.type.__name__}, got {value!r}")
 
 
 class NonConvergenceError(LrcsspError):

@@ -14,8 +14,11 @@ from . import learner as learner_mod
 from .errors import (
     ConfigError,
     ImproperPolicyError,
+    LrcsspError,
     NonConvergenceError,
     StructuralError,
+    check_field_types,
+    is_of_type,
 )
 from .linear_model import (
     GeneratorSpec,
@@ -154,8 +157,7 @@ def hpe_diagnostics(run_log, oracle, delta):
 
 def baseline_context_blind(cfg, model, contexts, seed=0):
     """Same learner, but estimation/planning always sees the uniform context."""
-    uniform = np.full(model.d, 1.0 / model.d)
-    perceived = [uniform] * len(contexts)
+    perceived = np.full((len(contexts), model.d), 1.0 / model.d)
     return learner_mod.run(cfg, model, contexts, seed=seed,
                            perceived_contexts=perceived)
 
@@ -164,78 +166,65 @@ def baseline_context_blind(cfg, model, contexts, seed=0):
 # experiment configuration and artifacts
 
 
-_LEARNER_KEYS = {f.name for f in dataclasses.fields(learner_mod.LearnerConfig)}
-_GENERATOR_KEYS = {f.name for f in dataclasses.fields(GeneratorSpec)}
-_CONTEXT_KEYS = {"kind", "K", "c0"}
-_TOP_KEYS = {"generator", "contexts", "learner", "seeds", "out_dir",
-             "baseline_context_blind", "oracle_informed", "model_file"}
+@dataclass(frozen=True)
+class ContextSpec:
+    """A config's contexts: K of one kind, all c0 for `fixed`."""
+
+    kind: str
+    K: int
+    c0: list = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        # `adaptive` needs a callback, which a config cannot give
+        if self.kind not in ("uniform", "cyclic_vertices", "fixed"):
+            raise ConfigError(f"unknown context kind {self.kind!r}")
+        if self.K < 1:
+            raise ConfigError("contexts.K must be >= 1")
+        if self.kind == "fixed" and self.c0 is None:
+            raise ConfigError("contexts of kind 'fixed' need 'c0'")
 
 
 @dataclass
 class ExperimentConfig:
+    """A config file; mutable, as --out and --seed-offset set fields."""
+
     generator: GeneratorSpec
-    context_kind: str
-    K: int
+    contexts: ContextSpec
     learner: learner_mod.LearnerConfig
-    seeds: list
-    out_dir: str
+    seeds: list = dataclasses.field(default_factory=lambda: [0])
+    out_dir: str = "out"
     baseline_context_blind: bool = False
     oracle_informed: bool = False
     model_file: str = "model.json"
-    c0: list = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not all(is_of_type(s, int) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        if self.contexts.c0 is not None:
+            try:
+                validate_context(self.contexts.c0, self.generator.d)
+            except (StructuralError, TypeError, ValueError) as exc:
+                raise ConfigError(f"contexts.c0 rejected: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw):
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for section, allowed in (("generator", _GENERATOR_KEYS),
-                                 ("contexts", _CONTEXT_KEYS),
-                                 ("learner", _LEARNER_KEYS)):
-            if section not in raw:
-                raise ConfigError(f"missing config section {section!r}")
-            bad = set(raw[section]) - allowed
-            if bad:
-                raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
-        ctx = raw["contexts"]
-        if "kind" not in ctx or "K" not in ctx:
-            raise ConfigError("contexts section needs 'kind' and 'K'")
-        generator = GeneratorSpec(**raw["generator"])
-        c0 = ctx.get("c0")
-        if c0 is None and ctx["kind"] == "fixed":
-            raise ConfigError("contexts of kind 'fixed' need 'c0'")
-        if c0 is not None:
-            try:
-                validate_context(c0, generator.d)
-            except (StructuralError, TypeError, ValueError) as exc:
-                raise ConfigError(f"contexts.c0 rejected: {exc}") from None
-        return cls(
-            generator=generator,
-            context_kind=ctx["kind"],
-            K=int(ctx["K"]),
-            c0=c0,
-            learner=learner_mod.LearnerConfig(**raw["learner"]),
-            seeds=[int(s) for s in raw.get("seeds", [0])],
-            out_dir=str(raw.get("out_dir", "out")),
-            baseline_context_blind=bool(raw.get("baseline_context_blind", False)),
-            oracle_informed=bool(raw.get("oracle_informed", False)),
-            model_file=str(raw.get("model_file", "model.json")),
-        )
+        """Parse a config; any bad key, type or value is one ConfigError
+        (KeyError: a missing section; TypeError: an unknown or missing key)."""
+        try:
+            return cls(**dict(
+                raw, generator=GeneratorSpec(**raw["generator"]),
+                contexts=ContextSpec(**raw["contexts"]),
+                learner=learner_mod.LearnerConfig(**raw["learner"])))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"config rejected: {exc!r}") from None
 
     def to_canonical_dict(self):
-        """Documented canonical key order for round-tripping."""
-        out = {
-            "generator": dataclasses.asdict(self.generator),
-            "contexts": {"kind": self.context_kind, "K": self.K},
-            "learner": dataclasses.asdict(self.learner),
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-            "baseline_context_blind": self.baseline_context_blind,
-            "oracle_informed": self.oracle_informed,
-            "model_file": self.model_file,
-        }
-        if self.c0 is not None:
-            out["contexts"]["c0"] = list(self.c0)
+        """The config as from_dict reads it, keys in documented order."""
+        out = dataclasses.asdict(self)
+        if self.contexts.c0 is None:
+            del out["contexts"]["c0"]
         return out
 
 
@@ -270,6 +259,32 @@ def model_from_dict(payload):
 def model_fingerprint(model):
     blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def write_model(path, model):
+    """Store the model with its fingerprint; returns the fingerprint."""
+    payload = dict(model_to_dict(model), fingerprint=model_fingerprint(model))
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(payload) + "\n")
+    return payload["fingerprint"]
+
+
+def read_model(path):
+    """The model stored at path; a malformed file raises a ConfigError
+    naming it."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        stored_fp = payload.pop("fingerprint", None)
+        model = model_from_dict(payload)
+        if stored_fp not in (None, model_fingerprint(model)):
+            raise ConfigError("fingerprint mismatch")
+    except FileNotFoundError:
+        raise ConfigError(f"model file missing: {path} (run 'gen' first)")
+    except (LrcsspError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(f"model file {path} rejected: {exc!r}") from None
+    return model
 
 
 def _fmt(x):
@@ -362,14 +377,14 @@ def _context_rng_seed(master_seed, seed):
 
 def build_contexts(cfg, seed):
     rng = np.random.default_rng(_context_rng_seed(cfg.generator.seed, seed))
-    return context_sequence(cfg.context_kind, cfg.K, cfg.generator.d,
-                            rng=rng, c0=cfg.c0)
+    spec = cfg.contexts
+    return context_sequence(spec.kind, spec.K, cfg.generator.d, rng=rng,
+                            c0=spec.c0)
 
 
 def _run_seed(args):
     """Every variant of one seed, sharing its contexts and exact oracle."""
-    cfg, model_payload, seed, variants, out_dir = args
-    model = model_from_dict(model_payload)
+    cfg, model, seed, variants, out_dir = args
     contexts = build_contexts(cfg, seed)
     oracle = oracle_values(model, contexts)
     lcfg = cfg.learner
@@ -431,14 +446,13 @@ def run_experiment(cfg, model=None, jobs=1):
     if violations:
         raise ConfigError(f"model invalid: {violations[0]}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    model_payload = model_to_dict(model)
     with open(os.path.join(cfg.out_dir, "config.json"), "w", newline="") as fh:
         json.dump(cfg.to_canonical_dict(), fh, indent=1)
         fh.write("\n")
     variants = ["lrcssp"]
     if cfg.baseline_context_blind:
         variants.append("context_blind")
-    tasks = [(cfg, model_payload, seed, variants, cfg.out_dir)
+    tasks = [(cfg, model, seed, variants, cfg.out_dir)
              for seed in cfg.seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimation
-from .errors import ConfigError, ProjectionError
-from .linear_model import AdaptiveContexts, validate_context
+from .errors import ConfigError, ProjectionError, check_field_types
+from .linear_model import AdaptiveContexts, validate_contexts
 from .ssp import GOAL
 
 
@@ -41,6 +41,7 @@ class LearnerConfig:
     episode_step_cap: int = 10**6
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.delta < 1:
             raise ConfigError("delta must lie in (0, 1)")
         if self.lam < 1:
@@ -373,11 +374,11 @@ class _EpisodeSampler:
 
 
 def run(cfg, model, contexts, seed=0, perceived_contexts=None,
-        diagnostics_model=None, init_states=None, n_episodes=None):
+        diagnostics_model=None, init_states=None):
     """Full interaction over the given context sequence.
 
-    contexts may be a concrete sequence or an AdaptiveContexts provider
-    (then n_episodes is required and the callback sees episode history).
+    contexts may be K contexts, checked as one (K, d) array before the first
+    step, or an AdaptiveContexts provider (its callback sees the history).
     perceived_contexts : optional parallel sequence fed to estimation and
         planning instead of the true contexts (context-blind baseline)
     diagnostics_model  : optional ground truth; fills per-interval coverage
@@ -387,18 +388,20 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
     Deterministic given (seed, cfg, model, contexts).
     """
     adaptive = isinstance(contexts, AdaptiveContexts)
-    K = n_episodes if adaptive else len(contexts)
-    if adaptive and K is None:
-        raise ConfigError("adaptive contexts need an explicit n_episodes")
+    if not adaptive:
+        contexts = validate_contexts(contexts, model.d)
+    K = contexts.K if adaptive else len(contexts)
     if init_states is not None and (
             len(init_states) != K
             or not all(isinstance(s, (int, np.integer))
                        and 0 <= s < model.n_states for s in init_states)):
         raise ConfigError(
             f"init_states must be {K} state indices in [0, {model.n_states})")
-    if perceived_contexts is not None and len(perceived_contexts) != K:
-        raise ConfigError(
-            f"perceived_contexts must have {K} entries, one per episode")
+    if perceived_contexts is not None:
+        perceived_contexts = validate_contexts(perceived_contexts, model.d)
+        if len(perceived_contexts) != K:
+            raise ConfigError(
+                f"perceived_contexts must have {K} entries, one per episode")
     if cfg.l_min == 0:
         eps = (cfg.epsilon_perturb if cfg.epsilon_perturb is not None
                else auto_epsilon(model.n_states, model.d, model.n_actions, K))
@@ -415,10 +418,9 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
     unknown_counts = np.zeros((model.n_states, model.n_actions), dtype=int)
 
     for k in range(K):
-        c_true = (contexts.next_context() if adaptive
-                  else validate_context(contexts[k], model.d))
-        c_seen = (validate_context(perceived_contexts[k], model.d)
-                  if perceived_contexts is not None else c_true)
+        c_true = contexts.next_context() if adaptive else contexts[k]
+        c_seen = (perceived_contexts[k] if perceived_contexts is not None
+                  else c_true)
         log = EpisodeLog(episode=k, context=c_true)
         trigger = "start" if k == 0 else "goal"
         record = learner.start_interval(c_seen, k, trigger)

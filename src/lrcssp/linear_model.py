@@ -11,7 +11,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, StructuralError
+from .errors import (ConfigError, ProtocolError, StructuralError,
+                     check_field_types)
 from .ssp import SspInstance
 
 SIMPLEX_TOL = 1e-9
@@ -22,16 +23,21 @@ def validate_context(c, d=None):
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise StructuralError(f"context must be a vector, got shape {c.shape}")
-    _check_context_rows(c[None], d)
+    validate_contexts(c[None], d)
     return c
 
 
-def _check_context_rows(rows, d):
-    """validate_context's checks over a (K, d) stack, in one array pass.
-
-    Raises the error validate_context would raise for the first row that
-    fails, with that row in the error's index.
-    """
+def validate_contexts(contexts, d=None):
+    """Return a sequence of contexts as a (K, d) float array, or raise the
+    error validate_context raises for the first row that fails, with that
+    row in the error's index.  One array pass over all rows."""
+    try:
+        rows = np.asarray(contexts, dtype=float)
+    except ValueError as exc:  # a ragged sequence, or not numbers
+        raise StructuralError(f"contexts must form a (K, d) array: {exc}")
+    if rows.ndim != 2:
+        raise StructuralError(
+            f"contexts must form a (K, d) array, got shape {rows.shape}")
     if d is not None and rows.shape[1] != d:
         raise StructuralError(
             f"context dimension {rows.shape[1]} != model d {d}", 0)
@@ -48,6 +54,7 @@ def _check_context_rows(rows, d):
             raise StructuralError("context entries must be non-negative", k)
         raise StructuralError(
             f"context entries must sum to 1, got {sums[k]:.12f}", k)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,10 @@ def validate_model(model):
     """All invariant violations of a model; an empty list means valid."""
     out = []
     le, te = model.loss_embed, model.trans_embed
+    for name, embed in (("loss_embed", le), ("trans_embed", te)):
+        for idx in zip(*np.nonzero(~np.isfinite(embed))):
+            out.append(Violation("non_finite", (name, *map(int, idx)),
+                                 float(embed[idx])))
     for idx in zip(*np.nonzero((le < 0) | (le > 1))):
         out.append(Violation("loss_embed_range", tuple(int(i) for i in idx),
                              float(le[idx])))
@@ -131,7 +142,7 @@ def induce_ssp(model, c):
     instances selected by a (K, d) array (or list) of contexts."""
     c = np.asarray(c, dtype=float)
     if c.ndim == 2:
-        _check_context_rows(c, model.d)
+        validate_contexts(c, model.d)
     else:
         validate_context(c, model.d)
     # one (rows, d) @ (d, 1) product per instance and state (and action):
@@ -159,6 +170,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.d < 1 or self.n_states < 1 or self.n_actions < 1:
             raise ConfigError("d, n_states, n_actions must be positive")
         if not 0 < self.gamma_goal <= 1:
@@ -203,12 +215,13 @@ def generate_trap_instance(spec):
 
 @dataclass
 class AdaptiveContexts:
-    """Adversary hook: callback(history) -> next context.
+    """Adversary hook for K episodes: callback(history) -> next context.
 
     history is the list of completed episode records maintained by the run
     loop; each emitted context is validated before use.
     """
 
+    K: int
     d: int
     callback: Callable[[list], np.ndarray]
     history: list = field(default_factory=list)
@@ -225,24 +238,23 @@ class AdaptiveContexts:
 
 
 def context_sequence(kind, K, d, rng=None, c0=None, callback=None):
-    """Sequence of K contexts, or an AdaptiveContexts provider.
+    """(K, d) array of K contexts, or an AdaptiveContexts provider.
 
     kind: "uniform" (symmetric Dirichlet(1)), "cyclic_vertices", "fixed",
-    or "adaptive" (returns the provider instead of a list).
+    or "adaptive" (returns the provider instead of an array).
     """
     if K < 1:
         raise ConfigError("K must be >= 1")
     if kind == "uniform":
         if rng is None:
             raise ConfigError("uniform contexts need an rng")
-        return [validate_context(c, d) for c in rng.dirichlet(np.ones(d), size=K)]
+        return validate_contexts(rng.dirichlet(np.ones(d), size=K), d)
     if kind == "cyclic_vertices":
-        return [np.eye(d)[k % d] for k in range(K)]
+        return np.eye(d)[np.arange(K) % d]
     if kind == "fixed":
-        c0 = validate_context(c0, d)
-        return [c0.copy() for _ in range(K)]
+        return np.tile(validate_context(c0, d), (K, 1))
     if kind == "adaptive":
         if callback is None:
             raise ConfigError("adaptive contexts need a callback")
-        return AdaptiveContexts(d, callback)
+        return AdaptiveContexts(K, d, callback)
     raise ConfigError(f"unknown context kind {kind!r}")

@@ -90,16 +90,6 @@ def _check_policy(ssp, policy):
     return policy
 
 
-def _check_values(ssp, v):
-    v = np.asarray(v, dtype=float)
-    if v.shape != ssp.loss.shape[:-1]:
-        raise StructuralError(
-            f"value function must have shape {ssp.loss.shape[:-1]}, "
-            f"got {v.shape}"
-        )
-    return v
-
-
 def _lookahead(loss, trans, v):
     """Q-values loss + trans @ v of an instance or a stack; the goal
     contributes 0.  The one Bellman lookahead.
@@ -110,18 +100,14 @@ def _lookahead(loss, trans, v):
     return loss + (trans @ v[..., None, :, None])[..., 0]
 
 
-def bellman_backup(v, ssp):
-    """One optimal Bellman backup: v'(s) = min_a [loss + sum trans * v]."""
-    return _lookahead(ssp.loss, ssp.trans, _check_values(ssp, v)).min(axis=-1)
-
-
 def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     """Solve the Bellman optimality equations from the zero function.
 
-    Returns (v, policy) where ||v - bellman_backup(v)||_inf <= tol and
-    policy is greedy for v, ties broken by lowest action index.  Raises
-    NonConvergenceError if the residual is still above tol after max_iter
-    sweeps (e.g. zero-loss loops).
+    Returns (v, policy) where ||v - T v||_inf <= tol for the optimal
+    Bellman backup T v = min_a [loss + trans @ v], and policy is greedy for
+    v, ties broken by lowest action index.  Raises NonConvergenceError if
+    the residual is still above tol after max_iter sweeps (e.g. zero-loss
+    loops).
 
     On a stack each instance stops at its own first sweep whose residual is
     at most tol and keeps that sweep's input v; only the instances still

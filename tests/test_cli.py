@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,77 @@ class TestRun:
         a = (tmp_path / "a" / "lrcssp" / "seed_1" / "regret.csv").read_bytes()
         b = (tmp_path / "b" / "lrcssp" / "seed_1" / "regret.csv").read_bytes()
         assert a == b
+
+
+MISSING = object()
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with a config error naming the field or the
+    model file, never 1, and before run writes any artifact."""
+
+    @pytest.mark.parametrize("section, key, value, names", [
+        ("generator", "d", MISSING, "'d'"),
+        ("generator", "d", 2.5, "GeneratorSpec.d"),
+        ("contexts", "K", "abc", "ContextSpec.K"),
+        ("contexts", "K", 5.0, "ContextSpec.K"),
+        ("contexts", "K", "5", "ContextSpec.K"),
+        ("contexts", "K", True, "ContextSpec.K"),
+        ("contexts", "K", 0, "contexts.K"),
+        ("contexts", "kind", "bogus", "'bogus'"),
+        ("contexts", "kind", "adaptive", "'adaptive'"),
+        ("learner", "delta", "x", "LearnerConfig.delta"),
+        ("learner", "lam", float("nan"), "LearnerConfig.lam"),
+        ("learner", "evi_max_iter", 2.5, "LearnerConfig.evi_max_iter"),
+        (None, "seeds", "ab", "ExperimentConfig.seeds"),
+        (None, "seeds", [0, 1.5], "seeds"),
+        (None, "baseline_context_blind", 1,
+         "ExperimentConfig.baseline_context_blind"),
+        (None, "out_dir", 3, "ExperimentConfig.out_dir"),
+        (None, "bogus", 1, "'bogus'"),
+        (None, "learner", MISSING, "'learner'"),
+    ])
+    def test_config(self, tmp_path, capsys, section, key, value, names):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["out_dir"] = str(tmp_path / "out")
+        target = raw if section is None else raw[section]
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["gen", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and names in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("corrupt, names", [
+        (lambda p: "{not json", None),
+        (lambda p: {k: v for k, v in p.items() if k != "d"}, None),
+        (lambda p: dict(p, loss_embed=p["loss_embed"][:-1]), None),
+        (lambda p: dict(p, s_init=9), None),
+        (lambda p: dict(p, loss_noise="x"), None),
+        (lambda p: dict(p, loss_embed=[float("nan")] + p["loss_embed"][1:]),
+         "non_finite at ('loss_embed', 0, 0, 0)"),
+    ], ids=["invalid_json", "missing_d", "short_loss_embed", "s_init_9",
+            "loss_noise_x", "nan_loss_embed"])
+    def test_model_file(self, tmp_path, capsys, corrupt, names):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", cfg]) == 0
+        path = tmp_path / "out" / "model.json"
+        payload = json.loads(path.read_text())
+        del payload["fingerprint"]  # each case reaches its own check
+        bad = corrupt(payload)
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["run", "--config", cfg]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and (names or str(path)) in err
+        assert not (tmp_path / "out" / "config.json").exists()
 
 
 class TestReport:

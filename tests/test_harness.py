@@ -41,7 +41,7 @@ from lrcssp.linear_model import (
     induce_ssp,
     validate_context,
 )
-from lrcssp.ssp import bellman_backup
+from test_ssp import bellman_backup
 
 
 REF_SPEC = GeneratorSpec(d=2, n_states=5, n_actions=3, gamma_goal=0.1,
@@ -451,6 +451,23 @@ class TestRunExperiment:
             b = (tmp_path / "par" / "out" / "lrcssp" / f"seed_{seed}"
                  / "regret.csv").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("informed", [True, False])
+    def test_oracle_informed_starts_from_b_star_emp(self, tmp_path,
+                                                    informed):
+        # the first plan reads zero statistics, so it cannot double: the
+        # first interval runs at the initial bound itself
+        cfg = self._cfg(tmp_path, seeds=(0, 1))
+        cfg.oracle_informed = informed
+        run_experiment(cfg)
+        for seed in (0, 1):
+            run_dir = tmp_path / "out" / "lrcssp" / f"seed_{seed}"
+            b_emp = float(read_summary(run_dir / "summary.txt")["b_star_emp"])
+            assert b_emp > 1.0  # else the flag could not move the bound
+            first = json.loads(
+                (run_dir / "events.jsonl").read_text().splitlines()[0])
+            want = max(1.0, b_emp) if informed else 1.0
+            assert first["b_star_cur"] == pytest.approx(want, rel=1e-8)
 
     def test_context_stream_independent_of_run_seed(self):
         cfg_raw = {

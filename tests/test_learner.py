@@ -23,6 +23,7 @@ from lrcssp.learner import (
     EviResult,
     Learner,
     LearnerConfig,
+    _EpisodeSampler,
     _evi_backup,
     auto_epsilon,
     evi_plan,
@@ -529,17 +530,9 @@ class TestRun:
             return np.full(model.d, 1.0 / model.d)
 
         provider = context_sequence("adaptive", 8, model.d, callback=cb)
-        log = run(REF_CFG, model, provider, seed=3, n_episodes=8)
+        log = run(REF_CFG, model, provider, seed=3)
         assert len(log.episodes) == 8
         assert calls == list(range(8))
-
-    def test_adaptive_requires_n_episodes(self):
-        model = generate_instance(REF_SPEC)
-        provider = context_sequence(
-            "adaptive", 8, model.d,
-            callback=lambda h: np.full(model.d, 1.0 / model.d))
-        with pytest.raises(ConfigError):
-            run(REF_CFG, model, provider, seed=3)
 
     def test_perceived_contexts_change_learning_not_environment(self):
         model = generate_instance(REF_SPEC)
@@ -579,6 +572,40 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(REF_CFG, model, contexts, seed=3,
                 perceived_contexts=contexts[:3])
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        steps = []
+        step = _EpisodeSampler.step
+
+        def counting_step(self, *args):
+            steps.append(args)
+            return step(self, *args)
+
+        monkeypatch.setattr(_EpisodeSampler, "step", counting_step)
+        return steps
+
+    @pytest.mark.parametrize("which", ["contexts", "perceived_contexts"])
+    def test_bad_context_row_raises_before_first_step(self, monkeypatch,
+                                                      which):
+        # the whole sequence is checked once, so row 3 is rejected, with
+        # its index, before episode 0 takes a step
+        model = generate_instance(REF_SPEC)
+        good = [np.full(model.d, 1.0 / model.d)] * 5
+        bad = list(good)
+        bad[3] = np.array([0.9, 0.9])
+        steps = self.count_steps(monkeypatch)
+        with pytest.raises(StructuralError) as exc:
+            run(REF_CFG, model, seed=3, **{"contexts": good, which: bad})
+        assert exc.value.index == 3 and "sum to 1" in str(exc.value)
+        assert steps == []
+
+    def test_ragged_contexts_raise_before_first_step(self, monkeypatch):
+        model = generate_instance(REF_SPEC)
+        steps = self.count_steps(monkeypatch)
+        with pytest.raises(StructuralError, match=r"\(K, d\) array"):
+            run(REF_CFG, model, [[0.5, 0.5], [1.0]], seed=3)
+        assert steps == []
 
     def test_truncation_counted(self):
         cfg = LearnerConfig(delta=0.1, l_min=0.1, episode_step_cap=1)

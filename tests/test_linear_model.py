@@ -255,6 +255,19 @@ class TestValidateModel:
         object.__setattr__(bad, "noise_width", 0.0)
         assert any(v.kind == "column_mass" for v in validate_model(bad))
 
+    @pytest.mark.parametrize("name", ["loss_embed", "trans_embed"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_flags_non_finite(self, name, value):
+        # NaN passes every range comparison, so it needs its own check
+        model = generate_instance(REF_SPEC)
+        embeds = {"loss_embed": model.loss_embed.copy(),
+                  "trans_embed": model.trans_embed.copy()}
+        embeds[name][(0, 1) + (0,) * (embeds[name].ndim - 2)] = value
+        vs = validate_model(LinearCsspModel(**embeds))
+        assert vs and vs[0].kind == "non_finite"
+        assert vs[0].location[:3] == (name, 0, 1)
+        assert validate_model(model) == []
+
 
 class TestContextSequences:
     def test_uniform_on_simplex(self):
@@ -262,6 +275,13 @@ class TestContextSequences:
         assert len(cs) == 100
         for c in cs:
             assert abs(c.sum() - 1) <= 1e-9 and np.all(c >= 0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "cyclic_vertices", "fixed"])
+    def test_one_float_array(self, kind):
+        cs = context_sequence(kind, 7, 3, rng=np.random.default_rng(0),
+                              c0=[0.2, 0.3, 0.5])
+        assert isinstance(cs, np.ndarray)
+        assert cs.shape == (7, 3) and cs.dtype == float
 
     def test_cyclic_vertices(self):
         cs = context_sequence("cyclic_vertices", 5, 2)
@@ -284,7 +304,7 @@ class TestContextSequences:
             return np.eye(2)[len(history) % 2]
 
         provider = context_sequence("adaptive", 4, 2, callback=cb)
-        assert isinstance(provider, AdaptiveContexts)
+        assert isinstance(provider, AdaptiveContexts) and provider.K == 4
         c0 = provider.next_context()
         provider.record({"episode": 0})
         c1 = provider.next_context()

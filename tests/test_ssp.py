@@ -6,12 +6,23 @@ import pytest
 from lrcssp.errors import ImproperPolicyError, NonConvergenceError, StructuralError
 from lrcssp.ssp import (
     SspInstance,
-    bellman_backup,
+    _lookahead,
     expected_hitting_time,
     is_proper,
     policy_evaluation,
     value_iteration,
 )
+
+
+def bellman_backup(v, ssp):
+    """Oracle: one optimal Bellman backup v'(s) = min_a [loss + trans @ v]
+    of an instance or a stack, through value_iteration's lookahead."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != ssp.loss.shape[:-1]:
+        raise StructuralError(
+            f"value function must have shape {ssp.loss.shape[:-1]}, "
+            f"got {v.shape}")
+    return _lookahead(ssp.loss, ssp.trans, v).min(axis=-1)
 
 
 def make_random_ssp(rng, n_states, n_actions, min_goal_mass=0.1):
