@@ -202,6 +202,11 @@ class ExperimentConfig:
         check_field_types(self)
         if not all(is_of_type(s, int) for s in self.seeds):
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        # each seed names one run directory, and the summary counts runs
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(
+                f"seeds must be a non-empty list of distinct integers, got "
+                f"{self.seeds!r}")
         if self.contexts.c0 is not None:
             try:
                 validate_context(self.contexts.c0, self.generator.d)

@@ -4,6 +4,12 @@ Planning runs extended value iteration: each backup jointly minimizes over
 actions, over loss vectors in the per-pair ellipsoid (closed form by
 Cauchy-Schwarz), and over next-state distributions in an L1 ball around the
 projected estimate, with freed mass absorbed by the zero-value goal.
+
+A plan whose L1 radii all empty their rows is state-separable: each state's
+value and action depend on its own optimistic losses only.  While the
+context stays the same and a visit moves one pair whose row stays empty,
+the learner replans that one row in place of a full plan (see
+docs/regimes.md, "What a replan costs").
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +60,8 @@ class LearnerConfig:
             raise ConfigError("b_star_init must be >= 1")
         if self.evi_tol <= 0:
             raise ConfigError("evi_tol must be positive")
+        if self.evi_max_iter < 1:
+            raise ConfigError("evi_max_iter must be >= 1")
 
 
 def auto_epsilon(n_states, d, n_actions, K):
@@ -87,6 +95,31 @@ def _evi_backup(opt_loss, p_ctx, r, v):
     return opt_loss + q_ord @ v[order], order, q_ord
 
 
+def _emptied_rows(opt_loss, b_cap):
+    """Values and greedy actions of states whose optimistic rows are all
+    empty; opt_loss is (S, A), or one state's (A,) row.
+
+    An emptied row backs up to opt_loss + 0 @ v = opt_loss + 0.0 (which
+    turns -0.0 into +0.0) whatever v is, so each state's value is
+    clip(min_a opt_loss, 0, b_cap) and depends on its own row only.
+    """
+    q_vals = opt_loss + 0.0
+    return q_vals.min(axis=-1).clip(0.0, b_cap), q_vals.argmin(axis=-1)
+
+
+def _emptied_sweeps(values, evi_tol, evi_max_iter):
+    """Residual and sweep count of the EVI loop when every sweep lands on
+    values: the first moves v from zero by max v and stops there within
+    evi_tol or the budget; otherwise a second confirms values, residual 0.
+    """
+    if evi_max_iter < 1:
+        return np.inf, 0
+    top = float(values.max())
+    if top <= evi_tol or evi_max_iter == 1:
+        return top, 1
+    return 0.0, 2
+
+
 def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     """Extended value iteration over per-pair confidence sets.
 
@@ -98,40 +131,37 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     [0, b_cap]; non-convergence is flagged, not raised.
 
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
-    is empty and the backup is opt_loss + 0 @ v = opt_loss + 0.0 (which
-    turns -0.0 into +0.0) whatever v is.  The plan then skips the inner
-    step and p_ctx: every sweep lands on the same values, so the loop stops
-    after one sweep (residual max v) or confirms them in a second (residual
-    0), with the results the full backup gives bit for bit.
+    is empty and every sweep lands on the same values (_emptied_rows).  The
+    plan then skips the loop and p_ctx, and reports the residual and sweep
+    count the loop would (_emptied_sweeps), with the results the full
+    backup gives bit for bit.  Learner.start_interval applies the same two
+    helpers to the one row a visit moves.
     """
+    if radius.min() >= ROW_EMPTYING_RADIUS:
+        values, policy = _emptied_rows(opt_loss, b_cap)
+        residual, iterations = _emptied_sweeps(values, evi_tol, evi_max_iter)
+        if not iterations:
+            values = np.zeros_like(values)
+        return EviResult(policy, opt_loss,
+                         np.zeros(opt_loss.shape + opt_loss.shape[:1]),
+                         values, residual, residual <= evi_tol, iterations)
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
     iterations = 0
-    emptied = radius.min() >= ROW_EMPTYING_RADIUS
-    if emptied:
-        q_vals = opt_loss + 0.0
-        w_emptied = np.clip(q_vals.min(axis=1), 0.0, b_cap)
     r = radius[:, :, None]
     for iterations in range(1, evi_max_iter + 1):
-        if emptied:
-            w = w_emptied
-        else:
-            q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
-            w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
+        q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
+        w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
         residual = float(np.abs(w - v).max())
         v = w
         if residual <= evi_tol:
             break
-    converged = residual <= evi_tol
-    if emptied:
-        q_trans = np.zeros(opt_loss.shape + opt_loss.shape[:1])
-    else:
-        # final optimistic model and greedy policy under the converged values
-        q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
-        q_trans = np.empty_like(p_ctx)
-        q_trans[:, :, order] = q_ord
+    # final optimistic model and greedy policy under the converged values
+    q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
+    q_trans = np.empty_like(p_ctx)
+    q_trans[:, :, order] = q_ord
     return EviResult(q_vals.argmin(axis=1), opt_loss, q_trans, v, residual,
-                     converged, iterations)
+                     residual <= evi_tol, iterations)
 
 
 @dataclass
@@ -231,6 +261,15 @@ class Learner:
         self._estimates = estimation.Estimates(*(
             _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
                                     self._beta_l, self._beta_p)))
+        # the (S, A) context norms of the current statistics at the context
+        # whose bytes are _norms_key (visits keep them current); the last
+        # plan's (opt_loss, values) while it emptied every row at that
+        # context; and the pair visited since that plan (None before any
+        # visit, False once a second pair moved)
+        self._norms = None
+        self._norms_key = None
+        self._plan = None
+        self._moved = None
 
     def snapshot_estimates(self, norms=None):
         """Current Estimates over all pairs, projecting p_hat where it lags.
@@ -260,15 +299,32 @@ class Learner:
             self._projected_tau[s, a] = tau[s, a]
         return self._estimates
 
+    def _norms_at(self, c, moved=None):
+        """The (S, A) context norms at c of the current statistics.
+
+        Kept across calls at the same context (the same bytes): then only
+        the pair `moved`, whose statistics changed since, gets a new norm,
+        which equals the stacked one bit for bit.  A new context computes
+        every norm and drops the kept plan.
+        """
+        key = np.asarray(c, dtype=float).tobytes()
+        if key != self._norms_key:
+            self._norms = estimation.context_norms(self.store.v_bar_inv, c)
+            self._norms_key = key
+            self._plan = None
+        elif moved is not None:
+            self._norms[moved] = estimation.context_norms(
+                self.store.v_bar_inv[moved], c)
+        return self._norms
+
     def visit(self, s, a, c, next_state, loss):
         """Fold one observed step at (s, a) into the statistics and test it.
 
         The only path that moves a pair's statistics: it refreshes the
-        pair's l_hat, p_hat_raw and both radii, and computes the (S, A)
-        context norms at c once.  Returns the paper's known test for the
-        pair at c (its norm below known_threshold at the pair's new radius,
-        the current interval m and b_star_cur), and the norms, which the
-        next start_interval at c may reuse.
+        pair's l_hat, p_hat_raw, both radii and its context norm at c (every
+        pair's when c is not the context of the kept norms).  Returns the
+        paper's known test for the pair at c: its norm below known_threshold
+        at the pair's new radius, the current interval m and b_star_cur.
         """
         store = self.store
         store.record_visit(c, next_state, loss, (s, a))
@@ -280,11 +336,12 @@ class Learner:
                 self.cfg.delta)
         self._beta_l[s, a] = estimation.loss_radius(tau, *dims)
         self._beta_p[s, a] = estimation.dynamics_radius(tau, *dims)
-        norms = estimation.context_norms(store.v_bar_inv, c)
+        norm = self._norms_at(c, (s, a))[s, a]
+        self._moved = (s, a) if self._moved in (None, (s, a)) else False
         threshold = estimation.known_threshold(
             self._beta_p[s, a], self.l_min_eff, self.b_star_cur, self.m,
             self.cfg.delta)
-        return bool(norms[s, a] < threshold), norms
+        return bool(norm < threshold)
 
     def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
@@ -299,17 +356,44 @@ class Learner:
             or np.any(np.sqrt(np.einsum("sari,saij,sarj->sa", dp, v_bar, dp))
                       > est.beta_dyn))
 
-    def start_interval(self, c, episode, trigger, norms=None):
-        """Advance the interval counter, refresh estimates, and replan.
+    def _row_update(self, c, norms):
+        """Replan only the row of the one pair moved since the kept plan.
 
-        norms : optional (S, A) context norms at c of the current
-            statistics, as visit returns them; computed here when absent,
-            and again after a doubling reset.
+        That suffices when the kept plan emptied every row at c, one pair
+        (s, a) has moved since, and its row stays empty: then only
+        opt_loss[s, a] and state s's value and action change, to what
+        evi_plan would give.  Returns the plan's residual and initial value,
+        or None when evi_plan must run.
+        """
+        if self._plan is None or not self._moved:
+            return None
+        s, a = self._moved
+        if self._beta_p[s, a] * norms[s, a] < ROW_EMPTYING_RADIUS:
+            return None
+        opt_loss, values = self._plan
+        opt_loss[s, a] = (np.einsum("d,d->", self._l_hat[s, a], c)
+                          - self._beta_l[s, a] * norms[s, a]).clip(0.0, 1.0)
+        values[s], self.policy[s] = _emptied_rows(opt_loss[s],
+                                                  2.0 * self.b_star_cur)
+        v_init = float(values[self.model.s_init])
+        if v_init > self.b_star_cur:
+            return None
+        residual, _ = _emptied_sweeps(values, self.cfg.evi_tol,
+                                      self.cfg.evi_max_iter)
+        return residual, v_init
+
+    def start_interval(self, c, episode, trigger):
+        """Advance the interval counter, refresh estimates, and replan at c.
+
+        After a visit to one pair whose row the kept plan empties, and still
+        empties, only that row is replanned (_row_update).  Otherwise
+        evi_plan runs over every pair, and b_star_cur doubles, resetting the
+        statistics, while the plan's initial value escapes it.
         """
         self.m += 1
-        while True:
-            if norms is None:
-                norms = estimation.context_norms(self.store.v_bar_inv, c)
+        norms = self._norms_at(c)
+        planned = self._row_update(c, norms)
+        while planned is None:
             est = self.snapshot_estimates(norms)
             opt_loss = np.clip(
                 np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
@@ -322,21 +406,25 @@ class Learner:
                               evi_tol=self.cfg.evi_tol,
                               evi_max_iter=self.cfg.evi_max_iter)
             v_init = float(result.values[self.model.s_init])
-            if v_init <= self.b_star_cur:
-                break
-            # doubling trick: optimistic value escaped the current bound
-            self.b_star_cur *= 2.0
-            self.doubling_events += 1
-            self._init_statistics()
-            norms = None
-        self.policy = result.policy
+            if v_init > self.b_star_cur:
+                # doubling trick: optimistic value escaped the current bound
+                self.b_star_cur *= 2.0
+                self.doubling_events += 1
+                self._init_statistics()
+                norms = self._norms_at(c)
+                continue
+            self.policy = result.policy
+            self._plan = (opt_loss, result.values) if p_ctx is None else None
+            planned = result.residual, v_init
+        residual, v_init = planned
+        self._moved = None
         threshold = estimation.known_threshold(
-            est.beta_dyn, self.l_min_eff, self.b_star_cur, self.m,
+            self._beta_p, self.l_min_eff, self.b_star_cur, self.m,
             self.cfg.delta)
         known = np.count_nonzero(norms < threshold)
         record = IntervalRecord(
             episode=episode, m=self.m, trigger=trigger,
-            evi_residual=result.residual, v_tilde_init=v_init,
+            evi_residual=residual, v_tilde_init=v_init,
             b_star_cur=self.b_star_cur,
             known_fraction=known / (self.n_states * self.n_actions),
             context=np.array(c),
@@ -435,7 +523,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             a = int(learner.policy[s])
             nxt, raw_loss = sampler.step(s, a, rng)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
-            known, norms = learner.visit(s, a, c_seen, nxt, obs_loss)
+            known = learner.visit(s, a, c_seen, nxt, obs_loss)
             log.steps += 1
             log.total_loss += raw_loss
             record.steps += 1
@@ -447,7 +535,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             if not known:
                 unknown_counts[s, a] += 1
                 log.unknown_triggers += 1
-                record = learner.start_interval(c_seen, k, "unknown", norms)
+                record = learner.start_interval(c_seen, k, "unknown")
                 log.intervals.append(record)
                 log.intervals_started += 1
             s = nxt

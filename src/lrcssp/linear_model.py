@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, ProtocolError, StructuralError,
-                     check_field_types)
+                     check_field_types, is_of_type)
 from .ssp import SspInstance
 
 SIMPLEX_TOL = 1e-9
@@ -86,10 +86,16 @@ class LinearCsspModel:
                 f"trans_embed must be (S, A, S, d) = {(s, a, s, d)}, "
                 f"got {self.trans_embed.shape}"
             )
-        if not 0 <= self.s_init < s:
-            raise StructuralError("s_init out of range")
+        if not (is_of_type(self.s_init, int) and 0 <= self.s_init < s):
+            raise StructuralError(
+                f"s_init must be a state index in [0, {s}), got "
+                f"{self.s_init!r}")
         if self.loss_noise not in ("bernoulli", "truncated_uniform"):
             raise StructuralError(f"unknown loss_noise {self.loss_noise!r}")
+        if not (is_of_type(self.noise_width, float) and self.noise_width >= 0):
+            raise StructuralError(
+                f"noise_width must be a finite real >= 0, got "
+                f"{self.noise_width!r}")
 
     @property
     def d(self):

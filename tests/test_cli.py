@@ -158,10 +158,15 @@ class TestRun:
     def test_seed_offset_changes_runs(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["gen", "--config", cfg])
-        main(["run", "--config", cfg, "--seed-offset", "10"])
+        assert main(["run", "--config", cfg, "--seed-offset", "10"]) == 0
         out = tmp_path / "out"
         assert (out / "lrcssp" / "seed_10" / "regret.csv").exists()
+        assert (out / "lrcssp" / "seed_11" / "regret.csv").exists()
         assert not (out / "lrcssp" / "seed_0").exists()
+        # the offset seeds stay distinct, one run each
+        assert json.loads((out / "config.json").read_text())["seeds"] == \
+            [10, 11]
+        assert "lrcssp.runs: 2" in (out / "summary.txt").read_text()
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -212,6 +217,9 @@ class TestMalformedInput:
         (None, "out_dir", 3, "ExperimentConfig.out_dir"),
         (None, "bogus", 1, "'bogus'"),
         (None, "learner", MISSING, "'learner'"),
+        ("learner", "evi_max_iter", 0, "evi_max_iter"),
+        (None, "seeds", [], "seeds"),
+        (None, "seeds", [0, 0], "seeds"),
     ])
     def test_config(self, tmp_path, capsys, section, key, value, names):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -234,11 +242,16 @@ class TestMalformedInput:
         (lambda p: {k: v for k, v in p.items() if k != "d"}, None),
         (lambda p: dict(p, loss_embed=p["loss_embed"][:-1]), None),
         (lambda p: dict(p, s_init=9), None),
+        (lambda p: dict(p, s_init=1.5), None),
+        (lambda p: dict(p, s_init=True), None),
         (lambda p: dict(p, loss_noise="x"), None),
+        (lambda p: dict(p, noise_width="x"), None),
+        (lambda p: dict(p, noise_width=-0.3), None),
         (lambda p: dict(p, loss_embed=[float("nan")] + p["loss_embed"][1:]),
          "non_finite at ('loss_embed', 0, 0, 0)"),
     ], ids=["invalid_json", "missing_d", "short_loss_embed", "s_init_9",
-            "loss_noise_x", "nan_loss_embed"])
+            "s_init_1.5", "s_init_true", "loss_noise_x", "noise_width_x",
+            "noise_width_negative", "nan_loss_embed"])
     def test_model_file(self, tmp_path, capsys, corrupt, names):
         cfg = write_config(tmp_path)
         assert main(["gen", "--config", cfg]) == 0

@@ -690,13 +690,15 @@ class TestStackedStatistics:
         bits = []
         for s, a in pumped + [(1, 1), (3, 0), (0, 0)]:
             c = rng.dirichlet(np.ones(model.d))
-            known, norms = learner.visit(s, a, c, int(rng.integers(-1, 5)),
-                                         float(rng.random()))
+            known = learner.visit(s, a, c, int(rng.integers(-1, 5)),
+                                  float(rng.random()))
             # the scalar test, after the visit, at the same m and b_star
             assert known == is_known(
                 pair_stats(learner, s, a), c, learner.l_min_eff,
                 learner.b_star_cur, learner.m, REF_CFG.delta, model.n_states,
                 model.n_actions)
+            # the learner keeps every pair's norm at c current
+            norms = learner._norms_at(c)
             fresh = context_norms(learner.store.v_bar_inv, c)
             assert norms.tobytes() == fresh.tobytes()
             assert norms[s, a] == context_norm(pair_stats(learner, s, a), c)
@@ -714,7 +716,8 @@ class TestStackedStatistics:
         model, learner = self._learner(visits=200)
         c = np.array([0.3, 0.7])
         learner.m = 3
-        _, norms = learner.visit(1, 1, c, 0, 0.5)
+        learner.visit(1, 1, c, 0, 0.5)
+        norms = context_norms(learner.store.v_bar_inv, c)
         radii = []
 
         def escaping_evi_plan(opt_loss, p_ctx, radius, **kwargs):
@@ -726,7 +729,7 @@ class TestStackedStatistics:
 
         monkeypatch.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
         beta_before = learner.snapshot_estimates().beta_dyn.copy()
-        learner.start_interval(c, 0, "unknown", norms)
+        learner.start_interval(c, 0, "unknown")
         assert learner.doubling_events == 1 and len(radii) == 2
         assert np.array_equal(radii[0], beta_before * norms)
         # the reset statistics give every pair the norm of a fresh pair
@@ -987,3 +990,158 @@ class TestDeferredProjection:
         assert (err.pair, err.tau, err.interval) == ((3, 0), 20_000, 7)
         assert "pair (3, 0) at tau 20000 in interval 7" in str(err)
         assert (err.gap, err.iterations) == (1e-3, 10)
+
+
+def fresh_plan(learner, c):
+    """evi_plan over every pair from the learner's current statistics at c,
+    with the known fraction and whether some row is open."""
+    cfg = learner.cfg
+    norms = context_norms(learner.store.v_bar_inv, c)
+    est = learner.snapshot_estimates(norms)
+    opt_loss = np.clip(
+        np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
+        0.0, 1.0)
+    radius = est.beta_dyn * norms
+    plan = evi_plan(opt_loss, np.einsum("sand,d->san", est.p_hat, c), radius,
+                    b_cap=2.0 * learner.b_star_cur, evi_tol=cfg.evi_tol,
+                    evi_max_iter=cfg.evi_max_iter)
+    threshold = known_threshold(est.beta_dyn, learner.l_min_eff,
+                                learner.b_star_cur, learner.m, cfg.delta)
+    known_fraction = np.count_nonzero(norms < threshold) / norms.size
+    return plan, known_fraction, radius.min() < ROW_EMPTYING_RADIUS
+
+
+def checked_run(cfg, model, contexts, seed, perceived=None):
+    """run() with every interval checked against fresh_plan.
+
+    Returns the log, the number of evi_plan calls and the number of plans
+    that read an open row.
+    """
+    counts = {"evi_plan": 0, "open": 0}
+    start_interval = Learner.start_interval
+
+    def counting_evi_plan(*args, **kwargs):
+        counts["evi_plan"] += 1
+        return evi_plan(*args, **kwargs)
+
+    def checked_start_interval(learner, c, episode, trigger):
+        record = start_interval(learner, c, episode, trigger)
+        plan, known_fraction, open_row = fresh_plan(learner, c)
+        assert learner.policy.tobytes() == plan.policy.tobytes()
+        assert record.evi_residual == plan.residual
+        assert record.v_tilde_init == plan.values[model.s_init]
+        assert record.known_fraction == known_fraction
+        if learner._plan is not None:  # kept for the next row update
+            opt_loss, values = learner._plan
+            assert opt_loss.tobytes() == plan.opt_loss.tobytes()
+            assert values.tobytes() == plan.values.tobytes()
+        counts["open"] += open_row
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lrcssp.learner.evi_plan", counting_evi_plan)
+        mp.setattr(Learner, "start_interval", checked_start_interval)
+        log = run(cfg, model, contexts, seed=seed,
+                  perceived_contexts=perceived)
+    # the checks read the learner's state without disturbing the run
+    plain = run(cfg, model, contexts, seed=seed, perceived_contexts=perceived)
+    assert log.step_trace == plain.step_trace
+    assert [r.to_event() for r in log.interval_records] == \
+        [r.to_event() for r in plain.interval_records]
+    return log, counts["evi_plan"], counts["open"]
+
+
+# tiny configs: (generator, l_min, K)
+TINY = {
+    # rows open after about 73 visits (docs/regimes.md)
+    "open_rows": (GeneratorSpec(d=1, n_states=2, n_actions=2, gamma_goal=0.1,
+                                l_min_target=0.1, seed=0), 0.5, 150),
+    "two_d": (GeneratorSpec(d=2, n_states=2, n_actions=2, gamma_goal=0.1,
+                            l_min_target=0.1, seed=0), 0.5, 150),
+    "perturbation": (GeneratorSpec(d=1, n_states=2, n_actions=2,
+                                   gamma_goal=0.1, l_min_target=0.1, seed=1),
+                     0.0, 150),
+    # optimistic values escape B = 1 once the single row opens
+    "doubling": (GeneratorSpec(d=1, n_states=1, n_actions=1, gamma_goal=0.02,
+                               l_min_target=0.5, seed=0), 0.5, 8),
+}
+
+
+def tiny_run(name, kind="uniform", ctx_seed=0, run_seed=0, perceived=False):
+    spec, l_min, K = TINY[name]
+    model = generate_instance(spec)
+    rng = np.random.default_rng(ctx_seed)
+    c0 = rng.dirichlet(np.ones(spec.d))  # read by `fixed` only
+    contexts = context_sequence(kind, K, spec.d, rng=rng, c0=c0)
+    blind = np.full((K, spec.d), 1.0 / spec.d) if perceived else None
+    return checked_run(LearnerConfig(delta=0.1, l_min=l_min), model,
+                       contexts, run_seed, blind)
+
+
+class TestRowUpdate:
+    """An emptied plan replans only the row a visit moved, and every
+    interval's plan equals a fresh evi_plan over every pair."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(TINY)),
+           kind=st.sampled_from(["uniform", "fixed", "cyclic_vertices"]),
+           ctx_seed=st.integers(0, 1000), run_seed=st.integers(0, 1000),
+           perceived=st.booleans())
+    def test_every_interval_matches_a_fresh_plan(self, name, kind, ctx_seed,
+                                                 run_seed, perceived):
+        tiny_run(name, kind, ctx_seed, run_seed, perceived)
+
+    def test_plans_switch_between_row_updates_and_open_rows(self):
+        log, plans, open_plans = tiny_run("open_rows")
+        # some plans read an open row, some empty every row, and the rest
+        # of the intervals are row updates
+        assert 0 < open_plans < plans < log.total_intervals
+
+    def test_every_interval_starts_a_full_plan_at_new_contexts(self):
+        log, plans, open_plans = tiny_run("two_d", kind="cyclic_vertices")
+        assert open_plans == 0
+        assert len(log.episodes) == plans < log.total_intervals
+
+    def test_doubling_replans_in_full(self):
+        log, plans, open_plans = tiny_run("doubling")
+        assert log.doubling_events == 1 and open_plans > 0
+        assert plans < log.total_intervals
+
+    def test_kept_norms_follow_visits_at_one_context(self):
+        model = generate_instance(REF_SPEC)
+        learner = Learner(REF_CFG, model, REF_CFG.l_min)
+        c = np.array([0.3, 0.7])
+        rng = np.random.default_rng(4)
+        learner.start_interval(c, 0, "start")
+        for i in range(REFRESH_EVERY + 50):
+            # mostly one pair, so its inverse is refreshed once
+            s, a = (1, 2) if i % 4 else (int(rng.integers(5)),
+                                         int(rng.integers(3)))
+            learner.visit(s, a, c, int(rng.integers(-1, 5)),
+                          float(rng.random()))
+            fresh = context_norms(learner.store.v_bar_inv, c)
+            assert learner._norms_at(c).tobytes() == fresh.tobytes()
+
+    def test_a_visit_at_another_context_replans_in_full(self):
+        model = generate_instance(REF_SPEC)
+        learner = Learner(REF_CFG, model, REF_CFG.l_min)
+        plans = []
+
+        def recording_evi_plan(*args, **kwargs):
+            plans.append(evi_plan(*args, **kwargs))
+            return plans[-1]
+
+        c, other = np.array([0.3, 0.7]), np.array([0.6, 0.4])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
+            learner.start_interval(c, 0, "start")
+            learner.visit(0, 0, c, 1, 0.5)
+            learner.start_interval(c, 0, "unknown")
+            assert len(plans) == 1  # the row update
+            learner.visit(1, 0, other, 1, 0.5)
+            learner.start_interval(c, 0, "unknown")
+            assert len(plans) == 2
+            learner.visit(1, 0, c, 1, 0.5)
+            learner.visit(2, 0, c, 1, 0.5)  # a second pair moved
+            learner.start_interval(c, 0, "unknown")
+            assert len(plans) == 3

@@ -76,3 +76,27 @@ def test_wide_runs(tmp_path, run_seed, steps, intervals, regret):
     summary = summarize_run(log, compute_regret(log, oracle), oracle,
                             cfg.learner.delta)
     assert summary["final_cum_regret"] == pytest.approx(regret, rel=RTOL)
+
+
+def test_mixed_regime_run(tmp_path):
+    """(d, S, A) = (1, 2, 2), l_min=0.5, K=150, run seed 0.
+
+    Rows open after about 73 visits (docs/regimes.md), so the run's plans
+    switch between the one-row update of an emptied plan and the full EVI
+    loop: 91 of its 244 plans read an open row.  Recorded before the row
+    update existed.
+    """
+    generator = {"d": 1, "n_states": 2, "n_actions": 2, "gamma_goal": 0.1,
+                 "l_min_target": 0.1, "seed": 0}
+    raw = experiment(generator, 150, 0, str(tmp_path))
+    raw["learner"] = {"delta": 0.1, "l_min": 0.5}
+    cfg = ExperimentConfig.from_dict(raw)
+    model = generate_instance(cfg.generator)
+    contexts = build_contexts(cfg, 0)
+    log = run(cfg.learner, model, contexts, seed=0)
+    assert (log.total_steps, log.total_intervals) == (244, 244)
+    oracle = oracle_values(model, contexts)
+    summary = summarize_run(log, compute_regret(log, oracle), oracle,
+                            cfg.learner.delta)
+    assert summary["final_cum_regret"] == pytest.approx(12.039177846179843,
+                                                        rel=RTOL)
