@@ -51,6 +51,8 @@ def cmd_gen(args):
 
 
 def cmd_run(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, path = _load_config(args)
     per_run, agg = run_experiment(cfg, model=read_model(path), jobs=args.jobs)
     for variant in sorted(agg):
@@ -84,14 +86,21 @@ def cmd_report(args):
         seeds = sorted(d for d in os.listdir(vdir) if d.startswith("seed_"))
         truncs, curves, n_episodes = 0, [], 0
         for sd in seeds:
-            cols = _read_csv(os.path.join(vdir, sd, "regret.csv"))
-            truncated = [int(t) for t in cols["truncated"]]
-            curve = [float(x) for x in cols["cum_regret"]]
+            path = os.path.join(vdir, sd, "regret.csv")
+            # a missing column, a short row, no row or a cell that is not a
+            # number is a malformed file, like a missing one
+            try:
+                cols = _read_csv(path)
+                truncated = [int(t) for t in cols["truncated"]]
+                curve = [float(x) for x in cols["cum_regret"]]
+                final = final_regret(curve, truncated)
+            except (KeyError, IndexError, ValueError) as exc:
+                raise ConfigError(f"malformed {path}: {exc!r}") from exc
             n_episodes = len(curve)
             truncs += sum(truncated)
             # a seed whose every episode truncated has no final regret, so
             # it enters neither the mean nor the plot
-            if not np.isnan(final_regret(curve, truncated)):
+            if not np.isnan(final):
                 curves.append(curve)
         mean = float(np.mean([c[-1] for c in curves])) if curves else SENTINEL
         stored_mean = stored.get(f"{variant}.final_regret_mean")

@@ -49,21 +49,24 @@ class PairStore:
 
         The default index () addresses the whole of a one-pair store.  A
         goal transition contributes no next-state row (residual-mass
-        convention); the design matrix and count always advance.
+        convention); the design matrix and count always advance.  Returns
+        the pair's new visit count.
         """
         c = np.asarray(c, dtype=float)
-        self.tau[index] += 1
+        tau = self.tau.item(index) + 1
+        self.tau[index] = tau
         v_bar, v_bar_inv = self.v_bar[index], self.v_bar_inv[index]
         v_bar += c[:, None] * c
         vc = v_bar_inv @ c
         v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
-        if self.tau[index] % REFRESH_EVERY == 0:
+        if tau % REFRESH_EVERY == 0:
             v_bar_inv[...] = np.linalg.inv(v_bar)
         xty_loss = self.xty_loss[index]
         xty_loss += loss * c
         if next_state != GOAL:
             xty_trans = self.xty_trans[index]
             xty_trans[next_state] += c
+        return tau
 
 
 class SaStatistics(PairStore):
@@ -151,9 +154,14 @@ def dynamics_radius(tau, d, n_states, n_actions, lam, delta):
     return n_states * (math.sqrt(d * math.log(arg)) + math.sqrt(lam))
 
 
+def known_floor(m, delta):
+    """The lower bound known_threshold puts under beta_dyn in interval m."""
+    return math.sqrt(math.log(4.0 * m / delta))
+
+
 def known_threshold(beta_dyn, l_min, b_star, m, delta):
     """Context norm below which a pair is known; beta_dyn may be an array."""
-    floor = math.sqrt(math.log(4.0 * m / delta))
+    floor = known_floor(m, delta)
     return l_min / (10.0 * b_star * np.maximum(beta_dyn, floor))
 
 
@@ -162,7 +170,9 @@ class Estimates:
     """Immutable snapshot of all per-pair estimates at an interval boundary.
 
     l_hat     : (S, A, d)
-    p_hat_raw : (S, A, S, d) unprojected dynamics estimates
+    p_hat_raw : (S, A, S, d) unprojected dynamics estimates; a learner's
+                snapshot may let them lag with p_hat where a plan empties
+                the pair's row (Learner.snapshot_estimates)
     p_hat     : (S, A, S, d) projected, sub-stochastic columns
     beta_loss : (S, A)
     beta_dyn  : (S, A)

@@ -95,18 +95,6 @@ def _evi_backup(opt_loss, p_ctx, r, v):
     return opt_loss + q_ord @ v[order], order, q_ord
 
 
-def _emptied_rows(opt_loss, b_cap):
-    """Values and greedy actions of states whose optimistic rows are all
-    empty; opt_loss is (S, A), or one state's (A,) row.
-
-    An emptied row backs up to opt_loss + 0 @ v = opt_loss + 0.0 (which
-    turns -0.0 into +0.0) whatever v is, so each state's value is
-    clip(min_a opt_loss, 0, b_cap) and depends on its own row only.
-    """
-    q_vals = opt_loss + 0.0
-    return q_vals.min(axis=-1).clip(0.0, b_cap), q_vals.argmin(axis=-1)
-
-
 def _emptied_sweeps(values, evi_tol, evi_max_iter):
     """Residual and sweep count of the EVI loop when every sweep lands on
     values: the first moves v from zero by max v and stops there within
@@ -131,14 +119,18 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     [0, b_cap]; non-convergence is flagged, not raised.
 
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
-    is empty and every sweep lands on the same values (_emptied_rows).  The
-    plan then skips the loop and p_ctx, and reports the residual and sweep
-    count the loop would (_emptied_sweeps), with the results the full
-    backup gives bit for bit.  Learner.start_interval applies the same two
-    helpers to the one row a visit moves.
+    is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 (which turns
+    -0.0 into +0.0) whatever v is, so every sweep lands on the same values:
+    clip(min_a opt_loss, 0, b_cap), each state's from its own row only.
+    The plan then skips the loop and p_ctx, and reports the residual and
+    sweep count the loop would (_emptied_sweeps), with the results the full
+    backup gives bit for bit.  Learner._row_update does the same for the one
+    row a visit moves.
     """
     if radius.min() >= ROW_EMPTYING_RADIUS:
-        values, policy = _emptied_rows(opt_loss, b_cap)
+        q_vals = opt_loss + 0.0
+        values = q_vals.min(axis=1).clip(0.0, b_cap)
+        policy = q_vals.argmin(axis=1)
         residual, iterations = _emptied_sweeps(values, evi_tol, evi_max_iter)
         if not iterations:
             values = np.zeros_like(values)
@@ -175,7 +167,7 @@ class IntervalRecord:
     v_tilde_init: float = 0.0
     b_star_cur: float = 1.0
     known_fraction: float = 0.0
-    context: np.ndarray = None
+    context: np.ndarray = None  # read-only, shared by records at one context
     coverage_ok: bool = None  # only filled when diagnostics are enabled
 
     def to_event(self):
@@ -261,25 +253,41 @@ class Learner:
         self._estimates = estimation.Estimates(*(
             _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
                                     self._beta_l, self._beta_p)))
+        # known_threshold without its floor, l_min / (10 b beta_dyn), per
+        # pair (_known_cap puts the floor back)
+        self._threshold = self.l_min_eff / (10.0 * self.b_star_cur
+                                            * self._beta_p)
         # the (S, A) context norms of the current statistics at the context
-        # whose bytes are _norms_key (visits keep them current); the last
-        # plan's (opt_loss, values) while it emptied every row at that
+        # whose bytes are _norms_key (visits keep them current) and that
+        # context as a read-only array, shared by the interval records; the
+        # last plan's (opt_loss, values) while it emptied every row at that
         # context; and the pair visited since that plan (None before any
         # visit, False once a second pair moved)
         self._norms = None
         self._norms_key = None
+        self._context = None
         self._plan = None
         self._moved = None
 
-    def snapshot_estimates(self, norms=None):
-        """Current Estimates over all pairs, projecting p_hat where it lags.
+    def _known_cap(self):
+        """known_threshold at the floor, l_min / (10 b floor(m)).
 
-        visit keeps l_hat, p_hat_raw and the radii current; p_hat (the
-        projection, the costly part) is brought up to date here.  Without
-        norms every pair is.  Given a plan's (S, A) context norms, only the
-        pairs whose L1 radius beta_dyn * norm is below ROW_EMPTYING_RADIUS
-        are; the plan empties every other pair's row whatever p_hat holds,
-        so there p_hat may lag behind until a later call needs it.
+        Positive IEEE products and quotients round monotonically, so
+        min(_threshold, _known_cap()) is known_threshold bit for bit.
+        """
+        floor = estimation.known_floor(self.m, self.cfg.delta)
+        return self.l_min_eff / (10.0 * self.b_star_cur * floor)
+
+    def snapshot_estimates(self, norms=None):
+        """Current Estimates over all pairs, updating the lagging p_hat.
+
+        visit keeps l_hat and the radii current; p_hat_raw and its
+        projection p_hat (the costly part) are brought up to date here.
+        Without norms every pair's are.  Given a plan's (S, A) context
+        norms, only those of the pairs whose L1 radius beta_dyn * norm is
+        below ROW_EMPTYING_RADIUS are; the plan empties every other pair's
+        row whatever p_hat holds, so there p_hat_raw and p_hat may lag
+        behind until a later call needs them.
 
         The arrays are read-only views of the learner's state: they follow
         later visits, so copy them to keep a snapshot.
@@ -289,6 +297,8 @@ class Learner:
         if norms is not None:
             wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
         for s, a in zip(*np.nonzero(wanted)):
+            self._p_raw[s, a] = (self.store.xty_trans[s, a]
+                                 @ self.store.v_bar_inv[s, a])
             try:
                 self._p_hat[s, a] = estimation.project_to_stochastic(
                     self._p_raw[s, a], self.store.v_bar[s, a])
@@ -305,12 +315,13 @@ class Learner:
         Kept across calls at the same context (the same bytes): then only
         the pair `moved`, whose statistics changed since, gets a new norm,
         which equals the stacked one bit for bit.  A new context computes
-        every norm and drops the kept plan.
+        every norm, keeps the context and drops the kept plan.
         """
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._norms_key:
             self._norms = estimation.context_norms(self.store.v_bar_inv, c)
             self._norms_key = key
+            self._context = np.frombuffer(key)
             self._plan = None
         elif moved is not None:
             self._norms[moved] = estimation.context_norms(
@@ -321,27 +332,26 @@ class Learner:
         """Fold one observed step at (s, a) into the statistics and test it.
 
         The only path that moves a pair's statistics: it refreshes the
-        pair's l_hat, p_hat_raw, both radii and its context norm at c (every
-        pair's when c is not the context of the kept norms).  Returns the
-        paper's known test for the pair at c: its norm below known_threshold
-        at the pair's new radius, the current interval m and b_star_cur.
+        pair's l_hat, both radii, its kept known threshold and its context
+        norm at c (every pair's when c is not the context of the kept
+        norms); p_hat_raw and p_hat follow in snapshot_estimates.  Returns
+        the paper's known test for the pair at c: its norm below
+        known_threshold at the pair's new radius, the current interval m
+        and b_star_cur, computed in Python floats bit for bit (_known_cap).
         """
         store = self.store
-        store.record_visit(c, next_state, loss, (s, a))
-        tau = float(store.tau[s, a])
-        v_bar_inv = store.v_bar_inv[s, a]
-        self._l_hat[s, a] = v_bar_inv @ store.xty_loss[s, a]
-        self._p_raw[s, a] = store.xty_trans[s, a] @ v_bar_inv
+        tau = store.record_visit(c, next_state, loss, (s, a))
+        self._l_hat[s, a] = store.v_bar_inv[s, a] @ store.xty_loss[s, a]
         dims = (self.d, self.n_states, self.n_actions, store.lam,
                 self.cfg.delta)
+        beta_p = estimation.dynamics_radius(tau, *dims)
         self._beta_l[s, a] = estimation.loss_radius(tau, *dims)
-        self._beta_p[s, a] = estimation.dynamics_radius(tau, *dims)
-        norm = self._norms_at(c, (s, a))[s, a]
+        self._beta_p[s, a] = beta_p
+        norm = self._norms_at(c, (s, a)).item(s, a)
         self._moved = (s, a) if self._moved in (None, (s, a)) else False
-        threshold = estimation.known_threshold(
-            self._beta_p[s, a], self.l_min_eff, self.b_star_cur, self.m,
-            self.cfg.delta)
-        return bool(norm < threshold)
+        threshold = self.l_min_eff / (10.0 * self.b_star_cur * beta_p)
+        self._threshold[s, a] = threshold
+        return norm < min(threshold, self._known_cap())
 
     def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
@@ -368,14 +378,23 @@ class Learner:
         if self._plan is None or not self._moved:
             return None
         s, a = self._moved
-        if self._beta_p[s, a] * norms[s, a] < ROW_EMPTYING_RADIUS:
+        norm = norms.item(s, a)
+        if self._beta_p.item(s, a) * norm < ROW_EMPTYING_RADIUS:
             return None
         opt_loss, values = self._plan
-        opt_loss[s, a] = (np.einsum("d,d->", self._l_hat[s, a], c)
-                          - self._beta_l[s, a] * norms[s, a]).clip(0.0, 1.0)
-        values[s], self.policy[s] = _emptied_rows(opt_loss[s],
-                                                  2.0 * self.b_star_cur)
-        v_init = float(values[self.model.s_init])
+        # np.clip(x, 0.0, 1.0) and evi_plan's emptied rows in Python floats:
+        # the comparisons keep -0.0 as numpy does, + 0.0 turns -0.0 into
+        # +0.0, and list.index finds the first minimum, as argmin (min and
+        # argmin assume no NaN in the row)
+        x = (np.einsum("d,d->", self._l_hat[s, a], c).item()
+             - self._beta_l.item(s, a) * norm)
+        opt_loss[s, a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
+        row = (opt_loss[s] + 0.0).tolist()
+        low = min(row)
+        b_cap = 2.0 * self.b_star_cur
+        values[s] = b_cap if low > b_cap else 0.0 if low < 0.0 else low
+        self.policy[s] = row.index(low)
+        v_init = values.item(self.model.s_init)
         if v_init > self.b_star_cur:
             return None
         residual, _ = _emptied_sweeps(values, self.cfg.evi_tol,
@@ -418,16 +437,14 @@ class Learner:
             planned = result.residual, v_init
         residual, v_init = planned
         self._moved = None
-        threshold = estimation.known_threshold(
-            self._beta_p, self.l_min_eff, self.b_star_cur, self.m,
-            self.cfg.delta)
-        known = np.count_nonzero(norms < threshold)
+        known = np.count_nonzero(
+            norms < np.minimum(self._threshold, self._known_cap()))
         record = IntervalRecord(
             episode=episode, m=self.m, trigger=trigger,
             evi_residual=residual, v_tilde_init=v_init,
             b_star_cur=self.b_star_cur,
             known_fraction=known / (self.n_states * self.n_actions),
-            context=np.array(c),
+            context=self._context,
         )
         if self.diagnostics_model is not None:
             record.coverage_ok = self._coverage_ok()
@@ -449,7 +466,7 @@ class _EpisodeSampler:
         self.width = model.noise_width
 
     def step(self, s, a, rng):
-        nxt = int(np.searchsorted(self.cum[s, a], rng.random(), side="right"))
+        nxt = int(self.cum[s, a].searchsorted(rng.random(), side="right"))
         if nxt >= self.n_states:
             nxt = GOAL
         mean = float(self.means[s, a])

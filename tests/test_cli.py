@@ -268,6 +268,16 @@ class TestMalformedInput:
         assert err.startswith("config error") and (names or str(path)) in err
         assert not (tmp_path / "out" / "config.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "--jobs" in err
+        assert not (tmp_path / "out" / "config.json").exists()
+
 
 class TestReport:
     def _full_pipeline(self, tmp_path):
@@ -298,6 +308,29 @@ class TestReport:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         assert main(["report", out]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda h, rows: (h, [r[:5] + ["abc"] + r[6:] for r in rows]),
+        lambda h, rows: ([c for c in h if c != "cum_regret"],
+                         [r[:5] + r[6:] for r in rows]),
+        lambda h, rows: ([c for c in h if c != "truncated"],
+                         [r[:8] + r[9:] for r in rows]),
+        lambda h, rows: (h, []),
+        lambda h, rows: (h, [r[:-1] for r in rows]),
+    ], ids=["cum_regret_abc", "no_cum_regret", "no_truncated", "no_rows",
+            "short_row"])
+    def test_report_malformed_csv_exits_2(self, tmp_path, capsys, edit):
+        out = self._full_pipeline(tmp_path)
+        path = os.path.join(out, "lrcssp", "seed_0", "regret.csv")
+        lines = [line.split(",") for line in open(path).read().splitlines()]
+        assert lines[0][5] == "cum_regret" and lines[0][8] == "truncated"
+        header, rows = edit(lines[0], lines[1:])
+        with open(path, "w") as fh:
+            fh.write("".join(",".join(r) + "\n" for r in [header] + rows))
+        capsys.readouterr()
+        assert main(["report", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and path in err
 
     def test_report_empty_dir_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2

@@ -16,6 +16,7 @@ from lrcssp.estimation import (
     context_norms,
     dynamics_radius,
     known_threshold,
+    loss_radius,
     project_to_stochastic,
 )
 from lrcssp.learner import (
@@ -36,7 +37,7 @@ from lrcssp.linear_model import (
     generate_instance,
     validate_context,
 )
-from lrcssp.ssp import SspInstance, value_iteration
+from lrcssp.ssp import GOAL, SspInstance, value_iteration
 from test_estimation import compute_pair_estimate, context_norm, is_known
 
 
@@ -1145,3 +1146,139 @@ class TestRowUpdate:
             learner.visit(2, 0, c, 1, 0.5)  # a second pair moved
             learner.start_interval(c, 0, "unknown")
             assert len(plans) == 3
+
+
+class TestStepState:
+    """What a visit keeps for its pair: both radii at its visit count, the
+    known threshold without its floor, and p_hat_raw left to the snapshot."""
+
+    def _doubling(self, monkeypatch, learner, c):
+        """start_interval with a full plan that escapes the bound once."""
+        escaped = []
+
+        def escaping_evi_plan(opt_loss, p_ctx, radius, **kwargs):
+            result = evi_plan(opt_loss, p_ctx, radius, **kwargs)
+            if not escaped:
+                escaped.append(True)
+                result.values = result.values + 2 * kwargs["b_cap"]
+            return result
+
+        doublings = learner.doubling_events
+        with monkeypatch.context() as mp:
+            mp.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
+            mp.setattr(Learner, "_row_update", lambda self, c, norms: None)
+            record = learner.start_interval(c, 0, "unknown")
+        assert learner.doubling_events == doublings + 1
+        return record
+
+    def _one_state(self, l_min):
+        """A learner on (d, S, A) = (1, 1, 2) with delta = 0.9."""
+        spec = GeneratorSpec(d=1, n_states=1, n_actions=2, gamma_goal=0.1,
+                             l_min_target=0.1, seed=0)
+        cfg = LearnerConfig(delta=0.9, l_min=l_min)
+        return cfg, Learner(cfg, generate_instance(spec), cfg.l_min)
+
+    def test_radii_follow_the_visit_count(self, monkeypatch):
+        model = generate_instance(REF_SPEC)
+        learner = Learner(REF_CFG, model, REF_CFG.l_min)
+        c = np.array([0.3, 0.7])
+        learner.start_interval(c, 0, "start")
+        dims = (model.d, model.n_states, model.n_actions, REF_CFG.lam,
+                REF_CFG.delta)
+
+        def check_every_pair():
+            est = learner.snapshot_estimates()
+            for (s, a), tau in np.ndenumerate(learner.store.tau):
+                assert est.beta_loss[s, a] == loss_radius(tau, *dims)
+                assert est.beta_dyn[s, a] == dynamics_radius(tau, *dims)
+
+        rng = np.random.default_rng(6)
+        check_every_pair()
+        for _ in range(REFRESH_EVERY + 1):
+            learner.visit(2, 1, c, int(rng.integers(-1, 5)),
+                          float(rng.random()))
+            check_every_pair()
+        assert learner.store.tau[2, 1] == REFRESH_EVERY + 1
+        # a doubling resets every count to 0; the radii follow it down and
+        # up again
+        self._doubling(monkeypatch, learner, c)
+        check_every_pair()
+        for _ in range(3):
+            learner.visit(2, 1, c, 0, 0.5)
+            learner.visit(0, 0, c, 1, 0.5)
+            check_every_pair()
+        assert learner.store.tau[2, 1] == 3
+
+    def test_p_hat_raw_after_a_run(self, monkeypatch):
+        learners = []
+
+        class Recording(Learner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                learners.append(self)
+
+        monkeypatch.setattr("lrcssp.learner.Learner", Recording)
+        ref_run(K=40)
+        store = learners[0].store
+        assert np.count_nonzero(store.tau) > 1
+        est = learners[0].snapshot_estimates()
+        for s, a in np.ndindex(store.tau.shape):
+            want = store.xty_trans[s, a] @ store.v_bar_inv[s, a]
+            assert est.p_hat_raw[s, a].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [10**6, 1])
+    def test_known_threshold_before_and_after_a_doubling(self, monkeypatch,
+                                                          m):
+        # at m = 10**6 the floor sqrt(log(4m / delta)) = 3.912 exceeds
+        # beta_dyn for visit counts up to 270 (beta_dyn(0) = 2.696), which
+        # no shipped config reaches; at m = 1 it is 1.22 and never binds
+        cfg, learner = self._one_state(l_min=0.5)
+        learner.m = m - 1
+        c = np.array([1.0])
+        dims = (1, 1, 2, cfg.lam, cfg.delta)
+
+        def threshold(beta):
+            return known_threshold(beta, cfg.l_min, learner.b_star_cur,
+                                   learner.m, cfg.delta)
+
+        def visit(s, a, norm):
+            # pin the pair's norm at c after the visit (d = 1, c = 1)
+            learner.store.v_bar_inv[s, a] = norm**2 / (1.0 - norm**2)
+            known = learner.visit(s, a, c, GOAL, 0.5)
+            norms = context_norms(learner.store.v_bar_inv, c)
+            beta = learner.snapshot_estimates().beta_dyn
+            assert known == (norms[s, a] < threshold(beta)[s, a])
+            return known
+
+        def known_fraction(record):
+            norms = context_norms(learner.store.v_bar_inv, c)
+            fresh = np.mean(norms < threshold(
+                learner.snapshot_estimates().beta_dyn))
+            assert record.known_fraction == fresh
+            return fresh
+
+        floor_binds = []
+        for doubled in (False, True):
+            record = (self._doubling(monkeypatch, learner, c) if doubled
+                      else learner.start_interval(c, 0, "start"))
+            assert known_fraction(record) == 0.0
+            floor = math.sqrt(math.log(4.0 * learner.m / cfg.delta))
+            beta = dynamics_radius(learner.store.tau[0, 1] + 1, *dims)
+            floor_binds.append(floor > beta)
+            # (0, 1) lies just above its threshold, and below the threshold
+            # without the floor where the floor binds (1.3 times higher)
+            assert visit(0, 0, norm=1e-6)
+            assert not visit(0, 1, norm=1.01 * threshold(beta))
+            record = learner.start_interval(c, 0, "unknown")
+            assert known_fraction(record) == 0.5
+        assert floor_binds == [m > 1] * 2
+
+    def test_known_count_follows_a_doubling(self, monkeypatch):
+        # l_min = 40 puts the threshold of a fresh pair (norm 1 at c = 1)
+        # above 1 at b_star 1 and below it at b_star 2: every pair is known
+        # until the doubling and none after
+        _, learner = self._one_state(l_min=40.0)
+        c = np.array([1.0])
+        assert learner.start_interval(c, 0, "start").known_fraction == 1.0
+        record = self._doubling(monkeypatch, learner, c)
+        assert learner.b_star_cur == 2.0 and record.known_fraction == 0.0
