@@ -13,7 +13,6 @@ from .ssp import (
     GOAL,
     SspInstance,
     expected_hitting_time,
-    is_proper,
     policy_evaluation,
     value_iteration,
 )
@@ -22,7 +21,6 @@ from .linear_model import (
     LinearCsspModel,
     context_sequence,
     generate_instance,
-    generate_trap_instance,
     induce_ssp,
     validate_context,
     validate_model,

@@ -98,4 +98,5 @@ class ProjectionError(LrcsspError):
 
 
 class ProtocolError(LrcsspError):
-    """An adversary callback emitted an invalid context."""
+    """The interaction protocol was broken: an adversary callback emitted an
+    invalid context, or a learner saw a visit before its first interval."""

@@ -176,7 +176,6 @@ class ContextSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        # `adaptive` needs a callback, which a config cannot give
         if self.kind not in ("uniform", "cyclic_vertices", "fixed"):
             raise ConfigError(f"unknown context kind {self.kind!r}")
         if self.K < 1:
@@ -443,7 +442,7 @@ def run_experiment(cfg, model=None, jobs=1):
     """Full pipeline: model -> contexts -> learner runs -> artifact files.
 
     Deterministic per (generator seed, run seeds); jobs only parallelizes
-    independent seeds.
+    independent seeds, with at most one worker per seed.
     """
     if model is None:
         model = generate_instance(cfg.generator)
@@ -459,8 +458,9 @@ def run_experiment(cfg, model=None, jobs=1):
         variants.append("context_blind")
     tasks = [(cfg, model, seed, variants, cfg.out_dir)
              for seed in cfg.seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_run_seed, tasks))
     else:
         per_seed = [_run_seed(t) for t in tasks]

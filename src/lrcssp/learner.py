@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimation
-from .errors import ConfigError, ProjectionError, check_field_types
+from .errors import (ConfigError, ProjectionError, ProtocolError,
+                     check_field_types)
 from .linear_model import AdaptiveContexts, validate_contexts
 from .ssp import GOAL
 
@@ -72,8 +73,6 @@ def auto_epsilon(n_states, d, n_actions, K):
 @dataclass
 class EviResult:
     policy: np.ndarray
-    opt_loss: np.ndarray  # (S, A)
-    opt_trans: np.ndarray  # (S, A, S)
     values: np.ndarray
     residual: float
     converged: bool
@@ -116,7 +115,9 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
                (and may be None) when every radius empties its row
     radius   : (S, A) L1 radii beta_P * ||c||_{V^-1}
     Values start at zero, grow monotonically, and are truncated to
-    [0, b_cap]; non-convergence is flagged, not raised.
+    [0, b_cap]; non-convergence is flagged, not raised.  The EviResult
+    carries the greedy policy under the last values, those (S,) values, the
+    last sweep's residual, whether it is within evi_tol, and the sweep count.
 
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
     is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 (which turns
@@ -134,9 +135,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
         residual, iterations = _emptied_sweeps(values, evi_tol, evi_max_iter)
         if not iterations:
             values = np.zeros_like(values)
-        return EviResult(policy, opt_loss,
-                         np.zeros(opt_loss.shape + opt_loss.shape[:1]),
-                         values, residual, residual <= evi_tol, iterations)
+        return EviResult(policy, values, residual, residual <= evi_tol,
+                         iterations)
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
     iterations = 0
@@ -148,12 +148,10 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
         v = w
         if residual <= evi_tol:
             break
-    # final optimistic model and greedy policy under the converged values
-    q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
-    q_trans = np.empty_like(p_ctx)
-    q_trans[:, :, order] = q_ord
-    return EviResult(q_vals.argmin(axis=1), opt_loss, q_trans, v, residual,
-                     residual <= evi_tol, iterations)
+    # greedy policy under the converged values
+    q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
+    return EviResult(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
+                     iterations)
 
 
 @dataclass
@@ -339,6 +337,8 @@ class Learner:
         known_threshold at the pair's new radius, the current interval m
         and b_star_cur, computed in Python floats bit for bit (_known_cap).
         """
+        if not self.m:
+            raise ProtocolError("visit needs a plan: call start_interval first")
         store = self.store
         tau = store.record_visit(c, next_state, loss, (s, a))
         self._l_hat[s, a] = store.v_bar_inv[s, a] @ store.xty_loss[s, a]
@@ -479,7 +479,7 @@ class _EpisodeSampler:
 
 
 def run(cfg, model, contexts, seed=0, perceived_contexts=None,
-        diagnostics_model=None, init_states=None):
+        diagnostics_model=None):
     """Full interaction over the given context sequence.
 
     contexts may be K contexts, checked as one (K, d) array before the first
@@ -488,20 +488,12 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         planning instead of the true contexts (context-blind baseline)
     diagnostics_model  : optional ground truth; fills per-interval coverage
         flags without touching learner state or the RNG stream
-    init_states        : optional per-episode initial states, one state
-        index in [0, S) per episode
     Deterministic given (seed, cfg, model, contexts).
     """
     adaptive = isinstance(contexts, AdaptiveContexts)
     if not adaptive:
         contexts = validate_contexts(contexts, model.d)
     K = contexts.K if adaptive else len(contexts)
-    if init_states is not None and (
-            len(init_states) != K
-            or not all(isinstance(s, (int, np.integer))
-                       and 0 <= s < model.n_states for s in init_states)):
-        raise ConfigError(
-            f"init_states must be {K} state indices in [0, {model.n_states})")
     if perceived_contexts is not None:
         perceived_contexts = validate_contexts(perceived_contexts, model.d)
         if len(perceived_contexts) != K:
@@ -532,7 +524,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         log.intervals.append(record)
         log.intervals_started += 1
         sampler = _EpisodeSampler(model, c_true)
-        s = model.s_init if init_states is None else init_states[k]
+        s = model.s_init
         while True:
             if log.steps >= cfg.episode_step_cap:
                 log.truncated = True

@@ -7,7 +7,7 @@ loss <c, L*> and transitions P* c; convexity keeps both legal.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -197,28 +197,6 @@ def generate_instance(spec):
     return LinearCsspModel(loss_embed, trans_embed)
 
 
-def generate_trap_instance(spec):
-    """Stress variant: only action 0 is guaranteed to escape to the goal.
-
-    Every other action's component columns may have zero goal mass, so most
-    policies are improper, but the all-zeros policy is proper for every
-    context by construction.
-    """
-    rng = np.random.default_rng(spec.seed)
-    s, a, d = spec.n_states, spec.n_actions, spec.d
-    loss_embed = rng.uniform(spec.l_min_target, 1.0, size=(s, a, d))
-    raw = rng.dirichlet(np.ones(s + 1), size=(s, a, d))
-    cols = np.empty((s, a, d, s))
-    cols[:, 0] = (1.0 - spec.gamma_goal) * raw[:, 0, :, :s]
-    if a > 1:
-        # renormalize the remaining mass onto non-goal states
-        rest = raw[:, 1:, :, :s]
-        sums = rest.sum(axis=-1, keepdims=True)
-        cols[:, 1:] = np.where(sums > 0, rest / np.maximum(sums, 1e-300), 0.0)
-    trans_embed = np.transpose(cols, (0, 1, 3, 2))
-    return LinearCsspModel(loss_embed, trans_embed)
-
-
 @dataclass
 class AdaptiveContexts:
     """Adversary hook for K episodes: callback(history) -> next context.
@@ -243,11 +221,11 @@ class AdaptiveContexts:
         self.history.append(episode_log)
 
 
-def context_sequence(kind, K, d, rng=None, c0=None, callback=None):
-    """(K, d) array of K contexts, or an AdaptiveContexts provider.
+def context_sequence(kind, K, d, rng=None, c0=None):
+    """(K, d) array of K contexts.
 
-    kind: "uniform" (symmetric Dirichlet(1)), "cyclic_vertices", "fixed",
-    or "adaptive" (returns the provider instead of an array).
+    kind: "uniform" (symmetric Dirichlet(1)), "cyclic_vertices" or "fixed".
+    An adaptive adversary is an AdaptiveContexts, built directly.
     """
     if K < 1:
         raise ConfigError("K must be >= 1")
@@ -259,8 +237,4 @@ def context_sequence(kind, K, d, rng=None, c0=None, callback=None):
         return np.eye(d)[np.arange(K) % d]
     if kind == "fixed":
         return np.tile(validate_context(c0, d), (K, 1))
-    if kind == "adaptive":
-        if callback is None:
-            raise ConfigError("adaptive contexts need a callback")
-        return AdaptiveContexts(K, d, callback)
     raise ConfigError(f"unknown context kind {kind!r}")

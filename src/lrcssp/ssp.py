@@ -185,10 +185,3 @@ def expected_hitting_time(ssp, policy):
     """Expected steps to goal under policy: unit losses through the same dynamics."""
     unit = SspInstance(np.ones_like(ssp.loss), ssp.trans)
     return policy_evaluation(unit, policy)
-
-
-def is_proper(ssp, policy):
-    """True iff the policy reaches the goal with probability 1 from every
-    state (of every instance of a stack)."""
-    _, p_pi = _policy_rows(ssp, _check_policy(ssp, policy))
-    return not _unreachable_states(p_pi).any()

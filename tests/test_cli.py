@@ -1,13 +1,17 @@
 import json
 import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcssp.cli import main
 from lrcssp.harness import model_to_dict
 from lrcssp.linear_model import LinearCsspModel, validate_model
+from test_harness import tree_bytes
 
 
 BASE_CONFIG = {
@@ -380,3 +384,53 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestEdgeConfigs:
+    """gen -> run -> report on tiny configs at the edges of what parses."""
+
+    @staticmethod
+    def _pipeline(work, raw):
+        # a relative out_dir keeps config.json the same in every work dir
+        os.makedirs(work)
+        with open(os.path.join(work, "config.json"), "w") as fh:
+            json.dump(raw, fh)
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            assert main(["gen", "--config", "config.json"]) == 0
+            return main(["run", "--config", "config.json", "--jobs", "1"])
+        finally:
+            os.chdir(cwd)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 3), n_states=st.integers(1, 3),
+           n_actions=st.integers(1, 3), K=st.integers(1, 3),
+           kind=st.sampled_from(["uniform", "cyclic_vertices", "fixed"]),
+           cap=st.sampled_from([1, 10**6]), l_min=st.sampled_from([0.0, 0.1]),
+           informed=st.booleans(), baseline=st.booleans())
+    def test_run_exits_cleanly_and_repeats(self, d, n_states, n_actions, K,
+                                           kind, cap, l_min, informed,
+                                           baseline):
+        contexts = {"kind": kind, "K": K}
+        if kind == "fixed":
+            contexts["c0"] = [1.0 / d] * d
+        raw = {"generator": {"d": d, "n_states": n_states,
+                             "n_actions": n_actions, "gamma_goal": 0.2,
+                             "seed": 3},
+               "contexts": contexts,
+               "learner": {"l_min": l_min, "episode_step_cap": cap},
+               "seeds": [0, 1],
+               "out_dir": "out",
+               "baseline_context_blind": baseline,
+               "oracle_informed": informed}
+        with tempfile.TemporaryDirectory() as tmp:
+            first = os.path.join(tmp, "a")
+            code = self._pipeline(first, raw)
+            assert code in (0, 2)
+            if code:
+                return
+            tree = tree_bytes(os.path.join(first, "out"))
+            assert self._pipeline(os.path.join(tmp, "b"), raw) == 0
+            assert tree_bytes(os.path.join(tmp, "b", "out")) == tree
+            assert main(["report", os.path.join(first, "out")]) == 0

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -407,6 +408,13 @@ class TestArtifacts:
         assert agg["final_regret_mean"] == 8.0
 
 
+def tree_bytes(root):
+    """Every file under root by its relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), root):
+            open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
 class TestRunExperiment:
     def _cfg(self, tmp_path, K=6, seeds=(0,), baseline=False):
         return ExperimentConfig.from_dict({
@@ -451,6 +459,27 @@ class TestRunExperiment:
             b = (tmp_path / "par" / "out" / "lrcssp" / f"seed_{seed}"
                  / "regret.csv").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("seeds, asked", [((0, 1), [2]), ((0,), [])],
+                             ids=["two_seeds", "one_seed"])
+    def test_pool_opens_at_most_one_worker_per_seed(self, tmp_path,
+                                                    monkeypatch, seeds,
+                                                    asked):
+        cfg = self._cfg(tmp_path, seeds=seeds)
+        run_experiment(cfg, jobs=1)
+        serial = tree_bytes(tmp_path / "out")
+        shutil.rmtree(tmp_path / "out")
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(cfg, jobs=4)
+        assert pools == asked
+        assert tree_bytes(tmp_path / "out") == serial
 
     @pytest.mark.parametrize("informed", [True, False])
     def test_oracle_informed_starts_from_b_star_emp(self, tmp_path,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from lrcssp import estimation
-from lrcssp.errors import ConfigError, ProjectionError, StructuralError
+from lrcssp.errors import (ConfigError, ProjectionError, ProtocolError,
+                           StructuralError)
 from lrcssp.estimation import (
     REFRESH_EVERY,
     SaStatistics,
@@ -32,6 +33,7 @@ from lrcssp.learner import (
 )
 from lrcssp.linear_model import (
     SIMPLEX_TOL,
+    AdaptiveContexts,
     GeneratorSpec,
     context_sequence,
     generate_instance,
@@ -208,6 +210,15 @@ class TestL1OptimisticDistribution:
                 linprog_inner_oracle(p, radius, values), abs=1e-8)
 
 
+def optimistic_model(opt_loss, p_ctx, radius, values):
+    """(S, A, S) optimistic transitions of one EVI backup at values: what a
+    plan with those values, radii and dynamics picks."""
+    _, order, q_ord = _evi_backup(opt_loss, p_ctx, radius[:, :, None], values)
+    q_trans = np.empty_like(p_ctx)
+    q_trans[:, :, order] = q_ord
+    return q_trans
+
+
 class TestEviPlan:
     def _random_inputs(self, rng, n_states=4, n_actions=3):
         opt_loss = rng.uniform(0.1, 1.0, size=(n_states, n_actions))
@@ -229,10 +240,11 @@ class TestEviPlan:
     def test_huge_radius_sends_all_mass_to_goal(self):
         rng = np.random.default_rng(3)
         opt_loss, p_ctx = self._random_inputs(rng)
-        res = evi_plan(opt_loss, p_ctx, np.full((4, 3), 2.0), b_cap=1e6,
+        radius = np.full((4, 3), 2.0)
+        res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e6,
                        evi_tol=1e-12, evi_max_iter=10**5)
-        assert np.allclose(SspInstance(res.opt_loss, res.opt_trans).trans,
-                           0.0)
+        assert np.allclose(
+            optimistic_model(opt_loss, p_ctx, radius, res.values), 0.0)
         assert np.allclose(res.values, opt_loss.min(axis=1))
 
     def test_backup_uses_exact_inner_minimizer(self):
@@ -250,11 +262,11 @@ class TestEviPlan:
         res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e9,
                        evi_tol=1e-10, evi_max_iter=10**5)
         v = res.values
+        q_trans = optimistic_model(opt_loss, p_ctx, radius, v)
         for s in range(n_states):
             for a in range(n_actions):
                 inner = linprog_inner_oracle(p_ctx[s, a], radius[s, a], v)
-                got = SspInstance(res.opt_loss,
-                                  res.opt_trans).trans[s, a] @ v
+                got = q_trans[s, a] @ v
                 assert got == pytest.approx(inner, abs=1e-7)
 
     def test_optimistic_model_matches_scalar_oracle(self):
@@ -264,11 +276,12 @@ class TestEviPlan:
             radius = rng.uniform(0, 0.6, size=(4, 3))
             res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e6,
                            evi_tol=1e-10, evi_max_iter=10**5)
+            q_trans = optimistic_model(opt_loss, p_ctx, radius, res.values)
             for s in range(4):
                 for a in range(3):
                     want = l1_optimistic_distribution(p_ctx[s, a],
                                                       radius[s, a], res.values)
-                    np.testing.assert_allclose(res.opt_trans[s, a], want,
+                    np.testing.assert_allclose(q_trans[s, a], want,
                                                rtol=0, atol=1e-15)
 
     def test_values_below_true_optimum(self):
@@ -332,17 +345,14 @@ def evi_plan_full_loop(opt_loss, p_ctx, radius, b_cap, evi_tol,
         v = w
         if residual <= evi_tol:
             break
-    q_vals, order, q_ord = _evi_backup(opt_loss, p_ctx, r, v)
-    q_trans = np.empty_like(p_ctx)
-    q_trans[:, :, order] = q_ord
-    return EviResult(q_vals.argmin(axis=1), opt_loss, q_trans, v, residual,
-                     residual <= evi_tol, iterations)
+    q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
+    return EviResult(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
+                     iterations)
 
 
 def assert_same_plan(got, want):
     assert got.policy.tobytes() == want.policy.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
-    assert got.opt_trans.tobytes() == want.opt_trans.tobytes()
     assert (got.residual, got.iterations, got.converged) == \
         (want.residual, want.iterations, want.converged)
 
@@ -368,10 +378,13 @@ class TestEmptiedPlan:
                 evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs))
 
     def test_values_above_tolerance_take_two_sweeps(self):
-        got, want = self._both(*self._case(0))
+        opt_loss, p_ctx, radius = self._case(0)
+        got, want = self._both(opt_loss, p_ctx, radius)
         assert_same_plan(got, want)
         assert (got.iterations, got.residual, got.converged) == (2, 0.0, True)
-        assert np.array_equal(got.opt_trans, np.zeros((4, 3, 4)))
+        assert np.array_equal(
+            optimistic_model(opt_loss, p_ctx, radius, got.values),
+            np.zeros((4, 3, 4)))
 
     def test_values_below_tolerance_take_one_sweep(self):
         opt_loss, p_ctx, radius = self._case(1)
@@ -530,7 +543,7 @@ class TestRun:
             calls.append(len(history))
             return np.full(model.d, 1.0 / model.d)
 
-        provider = context_sequence("adaptive", 8, model.d, callback=cb)
+        provider = AdaptiveContexts(8, model.d, cb)
         log = run(REF_CFG, model, provider, seed=3)
         assert len(log.episodes) == 8
         assert calls == list(range(8))
@@ -543,28 +556,6 @@ class TestRun:
         log = run(REF_CFG, model, contexts, seed=3, perceived_contexts=blind)
         for e, c in zip(log.episodes, contexts):
             assert np.array_equal(e.context, c)  # environment context logged
-
-    def test_init_states_respected(self):
-        model = generate_instance(REF_SPEC)
-        contexts = context_sequence("uniform", 6, model.d,
-                                    rng=np.random.default_rng(0))
-        init = [4, 3, 2, 1, 0, 4]
-        log = run(REF_CFG, model, contexts, seed=3, init_states=init)
-        for e, s0 in zip(log.episodes, init):
-            k = e.episode
-            first = next(t for t in log.step_trace if t[0] == k)
-            assert first[1] == s0
-
-    @pytest.mark.parametrize("init", [
-        [-1, -1, -1, -1], [99, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0, 0],
-        [0, 1.0, 2, 3],
-    ], ids=["goal_sentinel", "out_of_range", "too_few", "too_many", "not_int"])
-    def test_rejects_invalid_init_states(self, init):
-        model = generate_instance(REF_SPEC)
-        contexts = context_sequence("uniform", 4, model.d,
-                                    rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            run(REF_CFG, model, contexts, seed=3, init_states=init)
 
     def test_rejects_short_perceived_contexts(self):
         model = generate_instance(REF_SPEC)
@@ -914,8 +905,8 @@ class TestDeferredProjection:
         plans = []
 
         def recording_evi_plan(*args, **kwargs):
-            plans.append(evi_plan(*args, **kwargs))
-            return plans[-1]
+            plans.append((args, evi_plan(*args, **kwargs)))
+            return plans[-1][1]
 
         monkeypatch.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
         learner.start_interval(c, 0, "start")
@@ -925,14 +916,18 @@ class TestDeferredProjection:
         opt_loss = np.clip(
             np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
             0.0, 1.0)
-        full = evi_plan(opt_loss, np.einsum("sand,d->san", est.p_hat, c),
-                        est.beta_dyn * norms, b_cap=2.0 * learner.b_star_cur,
+        p_ctx = np.einsum("sand,d->san", est.p_hat, c)
+        radius = est.beta_dyn * norms
+        full = evi_plan(opt_loss, p_ctx, radius,
+                        b_cap=2.0 * learner.b_star_cur,
                         evi_tol=REF_CFG.evi_tol,
                         evi_max_iter=REF_CFG.evi_max_iter)
-        lazy = plans[0]
+        lazy_args, lazy = plans[0]
         assert np.array_equal(lazy.policy, full.policy)
         assert np.array_equal(lazy.values, full.values)
-        assert np.array_equal(lazy.opt_trans, full.opt_trans)
+        assert np.array_equal(
+            optimistic_model(*lazy_args[:3], lazy.values),
+            optimistic_model(opt_loss, p_ctx, radius, full.values))
         assert lazy.residual == full.residual
 
     def test_projects_only_pairs_below_bound(self, monkeypatch):
@@ -995,7 +990,8 @@ class TestDeferredProjection:
 
 def fresh_plan(learner, c):
     """evi_plan over every pair from the learner's current statistics at c,
-    with the known fraction and whether some row is open."""
+    with its optimistic losses, the known fraction and whether some row is
+    open."""
     cfg = learner.cfg
     norms = context_norms(learner.store.v_bar_inv, c)
     est = learner.snapshot_estimates(norms)
@@ -1009,7 +1005,7 @@ def fresh_plan(learner, c):
     threshold = known_threshold(est.beta_dyn, learner.l_min_eff,
                                 learner.b_star_cur, learner.m, cfg.delta)
     known_fraction = np.count_nonzero(norms < threshold) / norms.size
-    return plan, known_fraction, radius.min() < ROW_EMPTYING_RADIUS
+    return plan, opt_loss, known_fraction, radius.min() < ROW_EMPTYING_RADIUS
 
 
 def checked_run(cfg, model, contexts, seed, perceived=None):
@@ -1027,15 +1023,15 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
 
     def checked_start_interval(learner, c, episode, trigger):
         record = start_interval(learner, c, episode, trigger)
-        plan, known_fraction, open_row = fresh_plan(learner, c)
+        plan, opt_loss, known_fraction, open_row = fresh_plan(learner, c)
         assert learner.policy.tobytes() == plan.policy.tobytes()
         assert record.evi_residual == plan.residual
         assert record.v_tilde_init == plan.values[model.s_init]
         assert record.known_fraction == known_fraction
         if learner._plan is not None:  # kept for the next row update
-            opt_loss, values = learner._plan
-            assert opt_loss.tobytes() == plan.opt_loss.tobytes()
-            assert values.tobytes() == plan.values.tobytes()
+            kept_loss, kept_values = learner._plan
+            assert kept_loss.tobytes() == opt_loss.tobytes()
+            assert kept_values.tobytes() == plan.values.tobytes()
         counts["open"] += open_row
         return record
 
@@ -1177,6 +1173,17 @@ class TestStepState:
                              l_min_target=0.1, seed=0)
         cfg = LearnerConfig(delta=0.9, l_min=l_min)
         return cfg, Learner(cfg, generate_instance(spec), cfg.l_min)
+
+    def test_visit_before_any_interval_is_named(self):
+        model = generate_instance(REF_SPEC)
+        learner = Learner(REF_CFG, model, REF_CFG.l_min)
+        with pytest.raises(ProtocolError, match="start_interval"):
+            learner.visit(0, 0, np.array([0.3, 0.7]), 1, 0.5)
+        # the refused visit left the statistics as they were
+        assert not learner.store.tau.any()
+        learner.start_interval(np.array([0.3, 0.7]), 0, "start")
+        learner.visit(0, 0, np.array([0.3, 0.7]), 1, 0.5)
+        assert learner.store.tau[0, 0] == 1
 
     def test_radii_follow_the_visit_count(self, monkeypatch):
         model = generate_instance(REF_SPEC)

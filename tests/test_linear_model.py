@@ -8,13 +8,12 @@ from lrcssp.linear_model import (
     LinearCsspModel,
     context_sequence,
     generate_instance,
-    generate_trap_instance,
     induce_ssp,
     validate_context,
     validate_model,
 )
 from lrcssp.learner import _EpisodeSampler
-from lrcssp.ssp import GOAL, value_iteration
+from lrcssp.ssp import GOAL
 
 
 REF_SPEC = GeneratorSpec(d=2, n_states=5, n_actions=3, gamma_goal=0.1,
@@ -163,22 +162,6 @@ class TestGenerator:
         se = expect / np.sqrt(n)  # crude but sufficient at this sample size
         assert abs(model.trans_embed.mean() - expect) <= 6 * se
 
-    def test_trap_instance_properness(self):
-        spec = GeneratorSpec(d=2, n_states=4, n_actions=3, gamma_goal=0.2,
-                             seed=5)
-        model = generate_trap_instance(spec)
-        assert validate_model(model) == []
-        rng = np.random.default_rng(6)
-        for c in rng.dirichlet(np.ones(2), size=10):
-            ssp = induce_ssp(model, c)
-            # action 0 reaches the goal with mass >= gamma from every state
-            assert np.all(ssp.goal_mass[:, 0] >= spec.gamma_goal - 1e-9)
-            # other actions keep all mass inside the state space
-            assert np.all(ssp.goal_mass[:, 1:] <= 1e-9)
-            # the instance is still solvable
-            v, _ = value_iteration(ssp, tol=1e-8)
-            assert np.all(np.isfinite(v))
-
 
 class TestSampleStep:
     """The environment sampler that `learner.run` steps through."""
@@ -303,7 +286,7 @@ class TestContextSequences:
             seen.append(len(history))
             return np.eye(2)[len(history) % 2]
 
-        provider = context_sequence("adaptive", 4, 2, callback=cb)
+        provider = AdaptiveContexts(4, 2, cb)
         assert isinstance(provider, AdaptiveContexts) and provider.K == 4
         c0 = provider.next_context()
         provider.record({"episode": 0})
@@ -312,7 +295,6 @@ class TestContextSequences:
         assert seen == [0, 1]
 
     def test_adaptive_invalid_context_raises_protocol(self):
-        provider = context_sequence("adaptive", 2, 2,
-                                    callback=lambda h: np.array([0.9, 0.9]))
+        provider = AdaptiveContexts(2, 2, lambda h: np.array([0.9, 0.9]))
         with pytest.raises(ProtocolError):
             provider.next_context()

@@ -8,7 +8,6 @@ from lrcssp.ssp import (
     SspInstance,
     _lookahead,
     expected_hitting_time,
-    is_proper,
     policy_evaluation,
     value_iteration,
 )
@@ -268,24 +267,35 @@ class TestHittingTime:
         assert abs(t[0] - mc_mean) <= 3 * mc_se
 
 
+def rejects_as_improper(ssp, policy):
+    """Does policy evaluation (here through hitting times) reject the policy?"""
+    try:
+        expected_hitting_time(ssp, policy)
+    except ImproperPolicyError:
+        return True
+    return False
+
+
 class TestIsProper:
+    """Properness as policy evaluation checks it: ImproperPolicyError exactly
+    when some state's support graph never reaches the goal."""
+
     def test_uniform_goal_mass(self):
         rng = np.random.default_rng(13)
         ssp = make_random_ssp(rng, 4, 2, min_goal_mass=0.1)
         for actions in itertools.product(range(2), repeat=4):
-            assert is_proper(ssp, np.array(actions))
+            assert not rejects_as_improper(ssp, np.array(actions))
 
     def test_closed_recurrent_class(self):
         trans = np.zeros((2, 1, 2))
         trans[0, 0, 1] = 1.0
         trans[1, 0, 0] = 1.0
         ssp = SspInstance(np.full((2, 1), 0.5), trans)
-        assert not is_proper(ssp, np.zeros(2, dtype=int))
+        assert rejects_as_improper(ssp, np.zeros(2, dtype=int))
 
     def test_goal_mass_below_tolerance_is_not_reached(self):
         # rounding-sized goal mass does not make a closed class proper
         ssp = SspInstance(np.array([[0.5]]), np.full((1, 1, 1), 1 - 1e-12))
-        assert not is_proper(ssp, np.zeros(1, dtype=int))
         with pytest.raises(ImproperPolicyError):
             expected_hitting_time(ssp, np.zeros(1, dtype=int))
 
@@ -317,8 +327,8 @@ class TestIsProper:
 
         for actions in itertools.product(range(2), repeat=n):
             pi = np.array(actions)
-            assert is_proper(ssp, pi) == \
-                reaches_goal_everywhere(pi)
+            assert rejects_as_improper(ssp, pi) == \
+                (not reaches_goal_everywhere(pi))
 
 
 class TestInstanceValidation:
@@ -364,7 +374,6 @@ class TestStacks:
         t = expected_hitting_time(stack, pi)
         values = rng.uniform(0, 5, size=(5, 4))
         backup = bellman_backup(values, stack)
-        assert is_proper(stack, pi)
         for k, part in enumerate(parts):
             assert v[k].tobytes() == policy_evaluation(part, pi[k]).tobytes()
             assert t[k].tobytes() == expected_hitting_time(part, pi[k]).tobytes()
@@ -383,7 +392,6 @@ class TestStacks:
         assert exc.value.index == 1 and single.value.index is None
         assert str(exc.value) == str(single.value)
         pi = np.zeros((4, 1), dtype=int)
-        assert not is_proper(stack, pi)
         with pytest.raises(ImproperPolicyError, match=r"states \[0\]") as exc:
             expected_hitting_time(stack, pi)
         assert exc.value.index == 1
