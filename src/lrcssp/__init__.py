@@ -23,7 +23,6 @@ from .linear_model import (
     generate_instance,
     induce_ssp,
     validate_context,
-    validate_model,
 )
 from .estimation import (
     Estimates,

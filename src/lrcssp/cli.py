@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -14,7 +15,6 @@ from .errors import ConfigError, LrcsspError
 from .harness import (
     ExperimentConfig,
     SENTINEL,
-    aggregate_summaries,
     final_regret,
     generate_instance,
     read_model,
@@ -26,24 +26,23 @@ from .harness import (
 
 
 def _load_config(args):
-    """The config with --out and --seed-offset applied, and the path of its
-    model file (os.path.join keeps an absolute model_file as it is)."""
+    """The config with --out and --seed-offset applied and checked, and the
+    path of its model file (os.path.join keeps an absolute model_file)."""
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
     except ValueError as exc:  # invalid JSON or text
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = ExperimentConfig.from_dict(raw)
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed_offset:
-        cfg.seeds = [s + args.seed_offset for s in cfg.seeds]
+    cfg = dataclasses.replace(
+        cfg, out_dir=args.out or cfg.out_dir,
+        seeds=[s + args.seed_offset for s in cfg.seeds])
     return cfg, os.path.join(cfg.out_dir, cfg.model_file)
 
 
 def cmd_gen(args):
     cfg, path = _load_config(args)
-    # a generated model is valid by construction; run checks the file
+    # a model checks its own entries when built, here and when run reads it
     os.makedirs(cfg.out_dir, exist_ok=True)
     fingerprint = write_model(path, generate_instance(cfg.generator))
     print(f"wrote {path} fingerprint={fingerprint}")

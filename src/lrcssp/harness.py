@@ -27,7 +27,6 @@ from .linear_model import (
     generate_instance,
     induce_ssp,
     validate_context,
-    validate_model,
 )
 from .ssp import expected_hitting_time, value_iteration
 
@@ -72,7 +71,7 @@ def oracle_values(model, contexts):
         try:
             ssp = induce_ssp(model, contexts[start:start + chunk])
         except StructuralError as exc:
-            # validate_model and validate_context each admit a 1e-9 excess,
+            # a model's column mass and a context's sum each admit 1e-9,
             # so their product can exceed what an SspInstance admits
             raise ConfigError(f"model rejected: context {start + exc.index} "
                               f"induces an invalid instance ({exc})")
@@ -184,9 +183,9 @@ class ContextSpec:
             raise ConfigError("contexts of kind 'fixed' need 'c0'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A config file; mutable, as --out and --seed-offset set fields."""
+    """A config file; --out and --seed-offset make a checked copy of it."""
 
     generator: GeneratorSpec
     contexts: ContextSpec
@@ -202,10 +201,11 @@ class ExperimentConfig:
         if not all(is_of_type(s, int) for s in self.seeds):
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         # each seed names one run directory, and the summary counts runs
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+        if (not self.seeds or len(set(self.seeds)) != len(self.seeds)
+                or min(self.seeds) < 0):
             raise ConfigError(
-                f"seeds must be a non-empty list of distinct integers, got "
-                f"{self.seeds!r}")
+                f"seeds must be a non-empty list of distinct integers >= 0, "
+                f"got {self.seeds!r}")
         if self.contexts.c0 is not None:
             try:
                 validate_context(self.contexts.c0, self.generator.d)
@@ -446,9 +446,6 @@ def run_experiment(cfg, model=None, jobs=1):
     """
     if model is None:
         model = generate_instance(cfg.generator)
-    violations = validate_model(model)
-    if violations:
-        raise ConfigError(f"model invalid: {violations[0]}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.json"), "w", newline="") as fh:
         json.dump(cfg.to_canonical_dict(), fh, indent=1)

@@ -63,6 +63,8 @@ class LearnerConfig:
             raise ConfigError("evi_tol must be positive")
         if self.evi_max_iter < 1:
             raise ConfigError("evi_max_iter must be >= 1")
+        if self.episode_step_cap < 1:
+            raise ConfigError("episode_step_cap must be >= 1")
 
 
 def auto_epsilon(n_states, d, n_actions, K):

@@ -67,6 +67,9 @@ class LinearCsspModel:
     s_init      : initial state index, shared by all contexts
     loss_noise  : "bernoulli" or "truncated_uniform"
     noise_width : half-width of the truncated-uniform loss noise
+
+    Building a model checks every entry: a bad one raises a StructuralError
+    naming its kind and first index.
     """
 
     loss_embed: np.ndarray
@@ -96,6 +99,19 @@ class LinearCsspModel:
             raise StructuralError(
                 f"noise_width must be a finite real >= 0, got "
                 f"{self.noise_width!r}")
+        le, te = self.loss_embed, self.trans_embed
+        with np.errstate(invalid="ignore"):  # inf - inf in a column's mass
+            mass = te.sum(axis=2)  # (S, A, d)
+        for kind, name, values, bad in (
+                ("non_finite", "loss_embed", le, ~np.isfinite(le)),
+                ("non_finite", "trans_embed", te, ~np.isfinite(te)),
+                ("loss_embed_range", None, le, (le < 0) | (le > 1)),
+                ("trans_embed_negative", None, te, te < -SIMPLEX_TOL),
+                ("column_mass", None, mass, mass > 1 + SIMPLEX_TOL)):
+            if bad.any():
+                idx = tuple(int(i) for i in np.argwhere(bad)[0])
+                where = idx if name is None else (name, *idx)
+                raise StructuralError(f"{kind} at {where}: {values[idx]:.3e}")
 
     @property
     def d(self):
@@ -108,39 +124,6 @@ class LinearCsspModel:
     @property
     def n_actions(self):
         return self.loss_embed.shape[1]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One model-invariant violation: where it is and how large."""
-
-    kind: str
-    location: tuple
-    magnitude: float
-
-    def __str__(self):
-        return f"{self.kind} at {self.location}: {self.magnitude:.3e}"
-
-
-def validate_model(model):
-    """All invariant violations of a model; an empty list means valid."""
-    out = []
-    le, te = model.loss_embed, model.trans_embed
-    for name, embed in (("loss_embed", le), ("trans_embed", te)):
-        for idx in zip(*np.nonzero(~np.isfinite(embed))):
-            out.append(Violation("non_finite", (name, *map(int, idx)),
-                                 float(embed[idx])))
-    for idx in zip(*np.nonzero((le < 0) | (le > 1))):
-        out.append(Violation("loss_embed_range", tuple(int(i) for i in idx),
-                             float(le[idx])))
-    for idx in zip(*np.nonzero(te < -SIMPLEX_TOL)):
-        out.append(Violation("trans_embed_negative", tuple(int(i) for i in idx),
-                             float(te[idx])))
-    col_sums = te.sum(axis=2)  # (S, A, d)
-    for idx in zip(*np.nonzero(col_sums > 1 + SIMPLEX_TOL)):
-        out.append(Violation("column_mass", tuple(int(i) for i in idx),
-                             float(col_sums[idx])))
-    return out
 
 
 def induce_ssp(model, c):
@@ -183,6 +166,8 @@ class GeneratorSpec:
             raise ConfigError("gamma_goal must lie in (0, 1]")
         if not 0 <= self.l_min_target < 1:
             raise ConfigError("l_min_target must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"generator seed must be >= 0, got {self.seed}")
 
 
 def generate_instance(spec):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lrcssp.cli import main
 from lrcssp.harness import model_to_dict
-from lrcssp.linear_model import LinearCsspModel, validate_model
+from lrcssp.linear_model import LinearCsspModel
 from test_harness import tree_bytes
 
 
@@ -89,7 +89,7 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 2
 
     def test_zero_loss_loop_model_exits_2(self, tmp_path, capsys):
-        # a model validate_model accepts, but whose state 1 only loops to
+        # a model whose entries are legal, but whose state 1 only loops to
         # itself at zero loss: value iteration converges to v = 0 with a
         # greedy policy that never reaches the goal
         cfg = write_config(tmp_path, {
@@ -100,7 +100,6 @@ class TestRun:
         trans_embed[0, 0, 1] = 0.5
         trans_embed[1, 0, 1] = 1.0
         model = LinearCsspModel(np.array([[[0.5]], [[0.0]]]), trans_embed)
-        assert validate_model(model) == []
         os.makedirs(tmp_path / "out")
         (tmp_path / "out" / "model.json").write_text(
             json.dumps(model_to_dict(model)))
@@ -119,7 +118,6 @@ class TestRun:
         trans_embed = np.zeros((2, 1, 2, 1))
         trans_embed[0, 0, :, 0] = [0.5, 0.5 + 0.9e-9]
         model = LinearCsspModel(np.full((2, 1, 1), 0.5), trans_embed)
-        assert validate_model(model) == []
         os.makedirs(tmp_path / "out")
         (tmp_path / "out" / "model.json").write_text(
             json.dumps(model_to_dict(model)))
@@ -224,6 +222,11 @@ class TestMalformedInput:
         ("learner", "evi_max_iter", 0, "evi_max_iter"),
         (None, "seeds", [], "seeds"),
         (None, "seeds", [0, 0], "seeds"),
+        ("generator", "seed", -1, "generator seed must be >= 0"),
+        (None, "seeds", [-3], "seeds"),
+        (None, "seeds", [0, -1], "seeds"),
+        ("learner", "episode_step_cap", 0, "episode_step_cap"),
+        ("learner", "episode_step_cap", -2, "episode_step_cap"),
     ])
     def test_config(self, tmp_path, capsys, section, key, value, names):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -241,6 +244,15 @@ class TestMalformedInput:
         assert err.count("config error") == 2 and names in err
         assert not (tmp_path / "out").exists()
 
+    def test_seed_offset_below_zero(self, tmp_path, capsys):
+        # the shifted seeds pass the same check as a config's own
+        cfg = write_config(tmp_path, {"seeds": [0]})
+        assert main(["gen", "--config", cfg, "--seed-offset", "-5"]) == 2
+        assert main(["run", "--config", cfg, "--seed-offset", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and "seeds" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("corrupt, names", [
         (lambda p: "{not json", None),
         (lambda p: {k: v for k, v in p.items() if k != "d"}, None),
@@ -253,9 +265,23 @@ class TestMalformedInput:
         (lambda p: dict(p, noise_width=-0.3), None),
         (lambda p: dict(p, loss_embed=[float("nan")] + p["loss_embed"][1:]),
          "non_finite at ('loss_embed', 0, 0, 0)"),
+        (lambda p: dict(p, loss_embed=p["loss_embed"][:3] + [1.5]
+                        + p["loss_embed"][4:]),
+         "loss_embed_range at (0, 1, 1)"),
+        (lambda p: dict(p, trans_embed=[-0.1] + p["trans_embed"][1:]),
+         "trans_embed_negative at (0, 0, 0, 0)"),
+        # trans_embed[0, 0, :, 1] (entries 1, 3, 5 of the flat list) at 0.4
+        (lambda p: dict(p, trans_embed=[
+            0.4 if i in (1, 3, 5) else x
+            for i, x in enumerate(p["trans_embed"])]),
+         "column_mass at (0, 0, 1)"),
+        (lambda p: dict(p, trans_embed=p["trans_embed"][:2] + [float("inf")]
+                        + p["trans_embed"][3:]),
+         "non_finite at ('trans_embed', 0, 0, 1, 0)"),
     ], ids=["invalid_json", "missing_d", "short_loss_embed", "s_init_9",
             "s_init_1.5", "s_init_true", "loss_noise_x", "noise_width_x",
-            "noise_width_negative", "nan_loss_embed"])
+            "noise_width_negative", "nan_loss_embed", "loss_1.5",
+            "negative_trans", "column_mass", "inf_trans_embed"])
     def test_model_file(self, tmp_path, capsys, corrupt, names):
         cfg = write_config(tmp_path)
         assert main(["gen", "--config", cfg]) == 0
@@ -387,7 +413,9 @@ class TestUsage:
 
 
 class TestEdgeConfigs:
-    """gen -> run -> report on tiny configs at the edges of what parses."""
+    """gen -> run -> report on tiny configs at and past the edges of what
+    parses: a generator seed, a run seed and a step cap that no run can use
+    exit 2 like any other malformed field."""
 
     @staticmethod
     def _pipeline(work, raw):
@@ -398,20 +426,27 @@ class TestEdgeConfigs:
         cwd = os.getcwd()
         os.chdir(work)
         try:
-            assert main(["gen", "--config", "config.json"]) == 0
-            return main(["run", "--config", "config.json", "--jobs", "1"])
+            gen = main(["gen", "--config", "config.json"])
+            run = main(["run", "--config", "config.json", "--jobs", "1"])
         finally:
             os.chdir(cwd)
+        # a config gen rejects, run rejects too
+        assert gen in (0, 2) and (gen == 0 or run == 2)
+        return run
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(d=st.integers(1, 3), n_states=st.integers(1, 3),
            n_actions=st.integers(1, 3), K=st.integers(1, 3),
            kind=st.sampled_from(["uniform", "cyclic_vertices", "fixed"]),
            cap=st.sampled_from([1, 10**6]), l_min=st.sampled_from([0.0, 0.1]),
-           informed=st.booleans(), baseline=st.booleans())
+           informed=st.booleans(), baseline=st.booleans(),
+           fault=st.sampled_from([None, None, None,
+                                  ("generator", "seed", -1),
+                                  (None, "seeds", [0, -1]),
+                                  ("learner", "episode_step_cap", 0)]))
     def test_run_exits_cleanly_and_repeats(self, d, n_states, n_actions, K,
                                            kind, cap, l_min, informed,
-                                           baseline):
+                                           baseline, fault):
         contexts = {"kind": kind, "K": K}
         if kind == "fixed":
             contexts["c0"] = [1.0 / d] * d
@@ -424,6 +459,9 @@ class TestEdgeConfigs:
                "out_dir": "out",
                "baseline_context_blind": baseline,
                "oracle_informed": informed}
+        if fault:  # half the draws break one field that no run can use
+            section, key, value = fault
+            (raw if section is None else raw[section])[key] = value
         with tempfile.TemporaryDirectory() as tmp:
             first = os.path.join(tmp, "a")
             code = self._pipeline(first, raw)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -486,8 +487,8 @@ class TestRunExperiment:
                                                     informed):
         # the first plan reads zero statistics, so it cannot double: the
         # first interval runs at the initial bound itself
-        cfg = self._cfg(tmp_path, seeds=(0, 1))
-        cfg.oracle_informed = informed
+        cfg = dataclasses.replace(self._cfg(tmp_path, seeds=(0, 1)),
+                                  oracle_informed=informed)
         run_experiment(cfg)
         for seed in (0, 1):
             run_dir = tmp_path / "out" / "lrcssp" / f"seed_{seed}"

@@ -10,7 +10,6 @@ from lrcssp.linear_model import (
     generate_instance,
     induce_ssp,
     validate_context,
-    validate_model,
 )
 from lrcssp.learner import _EpisodeSampler
 from lrcssp.ssp import GOAL
@@ -132,7 +131,12 @@ class TestGenerator:
                                   generate_instance(other).loss_embed)
 
     def test_validates_clean(self):
-        assert validate_model(generate_instance(REF_SPEC)) == []
+        # generate_instance builds a LinearCsspModel, which checks every entry
+        for seed in range(5):
+            for gamma_goal in (1e-6, 0.1, 1.0):
+                generate_instance(GeneratorSpec(
+                    d=3, n_states=4, n_actions=2, gamma_goal=gamma_goal,
+                    seed=seed))
 
     def test_goal_mass_floor_per_column(self):
         model = generate_instance(REF_SPEC)
@@ -212,44 +216,60 @@ class TestSampleStep:
 
 
 class TestValidateModel:
-    def test_flags_range_violation(self):
+    """A model with a bad entry cannot be built: the StructuralError names
+    the kind and the first bad index."""
+
+    def _build(self, name, index, value):
         model = generate_instance(REF_SPEC)
-        le = model.loss_embed.copy()
-        le[0, 0, 0] = 1.2
-        bad = object.__new__(LinearCsspModel)
-        object.__setattr__(bad, "loss_embed", le)
-        object.__setattr__(bad, "trans_embed", model.trans_embed)
-        object.__setattr__(bad, "s_init", 0)
-        object.__setattr__(bad, "loss_noise", "bernoulli")
-        object.__setattr__(bad, "noise_width", 0.0)
-        vs = validate_model(bad)
-        assert any(v.kind == "loss_embed_range" and v.location == (0, 0, 0)
-                   for v in vs)
+        embeds = {"loss_embed": model.loss_embed.copy(),
+                  "trans_embed": model.trans_embed.copy()}
+        embeds[name][index] = value
+        return LinearCsspModel(**embeds)
+
+    def test_flags_range_violation(self):
+        for index, value in (((0, 0, 0), 1.2), ((2, 1, 1), -0.1)):
+            with pytest.raises(StructuralError) as info:
+                self._build("loss_embed", index, value)
+            assert str(info.value) == \
+                f"loss_embed_range at {index}: {value:.3e}"
+
+    def test_flags_negative_transition(self):
+        with pytest.raises(StructuralError) as info:
+            self._build("trans_embed", (1, 2, 3, 0), -0.1)
+        assert str(info.value) == \
+            "trans_embed_negative at (1, 2, 3, 0): -1.000e-01"
 
     def test_flags_excess_column_mass(self):
-        model = generate_instance(REF_SPEC)
-        te = model.trans_embed.copy()
-        te[1, 1, :, 0] = 2.0 / model.n_states
-        bad = object.__new__(LinearCsspModel)
-        object.__setattr__(bad, "loss_embed", model.loss_embed)
-        object.__setattr__(bad, "trans_embed", te)
-        object.__setattr__(bad, "s_init", 0)
-        object.__setattr__(bad, "loss_noise", "bernoulli")
-        object.__setattr__(bad, "noise_width", 0.0)
-        assert any(v.kind == "column_mass" for v in validate_model(bad))
+        with pytest.raises(StructuralError) as info:
+            self._build("trans_embed", (1, 1, slice(None), 0),
+                        2.0 / REF_SPEC.n_states)
+        assert str(info.value) == "column_mass at (1, 1, 0): 2.000e+00"
 
     @pytest.mark.parametrize("name", ["loss_embed", "trans_embed"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_flags_non_finite(self, name, value):
         # NaN passes every range comparison, so it needs its own check
+        index = (0, 1, 0) if name == "loss_embed" else (0, 1, 0, 0)
+        with pytest.raises(StructuralError) as info:
+            self._build(name, index, value)
+        assert str(info.value) == f"non_finite at {(name, *index)}: {value}"
+
+    def test_kinds_checked_in_order(self):
+        # a non-finite entry is reported before an earlier out-of-range one
         model = generate_instance(REF_SPEC)
-        embeds = {"loss_embed": model.loss_embed.copy(),
-                  "trans_embed": model.trans_embed.copy()}
-        embeds[name][(0, 1) + (0,) * (embeds[name].ndim - 2)] = value
-        vs = validate_model(LinearCsspModel(**embeds))
-        assert vs and vs[0].kind == "non_finite"
-        assert vs[0].location[:3] == (name, 0, 1)
-        assert validate_model(model) == []
+        le = model.loss_embed.copy()
+        le[0, 0, 0], le[4, 2, 1] = 1.5, np.nan
+        with pytest.raises(StructuralError, match=r"^non_finite at "
+                           r"\('loss_embed', 4, 2, 1\)"):
+            LinearCsspModel(le, model.trans_embed)
+
+    def test_tolerances(self):
+        # a column may carry 1e-9 of excess mass and an entry -1e-9
+        model = generate_instance(REF_SPEC)
+        te = model.trans_embed.copy()
+        te[0, 0, :, 0] *= (1 + 0.5e-9) / te[0, 0, :, 0].sum()
+        te[0, 0, 0, 1] = -0.5e-9
+        LinearCsspModel(model.loss_embed, te)
 
 
 class TestContextSequences:
