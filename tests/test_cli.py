@@ -418,7 +418,7 @@ class TestEdgeConfigs:
     exit 2 like any other malformed field."""
 
     @staticmethod
-    def _pipeline(work, raw):
+    def _pipeline(work, raw, fault):
         # a relative out_dir keeps config.json the same in every work dir
         os.makedirs(work)
         with open(os.path.join(work, "config.json"), "w") as fh:
@@ -430,8 +430,11 @@ class TestEdgeConfigs:
             run = main(["run", "--config", "config.json", "--jobs", "1"])
         finally:
             os.chdir(cwd)
-        # a config gen rejects, run rejects too
-        assert gen in (0, 2) and (gen == 0 or run == 2)
+        # a legal draw generates; a broken field stops gen and run alike
+        if fault:
+            assert (gen, run) == (2, 2)
+        else:
+            assert gen == 0
         return run
 
     @settings(max_examples=50, deadline=None)
@@ -464,11 +467,11 @@ class TestEdgeConfigs:
             (raw if section is None else raw[section])[key] = value
         with tempfile.TemporaryDirectory() as tmp:
             first = os.path.join(tmp, "a")
-            code = self._pipeline(first, raw)
+            code = self._pipeline(first, raw, fault)
             assert code in (0, 2)
             if code:
                 return
             tree = tree_bytes(os.path.join(first, "out"))
-            assert self._pipeline(os.path.join(tmp, "b"), raw) == 0
+            assert self._pipeline(os.path.join(tmp, "b"), raw, fault) == 0
             assert tree_bytes(os.path.join(tmp, "b", "out")) == tree
             assert main(["report", os.path.join(first, "out")]) == 0
