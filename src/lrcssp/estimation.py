@@ -44,19 +44,19 @@ class PairStore:
         self.xty_loss = np.zeros(shape + (d,))
         self.xty_trans = np.zeros(shape + (n_states, d))
 
-    def record_visit(self, c, next_state, loss, index=()):
+    def record_visit(self, c, next_state, loss, index=(), outer=None):
         """Fold one observed transition into the statistics of pair `index`.
 
         The default index () addresses the whole of a one-pair store.  A
         goal transition contributes no next-state row (residual-mass
-        convention); the design matrix and count always advance.  Returns
-        the pair's new visit count.
+        convention); the design matrix and count always advance, V by
+        outer = c c^T if given.  Returns the pair's new visit count.
         """
         c = np.asarray(c, dtype=float)
         tau = self.tau.item(index) + 1
         self.tau[index] = tau
         v_bar, v_bar_inv = self.v_bar[index], self.v_bar_inv[index]
-        v_bar += c[:, None] * c
+        v_bar += c[:, None] * c if outer is None else outer
         vc = v_bar_inv @ c
         v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
         if tau % REFRESH_EVERY == 0:

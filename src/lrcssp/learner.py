@@ -96,14 +96,13 @@ def _evi_backup(opt_loss, p_ctx, r, v):
     return opt_loss + q_ord @ v[order], order, q_ord
 
 
-def _emptied_sweeps(values, evi_tol, evi_max_iter):
+def _emptied_sweeps(top, evi_tol, evi_max_iter):
     """Residual and sweep count of the EVI loop when every sweep lands on
-    values: the first moves v from zero by max v and stops there within
-    evi_tol or the budget; otherwise a second confirms values, residual 0.
+    values of maximum top: the first moves v from zero by top and stops
+    there within evi_tol or the budget; else a second confirms them, at 0.
     """
     if evi_max_iter < 1:
         return np.inf, 0
-    top = float(values.max())
     if top <= evi_tol or evi_max_iter == 1:
         return top, 1
     return 0.0, 2
@@ -134,7 +133,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
         q_vals = opt_loss + 0.0
         values = q_vals.min(axis=1).clip(0.0, b_cap)
         policy = q_vals.argmin(axis=1)
-        residual, iterations = _emptied_sweeps(values, evi_tol, evi_max_iter)
+        residual, iterations = _emptied_sweeps(float(values.max()), evi_tol,
+                                               evi_max_iter)
         if not iterations:
             values = np.zeros_like(values)
         return EviResult(policy, values, residual, residual <= evi_tol,
@@ -232,6 +232,9 @@ class Learner:
         self.b_star_cur = cfg.b_star_init
         self.m = 0
         self.doubling_events = 0
+        # the context last seen, as bytes, as a read-only array shared by
+        # the interval records and as c c^T; the key of the kept _known_cap
+        self._norms_key = self._context = self._outer = self._cap_key = None
         self._init_statistics()
         self.policy = np.zeros(self.n_states, dtype=int)
 
@@ -245,38 +248,46 @@ class Learner:
         self._l_hat = np.zeros((S, A, d))
         self._p_raw = np.zeros((S, A, S, d))
         self._p_hat = np.zeros((S, A, S, d))
-        lam, delta = self.store.lam, self.cfg.delta
-        self._beta_l = np.full(
-            (S, A), estimation.loss_radius(0, d, S, A, lam, delta))
-        self._beta_p = np.full(
-            (S, A), estimation.dynamics_radius(0, d, S, A, lam, delta))
+        # per visit count, the loss and dynamics radii and known_threshold
+        # without its floor, l_min / (10 b beta_dyn), at this b_star_cur;
+        # and those of every pair (_known_cap puts the floor back)
+        self._by_tau = {}
+        self._beta_l, self._beta_p, self._threshold = (
+            np.full((S, A), x) for x in self._tau_row(0.0))
         self._estimates = estimation.Estimates(*(
             _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
                                     self._beta_l, self._beta_p)))
-        # known_threshold without its floor, l_min / (10 b beta_dyn), per
-        # pair (_known_cap puts the floor back)
-        self._threshold = self.l_min_eff / (10.0 * self.b_star_cur
-                                            * self._beta_p)
-        # the (S, A) context norms of the current statistics at the context
-        # whose bytes are _norms_key (visits keep them current) and that
-        # context as a read-only array, shared by the interval records; the
-        # last plan's (opt_loss, values) while it emptied every row at that
-        # context; and the pair visited since that plan (None before any
-        # visit, False once a second pair moved)
+        # the (S, A) context norms of the current statistics at the kept
+        # context (visits keep them current); the last plan's (opt_loss,
+        # values) as lists while it emptied every row at that context; and
+        # the pair visited since that plan (None before any visit, False
+        # once a second pair moved)
         self._norms = None
-        self._norms_key = None
-        self._context = None
         self._plan = None
         self._moved = None
 
+    def _tau_row(self, tau):
+        """Compute and keep the _by_tau entry of visit count tau."""
+        dims = (self.d, self.n_states, self.n_actions, self.store.lam,
+                self.cfg.delta)
+        beta_p = estimation.dynamics_radius(tau, *dims)
+        row = self._by_tau[tau] = (
+            estimation.loss_radius(tau, *dims), beta_p,
+            self.l_min_eff / (10.0 * self.b_star_cur * beta_p))
+        return row
+
     def _known_cap(self):
-        """known_threshold at the floor, l_min / (10 b floor(m)).
+        """known_threshold at the floor, l_min / (10 b floor(m)), computed
+        once per (m, b_star_cur).
 
         Positive IEEE products and quotients round monotonically, so
         min(_threshold, _known_cap()) is known_threshold bit for bit.
         """
-        floor = estimation.known_floor(self.m, self.cfg.delta)
-        return self.l_min_eff / (10.0 * self.b_star_cur * floor)
+        if self._cap_key != (self.m, self.b_star_cur):
+            floor = estimation.known_floor(self.m, self.cfg.delta)
+            self._cap = self.l_min_eff / (10.0 * self.b_star_cur * floor)
+            self._cap_key = (self.m, self.b_star_cur)
+        return self._cap
 
     def snapshot_estimates(self, norms=None):
         """Current Estimates over all pairs, updating the lagging p_hat.
@@ -309,20 +320,24 @@ class Learner:
             self._projected_tau[s, a] = tau[s, a]
         return self._estimates
 
-    def _norms_at(self, c, moved=None):
-        """The (S, A) context norms at c of the current statistics.
-
-        Kept across calls at the same context (the same bytes): then only
-        the pair `moved`, whose statistics changed since, gets a new norm,
-        which equals the stacked one bit for bit.  A new context computes
-        every norm, keeps the context and drops the kept plan.
-        """
+    def _use_context(self, c):
+        """Keep c, by its bytes, with c c^T; a new c drops norms and plan."""
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._norms_key:
-            self._norms = estimation.context_norms(self.store.v_bar_inv, c)
             self._norms_key = key
             self._context = np.frombuffer(key)
-            self._plan = None
+            self._outer = self._context[:, None] * self._context
+            self._norms = self._plan = None
+
+    def _norms_at(self, c, moved=None):
+        """The (S, A) context norms of the current statistics at the kept c.
+
+        Kept across calls at that context: then only the pair `moved`, whose
+        statistics changed since, gets a new norm, which equals the stacked
+        one bit for bit.
+        """
+        if self._norms is None:
+            self._norms = estimation.context_norms(self.store.v_bar_inv, c)
         elif moved is not None:
             self._norms[moved] = estimation.context_norms(
                 self.store.v_bar_inv[moved], c)
@@ -342,17 +357,16 @@ class Learner:
         if not self.m:
             raise ProtocolError("visit needs a plan: call start_interval first")
         store = self.store
-        tau = store.record_visit(c, next_state, loss, (s, a))
+        self._use_context(c)
+        tau = store.record_visit(c, next_state, loss, (s, a), self._outer)
         self._l_hat[s, a] = store.v_bar_inv[s, a] @ store.xty_loss[s, a]
-        dims = (self.d, self.n_states, self.n_actions, store.lam,
-                self.cfg.delta)
-        beta_p = estimation.dynamics_radius(tau, *dims)
-        self._beta_l[s, a] = estimation.loss_radius(tau, *dims)
+        beta_l, beta_p, threshold = (self._by_tau.get(tau)
+                                     or self._tau_row(tau))
+        self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
+        self._threshold[s, a] = threshold
         norm = self._norms_at(c, (s, a)).item(s, a)
         self._moved = (s, a) if self._moved in (None, (s, a)) else False
-        threshold = self.l_min_eff / (10.0 * self.b_star_cur * beta_p)
-        self._threshold[s, a] = threshold
         return norm < min(threshold, self._known_cap())
 
     def _coverage_ok(self):
@@ -385,21 +399,21 @@ class Learner:
             return None
         opt_loss, values = self._plan
         # np.clip(x, 0.0, 1.0) and evi_plan's emptied rows in Python floats:
-        # the comparisons keep -0.0 as numpy does, + 0.0 turns -0.0 into
-        # +0.0, and list.index finds the first minimum, as argmin (min and
-        # argmin assume no NaN in the row)
+        # the comparisons keep -0.0 as numpy does, + 0.0 turns a -0.0 minimum
+        # into +0.0, and list.index finds the first minimum, as argmin (min
+        # and argmin assume no NaN in the row)
         x = (np.einsum("d,d->", self._l_hat[s, a], c).item()
              - self._beta_l.item(s, a) * norm)
-        opt_loss[s, a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
-        row = (opt_loss[s] + 0.0).tolist()
-        low = min(row)
+        row = opt_loss[s]
+        row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
+        low = min(row) + 0.0
         b_cap = 2.0 * self.b_star_cur
         values[s] = b_cap if low > b_cap else 0.0 if low < 0.0 else low
         self.policy[s] = row.index(low)
-        v_init = values.item(self.model.s_init)
+        v_init = values[self.model.s_init]
         if v_init > self.b_star_cur:
             return None
-        residual, _ = _emptied_sweeps(values, self.cfg.evi_tol,
+        residual, _ = _emptied_sweeps(max(values), self.cfg.evi_tol,
                                       self.cfg.evi_max_iter)
         return residual, v_init
 
@@ -412,6 +426,7 @@ class Learner:
         statistics, while the plan's initial value escapes it.
         """
         self.m += 1
+        self._use_context(c)
         norms = self._norms_at(c)
         planned = self._row_update(c, norms)
         while planned is None:
@@ -435,7 +450,8 @@ class Learner:
                 norms = self._norms_at(c)
                 continue
             self.policy = result.policy
-            self._plan = (opt_loss, result.values) if p_ctx is None else None
+            self._plan = ((opt_loss.tolist(), result.values.tolist())
+                          if p_ctx is None else None)
             planned = result.residual, v_init
         residual, v_init = planned
         self._moved = None
@@ -457,12 +473,15 @@ class _EpisodeSampler:
     """Precomputed induced categorical for one episode's fixed context."""
 
     def __init__(self, model, c):
-        probs = np.clip(model.trans_embed @ c, 0.0, None)  # (S, A, S)
-        goal = np.clip(1.0 - probs.sum(axis=-1, keepdims=True), 0.0, None)
-        full = np.concatenate([probs, goal], axis=-1)
+        # np.clip's bits: maximum returns its second operand on a tie, so
+        # (x, 0.0) turns -0.0 into +0.0 as clip(x, 0.0, None) does, and
+        # (0.0, x) keeps it as clip(x, 0.0, 1.0) does
+        probs = np.maximum(model.trans_embed @ c, 0.0)  # (S, A, S)
+        goal = 1.0 - probs.sum(axis=-1, keepdims=True)
+        full = np.concatenate((probs, np.maximum(goal, 0.0, out=goal)), -1)
         full /= full.sum(axis=-1, keepdims=True)
-        self.cum = np.cumsum(full, axis=-1)
-        self.means = np.clip(model.loss_embed @ c, 0.0, 1.0)
+        self.cum = np.cumsum(full, axis=-1, out=full)
+        self.means = np.minimum(np.maximum(0.0, model.loss_embed @ c), 1.0)
         self.n_states = model.n_states
         self.bernoulli = model.loss_noise == "bernoulli"
         self.width = model.noise_width
@@ -471,7 +490,7 @@ class _EpisodeSampler:
         nxt = int(self.cum[s, a].searchsorted(rng.random(), side="right"))
         if nxt >= self.n_states:
             nxt = GOAL
-        mean = float(self.means[s, a])
+        mean = self.means.item(s, a)
         if self.bernoulli:
             loss = float(rng.random() < mean)
         else:

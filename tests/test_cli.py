@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcssp.cli import main
-from lrcssp.harness import model_to_dict
+from lrcssp.harness import model_to_dict, read_summary
 from lrcssp.linear_model import LinearCsspModel
 from test_harness import tree_bytes
 
@@ -412,10 +414,38 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
 
+# one field that no run can use, each exiting 2 (TestMalformedInput): a
+# wrong type, a missing or unknown key, a bad c0 (read whatever the kind)
+EDGE_FAULTS = [
+    ("generator", "seed", -1),
+    (None, "seeds", [0, -1]),
+    ("learner", "episode_step_cap", 0),
+    ("generator", "d", 2.5),
+    ("contexts", "K", "abc"),
+    ("contexts", "K", 5.0),
+    ("contexts", "K", True),
+    ("contexts", "kind", "bogus"),
+    ("learner", "delta", "x"),
+    ("learner", "lam", float("nan")),
+    ("learner", "evi_max_iter", 2.5),
+    (None, "seeds", "ab"),
+    (None, "seeds", [0, 1.5]),
+    (None, "baseline_context_blind", 1),
+    (None, "out_dir", 3),
+    ("generator", "d", MISSING),
+    ("contexts", "K", MISSING),
+    (None, "learner", MISSING),
+    (None, "bogus", 1),
+    ("contexts", "c0", [2.0, -1.0, 0.0]),
+    ("contexts", "c0", [float("nan")]),
+    ("contexts", "c0", "abc"),
+]
+
+
 class TestEdgeConfigs:
     """gen -> run -> report on tiny configs at and past the edges of what
-    parses: a generator seed, a run seed and a step cap that no run can use
-    exit 2 like any other malformed field."""
+    parses: any one malformed field exits 2 before anything is written, and
+    a run that exits 0 repeats byte for byte and reports its stored means."""
 
     @staticmethod
     def _pipeline(work, raw, fault):
@@ -433,20 +463,36 @@ class TestEdgeConfigs:
         # a legal draw generates; a broken field stops gen and run alike
         if fault:
             assert (gen, run) == (2, 2)
+            assert os.listdir(work) == ["config.json"]
         else:
             assert gen == 0
         return run
 
-    @settings(max_examples=50, deadline=None)
+    @staticmethod
+    def _report(out, variants):
+        """report's table, checked against the summary run wrote."""
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(["report", out]) == 0
+        rows = {line.split()[0]: line.split()
+                for line in printed.getvalue().splitlines()[1:]}
+        assert sorted(rows) == variants
+        stored = read_summary(os.path.join(out, "summary.txt"))
+        for variant, (_, runs, mean, _) in rows.items():
+            assert runs == stored[f"{variant}.runs"] == "2"
+            # report recomputes the mean from regret.csv, whose cells keep
+            # nine significant digits: its own check's tolerance
+            assert np.isclose(float(mean),
+                              float(stored[f"{variant}.final_regret_mean"]),
+                              rtol=1e-7, atol=1e-9, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 3), n_states=st.integers(1, 3),
            n_actions=st.integers(1, 3), K=st.integers(1, 3),
            kind=st.sampled_from(["uniform", "cyclic_vertices", "fixed"]),
            cap=st.sampled_from([1, 10**6]), l_min=st.sampled_from([0.0, 0.1]),
            informed=st.booleans(), baseline=st.booleans(),
-           fault=st.sampled_from([None, None, None,
-                                  ("generator", "seed", -1),
-                                  (None, "seeds", [0, -1]),
-                                  ("learner", "episode_step_cap", 0)]))
+           fault=st.sampled_from([None] * len(EDGE_FAULTS) + EDGE_FAULTS))
     def test_run_exits_cleanly_and_repeats(self, d, n_states, n_actions, K,
                                            kind, cap, l_min, informed,
                                            baseline, fault):
@@ -462,9 +508,13 @@ class TestEdgeConfigs:
                "out_dir": "out",
                "baseline_context_blind": baseline,
                "oracle_informed": informed}
-        if fault:  # half the draws break one field that no run can use
+        if fault:  # half the draws break one field
             section, key, value = fault
-            (raw if section is None else raw[section])[key] = value
+            target = raw if section is None else raw[section]
+            if value is MISSING:
+                del target[key]
+            else:
+                target[key] = value
         with tempfile.TemporaryDirectory() as tmp:
             first = os.path.join(tmp, "a")
             code = self._pipeline(first, raw, fault)
@@ -474,4 +524,6 @@ class TestEdgeConfigs:
             tree = tree_bytes(os.path.join(first, "out"))
             assert self._pipeline(os.path.join(tmp, "b"), raw, fault) == 0
             assert tree_bytes(os.path.join(tmp, "b", "out")) == tree
-            assert main(["report", os.path.join(first, "out")]) == 0
+            self._report(os.path.join(first, "out"),
+                         ["context_blind", "lrcssp"] if baseline
+                         else ["lrcssp"])

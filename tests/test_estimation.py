@@ -357,6 +357,59 @@ class TestProjectToStochastic:
         with pytest.raises(StructuralError):
             project_to_stochastic(np.zeros((2, 2)), np.eye(3))
 
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), n_states=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), visits=st.integers(0, 2000))
+    def test_kkt_conditions(self, d, n_states, seed, visits):
+        """P = project_to_stochastic(p_raw, V) meets the KKT conditions of
+        min tr((P - p_raw) V (P - p_raw)^T) over columns >= 0 with sums
+        <= 1, column by column, with G = 2 (P - p_raw) V: G is equal on the
+        column's support (to -mu), at least that off it, mu >= 0, and mu = 0
+        where the column's mass is below 1.
+
+        Tolerance: the solver stops after a step P -> Q that lowers the
+        objective by less than tol = 1e-10.  Its step is 1/L with L = 2
+        lambda_max(V), so a step lowers the objective by at least
+        L/2 ||Q - P||_F^2, and ||Q - P||_F <= sqrt(2 tol / L).  Q is the
+        exact projection of P - G(P) / L, so H = G(P) + L (Q - P) meets the
+        conditions exactly at Q, and G(Q) - H = (Q - P)(2V - L I) has
+        entries at most L ||Q - P||_F <= e = 2 sqrt(lambda_max tol).  A
+        condition that compares two entries of G allows 2e, one that reads
+        one entry e, each plus 1e-9 for rounding.
+
+        visits = 0 draws a random positive definite V and p_raw around the
+        simplex; otherwise V and p_raw are a learner's pair after that many
+        visits at random contexts.
+        """
+        rng = np.random.default_rng(seed)
+        if visits:
+            stats = SaStatistics(d, n_states)
+            for c in random_contexts(rng, visits, d):
+                stats.record_visit(c, int(rng.integers(-1, n_states)), 0.0)
+            v, p_raw = stats.v_bar, stats.xty_trans @ stats.v_bar_inv
+        else:
+            a = rng.normal(0.0, 1.0, size=(d, d))
+            v = a @ a.T + rng.uniform(0.1, 2.0) * np.eye(d)
+            p_raw = rng.normal(0.3, 1.0, size=(n_states, d))
+        p = project_to_stochastic(p_raw, v)
+        e = 2.0 * math.sqrt(np.linalg.eigvalsh(v)[-1] * 1e-10)
+        atol = 1e-9
+        assert np.all(p >= 0.0) and np.all(p.sum(axis=0) <= 1.0 + atol)
+        g = 2.0 * (p - p_raw) @ v
+        for j in range(d):
+            support = p[:, j] > 0.0
+            if support.any():
+                g_on = g[support, j]
+                assert g_on.max() - g_on.min() <= 2 * e + atol
+                assert np.all(g[~support, j] >= g_on.max() - 2 * e - atol)
+                mu = -g_on.mean()
+            else:  # mass 0 < 1, so mu = 0
+                mu = 0.0
+                assert np.all(g[:, j] >= -e - atol)
+            assert mu >= -e - atol
+            if p[:, j].sum() < 1.0 - atol:
+                assert abs(mu) <= e + atol
+
 
 class TestRadii:
     def test_loss_radius_formula(self):

@@ -16,6 +16,7 @@ from lrcssp.estimation import (
     _capped_simplex_columns,
     context_norms,
     dynamics_radius,
+    known_floor,
     known_threshold,
     loss_radius,
     project_to_stochastic,
@@ -35,6 +36,7 @@ from lrcssp.linear_model import (
     SIMPLEX_TOL,
     AdaptiveContexts,
     GeneratorSpec,
+    LinearCsspModel,
     context_sequence,
     generate_instance,
     validate_context,
@@ -837,6 +839,103 @@ def simplex_contexts(draw):
         assume(False)
 
 
+def clip_sampler(model, c):
+    """Oracle: the (cum, means) of _EpisodeSampler built with np.clip."""
+    probs = np.clip(model.trans_embed @ c, 0.0, None)  # (S, A, S)
+    goal = np.clip(1.0 - probs.sum(axis=-1, keepdims=True), 0.0, None)
+    full = np.concatenate([probs, goal], axis=-1)
+    full /= full.sum(axis=-1, keepdims=True)
+    return np.cumsum(full, axis=-1), np.clip(model.loss_embed @ c, 0.0, 1.0)
+
+
+def edge_model(rng, d, n_states, n_actions, negative, full, zero_losses):
+    """A model with entries on the edges LinearCsspModel admits.
+
+    negative    : about a third of the transition entries at -SIMPLEX_TOL
+    full        : about half the columns scaled to a mass of 1 + SIMPLEX_TOL,
+                  less the few ulps the mass check asks for
+    zero_losses : about a third of the loss entries at 0.0, -0.0 or 1.0
+    """
+    shape = (n_states, n_actions, d)
+    loss = rng.uniform(0.0, 1.0, shape)
+    if zero_losses:
+        hit = rng.random(shape) < 1 / 3
+        loss[hit] = rng.choice([0.0, -0.0, 1.0], size=int(hit.sum()))
+    # (S, A, d, S + 1) Dirichlet rows; the last entry is the goal's share
+    trans = np.moveaxis(
+        rng.dirichlet(np.ones(n_states + 1), size=shape)[..., :-1], 2, 3)
+    if negative:
+        trans[rng.random(trans.shape) < 1 / 3] = -SIMPLEX_TOL
+    if full:
+        pos = np.maximum(trans, 0.0)
+        mass = pos.sum(axis=2, keepdims=True)
+        scale = (1.0 + SIMPLEX_TOL - (trans - pos).sum(axis=2, keepdims=True))
+        cols = (rng.random(mass.shape) < 0.5) & (mass > 0)
+        trans = np.where(cols, pos * (scale / np.where(cols, mass, 1.0))
+                         + (trans - pos), trans)
+        # step positive entries down by an ulp until the check admits them
+        while (over := trans.sum(axis=2) > 1.0 + SIMPLEX_TOL).any():
+            trans = np.where(over[:, :, None, :] & (trans > 0),
+                             np.nextafter(trans, 0.0), trans)
+    return LinearCsspModel(loss, trans)
+
+
+class TestEpisodeSampler:
+    """The sampler's ufunc build equals the np.clip build bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=simplex_contexts(), n_states=st.integers(1, 5),
+           n_actions=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           negative=st.booleans(), full=st.booleans(),
+           zero_losses=st.booleans())
+    def test_build_equals_clip_oracle(self, c, n_states, n_actions, seed,
+                                      negative, full, zero_losses):
+        model = edge_model(np.random.default_rng(seed), len(c), n_states,
+                           n_actions, negative, full, zero_losses)
+        sampler = _EpisodeSampler(model, c)
+        cum, means = clip_sampler(model, c)
+        assert sampler.cum.tobytes() == cum.tobytes()
+        assert sampler.means.tobytes() == means.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_both_clips_act(self, d):
+        # columns at mass 1 + SIMPLEX_TOL and a vertex context: the goal
+        # share 1 - sum is negative and clipped; entries at -SIMPLEX_TOL
+        # make next-state probabilities negative, clipped too
+        model = edge_model(np.random.default_rng(d), d, 4, 2, negative=True,
+                           full=True, zero_losses=True)
+        c = np.eye(d)[0]
+        probs = model.trans_embed @ c
+        assert (probs < 0).any()
+        assert (1.0 - np.clip(probs, 0.0, None).sum(axis=-1) < 0).any()
+        sampler = _EpisodeSampler(model, c)
+        cum, means = clip_sampler(model, c)
+        assert sampler.cum.tobytes() == cum.tobytes()
+        assert sampler.means.tobytes() == means.tobytes()
+
+    def test_signed_zero_products(self):
+        # a matmul's sum starts from +0.0, so no model gives a -0.0
+        # product; stand-in embeddings whose product with c is fixed show
+        # that both builds treat one alike (clip(x, 0.0, 1.0) keeps -0.0)
+        class Product:
+            def __init__(self, value):
+                self.value = value
+
+            def __matmul__(self, c):
+                return self.value.copy()
+
+        zeros = np.array([-0.0, 0.0, -1e-12, 0.5, 1.0, 1.5])
+        model = types.SimpleNamespace(
+            trans_embed=Product(zeros.reshape(1, 2, 3)),
+            loss_embed=Product(zeros.reshape(3, 2)), n_states=3,
+            loss_noise="bernoulli", noise_width=0.0)
+        sampler = _EpisodeSampler(model, None)
+        cum, means = clip_sampler(model, None)
+        assert np.signbit(means[0, 0])
+        assert sampler.cum.tobytes() == cum.tobytes()
+        assert sampler.means.tobytes() == means.tobytes()
+
+
 class TestDeferredProjection:
     """p_hat is projected only for pairs whose radius lets a plan read it."""
 
@@ -1031,7 +1130,7 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
         assert record.v_tilde_init == plan.values[model.s_init]
         assert record.known_fraction == known_fraction
         if learner._plan is not None:  # kept for the next row update
-            kept_loss, kept_values = learner._plan
+            kept_loss, kept_values = map(np.asarray, learner._plan)
             assert kept_loss.tobytes() == opt_loss.tobytes()
             assert kept_values.tobytes() == plan.values.tobytes()
         counts["open"] += open_row
@@ -1281,6 +1380,70 @@ class TestStepState:
             record = learner.start_interval(c, 0, "unknown")
             assert known_fraction(record) == 0.5
         assert floor_binds == [m > 1] * 2
+
+    @pytest.mark.parametrize("m0", [0, 10**6])
+    def test_known_bit_of_every_visit_across_a_doubling(self, monkeypatch,
+                                                         m0):
+        """Every visit's known bit equals the paper's test recomputed from
+        the store: the pair's norm at c against known_threshold at
+        dynamics_radius(tau), l_min, b_star_cur, m and delta.
+
+        (d, S, A) = (1, 1, 1): the single row opens after a few visits and
+        its values escape B = 1 once.  l_min = 10 puts visits on both sides
+        of the threshold before and after the doubling.  With the interval
+        count started at m0 = 10**6 the floor sqrt(log(4m / delta)) exceeds
+        beta_dyn at every visit, so the floor's threshold decides.
+        """
+        seen = []
+
+        class Checked(Learner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.m = m0
+
+            def visit(self, s, a, c, next_state, loss):
+                known = super().visit(s, a, c, next_state, loss)
+                cfg = self.cfg
+                beta = dynamics_radius(self.store.tau[s, a], self.d,
+                                       self.n_states, self.n_actions,
+                                       cfg.lam, cfg.delta)
+                norm = context_norms(self.store.v_bar_inv[s, a], c)
+                assert known == (norm < known_threshold(
+                    beta, self.l_min_eff, self.b_star_cur, self.m,
+                    cfg.delta))
+                seen.append((self.doubling_events, known,
+                             known_floor(self.m, cfg.delta) > beta))
+                return known
+
+        monkeypatch.setattr("lrcssp.learner.Learner", Checked)
+        spec = GeneratorSpec(d=1, n_states=1, n_actions=1, gamma_goal=0.02,
+                             l_min_target=0.5, seed=0)
+        contexts = context_sequence("uniform", 20, 1,
+                                    rng=np.random.default_rng(0))
+        log = run(LearnerConfig(delta=0.1, l_min=10.0),
+                  generate_instance(spec), contexts, seed=0)
+        assert log.doubling_events == 1
+        assert {(doubled, known) for doubled, known, _ in seen} == {
+            (0, False), (0, True), (1, False), (1, True)}
+        assert {floor for _, _, floor in seen} == {m0 > 0}
+
+    def test_known_bit_follows_m_set_between_visits(self):
+        # the floor's threshold is kept per (m, b_star_cur); the helpers
+        # above set m between visits.  Each visit's norm lies just below
+        # the threshold without the floor, so the pair is known at m = 1
+        # (floor 1.22) and not at m = 10**6 (floor 3.91 > beta_dyn)
+        cfg, learner = self._one_state(l_min=0.5)
+        c = np.array([1.0])
+        learner.start_interval(c, 0, "start")
+        bits = []
+        for m in (10**6, 1, 10**6, 1):
+            learner.m = m
+            beta = dynamics_radius(learner.store.tau[0, 0] + 1, 1, 1, 2,
+                                   cfg.lam, cfg.delta)
+            norm = 0.99 * cfg.l_min / (10.0 * learner.b_star_cur * beta)
+            learner.store.v_bar_inv[0, 0] = norm**2 / (1.0 - norm**2)
+            bits.append(learner.visit(0, 0, c, GOAL, 0.5))
+        assert bits == [False, True, False, True]
 
     def test_known_count_follows_a_doubling(self, monkeypatch):
         # l_min = 40 puts the threshold of a fresh pair (norm 1 at c = 1)

@@ -4,13 +4,18 @@ The expected values come from the benchmark's reference table
 (bench/reference.json), which was recorded from the learner before the
 stacked-statistics store: step and interval counts must match exactly and
 the final cumulative regret to a relative 1e-6 (the artifacts print nine
-significant digits).
+significant digits).  Three runs also pin every bit the RunLog records, as
+the benchmark's run_log_digest (bench/workloads.py) in hex: a change meant
+to keep behaviour keeps each of them.
 """
 
+import importlib.util
 import json
+import os
 
 import pytest
 
+from lrcssp import estimation, learner
 from lrcssp.cli import main
 from lrcssp.harness import (
     ExperimentConfig,
@@ -29,6 +34,18 @@ REF_GENERATOR = {"d": 2, "n_states": 5, "n_actions": 3, "gamma_goal": 0.1,
 WIDE_GENERATOR = dict(REF_GENERATOR, d=4, n_states=30, n_actions=5)
 LEARNER = {"delta": 0.1, "l_min": 0.1}
 RTOL = 1e-6
+
+
+def _bench_run_log_digest():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run_log_digest
+
+
+run_log_digest = _bench_run_log_digest()
 
 
 def experiment(generator, K, seed, out_dir, baseline=False):
@@ -59,6 +76,22 @@ def test_golden_pipeline(tmp_path):
             regret, rel=RTOL)
 
 
+def test_ref_part_bits(tmp_path):
+    """REF_SPEC, K=1000, run seed 0: the benchmark's first `ref` part."""
+    cfg = ExperimentConfig.from_dict(
+        experiment(REF_GENERATOR, 1000, 0, str(tmp_path)))
+    log = run(cfg.learner, generate_instance(cfg.generator),
+              build_contexts(cfg, 0), seed=0)
+    assert run_log_digest(log) == (
+        "3233a33db8d9fba8aa2de6da3d771e8e8f7ec490eb87304a5f943cac04aec6bb")
+
+
+WIDE_DIGESTS = {
+    2: "1a0938efa91adabc5056a425ed726e50dad4d6632a50954dccf3f274b8772594",
+    4: "c72ea94e567fc289a82818fe0228563bf9d702c10956b310359aa638788e2a8c",
+}
+
+
 @pytest.mark.parametrize("run_seed, steps, intervals, regret", [
     (2, 153, 153, 25.677368865430882),
     (4, 112, 112, -8.203314399431703),
@@ -72,20 +105,36 @@ def test_wide_runs(tmp_path, run_seed, steps, intervals, regret):
     log = run(cfg.learner, model, contexts, seed=run_seed)
     assert log.total_steps == steps
     assert log.total_intervals == intervals
+    assert run_log_digest(log) == WIDE_DIGESTS[run_seed]
     oracle = oracle_values(model, contexts)
     summary = summarize_run(log, compute_regret(log, oracle), oracle,
                             cfg.learner.delta)
     assert summary["final_cum_regret"] == pytest.approx(regret, rel=RTOL)
 
 
-def test_mixed_regime_run(tmp_path):
+def test_mixed_regime_run(tmp_path, monkeypatch):
     """(d, S, A) = (1, 2, 2), l_min=0.5, K=150, run seed 0.
 
     Rows open after about 73 visits (docs/regimes.md), so the run's plans
     switch between the one-row update of an emptied plan and the full EVI
-    loop: 91 of its 244 plans read an open row.  Recorded before the row
-    update existed.
+    loop: 91 of its 244 plans read an open row, and the pairs they read are
+    projected.  Recorded before the row update existed; the digest after it.
     """
+    calls = {"open": 0, "projections": 0}
+    evi_plan = learner.evi_plan
+    project = estimation.project_to_stochastic
+
+    def counting_evi_plan(opt_loss, p_ctx, radius, **kwargs):
+        calls["open"] += p_ctx is not None
+        return evi_plan(opt_loss, p_ctx, radius, **kwargs)
+
+    def counting_projection(p_raw, v_bar):
+        calls["projections"] += 1
+        return project(p_raw, v_bar)
+
+    monkeypatch.setattr(learner, "evi_plan", counting_evi_plan)
+    monkeypatch.setattr(estimation, "project_to_stochastic",
+                        counting_projection)
     generator = {"d": 1, "n_states": 2, "n_actions": 2, "gamma_goal": 0.1,
                  "l_min_target": 0.1, "seed": 0}
     raw = experiment(generator, 150, 0, str(tmp_path))
@@ -95,6 +144,9 @@ def test_mixed_regime_run(tmp_path):
     contexts = build_contexts(cfg, 0)
     log = run(cfg.learner, model, contexts, seed=0)
     assert (log.total_steps, log.total_intervals) == (244, 244)
+    assert calls == {"open": 91, "projections": 70}
+    assert run_log_digest(log) == (
+        "e48f565d33c6390826c9ec06aab4075d2701a064595ddade2f0da80ea2ac4c6c")
     oracle = oracle_values(model, contexts)
     summary = summarize_run(log, compute_regret(log, oracle), oracle,
                             cfg.learner.delta)
