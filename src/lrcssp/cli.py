@@ -77,7 +77,8 @@ def cmd_report(args):
     )
     if not variants:
         raise ConfigError(f"no run variants found under {run_dir}")
-    stored = read_summary(os.path.join(run_dir, "summary.txt"))
+    summary_path = os.path.join(run_dir, "summary.txt")
+    stored = read_summary(summary_path)
     print(f"{'variant':<16}{'runs':>6}{'final_regret_mean':>20}"
           f"{'truncations':>13}")
     for variant in variants:
@@ -102,16 +103,19 @@ def cmd_report(args):
             if not np.isnan(final):
                 curves.append(curve)
         mean = float(np.mean([c[-1] for c in curves])) if curves else SENTINEL
-        stored_mean = stored.get(f"{variant}.final_regret_mean")
+        key = f"{variant}.final_regret_mean"
+        try:  # a variant the summary does not name is not compared
+            stored_mean = float(stored.get(key, mean))
+        except ValueError as exc:
+            raise ConfigError(f"malformed {summary_path}: {key}: {exc}")
         # CSV cells are rounded to 9 significant digits, so the recomputed
         # mean can differ from the stored full-precision one in the last
         # digit; a variant whose every seed truncated stores nan
-        if stored_mean is not None and not np.isclose(
-                mean, float(stored_mean), rtol=1e-7, atol=1e-9,
-                equal_nan=True):
+        if not np.isclose(mean, stored_mean, rtol=1e-7, atol=1e-9,
+                          equal_nan=True):
             raise LrcsspError(
-                f"recomputed mean {_fmt(mean)} != stored {stored_mean} "
-                f"for {variant}")
+                f"recomputed mean {_fmt(mean)} != stored "
+                f"{_fmt(stored_mean)} for {variant}")
         print(f"{variant:<16}{len(seeds):>6}{_fmt(mean):>20}{truncs:>13}")
         # plot-ready data: mean cumulative regret per episode over the same
         # seeds, so the last point is the mean above

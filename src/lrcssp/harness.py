@@ -369,7 +369,7 @@ def read_summary(path):
     out = {}
     with open(path) as fh:
         for line in fh:
-            key, _, val = line.strip().partition(": ")
+            key, _, val = line.rstrip("\r\n").partition(": ")
             out[key] = val
     return out
 

@@ -12,7 +12,10 @@ the learner replans that one row in place of a full plan (see
 docs/regimes.md, "What a replan costs").
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -131,7 +134,7 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     """
     if radius.min() >= ROW_EMPTYING_RADIUS:
         q_vals = opt_loss + 0.0
-        values = q_vals.min(axis=1).clip(0.0, b_cap)
+        values = np.minimum(np.maximum(0.0, q_vals.min(axis=1)), b_cap)
         policy = q_vals.argmin(axis=1)
         residual, iterations = _emptied_sweeps(float(values.max()), evi_tol,
                                                evi_max_iter)
@@ -329,18 +332,12 @@ class Learner:
             self._outer = self._context[:, None] * self._context
             self._norms = self._plan = None
 
-    def _norms_at(self, c, moved=None):
-        """The (S, A) context norms of the current statistics at the kept c.
-
-        Kept across calls at that context: then only the pair `moved`, whose
-        statistics changed since, gets a new norm, which equals the stacked
-        one bit for bit.
+    def _norms_at(self, c):
+        """The (S, A) context norms of the current statistics at the kept c,
+        kept across calls at that context (visit updates the visited pair's).
         """
         if self._norms is None:
             self._norms = estimation.context_norms(self.store.v_bar_inv, c)
-        elif moved is not None:
-            self._norms[moved] = estimation.context_norms(
-                self.store.v_bar_inv[moved], c)
         return self._norms
 
     def visit(self, s, a, c, next_state, loss):
@@ -365,7 +362,12 @@ class Learner:
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
         self._threshold[s, a] = threshold
-        norm = self._norms_at(c, (s, a)).item(s, a)
+        if self._norms is None:
+            norm = self._norms_at(c).item(s, a)
+        else:
+            # context_norms' bits: maximum(0.0, x) keeps -0.0 and NaN too
+            x = np.vecdot(np.vecmat(c, store.v_bar_inv[s, a]), c).item()
+            norm = self._norms[s, a] = math.sqrt(x) if not x < 0.0 else 0.0
         self._moved = (s, a) if self._moved in (None, (s, a)) else False
         return norm < min(threshold, self._known_cap())
 
@@ -430,13 +432,13 @@ class Learner:
         norms = self._norms_at(c)
         planned = self._row_update(c, norms)
         while planned is None:
-            est = self.snapshot_estimates(norms)
-            opt_loss = np.clip(
-                np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
-                0.0, 1.0)
-            radius = est.beta_dyn * norms
-            p_ctx = (np.einsum("sand,d->san", est.p_hat, c)
-                     if radius.min() < ROW_EMPTYING_RADIUS else None)
+            # np.clip(x, 0.0, 1.0) in ufuncs, keeping its -0.0 (see the
+            # sampler); with every row emptied no p_hat is read or projected
+            opt_loss = np.minimum(np.maximum(0.0, np.einsum(
+                "sad,d->sa", self._l_hat, c) - self._beta_l * norms), 1.0)
+            radius = self._beta_p * norms
+            p_ctx = None if radius.min() >= ROW_EMPTYING_RADIUS else np.einsum(
+                "sand,d->san", self.snapshot_estimates(norms).p_hat, c)
             result = evi_plan(opt_loss, p_ctx, radius,
                               b_cap=2.0 * self.b_star_cur,
                               evi_tol=self.cfg.evi_tol,
@@ -470,7 +472,9 @@ class Learner:
 
 
 class _EpisodeSampler:
-    """Precomputed induced categorical for one episode's fixed context."""
+    """Induced categorical for one episode's fixed context: the (S, A, S + 1)
+    probabilities, goal last, normalised in one batch (pairwise sums), and a
+    pair's cumulative row summed on its first draw (see docs/regimes.md)."""
 
     def __init__(self, model, c):
         # np.clip's bits: maximum returns its second operand on a tie, so
@@ -480,14 +484,20 @@ class _EpisodeSampler:
         goal = 1.0 - probs.sum(axis=-1, keepdims=True)
         full = np.concatenate((probs, np.maximum(goal, 0.0, out=goal)), -1)
         full /= full.sum(axis=-1, keepdims=True)
-        self.cum = np.cumsum(full, axis=-1, out=full)
+        self.probs, self.rows = full, {}
         self.means = np.minimum(np.maximum(0.0, model.loss_embed @ c), 1.0)
         self.n_states = model.n_states
         self.bernoulli = model.loss_noise == "bernoulli"
         self.width = model.noise_width
 
+    def row(self, s, a):
+        """The cumulative row of (s, a): left to right, as np.cumsum sums."""
+        row = self.rows[s, a] = list(accumulate(self.probs[s, a].tolist()))
+        return row
+
     def step(self, s, a, rng):
-        nxt = int(self.cum[s, a].searchsorted(rng.random(), side="right"))
+        row = self.rows.get((s, a)) or self.row(s, a)
+        nxt = bisect_right(row, rng.random())
         if nxt >= self.n_states:
             nxt = GOAL
         mean = self.means.item(s, a)

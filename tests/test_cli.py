@@ -364,6 +364,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("config error") and path in err
 
+    @pytest.mark.parametrize("value", ["abc", "", "1.5.2"])
+    def test_report_malformed_summary_mean_exits_2(self, tmp_path, capsys,
+                                                   value):
+        out = self._full_pipeline(tmp_path)
+        path = os.path.join(out, "summary.txt")
+        key = "lrcssp.final_regret_mean"
+        lines = open(path).read().splitlines()
+        assert sum(line.startswith(key + ": ") for line in lines) == 1
+        with open(path, "w") as fh:
+            fh.write("".join((f"{key}: {value}" if line.startswith(key + ": ")
+                              else line) + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["report", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and path in err and key in err
+
     def test_report_empty_dir_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2
 

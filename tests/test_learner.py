@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import types
 
@@ -840,12 +842,25 @@ def simplex_contexts(draw):
 
 
 def clip_sampler(model, c):
-    """Oracle: the (cum, means) of _EpisodeSampler built with np.clip."""
+    """Oracle: the normalised probabilities, their cumsum and the means of
+    the episode sampler, built with np.clip and batched np.cumsum."""
     probs = np.clip(model.trans_embed @ c, 0.0, None)  # (S, A, S)
     goal = np.clip(1.0 - probs.sum(axis=-1, keepdims=True), 0.0, None)
     full = np.concatenate([probs, goal], axis=-1)
     full /= full.sum(axis=-1, keepdims=True)
-    return np.cumsum(full, axis=-1), np.clip(model.loss_embed @ c, 0.0, 1.0)
+    return (full, np.cumsum(full, axis=-1),
+            np.clip(model.loss_embed @ c, 0.0, 1.0))
+
+
+def assert_sampler_equals_clip_oracle(sampler, model, c):
+    """Every forced (s, a) row, the probabilities and the means equal the
+    np.clip oracle's bit for bit."""
+    full, cum, means = clip_sampler(model, c)
+    assert sampler.probs.tobytes() == full.tobytes()
+    rows = np.array([[sampler.row(s, a) for a in range(cum.shape[1])]
+                     for s in range(cum.shape[0])])
+    assert rows.tobytes() == cum.tobytes()
+    assert sampler.means.tobytes() == means.tobytes()
 
 
 def edge_model(rng, d, n_states, n_actions, negative, full, zero_losses):
@@ -881,7 +896,8 @@ def edge_model(rng, d, n_states, n_actions, negative, full, zero_losses):
 
 
 class TestEpisodeSampler:
-    """The sampler's ufunc build equals the np.clip build bit for bit."""
+    """The sampler's ufunc build and per-pair rows equal the np.clip build
+    and batched cumsum bit for bit, and its draws equal searchsorted's."""
 
     @settings(max_examples=200, deadline=None)
     @given(c=simplex_contexts(), n_states=st.integers(1, 5),
@@ -892,10 +908,7 @@ class TestEpisodeSampler:
                                       negative, full, zero_losses):
         model = edge_model(np.random.default_rng(seed), len(c), n_states,
                            n_actions, negative, full, zero_losses)
-        sampler = _EpisodeSampler(model, c)
-        cum, means = clip_sampler(model, c)
-        assert sampler.cum.tobytes() == cum.tobytes()
-        assert sampler.means.tobytes() == means.tobytes()
+        assert_sampler_equals_clip_oracle(_EpisodeSampler(model, c), model, c)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_both_clips_act(self, d):
@@ -908,10 +921,7 @@ class TestEpisodeSampler:
         probs = model.trans_embed @ c
         assert (probs < 0).any()
         assert (1.0 - np.clip(probs, 0.0, None).sum(axis=-1) < 0).any()
-        sampler = _EpisodeSampler(model, c)
-        cum, means = clip_sampler(model, c)
-        assert sampler.cum.tobytes() == cum.tobytes()
-        assert sampler.means.tobytes() == means.tobytes()
+        assert_sampler_equals_clip_oracle(_EpisodeSampler(model, c), model, c)
 
     def test_signed_zero_products(self):
         # a matmul's sum starts from +0.0, so no model gives a -0.0
@@ -929,11 +939,73 @@ class TestEpisodeSampler:
             trans_embed=Product(zeros.reshape(1, 2, 3)),
             loss_embed=Product(zeros.reshape(3, 2)), n_states=3,
             loss_noise="bernoulli", noise_width=0.0)
-        sampler = _EpisodeSampler(model, None)
-        cum, means = clip_sampler(model, None)
-        assert np.signbit(means[0, 0])
-        assert sampler.cum.tobytes() == cum.tobytes()
-        assert sampler.means.tobytes() == means.tobytes()
+        assert np.signbit(clip_sampler(model, None)[2][0, 0])
+        assert_sampler_equals_clip_oracle(_EpisodeSampler(model, None), model,
+                                          None)
+
+    @staticmethod
+    def draw_points(cum_row):
+        """Each entry, its nextafter neighbours, 0.0 and the largest u < 1."""
+        entries = np.asarray(cum_row)
+        return np.concatenate([
+            entries, np.nextafter(entries, -np.inf),
+            np.nextafter(entries, np.inf), [0.0, np.nextafter(1.0, 0.0)]])
+
+    @pytest.mark.parametrize("d, negative, full", [
+        (1, False, False), (2, True, False), (3, True, True),
+        (4, False, True)])
+    def test_draw_equals_searchsorted(self, d, negative, full):
+        # entries at -SIMPLEX_TOL clip to zero-probability next states, whose
+        # cumulative entries repeat the one before
+        model = edge_model(np.random.default_rng(10 + d), d, 5, 3, negative,
+                           full, zero_losses=False)
+        c = np.eye(d)[0] if negative else np.full(d, 1.0 / d)
+        sampler = _EpisodeSampler(model, c)
+        _, cum, _ = clip_sampler(model, c)
+        repeated = 0
+        for s in range(model.n_states):
+            for a in range(model.n_actions):
+                row = sampler.row(s, a)
+                repeated += int((np.diff(cum[s, a]) == 0).any())
+                for u in self.draw_points(cum[s, a]).tolist():
+                    want = int(np.searchsorted(cum[s, a], u, side="right"))
+                    assert bisect.bisect_right(row, u) == want, (s, a, u)
+                    # and through step, whose uniform draws all read u
+                    nxt, _ = sampler.step(s, a, types.SimpleNamespace(
+                        random=lambda: u))
+                    assert nxt == (GOAL if want >= model.n_states else want)
+        assert repeated or not negative
+
+    def test_repeated_entries_draw_past_the_zero_state(self):
+        # next state 1 has probability 0: a draw at the repeated entry goes
+        # to state 2, as searchsorted does, never to state 1
+        cum_row = np.cumsum([0.25, 0.0, 0.5, 0.25])
+        row = list(itertools.accumulate([0.25, 0.0, 0.5, 0.25]))
+        assert row == cum_row.tolist()
+        for u in self.draw_points(cum_row).tolist():
+            assert bisect.bisect_right(row, u) == int(np.searchsorted(
+                cum_row, u, side="right"))
+        assert bisect.bisect_right(row, 0.25) == 2
+
+    @pytest.mark.parametrize("noise", ["bernoulli", "truncated_uniform"])
+    def test_steps_equal_the_batched_cumsum(self, noise):
+        # the same draws through step and through searchsorted on the oracle
+        base = edge_model(np.random.default_rng(3), 2, 4, 2, negative=True,
+                          full=True, zero_losses=True)
+        model = LinearCsspModel(base.loss_embed, base.trans_embed,
+                                loss_noise=noise, noise_width=0.05)
+        c = np.array([0.7, 0.3])
+        sampler = _EpisodeSampler(model, c)
+        _, cum, _ = clip_sampler(model, c)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        pairs = [(s, a) for s in range(4) for a in range(2)] * 25
+        for s, a in pairs:
+            nxt, _ = sampler.step(s, a, rng)
+            want = int(np.searchsorted(cum[s, a], ref.random(), side="right"))
+            assert nxt == (GOAL if want >= model.n_states else want)
+            ref.random() if noise == "bernoulli" else ref.uniform()
+            assert sampler.rows[s, a] == cum[s, a].tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestDeferredProjection:

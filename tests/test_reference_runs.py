@@ -4,11 +4,13 @@ The expected values come from the benchmark's reference table
 (bench/reference.json), which was recorded from the learner before the
 stacked-statistics store: step and interval counts must match exactly and
 the final cumulative regret to a relative 1e-6 (the artifacts print nine
-significant digits).  Three runs also pin every bit the RunLog records, as
-the benchmark's run_log_digest (bench/workloads.py) in hex: a change meant
-to keep behaviour keeps each of them.
+significant digits).  Four runs also pin every bit the RunLog records, as
+the benchmark's run_log_digest (bench/workloads.py) in hex, and the golden
+pipeline pins the sha256 of every artifact: a change meant to keep
+behaviour keeps each of them.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -19,6 +21,7 @@ from lrcssp import estimation, learner
 from lrcssp.cli import main
 from lrcssp.harness import (
     ExperimentConfig,
+    baseline_context_blind,
     build_contexts,
     compute_regret,
     oracle_values,
@@ -55,6 +58,32 @@ def experiment(generator, K, seed, out_dir, baseline=False):
             "baseline_context_blind": baseline}
 
 
+# sha256 of every file the golden pipeline writes under out/, except
+# config.json, which records the out_dir under tmp_path
+GOLDEN_SHA256 = {
+    "context_blind/seed_0/events.jsonl":
+        "f4e7e09a3f1f5536d42afe46d1f0608c01e96f5c88f616d0b1739fe5b02a2ea1",
+    "context_blind/seed_0/regret.csv":
+        "dd6ee6a4b064f3620c2702c0bb24094025c75628216084d7fcb84b08a1c61f13",
+    "context_blind/seed_0/summary.txt":
+        "221e891855fd99381d068b0b9dbb9402199447247d9e875c2b9f33909713effb",
+    "lrcssp/seed_0/events.jsonl":
+        "fd31a09169901b806ca943be4abc2c45f485d19eb736ff547edb43f533e4508c",
+    "lrcssp/seed_0/regret.csv":
+        "f7f3ed48565698e65540e5be12f90ceddcf858059f76a138f43ebda5fceea0b7",
+    "lrcssp/seed_0/summary.txt":
+        "82246e1d075276fed0b0744b686eb47e8246e1c2b8b5b10696ce7b9756757f3e",
+    "model.json":
+        "e85ec2bc6e06ddb3e577635913e92116c595e9ddd3b21a96dc5b229ad2b18cc0",
+    "plot_context_blind.csv":
+        "1085d96916d54e2e11f4bd2f9f20cc36cb7d7226ef1e455255b41d2aaf7bb41e",
+    "plot_lrcssp.csv":
+        "5fb0e65f54ae3424ba8e583fa902d47d9f12a2ac03ca0bcaa25815bca02699a3",
+    "summary.txt":
+        "593587bd29d0645e23c4849d1eee3dd85dc49f97ac5cf9ddc89c5ec193d35764",
+}
+
+
 def test_golden_pipeline(tmp_path):
     """gen, run and report at REF_SPEC, K=60, run seed 0, both variants."""
     out = tmp_path / "out"
@@ -74,6 +103,10 @@ def test_golden_pipeline(tmp_path):
         assert int(summary["total_intervals"]) == intervals
         assert float(summary["final_cum_regret"]) == pytest.approx(
             regret, rel=RTOL)
+    written = {str(path.relative_to(out)): hashlib.sha256(
+        path.read_bytes()).hexdigest() for path in out.rglob("*")
+        if path.is_file() and path != out / "config.json"}
+    assert written == GOLDEN_SHA256
 
 
 def test_ref_part_bits(tmp_path):
@@ -84,6 +117,19 @@ def test_ref_part_bits(tmp_path):
               build_contexts(cfg, 0), seed=0)
     assert run_log_digest(log) == (
         "3233a33db8d9fba8aa2de6da3d771e8e8f7ec490eb87304a5f943cac04aec6bb")
+
+
+def test_context_blind_bits(tmp_path):
+    """REF_SPEC, K=100, run seed 0, context-blind: the `sweep` variant, which
+    perceives one context throughout, so every plan after the first is the
+    one-row update."""
+    cfg = ExperimentConfig.from_dict(
+        experiment(REF_GENERATOR, 100, 0, str(tmp_path), baseline=True))
+    log = baseline_context_blind(cfg.learner, generate_instance(cfg.generator),
+                                 build_contexts(cfg, 0), seed=0)
+    assert (log.total_steps, log.total_intervals) == (331, 331)
+    assert run_log_digest(log) == (
+        "30bde0def21fc5e3a4ac4225bd51d4252a4c583d24958fb0eef86be7bbbd7e42")
 
 
 WIDE_DIGESTS = {
