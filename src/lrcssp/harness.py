@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,6 +456,8 @@ def run_experiment(cfg, model=None, jobs=1):
              for seed in cfg.seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: a serial run does not pay for the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_run_seed, tasks))
     else:

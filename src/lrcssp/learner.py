@@ -22,7 +22,8 @@ import numpy as np
 from . import estimation
 from .errors import (ConfigError, ProjectionError, ProtocolError,
                      check_field_types)
-from .linear_model import AdaptiveContexts, validate_contexts
+from .linear_model import (AdaptiveContexts, _induced_products,
+                           validate_contexts)
 from .ssp import GOAL
 
 
@@ -37,6 +38,14 @@ from .ssp import GOAL
 # SIMPLEX_TOL = 1e-9 the margin 1e-6 holds for d below 999 with room for the
 # rounding of the S-term sums.
 ROW_EMPTYING_RADIUS = 1.0 + 1e-6
+
+# Entries of the sampler tables run builds at once: about 91 contexts of
+# S * A * (S + 1) = 90 entries at (S, A) = (5, 3), one at (30, 5).  A stack
+# of every episode's context was slower than one context at a time at
+# (30, 5): the larger tables fall out of the cache.
+SAMPLER_STACK_ENTRIES = 2**13
+# Uniform doubles _BlockUniforms draws from the generator at once.
+UNIFORM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -432,8 +441,8 @@ class Learner:
         norms = self._norms_at(c)
         planned = self._row_update(c, norms)
         while planned is None:
-            # np.clip(x, 0.0, 1.0) in ufuncs, keeping its -0.0 (see the
-            # sampler); with every row emptied no p_hat is read or projected
+            # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products); with
+            # every row emptied no p_hat is read or projected
             opt_loss = np.minimum(np.maximum(0.0, np.einsum(
                 "sad,d->sa", self._l_hat, c) - self._beta_l * norms), 1.0)
             radius = self._beta_p * norms
@@ -471,21 +480,64 @@ class Learner:
         return record
 
 
-class _EpisodeSampler:
-    """Induced categorical for one episode's fixed context: the (S, A, S + 1)
-    probabilities, goal last, normalised in one batch (pairwise sums), and a
-    pair's cumulative row summed on its first draw (see docs/regimes.md)."""
+def _sampler_tables(model, contexts):
+    """The episode samplers' tables for a (k, d) stack of contexts: the
+    (k, S, A, S + 1) induced probabilities, goal last, each row normalised
+    by its pairwise sum, and the (k, S, A) loss means.  Every row is
+    reduced on its own, so a stack's rows equal one context's bit for bit.
+    """
+    means, probs = _induced_products(model, contexts)
+    goal = 1.0 - probs.sum(axis=-1, keepdims=True)
+    full = np.concatenate((probs, np.maximum(goal, 0.0, out=goal)), -1)
+    full /= full.sum(axis=-1, keepdims=True)
+    return full, means
 
-    def __init__(self, model, c):
-        # np.clip's bits: maximum returns its second operand on a tie, so
-        # (x, 0.0) turns -0.0 into +0.0 as clip(x, 0.0, None) does, and
-        # (0.0, x) keeps it as clip(x, 0.0, 1.0) does
-        probs = np.maximum(model.trans_embed @ c, 0.0)  # (S, A, S)
-        goal = 1.0 - probs.sum(axis=-1, keepdims=True)
-        full = np.concatenate((probs, np.maximum(goal, 0.0, out=goal)), -1)
-        full /= full.sum(axis=-1, keepdims=True)
-        self.probs, self.rows = full, {}
-        self.means = np.minimum(np.maximum(0.0, model.loss_embed @ c), 1.0)
+
+def _environment(model, contexts):
+    """Yield each episode's true context with its sampler's probabilities
+    and means, the tables built once per stack of SAMPLER_STACK_ENTRIES.
+
+    An AdaptiveContexts provider is asked for one context at a time, when
+    the episode before it has been recorded, so its stacks hold one.
+    """
+    adaptive = isinstance(contexts, AdaptiveContexts)
+    S = model.n_states
+    size = 1 if adaptive else max(
+        1, SAMPLER_STACK_ENTRIES // (S * model.n_actions * (S + 1)))
+    for start in range(0, contexts.K if adaptive else len(contexts), size):
+        stack = (contexts.next_context()[None] if adaptive
+                 else contexts[start:start + size])
+        yield from zip(stack, *_sampler_tables(model, stack))
+
+
+class _BlockUniforms:
+    """A numpy Generator's uniform doubles, drawn UNIFORM_BLOCK at a time.
+
+    The n-th random() is the generator's n-th random() bit for bit, and
+    uniform(low, high) is low + (high - low) * random(), the formula
+    Generator.uniform applies to the one double it draws.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._block = []
+
+    def random(self):
+        if not self._block:
+            self._block = self._rng.random(UNIFORM_BLOCK).tolist()[::-1]
+        return self._block.pop()
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
+class _EpisodeSampler:
+    """Induced categorical for one episode's fixed context, from its rows of
+    the stacked tables (_sampler_tables): a pair's cumulative row is summed
+    on its first draw (see docs/regimes.md)."""
+
+    def __init__(self, model, probs, means):
+        self.probs, self.means, self.rows = probs, means, {}
         self.n_states = model.n_states
         self.bernoulli = model.loss_noise == "bernoulli"
         self.width = model.noise_width
@@ -538,15 +590,14 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         eps = 0.0
         l_min_eff = cfg.l_min
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = _BlockUniforms(np.random.default_rng(np.random.SeedSequence(seed)))
     learner = Learner(cfg, model, l_min_eff, diagnostics_model)
     episodes = []
     all_records = []
     step_trace = []
     unknown_counts = np.zeros((model.n_states, model.n_actions), dtype=int)
 
-    for k in range(K):
-        c_true = contexts.next_context() if adaptive else contexts[k]
+    for k, (c_true, probs, means) in enumerate(_environment(model, contexts)):
         c_seen = (perceived_contexts[k] if perceived_contexts is not None
                   else c_true)
         log = EpisodeLog(episode=k, context=c_true)
@@ -554,14 +605,14 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         record = learner.start_interval(c_seen, k, trigger)
         log.intervals.append(record)
         log.intervals_started += 1
-        sampler = _EpisodeSampler(model, c_true)
+        sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
         while True:
             if log.steps >= cfg.episode_step_cap:
                 log.truncated = True
                 break
             a = int(learner.policy[s])
-            nxt, raw_loss = sampler.step(s, a, rng)
+            nxt, raw_loss = sampler.step(s, a, draws)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
             known = learner.visit(s, a, c_seen, nxt, obs_loss)
             log.steps += 1

@@ -134,12 +134,22 @@ def induce_ssp(model, c):
         validate_contexts(c, model.d)
     else:
         validate_context(c, model.d)
-    # one (rows, d) @ (d, 1) product per instance and state (and action):
-    # the same BLAS call as `embed @ c` makes for one context
-    loss = np.clip((model.loss_embed @ c[..., None, :, None])[..., 0], 0.0, 1.0)
-    trans = np.clip((model.trans_embed @ c[..., None, None, :, None])[..., 0],
-                    0.0, None)
-    return SspInstance(loss, trans)
+    return SspInstance(*_induced_products(model, c))
+
+
+def _induced_products(model, c):
+    """loss_embed @ c clipped to [0, 1] and trans_embed @ c clipped at 0, for
+    a context or a (K, d) stack: (S, A) and (S, A, S) arrays, or stacks.
+
+    One (rows, d) @ (d, 1) product per instance and state (and action): the
+    same BLAS call as `embed @ c` makes for one context.  np.clip's bits in
+    ufuncs: maximum returns its second operand on a tie, so maximum(x, 0.0)
+    turns -0.0 into +0.0 as clip(x, 0.0, None) does, and maximum(0.0, x)
+    keeps it as clip(x, 0.0, 1.0) does.
+    """
+    loss = np.matmul(model.loss_embed, c[..., None, :, None])[..., 0]
+    trans = np.matmul(model.trans_embed, c[..., None, None, :, None])[..., 0]
+    return np.minimum(np.maximum(0.0, loss), 1.0), np.maximum(trans, 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -472,12 +473,14 @@ class TestRunExperiment:
         shutil.rmtree(tmp_path / "out")
         pools = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # run_experiment imports the pool class when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         run_experiment(cfg, jobs=4)
         assert pools == asked
         assert tree_bytes(tmp_path / "out") == serial

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from lrcssp import estimation
+from lrcssp import learner as learner_mod
 from lrcssp.errors import (ConfigError, ProjectionError, ProtocolError,
                            StructuralError)
 from lrcssp.estimation import (
@@ -25,11 +27,15 @@ from lrcssp.estimation import (
 )
 from lrcssp.learner import (
     ROW_EMPTYING_RADIUS,
+    UNIFORM_BLOCK,
     EviResult,
     Learner,
     LearnerConfig,
+    _BlockUniforms,
+    _environment,
     _EpisodeSampler,
     _evi_backup,
+    _sampler_tables,
     auto_epsilon,
     evi_plan,
     run,
@@ -822,9 +828,11 @@ class TestStackedStatistics:
 
 
 @st.composite
-def simplex_contexts(draw):
-    """Contexts validate_context admits: interior, vertex, or off by its tolerance."""
-    d = draw(st.integers(1, 4))
+def simplex_contexts(draw, d=None):
+    """Contexts validate_context admits: interior, vertex, or off by its
+    tolerance; of dimension d, or of a drawn one from 1 to 4."""
+    if d is None:
+        d = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["interior", "vertex", "tolerance"]))
     if kind == "vertex":
         return np.eye(d)[draw(st.integers(0, d - 1))]
@@ -850,6 +858,12 @@ def clip_sampler(model, c):
     full /= full.sum(axis=-1, keepdims=True)
     return (full, np.cumsum(full, axis=-1),
             np.clip(model.loss_embed @ c, 0.0, 1.0))
+
+
+def episode_sampler(model, c):
+    """The episode sampler at c, built from a stack of one context."""
+    probs, means = _sampler_tables(model, np.asarray(c, dtype=float)[None])
+    return _EpisodeSampler(model, probs[0], means[0])
 
 
 def assert_sampler_equals_clip_oracle(sampler, model, c):
@@ -896,8 +910,9 @@ def edge_model(rng, d, n_states, n_actions, negative, full, zero_losses):
 
 
 class TestEpisodeSampler:
-    """The sampler's ufunc build and per-pair rows equal the np.clip build
-    and batched cumsum bit for bit, and its draws equal searchsorted's."""
+    """The sampler's stacked ufunc build and per-pair rows equal the np.clip
+    build and batched cumsum bit for bit, its draws equal searchsorted's,
+    and its block-drawn doubles equal the generator's."""
 
     @settings(max_examples=200, deadline=None)
     @given(c=simplex_contexts(), n_states=st.integers(1, 5),
@@ -908,7 +923,33 @@ class TestEpisodeSampler:
                                       negative, full, zero_losses):
         model = edge_model(np.random.default_rng(seed), len(c), n_states,
                            n_actions, negative, full, zero_losses)
-        assert_sampler_equals_clip_oracle(_EpisodeSampler(model, c), model, c)
+        assert_sampler_equals_clip_oracle(episode_sampler(model, c), model, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), n_states=st.integers(1, 5),
+           n_actions=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           negative=st.booleans(), full=st.booleans(),
+           zero_losses=st.booleans(), size=st.integers(1, 3))
+    def test_stacked_tables_equal_clip_oracle(self, data, d, n_states,
+                                              n_actions, seed, negative, full,
+                                              zero_losses, size):
+        # every row of a whole stack, and of the stacks run reads in turn
+        # (at most size contexts each, so K > size crosses a boundary),
+        # equals the one-context np.clip build
+        model = edge_model(np.random.default_rng(seed), d, n_states,
+                           n_actions, negative, full, zero_losses)
+        contexts = np.array(data.draw(st.lists(
+            simplex_contexts(d), min_size=1, max_size=7)))
+        entries = size * n_states * n_actions * (n_states + 1)
+        with mock.patch.object(learner_mod, "SAMPLER_STACK_ENTRIES", entries):
+            episodes = list(_environment(model, contexts))
+        whole = zip(contexts, *_sampler_tables(model, contexts))
+        for (c, probs, means), (c_run, probs_run, means_run) in zip(
+                whole, episodes, strict=True):
+            assert c_run.tobytes() == c.tobytes()
+            for sampler in (_EpisodeSampler(model, probs, means),
+                            _EpisodeSampler(model, probs_run, means_run)):
+                assert_sampler_equals_clip_oracle(sampler, model, c)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_both_clips_act(self, d):
@@ -921,7 +962,7 @@ class TestEpisodeSampler:
         probs = model.trans_embed @ c
         assert (probs < 0).any()
         assert (1.0 - np.clip(probs, 0.0, None).sum(axis=-1) < 0).any()
-        assert_sampler_equals_clip_oracle(_EpisodeSampler(model, c), model, c)
+        assert_sampler_equals_clip_oracle(episode_sampler(model, c), model, c)
 
     def test_signed_zero_products(self):
         # a matmul's sum starts from +0.0, so no model gives a -0.0
@@ -934,14 +975,20 @@ class TestEpisodeSampler:
             def __matmul__(self, c):
                 return self.value.copy()
 
+            def __array_ufunc__(self, ufunc, method, embed, stack):
+                # np.matmul against a stack: the value for every context,
+                # with the trailing axis of length one matmul leaves
+                assert ufunc is np.matmul and method == "__call__"
+                return np.repeat(self.value[None, ..., None], len(stack), 0)
+
         zeros = np.array([-0.0, 0.0, -1e-12, 0.5, 1.0, 1.5])
         model = types.SimpleNamespace(
             trans_embed=Product(zeros.reshape(1, 2, 3)),
             loss_embed=Product(zeros.reshape(3, 2)), n_states=3,
             loss_noise="bernoulli", noise_width=0.0)
         assert np.signbit(clip_sampler(model, None)[2][0, 0])
-        assert_sampler_equals_clip_oracle(_EpisodeSampler(model, None), model,
-                                          None)
+        assert_sampler_equals_clip_oracle(
+            episode_sampler(model, np.ones(1)), model, None)
 
     @staticmethod
     def draw_points(cum_row):
@@ -960,7 +1007,7 @@ class TestEpisodeSampler:
         model = edge_model(np.random.default_rng(10 + d), d, 5, 3, negative,
                            full, zero_losses=False)
         c = np.eye(d)[0] if negative else np.full(d, 1.0 / d)
-        sampler = _EpisodeSampler(model, c)
+        sampler = episode_sampler(model, c)
         _, cum, _ = clip_sampler(model, c)
         repeated = 0
         for s in range(model.n_states):
@@ -995,7 +1042,7 @@ class TestEpisodeSampler:
         model = LinearCsspModel(base.loss_embed, base.trans_embed,
                                 loss_noise=noise, noise_width=0.05)
         c = np.array([0.7, 0.3])
-        sampler = _EpisodeSampler(model, c)
+        sampler = episode_sampler(model, c)
         _, cum, _ = clip_sampler(model, c)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         pairs = [(s, a) for s in range(4) for a in range(2)] * 25
@@ -1006,6 +1053,40 @@ class TestEpisodeSampler:
             ref.random() if noise == "bernoulli" else ref.uniform()
             assert sampler.rows[s, a] == cum[s, a].tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_block_uniforms_equal_the_generator(self):
+        # random() and uniform(lo, hi) in turn, as a truncated-uniform step
+        # draws them, across three block boundaries; the bounds include the
+        # equal bounds a clipped mean of 0 or 1 gives, and a signed zero
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        blocks = _BlockUniforms(rng)
+        bounds = [(0.0, 0.0), (-0.0, 0.0), (0.25, 0.35),
+                  (0.95, 1.0), (0.0, 1.0), (1.0, 1.0)]
+        for i in range(3 * UNIFORM_BLOCK // 2 + 7):
+            assert blocks.random().hex() == ref.random().hex()
+            lo, hi = bounds[i % len(bounds)]
+            assert blocks.uniform(lo, hi).hex() == ref.uniform(lo, hi).hex()
+        # the generator ran ahead by whole blocks only
+        drawn = 2 * (3 * UNIFORM_BLOCK // 2 + 7)
+        ahead = -drawn % UNIFORM_BLOCK
+        ref.random(ahead)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("noise", ["bernoulli", "truncated_uniform"])
+    def test_steps_through_blocks_equal_steps_through_the_generator(
+            self, noise):
+        # one step draws two doubles, so 1,500 steps cross the block twice
+        base = edge_model(np.random.default_rng(4), 3, 5, 3, negative=True,
+                          full=True, zero_losses=True)
+        model = LinearCsspModel(base.loss_embed, base.trans_embed,
+                                loss_noise=noise, noise_width=0.05)
+        sampler = episode_sampler(model, np.array([0.5, 0.0, 0.5]))
+        blocks = _BlockUniforms(np.random.default_rng(8))
+        ref = np.random.default_rng(8)
+        pairs = [(s, a) for s in range(5) for a in range(3)] * 100
+        for s, a in pairs:
+            got, want = sampler.step(s, a, blocks), sampler.step(s, a, ref)
+            assert (got[0], got[1].hex()) == (want[0], want[1].hex())
 
 
 class TestDeferredProjection:

@@ -11,8 +11,8 @@ from lrcssp.linear_model import (
     induce_ssp,
     validate_context,
 )
-from lrcssp.learner import _EpisodeSampler
 from lrcssp.ssp import GOAL
+from test_learner import episode_sampler
 
 
 REF_SPEC = GeneratorSpec(d=2, n_states=5, n_actions=3, gamma_goal=0.1,
@@ -175,7 +175,7 @@ class TestSampleStep:
         c = np.array([0.6, 0.4])
         ssp = induce_ssp(model, c)
         s, a = 2, 1
-        sampler = _EpisodeSampler(model, c)
+        sampler = episode_sampler(model, c)
         rng = np.random.default_rng(10)
         n = 50_000
         counts = np.zeros(model.n_states + 1)
@@ -191,7 +191,7 @@ class TestSampleStep:
         model = generate_instance(REF_SPEC)
         c = np.array([0.3, 0.7])
         mean = float(model.loss_embed[0, 0] @ c)
-        sampler = _EpisodeSampler(model, c)
+        sampler = episode_sampler(model, c)
         rng = np.random.default_rng(11)
         losses = np.array([sampler.step(0, 0, rng)[1]
                            for _ in range(40_000)])
@@ -206,7 +206,7 @@ class TestSampleStep:
                                 noise_width=0.05)
         c = np.array([0.5, 0.5])
         mean = float(model.loss_embed[1, 2] @ c)
-        sampler = _EpisodeSampler(model, c)
+        sampler = episode_sampler(model, c)
         rng = np.random.default_rng(12)
         losses = np.array([sampler.step(1, 2, rng)[1]
                            for _ in range(20_000)])

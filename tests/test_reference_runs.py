@@ -7,7 +7,9 @@ the final cumulative regret to a relative 1e-6 (the artifacts print nine
 significant digits).  Four runs also pin every bit the RunLog records, as
 the benchmark's run_log_digest (bench/workloads.py) in hex, and the golden
 pipeline pins the sha256 of every artifact: a change meant to keep
-behaviour keeps each of them.
+behaviour keeps each of them.  Three more digests pin the draw paths no
+benchmark part takes: truncated-uniform losses, adaptive contexts and the
+l_min=0 loss floor.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 from lrcssp import estimation, learner
@@ -28,8 +31,14 @@ from lrcssp.harness import (
     read_summary,
     summarize_run,
 )
-from lrcssp.learner import run
-from lrcssp.linear_model import generate_instance
+from lrcssp.learner import LearnerConfig, run
+from lrcssp.linear_model import (
+    AdaptiveContexts,
+    GeneratorSpec,
+    LinearCsspModel,
+    context_sequence,
+    generate_instance,
+)
 
 # the acceptance REF_SPEC and REF_CFG
 REF_GENERATOR = {"d": 2, "n_states": 5, "n_actions": 3, "gamma_goal": 0.1,
@@ -198,3 +207,52 @@ def test_mixed_regime_run(tmp_path, monkeypatch):
                             cfg.learner.delta)
     assert summary["final_cum_regret"] == pytest.approx(12.039177846179843,
                                                         rel=RTOL)
+
+
+REF_SPEC = GeneratorSpec(**REF_GENERATOR)
+REF_CFG = LearnerConfig(**LEARNER)
+
+
+def test_truncated_uniform_bits():
+    """REF_SPEC with truncated-uniform loss noise of half-width 0.05, K=1500
+    uniform contexts from default_rng(0), run seed 0: two doubles per step,
+    so the run spans many of the sampler's uniform blocks and table stacks.
+    """
+    base = generate_instance(REF_SPEC)
+    model = LinearCsspModel(base.loss_embed, base.trans_embed,
+                            loss_noise="truncated_uniform", noise_width=0.05)
+    contexts = context_sequence("uniform", 1500, model.d,
+                                rng=np.random.default_rng(0))
+    log = run(REF_CFG, model, contexts, seed=0)
+    assert (log.total_steps, log.total_intervals) == (5551, 5551)
+    assert run_log_digest(log) == (
+        "9236d24b8ca566a9b2efd2ef44633c6bc7341a0d64b54250e5df01944bef4881")
+
+
+def test_adaptive_contexts_bits():
+    """REF_SPEC, 300 episodes whose context an AdaptiveContexts callback
+    picks from the length of the episode before, run seed 1."""
+    def lean(history):
+        if not history:
+            return np.array([0.5, 0.5])
+        w = min(1.0, history[-1].steps / 10.0)
+        return np.array([w, 1.0 - w])
+
+    log = run(REF_CFG, generate_instance(REF_SPEC),
+              AdaptiveContexts(300, 2, lean), seed=1)
+    assert (log.total_steps, log.total_intervals) == (1046, 1046)
+    assert run_log_digest(log) == (
+        "31f299268e2c4c0f586c4879d4bb649b623bb1f7baaec305e6d35842f32b65e2")
+
+
+def test_perturbed_losses_bits():
+    """REF_SPEC, l_min=0, so observed losses are floored at the automatic
+    epsilon; K=400 uniform contexts from default_rng(1), run seed 2."""
+    contexts = context_sequence("uniform", 400, 2,
+                                rng=np.random.default_rng(1))
+    log = run(LearnerConfig(delta=0.1, l_min=0.0), generate_instance(REF_SPEC),
+              contexts, seed=2)
+    assert (log.total_steps, log.total_intervals) == (1338, 1338)
+    assert log.epsilon == 1.5536162529769295
+    assert run_log_digest(log) == (
+        "c24e569393abddf4b7db6c5fb8ee5aeb06986ade74c6629e05e0223edb3fad88")
