@@ -989,6 +989,10 @@ class TestEpisodeSampler:
         assert np.signbit(clip_sampler(model, None)[2][0, 0])
         assert_sampler_equals_clip_oracle(
             episode_sampler(model, np.ones(1)), model, None)
+        # and every row of a stack of three
+        for probs, means in zip(*_sampler_tables(model, np.ones((3, 1)))):
+            assert_sampler_equals_clip_oracle(
+                _EpisodeSampler(model, probs, means), model, None)
 
     @staticmethod
     def draw_points(cum_row):
