@@ -133,11 +133,9 @@ def hpe_diagnostics(run_log, oracle, delta):
     identity M <= K + |S||A| * max per-pair unknown triggers.
     """
     b = max(1.0, oracle.b_star_emp)
-    violations = 0
-    for rec in run_log.interval_records:
-        bound = 48.0 * b * math.log(4.0 * rec.m / delta)
-        if rec.interval_loss > bound:
-            violations += 1
+    violations = sum(
+        rec.interval_loss > 48.0 * b * math.log(4.0 * rec.m / delta)
+        for rec in run_log.interval_records)
     m_total = run_log.total_intervals
     k = len(run_log.episodes)
     n_pairs = run_log.unknown_counts.size
@@ -316,10 +314,29 @@ def write_regret_csv(path, run_log, curve):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_column(values):
+    """json.dumps of each of values: repr for ints or finite floats, once per
+    distinct str, else (NaN, inf, mixed or numpy types) value by value."""
+    kinds = set(map(type, values))
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
+        return map(repr, values)
+    if kinds == {str}:
+        return map({x: json.dumps(x) for x in set(values)}.__getitem__, values)
+    return map(json.dumps, values)
+
+
 def write_events_jsonl(path, run_log):
+    """json.dumps(rec.to_event()) + "\n" per interval record, byte for byte:
+    a %-template over to_event's keys, filled by columns of 32 records."""
+    records = run_log.interval_records
+    template = "{%s}\n" % ", ".join(json.dumps(key) + ": %s" for key in (
+        records[0].to_event() if records else ()))
     with open(path, "w", newline="") as fh:
-        for rec in run_log.interval_records:
-            fh.write(json.dumps(rec.to_event()) + "\n")
+        for start in range(0, len(records), 32):  # bounds the memory held
+            block = [rec.to_event().values()
+                     for rec in records[start:start + 32]]
+            columns = map(_json_column, zip(*block))
+            fh.write("".join(map(template.__mod__, zip(*columns))))
 
 
 def slope_statistic(curve, frac=0.1):

@@ -86,7 +86,7 @@ def auto_epsilon(n_states, d, n_actions, K):
 
 @dataclass
 class EviResult:
-    policy: np.ndarray
+    policy: np.ndarray  # or a list, as values, when every row is emptied
     values: np.ndarray
     residual: float
     converged: bool
@@ -111,13 +111,16 @@ def _evi_backup(opt_loss, p_ctx, r, v):
 def _emptied_sweeps(top, evi_tol, evi_max_iter):
     """Residual and sweep count of the EVI loop when every sweep lands on
     values of maximum top: the first moves v from zero by top and stops
-    there within evi_tol or the budget; else a second confirms them, at 0.
-    """
-    if evi_max_iter < 1:
-        return np.inf, 0
-    if top <= evi_tol or evi_max_iter == 1:
-        return top, 1
-    return 0.0, 2
+    there within evi_tol or the budget; else a second confirms them, at 0."""
+    return (top, 1) if top <= evi_tol or evi_max_iter == 1 else (0.0, 2)
+
+
+def _emptied_row(row, b_cap):
+    """Value and action of a state with every row empty, from its optimistic
+    losses: min(row) + 0.0 (no -0.0) clipped to [0, b_cap] keeping -0.0 as
+    np.clip does, and the first minimum, as argmin finds it (no NaN)."""
+    lo = min(row) + 0.0
+    return (b_cap if lo > b_cap else 0.0 if lo < 0.0 else lo), row.index(lo)
 
 
 def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
@@ -133,22 +136,18 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     last sweep's residual, whether it is within evi_tol, and the sweep count.
 
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
-    is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 (which turns
-    -0.0 into +0.0) whatever v is, so every sweep lands on the same values:
-    clip(min_a opt_loss, 0, b_cap), each state's from its own row only.
-    The plan then skips the loop and p_ctx, and reports the residual and
-    sweep count the loop would (_emptied_sweeps), with the results the full
-    backup gives bit for bit.  Learner._row_update does the same for the one
-    row a visit moves.
+    is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 whatever v
+    is, so every sweep lands on the same values, each state's from its own
+    row only (_emptied_row, as in Learner._row_update).  The plan then skips
+    the loop and p_ctx and reports the residual and sweep count the loop
+    would (_emptied_sweeps), bit for bit, with policy and values as lists.
+    Such radii are finite multiples of finite norms: no NaN reaches it.
     """
     if radius.min() >= ROW_EMPTYING_RADIUS:
-        q_vals = opt_loss + 0.0
-        values = np.minimum(np.maximum(0.0, q_vals.min(axis=1)), b_cap)
-        policy = q_vals.argmin(axis=1)
-        residual, iterations = _emptied_sweeps(float(values.max()), evi_tol,
+        values, policy = map(list, zip(*(_emptied_row(row, b_cap)
+                                         for row in opt_loss.tolist())))
+        residual, iterations = _emptied_sweeps(max(values), evi_tol,
                                                evi_max_iter)
-        if not iterations:
-            values = np.zeros_like(values)
         return EviResult(policy, values, residual, residual <= evi_tol,
                          iterations)
     v = np.zeros(opt_loss.shape[0])
@@ -168,7 +167,7 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
                      iterations)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalRecord:
     episode: int
     m: int
@@ -269,14 +268,11 @@ class Learner:
         self._estimates = estimation.Estimates(*(
             _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
                                     self._beta_l, self._beta_p)))
-        # the (S, A) context norms of the current statistics at the kept
-        # context (visits keep them current); the last plan's (opt_loss,
-        # values) as lists while it emptied every row at that context; and
-        # the pair visited since that plan (None before any visit, False
-        # once a second pair moved)
-        self._norms = None
-        self._plan = None
-        self._moved = None
+        # the (S, A) norms at the kept context (visits keep them current)
+        # and a lower bound on them; the last plan's (opt_loss, values) as
+        # lists while it emptied every row; (s, a, norm, beta_l, beta_p) of
+        # the pair visited since (None before a visit, False after a second)
+        self._norms = self._norms_lo = self._plan = self._moved = None
 
     def _tau_row(self, tau):
         """Compute and keep the _by_tau entry of visit count tau."""
@@ -343,10 +339,11 @@ class Learner:
 
     def _norms_at(self, c):
         """The (S, A) context norms of the current statistics at the kept c,
-        kept across calls at that context (visit updates the visited pair's).
-        """
+        kept across calls at that context (visit updates the visited pair's
+        and lowers their bound _norms_lo to it)."""
         if self._norms is None:
             self._norms = estimation.context_norms(self.store.v_bar_inv, c)
+            self._norms_lo = float(self._norms.min())
         return self._norms
 
     def visit(self, s, a, c, next_state, loss):
@@ -377,7 +374,11 @@ class Learner:
             # context_norms' bits: maximum(0.0, x) keeps -0.0 and NaN too
             x = np.vecdot(np.vecmat(c, store.v_bar_inv[s, a]), c).item()
             norm = self._norms[s, a] = math.sqrt(x) if not x < 0.0 else 0.0
-        self._moved = (s, a) if self._moved in (None, (s, a)) else False
+            if norm < self._norms_lo:
+                self._norms_lo = norm
+        moved = self._moved
+        self._moved = (s, a, norm, beta_l, beta_p) if moved is None or (
+            moved and moved[:2] == (s, a)) else False
         return norm < min(threshold, self._known_cap())
 
     def _coverage_ok(self):
@@ -393,34 +394,26 @@ class Learner:
             or np.any(np.sqrt(np.einsum("sari,saij,sarj->sa", dp, v_bar, dp))
                       > est.beta_dyn))
 
-    def _row_update(self, c, norms):
+    def _row_update(self, c):
         """Replan only the row of the one pair moved since the kept plan.
 
         That suffices when the kept plan emptied every row at c, one pair
         (s, a) has moved since, and its row stays empty: then only
         opt_loss[s, a] and state s's value and action change, to what
-        evi_plan would give.  Returns the plan's residual and initial value,
-        or None when evi_plan must run.
+        evi_plan would give (_emptied_row).  Returns the plan's residual and
+        initial value, or None when evi_plan must run.
         """
         if self._plan is None or not self._moved:
             return None
-        s, a = self._moved
-        norm = norms.item(s, a)
-        if self._beta_p.item(s, a) * norm < ROW_EMPTYING_RADIUS:
+        s, a, norm, beta_l, beta_p = self._moved
+        if beta_p * norm < ROW_EMPTYING_RADIUS:
             return None
         opt_loss, values = self._plan
-        # np.clip(x, 0.0, 1.0) and evi_plan's emptied rows in Python floats:
-        # the comparisons keep -0.0 as numpy does, + 0.0 turns a -0.0 minimum
-        # into +0.0, and list.index finds the first minimum, as argmin (min
-        # and argmin assume no NaN in the row)
-        x = (np.einsum("d,d->", self._l_hat[s, a], c).item()
-             - self._beta_l.item(s, a) * norm)
+        # np.clip(x, 0.0, 1.0) in Python floats: the comparisons keep -0.0
+        x = np.einsum("d,d->", self._l_hat[s, a], c).item() - beta_l * norm
         row = opt_loss[s]
         row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
-        low = min(row) + 0.0
-        b_cap = 2.0 * self.b_star_cur
-        values[s] = b_cap if low > b_cap else 0.0 if low < 0.0 else low
-        self.policy[s] = row.index(low)
+        values[s], self.policy[s] = _emptied_row(row, 2.0 * self.b_star_cur)
         v_init = values[self.model.s_init]
         if v_init > self.b_star_cur:
             return None
@@ -439,7 +432,7 @@ class Learner:
         self.m += 1
         self._use_context(c)
         norms = self._norms_at(c)
-        planned = self._row_update(c, norms)
+        planned = self._row_update(c)
         while planned is None:
             # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products); with
             # every row emptied no p_hat is read or projected
@@ -461,20 +454,20 @@ class Learner:
                 norms = self._norms_at(c)
                 continue
             self.policy = result.policy
-            self._plan = ((opt_loss.tolist(), result.values.tolist())
+            self._plan = ((opt_loss.tolist(), result.values)
                           if p_ctx is None else None)
             planned = result.residual, v_init
         residual, v_init = planned
         self._moved = None
-        known = np.count_nonzero(
-            norms < np.minimum(self._threshold, self._known_cap()))
+        # no norm lies below _norms_lo (a NaN bound takes the full count)
+        cap = self._known_cap()
+        known = 0 if self._norms_lo >= cap else np.count_nonzero(
+            norms < np.minimum(self._threshold, cap))
         record = IntervalRecord(
-            episode=episode, m=self.m, trigger=trigger,
-            evi_residual=residual, v_tilde_init=v_init,
-            b_star_cur=self.b_star_cur,
+            episode, self.m, trigger, evi_residual=residual,
+            v_tilde_init=v_init, b_star_cur=self.b_star_cur,
             known_fraction=known / (self.n_states * self.n_actions),
-            context=self._context,
-        )
+            context=self._context)
         if self.diagnostics_model is not None:
             record.coverage_ok = self._coverage_ok()
         return record
@@ -592,9 +585,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
 
     draws = _BlockUniforms(np.random.default_rng(np.random.SeedSequence(seed)))
     learner = Learner(cfg, model, l_min_eff, diagnostics_model)
-    episodes = []
-    all_records = []
-    step_trace = []
+    episodes, all_records, step_trace = [], [], []
     unknown_counts = np.zeros((model.n_states, model.n_actions), dtype=int)
 
     for k, (c_true, probs, means) in enumerate(_environment(model, contexts)):

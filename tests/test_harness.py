@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import types
 from unittest import mock
 
 import numpy as np
@@ -32,10 +33,11 @@ from lrcssp.harness import (
     run_experiment,
     slope_statistic,
     summarize_run,
+    write_events_jsonl,
     write_regret_csv,
     write_summary,
 )
-from lrcssp.learner import LearnerConfig, run
+from lrcssp.learner import IntervalRecord, LearnerConfig, run
 from lrcssp.linear_model import (
     GeneratorSpec,
     LinearCsspModel,
@@ -367,6 +369,60 @@ class TestArtifacts:
         assert float(row0[2]) == log.episodes[0].total_loss
         # unix line endings
         assert "\r" not in path.read_bytes().decode()
+
+    def assert_events_are_json_dumps(self, path, records):
+        write_events_jsonl(path, types.SimpleNamespace(
+            interval_records=records))
+        want = [json.dumps(rec.to_event()) + "\n" for rec in records]
+        assert path.read_text().splitlines(keepends=True) == want
+        assert path.read_bytes() == "".join(want).encode()
+
+    @pytest.mark.parametrize("b_star_init, kinds", [
+        (1.0, {float}), (1, {int, float}), (2, {int})])
+    def test_events_equal_json_dumps_on_runs(self, tmp_path, b_star_init,
+                                             kinds):
+        # the one-pair instance doubles B = 1 once, and B = 2 never: an int
+        # b_star_init is written as an int until a doubling, a float after
+        model = generate_instance(GeneratorSpec(
+            d=1, n_states=1, n_actions=1, gamma_goal=0.02,
+            l_min_target=0.5, seed=0))
+        contexts = context_sequence("uniform", 8, 1,
+                                    rng=np.random.default_rng(0))
+        log = run(LearnerConfig(delta=0.1, l_min=0.5, b_star_init=b_star_init),
+                  model, contexts, seed=0)
+        assert log.doubling_events == (b_star_init == 1)
+        assert {type(rec.b_star_cur) for rec in log.interval_records} == kinds
+        self.assert_events_are_json_dumps(tmp_path / "events.jsonl",
+                                          log.interval_records)
+        _, _, log, _ = small_run(K=8)
+        self.assert_events_are_json_dumps(tmp_path / "ref.jsonl",
+                                          log.interval_records)
+
+    def test_events_equal_json_dumps_on_edge_values(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        records = [
+            IntervalRecord(0, 1, "start", 1, 0.5, inf, 0.25, 1.0, 0.0),
+            IntervalRecord(0, 2, "unknown", 1, -0.0, nan, -0.0, 1.0, -0.0),
+            IntervalRecord(2**70, 10**30, "goal", 2**64, 1e-300, -inf,
+                           1.7976931348623157e308, 2, 1 / 3),
+            IntervalRecord(-1, 4, "caf\u00e9 \"x\"\n%s", 0, 0.1 + 0.2, 0.0,
+                           np.float64(0.75), 4, 2.0),
+        ]
+        path = tmp_path / "events.jsonl"
+        self.assert_events_are_json_dumps(path, records)
+        for rec in records:  # each record on its own: one kind per column
+            self.assert_events_are_json_dumps(path, [rec])
+        # finite floats whose sum overflows, ints only, and no records
+        self.assert_events_are_json_dumps(path, [
+            IntervalRecord(k, k, "goal", k, 1e308, 1e308, 0.0, 1, 0.0)
+            for k in range(3)])
+        self.assert_events_are_json_dumps(path, [])
+        # blocks of the writer whose columns differ in kind: b_star_cur an
+        # int, then mixed, then a float, and a residual NaN in one block
+        self.assert_events_are_json_dumps(path, [
+            IntervalRecord(k, k + 1, "unknown", 1, 0.5, nan if k == 70 else
+                           0.0, 0.25, 1 if k < 40 else 2.0, 0.0)
+            for k in range(100)])
 
     def test_summary_round_trip(self, tmp_path):
         _, _, log, oracle = small_run(K=8)

@@ -34,6 +34,7 @@ from lrcssp.learner import (
     _BlockUniforms,
     _environment,
     _EpisodeSampler,
+    _emptied_sweeps,
     _evi_backup,
     _sampler_tables,
     auto_epsilon,
@@ -253,8 +254,8 @@ class TestEviPlan:
         radius = np.full((4, 3), 2.0)
         res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e6,
                        evi_tol=1e-12, evi_max_iter=10**5)
-        assert np.allclose(
-            optimistic_model(opt_loss, p_ctx, radius, res.values), 0.0)
+        assert np.allclose(optimistic_model(opt_loss, p_ctx, radius,
+                                            np.asarray(res.values)), 0.0)
         assert np.allclose(res.values, opt_loss.min(axis=1))
 
     def test_backup_uses_exact_inner_minimizer(self):
@@ -360,9 +361,15 @@ def evi_plan_full_loop(opt_loss, p_ctx, radius, b_cap, evi_tol,
                      iterations)
 
 
+def bits(x):
+    """The bytes of x as an array: a plan's lists of Python ints and floats
+    give the bytes of the int64 and float64 arrays holding the same values."""
+    return np.asarray(x).tobytes()
+
+
 def assert_same_plan(got, want):
-    assert got.policy.tobytes() == want.policy.tobytes()
-    assert got.values.tobytes() == want.values.tobytes()
+    assert bits(got.policy) == bits(want.policy)
+    assert bits(got.values) == bits(want.values)
     assert (got.residual, got.iterations, got.converged) == \
         (want.residual, want.iterations, want.converged)
 
@@ -393,7 +400,7 @@ class TestEmptiedPlan:
         assert_same_plan(got, want)
         assert (got.iterations, got.residual, got.converged) == (2, 0.0, True)
         assert np.array_equal(
-            optimistic_model(opt_loss, p_ctx, radius, got.values),
+            optimistic_model(opt_loss, p_ctx, radius, np.asarray(got.values)),
             np.zeros((4, 3, 4)))
 
     def test_values_below_tolerance_take_one_sweep(self):
@@ -401,16 +408,20 @@ class TestEmptiedPlan:
         got, want = self._both(1e-8 * opt_loss, p_ctx, radius)
         assert_same_plan(got, want)
         assert got.iterations == 1 and got.converged
-        assert got.residual == got.values.max() > 0
+        assert got.residual == max(got.values) > 0
 
     def test_cap_clips_values(self):
         opt_loss, p_ctx, radius = self._case(2)
         got, want = self._both(opt_loss, p_ctx, radius, b_cap=0.3)
         assert_same_plan(got, want)
-        assert got.values.max() == 0.3
+        assert max(got.values) == 0.3
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2])
     def test_sweep_budget(self, max_iter):
+        if not max_iter:  # no learner plans with an empty budget
+            with pytest.raises(ConfigError, match="evi_max_iter"):
+                LearnerConfig(evi_max_iter=max_iter)
+            return
         got, want = self._both(*self._case(3), evi_max_iter=max_iter)
         assert_same_plan(got, want)
         assert got.iterations == max_iter
@@ -449,8 +460,103 @@ class TestEmptiedPlan:
             opt_loss, p_ctx, radius,
             b_cap=data.draw(st.floats(0.0, 4.0)),
             evi_tol=data.draw(st.sampled_from([1e-10, 1e-6, 0.5])),
-            evi_max_iter=data.draw(st.integers(0, 4)))
+            evi_max_iter=data.draw(st.integers(1, 4)))
         assert_same_plan(got, want)
+
+
+def emptied_plan_oracle(opt_loss, b_cap, evi_tol, evi_max_iter):
+    """Reference: evi_plan's emptied branch in numpy, as it was before the
+    rows moved to Python floats (_emptied_row)."""
+    q_vals = opt_loss + 0.0
+    values = np.minimum(np.maximum(0.0, q_vals.min(axis=1)), b_cap)
+    policy = q_vals.argmin(axis=1)
+    residual, iterations = _emptied_sweeps(float(values.max()), evi_tol,
+                                           evi_max_iter)
+    return EviResult(policy, values, residual, residual <= evi_tol,
+                     iterations)
+
+
+# entries with ties, both zeros, and minima on both sides of the caps drawn
+LOSSES = st.one_of(st.sampled_from([-0.0, 0.0, 1e-7, 0.5, 1.0, 3.0]),
+                   st.floats(-1.0, 5.0, allow_nan=False))
+CAPS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
+SHAPES = [(1, 1), (1, 3), (4, 1), (3, 2), (5, 4)]
+
+
+def loss_rows(data, S, A):
+    return [data.draw(st.lists(LOSSES, min_size=A, max_size=A))
+            for _ in range(S)]
+
+
+def assert_same_bits(got, want):
+    """Equal, and equal in sign for zeros and in type."""
+    assert type(got) is type(want) and math.copysign(1.0, got) == \
+        math.copysign(1.0, want) and got == want
+
+
+class TestEmptiedRowOracle:
+    """The emptied-row rule in Python floats (_emptied_row), in evi_plan
+    and in Learner._row_update, equals the numpy branch bit for bit."""
+
+    @pytest.mark.parametrize("S, A", SHAPES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_evi_plan_equals_numpy_branch(self, S, A, data):
+        opt_loss = np.array(loss_rows(data, S, A))
+        kwargs = dict(b_cap=data.draw(CAPS),
+                      evi_tol=data.draw(st.sampled_from([1e-10, 1e-6, 0.5])),
+                      evi_max_iter=data.draw(st.integers(1, 4)))
+        got = evi_plan(opt_loss, None, np.full((S, A), ROW_EMPTYING_RADIUS),
+                       **kwargs)
+        want = emptied_plan_oracle(opt_loss, **kwargs)
+        assert_same_plan(got, want)
+        assert [type(v) for v in got.values] == [float] * S
+        assert got.policy == want.policy.tolist()
+        assert_same_bits(got.residual, want.residual)
+        assert got.converged == want.converged
+
+    @pytest.mark.parametrize("S, A", SHAPES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_update_equals_numpy_branch(self, S, A, data):
+        """A kept emptied plan over drawn losses, then one pair (s, a) moved
+        to a drawn loss estimate x at c = [1]: the replanned row, value,
+        action and residual are the oracle's over the updated losses."""
+        rows = loss_rows(data, S, A)
+        b_star = data.draw(CAPS)
+        b_cap = 2.0 * b_star
+        s, a = data.draw(st.integers(0, S - 1)), data.draw(st.integers(0, A - 1))
+        x = data.draw(LOSSES)
+        spec = GeneratorSpec(d=1, n_states=S, n_actions=A, gamma_goal=0.1,
+                             l_min_target=0.1, seed=0)
+        learner = Learner(REF_CFG, generate_instance(spec), REF_CFG.l_min)
+        learner.b_star_cur = b_star
+        kwargs = dict(b_cap=b_cap, evi_tol=REF_CFG.evi_tol,
+                      evi_max_iter=REF_CFG.evi_max_iter)
+        kept = evi_plan(np.array(rows), None,
+                        np.full((S, A), ROW_EMPTYING_RADIUS), **kwargs)
+        learner.policy = kept.policy
+        learner._plan = (rows, kept.values)
+        # (s, a, norm, beta_l, beta_p): the radius 2 leaves the row empty
+        learner._moved = (s, a, 2.0, 0.25, 1.0)
+        learner._l_hat[s, a] = x
+        c = np.array([1.0])
+        planned = learner._row_update(c)
+
+        opt_loss = np.array([row[:] for row in rows])
+        opt_loss[s, a] = np.clip(np.einsum("sad,d->sa", learner._l_hat, c)
+                                 - 0.25 * 2.0, 0.0, 1.0)[s, a]
+        want = emptied_plan_oracle(opt_loss, **kwargs)
+        assert np.array(rows).tobytes() == opt_loss.tobytes()
+        assert bits(learner._plan[1]) == want.values.tobytes()
+        assert learner.policy == want.policy.tolist()
+        assert_same_bits(learner._plan[1][s], want.values.item(s))
+        v_init = want.values.item(learner.model.s_init)
+        if v_init > learner.b_star_cur:
+            assert planned is None  # start_interval doubles in a full plan
+        else:
+            assert_same_bits(planned[0], want.residual)
+            assert_same_bits(planned[1], v_init)
 
 
 class TestRun:
@@ -683,6 +789,77 @@ class TestStackedStatistics:
         n_pairs = model.n_states * model.n_actions
         assert record.known_fraction * n_pairs == pytest.approx(scalar)
 
+    def test_known_count_equals_the_full_count(self, monkeypatch):
+        """start_interval skips the count when the kept norms' lower bound
+        reaches the floor's threshold; at every interval, through known
+        pairs, visits, a doubling, context changes and NaN norms, the count
+        equals the full expression over freshly computed norms."""
+        model, learner = self._learner(visits=200)
+        self._make_known(learner, [(0, 0), (2, 1), (4, 2)])
+        n_pairs = model.n_states * model.n_actions
+        skipped = []
+
+        def checked_start_interval(c, trigger="unknown"):
+            record = Learner.start_interval(learner, c, 0, trigger)
+            norms = context_norms(learner.store.v_bar_inv, c)
+            cap = learner._known_cap()
+            full = np.count_nonzero(norms < np.minimum(learner._threshold,
+                                                       cap))
+            assert learner._norms_at(c).tobytes() == norms.tobytes()
+            assert not learner._norms_lo > np.nanmin(norms)
+            assert record.known_fraction == full / n_pairs
+            skipped.append((learner._norms_lo >= cap, full))
+            return record
+
+        c, other = np.array([0.3, 0.7]), np.array([0.6, 0.4])
+        rng = np.random.default_rng(5)
+        checked_start_interval(c, "start")
+        for s, a in [(1, 1), (0, 0), (3, 2), (1, 1)]:
+            learner.visit(s, a, c, int(rng.integers(-1, 5)), 0.5)
+            checked_start_interval(c)
+        learner.visit(1, 0, other, 1, 0.5)  # a context change
+        checked_start_interval(other)
+        # a NaN norm, first from a visit at the kept context, then among
+        # the norms a new context recomputes
+        learner.store.v_bar_inv[3, 1] = np.nan
+        learner.visit(3, 1, other, 1, 0.5)
+        assert np.isnan(learner._norms_at(other)[3, 1])
+        checked_start_interval(other)
+        checked_start_interval(c)
+        assert math.isnan(learner._norms_lo)
+        with monkeypatch.context() as mp:
+            mp.setattr("lrcssp.learner.evi_plan", lambda *args, **kwargs: (
+                EviResult([0] * 5, [2.0 * kwargs["b_cap"]] * 5, 0.0, True, 1)
+                if learner.doubling_events == 0
+                else evi_plan(*args, **kwargs)))
+            checked_start_interval(c)  # a doubling resets the statistics
+        assert learner.doubling_events == 1
+        for s, a in [(2, 2), (2, 2), (4, 0)]:
+            learner.visit(s, a, c, int(rng.integers(-1, 5)), 0.5)
+            checked_start_interval(c)
+        # a visit that leaves its pair's norm just below the threshold of
+        # the next interval lowers the bound below it
+        beta = dynamics_radius(learner.store.tau[1, 2] + 1, model.d,
+                               model.n_states, model.n_actions, REF_CFG.lam,
+                               REF_CFG.delta)
+        floor = known_floor(learner.m + 1, REF_CFG.delta)
+        t = 0.99 * learner.l_min_eff / (10.0 * learner.b_star_cur
+                                        * max(beta, floor))
+        k = t * t / (1.0 - t * t) / (c @ c)  # the visit makes c V^-1 c t^2
+        learner.store.v_bar[1, 2] = np.eye(model.d) / k
+        learner.store.v_bar_inv[1, 2] = k * np.eye(model.d)
+        assert learner.visit(1, 2, c, 1, 0.5)
+        checked_start_interval(c)
+        learner.store.v_bar_inv[0, 1] = np.nan
+        learner.visit(0, 1, other, 1, 0.5)
+        checked_start_interval(other)
+        assert math.isnan(learner._norms_lo)
+        # known pairs, a bound just below the threshold and a NaN bound take
+        # the full count, fresh statistics the shortcut
+        assert skipped[:8] == [(False, 3)] * 8
+        assert skipped[8:13] == [(True, 0)] * 4 + [(False, 1)]
+        assert not skipped[13][0]
+
     def test_visit_known_bit_and_norms_match_scalar_oracles(self):
         model, learner = self._learner(visits=200)
         pumped = [(0, 0), (2, 1), (4, 2)]
@@ -726,7 +903,7 @@ class TestStackedStatistics:
             radii.append(radius.copy())
             result = evi_plan(opt_loss, p_ctx, radius, **kwargs)
             if len(radii) == 1:  # the first plan escapes the bound once
-                result.values = result.values + 2 * kwargs["b_cap"]
+                result.values = np.add(result.values, 2 * kwargs["b_cap"])
             return result
 
         monkeypatch.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
@@ -1282,14 +1459,14 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
     def checked_start_interval(learner, c, episode, trigger):
         record = start_interval(learner, c, episode, trigger)
         plan, opt_loss, known_fraction, open_row = fresh_plan(learner, c)
-        assert learner.policy.tobytes() == plan.policy.tobytes()
+        assert bits(learner.policy) == bits(plan.policy)
         assert record.evi_residual == plan.residual
         assert record.v_tilde_init == plan.values[model.s_init]
         assert record.known_fraction == known_fraction
         if learner._plan is not None:  # kept for the next row update
             kept_loss, kept_values = map(np.asarray, learner._plan)
             assert kept_loss.tobytes() == opt_loss.tobytes()
-            assert kept_values.tobytes() == plan.values.tobytes()
+            assert kept_values.tobytes() == bits(plan.values)
         counts["open"] += open_row
         return record
 
@@ -1414,13 +1591,13 @@ class TestStepState:
             result = evi_plan(opt_loss, p_ctx, radius, **kwargs)
             if not escaped:
                 escaped.append(True)
-                result.values = result.values + 2 * kwargs["b_cap"]
+                result.values = np.add(result.values, 2 * kwargs["b_cap"])
             return result
 
         doublings = learner.doubling_events
         with monkeypatch.context() as mp:
             mp.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
-            mp.setattr(Learner, "_row_update", lambda self, c, norms: None)
+            mp.setattr(Learner, "_row_update", lambda self, c: None)
             record = learner.start_interval(c, 0, "unknown")
         assert learner.doubling_events == doublings + 1
         return record
@@ -1601,6 +1778,24 @@ class TestStepState:
             learner.store.v_bar_inv[0, 0] = norm**2 / (1.0 - norm**2)
             bits.append(learner.visit(0, 0, c, GOAL, 0.5))
         assert bits == [False, True, False, True]
+
+    def test_known_count_just_below_the_floor(self):
+        # at m = 10**6 the floor's threshold decides (floor 3.91 > beta_dyn):
+        # a fresh pair's norm 1 lies above it, so the count is skipped, and
+        # a norm just below it is counted
+        cfg, learner = self._one_state(l_min=0.5)
+        c = np.array([1.0])
+        learner.m = 10**6 - 1
+        assert learner.start_interval(c, 0, "start").known_fraction == 0.0
+        assert learner._norms_lo >= learner._known_cap()
+        t = 0.99 * cfg.l_min / (10.0 * learner.b_star_cur
+                                * known_floor(learner.m + 1, cfg.delta))
+        learner.store.v_bar[0, 0] = (1.0 - t * t) / (t * t)
+        learner.store.v_bar_inv[0, 0] = t * t / (1.0 - t * t)
+        assert learner.visit(0, 0, c, GOAL, 0.5)
+        assert learner.start_interval(c, 0, "goal").known_fraction == 0.5
+        assert learner._known_cap() / 2 < learner._norms_lo < \
+            learner._known_cap()
 
     def test_known_count_follows_a_doubling(self, monkeypatch):
         # l_min = 40 puts the threshold of a fresh pair (norm 1 at c = 1)
