@@ -87,13 +87,15 @@ def cmd_report(args):
         truncs, curves, n_episodes = 0, [], 0
         for sd in seeds:
             path = os.path.join(vdir, sd, "regret.csv")
-            # a missing column, a short row, no row or a cell that is not a
-            # number is a malformed file, like a missing one
+            # a missing column, a short row, no row, a non-number cell or an
+            # uneven episode count is a malformed file, like a missing one
             try:
                 cols = _read_csv(path)
                 truncated = [int(t) for t in cols["truncated"]]
                 curve = [float(x) for x in cols["cum_regret"]]
                 final = final_regret(curve, truncated)
+                if n_episodes and len(curve) != n_episodes:
+                    raise ValueError(f"{len(curve)} rows, not {n_episodes}")
             except (KeyError, IndexError, ValueError) as exc:
                 raise ConfigError(f"malformed {path}: {exc!r}") from exc
             n_episodes = len(curve)
@@ -162,7 +164,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LrcsspError as exc:

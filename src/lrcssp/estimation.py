@@ -8,7 +8,6 @@ norms and the known count cover every pair in one array expression;
 SaStatistics is the one-pair PairStore, of shape ().
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -170,44 +169,12 @@ class Estimates:
     """Immutable snapshot of all per-pair estimates at an interval boundary.
 
     l_hat     : (S, A, d)
-    p_hat_raw : (S, A, S, d) unprojected dynamics estimates; a learner's
-                snapshot may let them lag with p_hat where a plan empties
-                the pair's row (Learner.snapshot_estimates)
     p_hat     : (S, A, S, d) projected, sub-stochastic columns
     beta_loss : (S, A)
     beta_dyn  : (S, A)
     """
 
     l_hat: np.ndarray
-    p_hat_raw: np.ndarray
     p_hat: np.ndarray
     beta_loss: np.ndarray
     beta_dyn: np.ndarray
-
-    def to_text(self):
-        """Versioned structured-text serialization (see docs/estimates-format.md)."""
-        payload = {
-            "format": "lrcssp-estimates",
-            "version": 1,
-            "shape": list(self.l_hat.shape),
-            "l_hat": self.l_hat.ravel().tolist(),
-            "p_hat_raw": self.p_hat_raw.ravel().tolist(),
-            "p_hat": self.p_hat.ravel().tolist(),
-            "beta_loss": self.beta_loss.ravel().tolist(),
-            "beta_dyn": self.beta_dyn.ravel().tolist(),
-        }
-        return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_text(cls, text):
-        payload = json.loads(text)
-        if payload.get("format") != "lrcssp-estimates" or payload.get("version") != 1:
-            raise StructuralError("unrecognized estimates serialization")
-        s, a, d = payload["shape"]
-        return cls(
-            l_hat=np.array(payload["l_hat"]).reshape(s, a, d),
-            p_hat_raw=np.array(payload["p_hat_raw"]).reshape(s, a, s, d),
-            p_hat=np.array(payload["p_hat"]).reshape(s, a, s, d),
-            beta_loss=np.array(payload["beta_loss"]).reshape(s, a),
-            beta_dyn=np.array(payload["beta_dyn"]).reshape(s, a),
-        )

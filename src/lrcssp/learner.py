@@ -244,8 +244,8 @@ class Learner:
         self.m = 0
         self.doubling_events = 0
         # the context last seen, as bytes, as a read-only array shared by
-        # the interval records and as c c^T; the key of the kept _known_cap
-        self._norms_key = self._context = self._outer = self._cap_key = None
+        # the interval records and as c c^T
+        self._norms_key = self._context = self._outer = None
         self._init_statistics()
         self.policy = np.zeros(self.n_states, dtype=int)
 
@@ -257,17 +257,14 @@ class Learner:
         # and the radii are shared
         self._projected_tau = np.zeros((S, A))
         self._l_hat = np.zeros((S, A, d))
-        self._p_raw = np.zeros((S, A, S, d))
         self._p_hat = np.zeros((S, A, S, d))
-        # per visit count, the loss and dynamics radii and known_threshold
-        # without its floor, l_min / (10 b beta_dyn), at this b_star_cur;
-        # and those of every pair (_known_cap puts the floor back)
+        # the loss and dynamics radii per visit count, and every pair's
         self._by_tau = {}
-        self._beta_l, self._beta_p, self._threshold = (
+        self._beta_l, self._beta_p = (
             np.full((S, A), x) for x in self._tau_row(0.0))
         self._estimates = estimation.Estimates(*(
-            _read_only(x) for x in (self._l_hat, self._p_raw, self._p_hat,
-                                    self._beta_l, self._beta_p)))
+            _read_only(x) for x in (self._l_hat, self._p_hat, self._beta_l,
+                                    self._beta_p)))
         # the (S, A) norms at the kept context (visits keep them current)
         # and a lower bound on them; the last plan's (opt_loss, values) as
         # lists while it emptied every row; (s, a, norm, beta_l, beta_p) of
@@ -278,35 +275,25 @@ class Learner:
         """Compute and keep the _by_tau entry of visit count tau."""
         dims = (self.d, self.n_states, self.n_actions, self.store.lam,
                 self.cfg.delta)
-        beta_p = estimation.dynamics_radius(tau, *dims)
-        row = self._by_tau[tau] = (
-            estimation.loss_radius(tau, *dims), beta_p,
-            self.l_min_eff / (10.0 * self.b_star_cur * beta_p))
+        row = self._by_tau[tau] = (estimation.loss_radius(tau, *dims),
+                                   estimation.dynamics_radius(tau, *dims))
         return row
 
-    def _known_cap(self):
-        """known_threshold at the floor, l_min / (10 b floor(m)), computed
-        once per (m, b_star_cur).
-
-        Positive IEEE products and quotients round monotonically, so
-        min(_threshold, _known_cap()) is known_threshold bit for bit.
-        """
-        if self._cap_key != (self.m, self.b_star_cur):
-            floor = estimation.known_floor(self.m, self.cfg.delta)
-            self._cap = self.l_min_eff / (10.0 * self.b_star_cur * floor)
-            self._cap_key = (self.m, self.b_star_cur)
-        return self._cap
+    def _known_threshold(self, beta_p):
+        """estimation.known_threshold at a Python float radius beta_p, the
+        current interval and b_star_cur, in Python floats bit for bit."""
+        floor = estimation.known_floor(self.m, self.cfg.delta)
+        return self.l_min_eff / (10.0 * self.b_star_cur * max(beta_p, floor))
 
     def snapshot_estimates(self, norms=None):
         """Current Estimates over all pairs, updating the lagging p_hat.
 
-        visit keeps l_hat and the radii current; p_hat_raw and its
-        projection p_hat (the costly part) are brought up to date here.
-        Without norms every pair's are.  Given a plan's (S, A) context
-        norms, only those of the pairs whose L1 radius beta_dyn * norm is
-        below ROW_EMPTYING_RADIUS are; the plan empties every other pair's
-        row whatever p_hat holds, so there p_hat_raw and p_hat may lag
-        behind until a later call needs them.
+        visit keeps l_hat and the radii current; p_hat, the projected ridge
+        estimate xty_trans @ V^-1 (the costly part), follows here: every
+        pair's without norms, and given a plan's (S, A) context norms only
+        those whose L1 radius beta_dyn * norm is below ROW_EMPTYING_RADIUS.
+        The plan empties every other pair's row whatever p_hat holds, so
+        there p_hat may lag until a later call needs it.
 
         The arrays are read-only views of the learner's state: they follow
         later visits, so copy them to keep a snapshot.
@@ -316,11 +303,10 @@ class Learner:
         if norms is not None:
             wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
         for s, a in zip(*np.nonzero(wanted)):
-            self._p_raw[s, a] = (self.store.xty_trans[s, a]
-                                 @ self.store.v_bar_inv[s, a])
             try:
                 self._p_hat[s, a] = estimation.project_to_stochastic(
-                    self._p_raw[s, a], self.store.v_bar[s, a])
+                    self.store.xty_trans[s, a] @ self.store.v_bar_inv[s, a],
+                    self.store.v_bar[s, a])
             except ProjectionError as err:
                 raise ProjectionError(
                     err.gap, err.iterations, pair=(int(s), int(a)),
@@ -350,12 +336,11 @@ class Learner:
         """Fold one observed step at (s, a) into the statistics and test it.
 
         The only path that moves a pair's statistics: it refreshes the
-        pair's l_hat, both radii, its kept known threshold and its context
-        norm at c (every pair's when c is not the context of the kept
-        norms); p_hat_raw and p_hat follow in snapshot_estimates.  Returns
-        the paper's known test for the pair at c: its norm below
-        known_threshold at the pair's new radius, the current interval m
-        and b_star_cur, computed in Python floats bit for bit (_known_cap).
+        pair's l_hat, both radii and its context norm at c (every pair's
+        when c is not the context of the kept norms); p_hat follows in
+        snapshot_estimates.  Returns the paper's known test for the pair at
+        c: its norm below known_threshold at the pair's new radius, the
+        current interval m and b_star_cur (_known_threshold).
         """
         if not self.m:
             raise ProtocolError("visit needs a plan: call start_interval first")
@@ -363,11 +348,9 @@ class Learner:
         self._use_context(c)
         tau = store.record_visit(c, next_state, loss, (s, a), self._outer)
         self._l_hat[s, a] = store.v_bar_inv[s, a] @ store.xty_loss[s, a]
-        beta_l, beta_p, threshold = (self._by_tau.get(tau)
-                                     or self._tau_row(tau))
+        beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
-        self._threshold[s, a] = threshold
         if self._norms is None:
             norm = self._norms_at(c).item(s, a)
         else:
@@ -379,7 +362,7 @@ class Learner:
         moved = self._moved
         self._moved = (s, a, norm, beta_l, beta_p) if moved is None or (
             moved and moved[:2] == (s, a)) else False
-        return norm < min(threshold, self._known_cap())
+        return norm < self._known_threshold(beta_p)
 
     def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
@@ -459,10 +442,12 @@ class Learner:
             planned = result.residual, v_init
         residual, v_init = planned
         self._moved = None
-        # no norm lies below _norms_lo (a NaN bound takes the full count)
-        cap = self._known_cap()
-        known = 0 if self._norms_lo >= cap else np.count_nonzero(
-            norms < np.minimum(self._threshold, cap))
+        # no norm lies below _norms_lo, and no threshold above the one at
+        # the floor, radius 0 (a NaN bound takes the full count)
+        known = 0 if self._norms_lo >= self._known_threshold(0.0) else (
+            np.count_nonzero(norms < estimation.known_threshold(
+                self._beta_p, self.l_min_eff, self.b_star_cur, self.m,
+                self.cfg.delta)))
         record = IntervalRecord(
             episode, self.m, trigger, evi_residual=residual,
             v_tilde_init=v_init, b_star_cur=self.b_star_cur,

@@ -65,6 +65,13 @@ class TestGen:
         cfg = write_config(tmp_path, {"generator": {"gamma_goal": 0.0}})
         assert main(["gen", "--config", cfg]) == 2
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        (tmp_path / "file").write_text("")
+        assert main(["gen", "--config", cfg, "--out",
+                     str(tmp_path / "file")]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
 
 class TestRun:
     def test_pipeline_and_artifacts(self, tmp_path, capsys):
@@ -80,6 +87,25 @@ class TestRun:
     def test_run_without_model_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg]) == 2
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", cfg]) == 0
+        (tmp_path / "file").write_text("")
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "file")]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    def test_model_file_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model_file": "models"})
+        (tmp_path / "out" / "models").mkdir(parents=True)
+        assert main(["gen", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(
+            line.startswith("config error") and "models" in line
+            for line in err)
 
     def test_fingerprint_mismatch_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -349,11 +375,14 @@ class TestReport:
                          [r[:8] + r[9:] for r in rows]),
         lambda h, rows: (h, []),
         lambda h, rows: (h, [r[:-1] for r in rows]),
+        # the final regret, and so the stored mean, stays as it was
+        lambda h, rows: (h, rows[:3] + rows[4:]),
     ], ids=["cum_regret_abc", "no_cum_regret", "no_truncated", "no_rows",
-            "short_row"])
+            "short_row", "middle_row_gone"])
     def test_report_malformed_csv_exits_2(self, tmp_path, capsys, edit):
+        # the second seed's file, read after a well-formed first one
         out = self._full_pipeline(tmp_path)
-        path = os.path.join(out, "lrcssp", "seed_0", "regret.csv")
+        path = os.path.join(out, "lrcssp", "seed_1", "regret.csv")
         lines = [line.split(",") for line in open(path).read().splitlines()]
         assert lines[0][5] == "cum_regret" and lines[0][8] == "truncated"
         header, rows = edit(lines[0], lines[1:])
@@ -361,8 +390,10 @@ class TestReport:
             fh.write("".join(",".join(r) + "\n" for r in [header] + rows))
         capsys.readouterr()
         assert main(["report", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and path in err
+        printed = capsys.readouterr()
+        assert printed.err.startswith("config error") and path in printed.err
+        assert not any(line.startswith("lrcssp")
+                       for line in printed.out.splitlines())
 
     @pytest.mark.parametrize("value", ["abc", "", "1.5.2"])
     def test_report_malformed_summary_mean_exits_2(self, tmp_path, capsys,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lrcssp.errors import StructuralError
 from lrcssp.estimation import (
     REFRESH_EVERY,
-    Estimates,
     PairStore,
     SaStatistics,
     capped_simplex_projection,
@@ -494,35 +493,6 @@ class TestIsKnown:
         stats.tau[...] = 10**300
         known_huge = is_known(stats, c, 0.1, 1.0, 100, 0.1, 3, 2)
         assert known_small and not known_huge
-
-
-class TestEstimatesSerialization:
-    def _example(self):
-        rng = np.random.default_rng(12)
-        s, a, d = 3, 2, 2
-        return Estimates(
-            l_hat=rng.random((s, a, d)),
-            p_hat_raw=rng.normal(0, 1, size=(s, a, s, d)),
-            p_hat=rng.random((s, a, s, d)) / s,
-            beta_loss=rng.random((s, a)),
-            beta_dyn=rng.random((s, a)),
-        )
-
-    def test_round_trip_exact(self):
-        est = self._example()
-        back = Estimates.from_text(est.to_text())
-        for name in ("l_hat", "p_hat_raw", "p_hat", "beta_loss", "beta_dyn"):
-            assert np.array_equal(getattr(est, name), getattr(back, name))
-
-    def test_rejects_wrong_format(self):
-        with pytest.raises(StructuralError):
-            Estimates.from_text('{"format": "other", "version": 1}')
-
-    def test_rejects_wrong_version(self):
-        est = self._example()
-        text = est.to_text().replace('"version": 1', '"version": 2')
-        with pytest.raises(StructuralError):
-            Estimates.from_text(text)
 
 
 class TestComputePairEstimate:

@@ -1,6 +1,8 @@
 import bisect
+import dataclasses
 import itertools
 import math
+import struct
 import types
 from unittest import mock
 
@@ -63,12 +65,19 @@ def pair_stats(learner, s, a):
     return stats
 
 
+ESTIMATES = ("l_hat", "p_hat", "beta_loss", "beta_dyn")
+
+
 def pair_estimate(stats, n_actions, delta):
-    """One pair's (l_hat, p_hat_raw, p_hat, beta_loss, beta_dyn)."""
+    """One pair's (l_hat, p_hat, beta_loss, beta_dyn), as in ESTIMATES."""
     l_hat, p_raw, beta_l, beta_p = compute_pair_estimate(
         stats, n_actions, delta)
-    p_hat = project_to_stochastic(p_raw, stats.v_bar)
-    return l_hat, p_raw, p_hat, beta_l, beta_p
+    return l_hat, project_to_stochastic(p_raw, stats.v_bar), beta_l, beta_p
+
+
+def pair_estimates_of(est, s, a):
+    """The pair (s, a)'s entries of an Estimates, as in ESTIMATES."""
+    return tuple(getattr(est, name)[s, a] for name in ESTIMATES)
 
 
 def optimistic_loss(c, l_hat, beta_loss, c_norm):
@@ -802,9 +811,12 @@ class TestStackedStatistics:
         def checked_start_interval(c, trigger="unknown"):
             record = Learner.start_interval(learner, c, 0, trigger)
             norms = context_norms(learner.store.v_bar_inv, c)
-            cap = learner._known_cap()
-            full = np.count_nonzero(norms < np.minimum(learner._threshold,
-                                                       cap))
+            full = np.count_nonzero(norms < known_threshold(
+                learner._beta_p, learner.l_min_eff, learner.b_star_cur,
+                learner.m, REF_CFG.delta))
+            # the largest threshold, the one at the floor
+            cap = learner.l_min_eff / (10.0 * learner.b_star_cur * known_floor(
+                learner.m, REF_CFG.delta))
             assert learner._norms_at(c).tobytes() == norms.tobytes()
             assert not learner._norms_lo > np.nanmin(norms)
             assert record.known_fraction == full / n_pairs
@@ -883,12 +895,12 @@ class TestStackedStatistics:
             assert norms[s, a] == context_norm(pair_stats(learner, s, a), c)
             bits.append(known)
         assert bits == [True, True, True, False, False, True]
-        # the visit also brought the pair's estimates up to date
+        # the visit brought the pair's estimates up to date, and the
+        # snapshot its projection
         est = learner.snapshot_estimates()
-        want = compute_pair_estimate(pair_stats(learner, 0, 0),
-                                     model.n_actions, REF_CFG.delta)
-        for got, w in zip((est.l_hat[0, 0], est.p_hat_raw[0, 0],
-                           est.beta_loss[0, 0], est.beta_dyn[0, 0]), want):
+        want = pair_estimate(pair_stats(learner, 0, 0), model.n_actions,
+                             REF_CFG.delta)
+        for got, w in zip(pair_estimates_of(est, 0, 0), want):
             assert np.array_equal(got, w)
 
     def test_doubling_does_not_reuse_carried_norms(self, monkeypatch):
@@ -971,12 +983,32 @@ class TestStackedStatistics:
             assert flags[-1] == pair_loop(truth)
         assert True in flags and False in flags
 
-    def test_known_threshold_array_matches_scalar(self):
-        beta = np.array([[0.5, 3.0], [40.0, 1e6]])
-        got = known_threshold(beta, 0.1, 2.0, 50, 0.1)
-        want = [[known_threshold(float(b), 0.1, 2.0, 50, 0.1) for b in row]
-                for row in beta]
-        assert np.array_equal(got, want)
+    def test_known_threshold_array_matches_scalar(self, monkeypatch):
+        """known_threshold over an array and at a float, and the learner's
+        scalar threshold, all equal l_min / (10 B max(beta, floor)) bit for
+        bit: beta below, at and above the floor, l_min 0, and B after a
+        doubling."""
+        m, delta = 50, 0.1
+        floor = math.sqrt(math.log(4.0 * m / delta))
+        assert known_floor(m, delta) == floor
+        betas = [0.5, math.nextafter(floor, 0.0), floor,
+                 math.nextafter(floor, math.inf), 3.0, 40.0, 1e6]
+        for l_min, doubled in ((0.1, False), (0.1, True), (0.0, False),
+                               (7.5, True)):
+            cfg = LearnerConfig(delta=delta, l_min=l_min)
+            learner = Learner(cfg, generate_instance(REF_SPEC), l_min)
+            if doubled:
+                TestStepState()._doubling(monkeypatch, learner,
+                                          np.array([0.3, 0.7]))
+            learner.m = m
+            b = learner.b_star_cur
+            assert b == (2.0 if doubled else 1.0)
+            got = known_threshold(np.array(betas), l_min, b, m, delta)
+            for beta, from_array in zip(betas, got.tolist()):
+                want = l_min / (10.0 * b * (beta if beta > floor else floor))
+                for x in (from_array, learner._known_threshold(beta),
+                          known_threshold(beta, l_min, b, m, delta)):
+                    assert struct.pack("<d", x) == struct.pack("<d", want)
 
     def test_refresh_writes_inverse_in_place(self):
         model, learner = self._learner(visits=0)
@@ -994,14 +1026,14 @@ class TestStackedStatistics:
     def test_snapshot_is_read_only_and_current(self):
         model, learner = self._learner()
         est = learner.snapshot_estimates()
-        for name in ("l_hat", "p_hat_raw", "p_hat", "beta_loss", "beta_dyn"):
+        assert tuple(f.name for f in dataclasses.fields(est)) == ESTIMATES
+        for name in ESTIMATES:
             with pytest.raises(ValueError):
                 getattr(est, name)[...] = 0.0
         want = pair_estimate(pair_stats(learner, 3, 1), model.n_actions,
                              REF_CFG.delta)
-        np.testing.assert_array_equal(est.l_hat[3, 1], want[0])
-        np.testing.assert_array_equal(est.p_hat[3, 1], want[2])
-        assert est.beta_dyn[3, 1] == want[4]
+        for got, w in zip(pair_estimates_of(est, 3, 1), want):
+            np.testing.assert_array_equal(got, w)
 
 
 @st.composite
@@ -1386,9 +1418,7 @@ class TestDeferredProjection:
             for a in range(model.n_actions):
                 want = pair_estimate(pair_stats(learner, s, a),
                                      model.n_actions, REF_CFG.delta)
-                got = (est.l_hat[s, a], est.p_hat_raw[s, a], est.p_hat[s, a],
-                       est.beta_loss[s, a], est.beta_dyn[s, a])
-                for g, w in zip(got, want):
+                for g, w in zip(pair_estimates_of(est, s, a), want):
                     assert np.array_equal(g, w)
 
     def test_unvisited_pairs_need_no_refresh(self, monkeypatch):
@@ -1400,12 +1430,11 @@ class TestDeferredProjection:
         assert calls == []
         for s in range(model.n_states):
             for a in range(model.n_actions):
-                got = (est.l_hat[s, a], est.p_hat_raw[s, a], est.p_hat[s, a],
-                       est.beta_loss[s, a], est.beta_dyn[s, a])
+                got = pair_estimates_of(est, s, a)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
-                # +0.0, not -0.0, so to_text writes the same bytes
-                assert not any(np.signbit(g).any() for g in got[:3])
+                # +0.0, not -0.0, as the ridge estimates of zero moments
+                assert not any(np.signbit(g).any() for g in got[:2])
 
     def test_projection_error_names_pair_tau_and_interval(self, monkeypatch):
         model, learner = self._pumped_learner(visits=0, pumped=(3, 0))
@@ -1580,8 +1609,8 @@ class TestRowUpdate:
 
 
 class TestStepState:
-    """What a visit keeps for its pair: both radii at its visit count, the
-    known threshold without its floor, and p_hat_raw left to the snapshot."""
+    """What a visit keeps for its pair: both radii at its visit count, with
+    p_hat left to the snapshot."""
 
     def _doubling(self, monkeypatch, learner, c):
         """start_interval with a full plan that escapes the bound once."""
@@ -1665,8 +1694,10 @@ class TestStepState:
         assert np.count_nonzero(store.tau) > 1
         est = learners[0].snapshot_estimates()
         for s, a in np.ndindex(store.tau.shape):
-            want = store.xty_trans[s, a] @ store.v_bar_inv[s, a]
-            assert est.p_hat_raw[s, a].tobytes() == want.tobytes()
+            want = project_to_stochastic(
+                store.xty_trans[s, a] @ store.v_bar_inv[s, a],
+                store.v_bar[s, a])
+            assert est.p_hat[s, a].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [10**6, 1])
     def test_known_threshold_before_and_after_a_doubling(self, monkeypatch,
@@ -1762,8 +1793,8 @@ class TestStepState:
         assert {floor for _, _, floor in seen} == {m0 > 0}
 
     def test_known_bit_follows_m_set_between_visits(self):
-        # the floor's threshold is kept per (m, b_star_cur); the helpers
-        # above set m between visits.  Each visit's norm lies just below
+        # the floor's threshold follows m, which the helpers above set
+        # between visits.  Each visit's norm lies just below
         # the threshold without the floor, so the pair is known at m = 1
         # (floor 1.22) and not at m = 10**6 (floor 3.91 > beta_dyn)
         cfg, learner = self._one_state(l_min=0.5)
@@ -1785,17 +1816,22 @@ class TestStepState:
         # a norm just below it is counted
         cfg, learner = self._one_state(l_min=0.5)
         c = np.array([1.0])
+
+        def thresholds():
+            return known_threshold(learner._beta_p, cfg.l_min,
+                                   learner.b_star_cur, learner.m, cfg.delta)
+
         learner.m = 10**6 - 1
         assert learner.start_interval(c, 0, "start").known_fraction == 0.0
-        assert learner._norms_lo >= learner._known_cap()
+        assert np.all(learner._norms_lo >= thresholds())
         t = 0.99 * cfg.l_min / (10.0 * learner.b_star_cur
                                 * known_floor(learner.m + 1, cfg.delta))
         learner.store.v_bar[0, 0] = (1.0 - t * t) / (t * t)
         learner.store.v_bar_inv[0, 0] = t * t / (1.0 - t * t)
         assert learner.visit(0, 0, c, GOAL, 0.5)
         assert learner.start_interval(c, 0, "goal").known_fraction == 0.5
-        assert learner._known_cap() / 2 < learner._norms_lo < \
-            learner._known_cap()
+        assert np.all(thresholds() / 2 < learner._norms_lo)
+        assert np.all(learner._norms_lo < thresholds())
 
     def test_known_count_follows_a_doubling(self, monkeypatch):
         # l_min = 40 puts the threshold of a fresh pair (norm 1 at c = 1)

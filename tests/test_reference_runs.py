@@ -4,7 +4,7 @@ The expected values come from the benchmark's reference table
 (bench/reference.json), which was recorded from the learner before the
 stacked-statistics store: step and interval counts must match exactly and
 the final cumulative regret to a relative 1e-6 (the artifacts print nine
-significant digits).  Four runs also pin every bit the RunLog records, as
+significant digits).  Seven runs also pin every bit the RunLog records, as
 the benchmark's run_log_digest (bench/workloads.py) in hex, and the golden
 pipeline pins the sha256 of every artifact: a change meant to keep
 behaviour keeps each of them.  Three more digests pin the draw paths no
@@ -118,14 +118,23 @@ def test_golden_pipeline(tmp_path):
     assert written == GOLDEN_SHA256
 
 
-def test_ref_part_bits(tmp_path):
-    """REF_SPEC, K=1000, run seed 0: the benchmark's first `ref` part."""
+# run seed -> digest: both parts of the benchmark's `ref` seeds 0 and 1009
+REF_DIGESTS = {
+    0: "3233a33db8d9fba8aa2de6da3d771e8e8f7ec490eb87304a5f943cac04aec6bb",
+    1: "6138c488d96e894e7d89e7edf6532cd4c4a8e9542c868e0490c7e2e953667685",
+    2018: "5822ff110b7955ea817e728f5a7d6a6b861f2127d5d91b950bb0e70e251ef4a0",
+    2019: "008dc67442fd077980a470cd41dc05cc22260280655213de26472792a6bfc198",
+}
+
+
+@pytest.mark.parametrize("run_seed", sorted(REF_DIGESTS))
+def test_ref_part_bits(tmp_path, run_seed):
+    """REF_SPEC, K=1000: a part of the benchmark's `ref` workload."""
     cfg = ExperimentConfig.from_dict(
-        experiment(REF_GENERATOR, 1000, 0, str(tmp_path)))
+        experiment(REF_GENERATOR, 1000, run_seed, str(tmp_path)))
     log = run(cfg.learner, generate_instance(cfg.generator),
-              build_contexts(cfg, 0), seed=0)
-    assert run_log_digest(log) == (
-        "3233a33db8d9fba8aa2de6da3d771e8e8f7ec490eb87304a5f943cac04aec6bb")
+              build_contexts(cfg, run_seed), seed=run_seed)
+    assert run_log_digest(log) == REF_DIGESTS[run_seed]
 
 
 def test_context_blind_bits(tmp_path):
