@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from .harness import (
     ExperimentConfig,
     SENTINEL,
     final_regret,
+    final_regret_mean,
     generate_instance,
     read_model,
     read_summary,
@@ -53,7 +55,9 @@ def cmd_run(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, path = _load_config(args)
-    per_run, agg = run_experiment(cfg, model=read_model(path), jobs=args.jobs)
+    model, fingerprint = read_model(path)
+    per_run, agg = run_experiment(cfg, model=model, jobs=args.jobs,
+                                  fingerprint=fingerprint)
     for variant in sorted(agg):
         print(f"{variant}: final regret mean "
               f"{_fmt(agg[variant]['final_regret_mean'])} over "
@@ -65,8 +69,7 @@ def _read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: [r[i] for r in rows] for i, name in enumerate(header)}
-    return cols
+    return {name: [r[i] for r in rows] for i, name in enumerate(header)}
 
 
 def cmd_report(args):
@@ -84,7 +87,7 @@ def cmd_report(args):
     for variant in variants:
         vdir = os.path.join(run_dir, variant)
         seeds = sorted(d for d in os.listdir(vdir) if d.startswith("seed_"))
-        truncs, curves, n_episodes = 0, [], 0
+        truncs, curves, finals, n_episodes = 0, [], [], 0
         for sd in seeds:
             path = os.path.join(vdir, sd, "regret.csv")
             # a missing column, a short row, no row, a non-number cell or an
@@ -102,9 +105,10 @@ def cmd_report(args):
             truncs += sum(truncated)
             # a seed whose every episode truncated has no final regret, so
             # it enters neither the mean nor the plot
+            finals.append(final)
             if not np.isnan(final):
                 curves.append(curve)
-        mean = float(np.mean([c[-1] for c in curves])) if curves else SENTINEL
+        mean = final_regret_mean(finals)
         key = f"{variant}.final_regret_mean"
         try:  # a variant the summary does not name is not compared
             stored_mean = float(stored.get(key, mean))
@@ -125,30 +129,28 @@ def cmd_report(args):
                 else np.full(n_episodes, SENTINEL))
         plot_path = os.path.join(run_dir, f"plot_{variant}.csv")
         with open(plot_path, "w", newline="") as fh:
-            fh.write("episode,cum_regret_mean\n")
-            for k, val in enumerate(plot):
-                fh.write(f"{k},{_fmt(val)}\n")
+            fh.write("episode,cum_regret_mean\n" + "".join(
+                f"{k},{_fmt(x)}\n" for k, x in enumerate(plot.tolist())))
     return 0
 
 
+@functools.cache  # parse_args keeps no state: one parser per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lrcssp",
         description="Linear contextual shortest-path learner benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate and store the model")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--seed-offset", type=int, default=0)
-    gen.set_defaults(func=cmd_gen)
-
-    runp = sub.add_parser("run", help="run the full experiment pipeline")
-    runp.add_argument("--config", required=True)
-    runp.add_argument("--out", default=None)
-    runp.add_argument("--jobs", type=int, default=1)
-    runp.add_argument("--seed-offset", type=int, default=0)
-    runp.set_defaults(func=cmd_run)
+    for name, func, text in (
+            ("gen", cmd_gen, "generate and store the model"),
+            ("run", cmd_run, "run the full experiment pipeline")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True)
+        cmd.add_argument("--out", default=None)
+        if func is cmd_run:
+            cmd.add_argument("--jobs", type=int, default=1)
+        cmd.add_argument("--seed-offset", type=int, default=0)
+        cmd.set_defaults(func=func)
 
     rep = sub.add_parser("report", help="recompute and print a summary")
     rep.add_argument("run_dir")
@@ -157,9 +159,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

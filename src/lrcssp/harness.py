@@ -6,6 +6,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -103,8 +104,7 @@ class RegretCurve:
 
 def compute_regret(run_log, oracle):
     """Realized sampled losses minus the exact optimal values per episode."""
-    K = len(run_log.episodes)
-    if len(oracle.v_star) != K:
+    if len(oracle.v_star) != len(run_log.episodes):
         raise ConfigError("oracle/run episode counts differ")
     realized = np.array([e.total_loss for e in run_log.episodes])
     truncated = np.array([e.truncated for e in run_log.episodes])
@@ -125,6 +125,13 @@ def final_regret(cum_regret, truncated):
     return float(cum_regret[-1])
 
 
+def final_regret_mean(finals):
+    """A variant's mean over its seeds' finals that are not NaN (NaN if
+    none is), for the run summary and `report` alike."""
+    finite = [x for x in finals if not math.isnan(x)]
+    return float(np.mean(finite)) if finite else SENTINEL
+
+
 def hpe_diagnostics(run_log, oracle, delta):
     """Statistical sanity report on interval losses and interval counts.
 
@@ -133,9 +140,11 @@ def hpe_diagnostics(run_log, oracle, delta):
     identity M <= K + |S||A| * max per-pair unknown triggers.
     """
     b = max(1.0, oracle.b_star_emp)
+    # thresholds grow with m >= 1 (log is monotone): none below m = 1's
+    first = 48.0 * b * math.log(4.0 / delta)
     violations = sum(
         rec.interval_loss > 48.0 * b * math.log(4.0 * rec.m / delta)
-        for rec in run_log.interval_records)
+        for rec in run_log.interval_records if rec.interval_loss > first)
     m_total = run_log.total_intervals
     k = len(run_log.episodes)
     n_pairs = run_log.unknown_counts.size
@@ -257,43 +266,46 @@ def model_from_dict(payload):
     )
 
 
-def model_fingerprint(model):
-    blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
+def _fingerprint(payload):
+    blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def model_fingerprint(model):
+    return _fingerprint(model_to_dict(model))
 
 
 def write_model(path, model):
     """Store the model with its fingerprint; returns the fingerprint."""
-    payload = dict(model_to_dict(model), fingerprint=model_fingerprint(model))
+    payload = model_to_dict(model)
+    payload["fingerprint"] = fingerprint = _fingerprint(payload)
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(payload) + "\n")
-    return payload["fingerprint"]
+    return fingerprint
 
 
 def read_model(path):
-    """The model stored at path; a malformed file raises a ConfigError
-    naming it."""
+    """The model stored at path and its checked fingerprint; a malformed
+    file raises a ConfigError naming it."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
         stored_fp = payload.pop("fingerprint", None)
         model = model_from_dict(payload)
-        if stored_fp not in (None, model_fingerprint(model)):
+        if stored_fp not in (None, fingerprint := model_fingerprint(model)):
             raise ConfigError("fingerprint mismatch")
     except FileNotFoundError:
         raise ConfigError(f"model file missing: {path} (run 'gen' first)")
     except (LrcsspError, AttributeError, KeyError, TypeError,
             ValueError) as exc:
         raise ConfigError(f"model file {path} rejected: {exc!r}") from None
-    return model
+    return model, fingerprint
 
 
 def _fmt(x):
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{x:.9g}"
+    if isinstance(x, float) or not isinstance(x, (int, np.integer)):
+        return f"{x:.9g}"  # floats (np.float64 too) first, the most often
+    return str(int(x))  # a bool as 1 or 0
 
 
 CSV_HEADER = ("episode,steps,realized_loss,optimal_value,regret,cum_regret,"
@@ -301,17 +313,18 @@ CSV_HEADER = ("episode,steps,realized_loss,optimal_value,regret,cum_regret,"
 
 
 def write_regret_csv(path, run_log, curve):
-    lines = [CSV_HEADER]
-    for k, ep in enumerate(run_log.episodes):
-        lines.append(",".join([
-            str(k), str(ep.steps), _fmt(curve.realized_loss[k]),
-            _fmt(curve.optimal_value[k]), _fmt(curve.regret[k]),
-            _fmt(curve.cum_regret[k]), str(ep.intervals_started),
-            str(ep.unknown_triggers), _fmt(bool(ep.truncated)),
-            _fmt(ep.b_star_end),
-        ]))
+    """One row per episode, formatted by columns (each curve column from one
+    tolist(): _fmt prints its Python numbers as it prints numpy's)."""
+    eps = run_log.episodes
+    columns = [range(len(eps)), [e.steps for e in eps],
+               *(x.tolist() for x in (curve.realized_loss, curve.optimal_value,
+                                      curve.regret, curve.cum_regret)),
+               [e.intervals_started for e in eps],
+               [e.unknown_triggers for e in eps],
+               [bool(e.truncated) for e in eps], [e.b_star_end for e in eps]]
+    rows = zip(*(map(_fmt, x) for x in columns))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
 
 
 def _json_column(values):
@@ -327,14 +340,15 @@ def _json_column(values):
 
 def write_events_jsonl(path, run_log):
     """json.dumps(rec.to_event()) + "\n" per interval record, byte for byte:
-    a %-template over to_event's keys, filled by columns of 32 records."""
+    a %-template over the event keys, filled by columns read from the
+    records' slots, 32 records at a time."""
+    fields = learner_mod.IntervalRecord.EVENT_FIELDS
+    template = "{%s}\n" % ", ".join(json.dumps(key) + ": %s" for key in fields)
+    row = attrgetter(*fields.values())
     records = run_log.interval_records
-    template = "{%s}\n" % ", ".join(json.dumps(key) + ": %s" for key in (
-        records[0].to_event() if records else ()))
     with open(path, "w", newline="") as fh:
         for start in range(0, len(records), 32):  # bounds the memory held
-            block = [rec.to_event().values()
-                     for rec in records[start:start + 32]]
+            block = map(row, records[start:start + 32])
             columns = map(_json_column, zip(*block))
             fh.write("".join(map(template.__mod__, zip(*columns))))
 
@@ -429,18 +443,17 @@ def _run_seed(args):
 
 def aggregate_summaries(per_run):
     """Mean/median/IQR of final cumulative regret per variant."""
-    out = {}
-    by_variant = {}
+    out, by_variant = {}, {}
     for variant, seed, summary in per_run:
         by_variant.setdefault(variant, []).append(summary)
     for variant, summaries in sorted(by_variant.items()):
-        finals = np.array([s["final_cum_regret"] for s in summaries])
-        finite = finals[~np.isnan(finals)]
+        finals = [s["final_cum_regret"] for s in summaries]
+        finite = np.array([x for x in finals if not math.isnan(x)])
         q25, q75 = (np.percentile(finite, [25, 75]) if finite.size
                     else (SENTINEL, SENTINEL))
         out[variant] = {
             "runs": len(summaries),
-            "final_regret_mean": float(finite.mean()) if finite.size else SENTINEL,
+            "final_regret_mean": final_regret_mean(finals),
             "final_regret_median": float(np.median(finite)) if finite.size
             else SENTINEL,
             "final_regret_iqr": float(q75 - q25),
@@ -454,11 +467,12 @@ def aggregate_summaries(per_run):
     return out
 
 
-def run_experiment(cfg, model=None, jobs=1):
+def run_experiment(cfg, model=None, jobs=1, fingerprint=None):
     """Full pipeline: model -> contexts -> learner runs -> artifact files.
 
     Deterministic per (generator seed, run seeds); jobs only parallelizes
-    independent seeds, with at most one worker per seed.
+    independent seeds, with at most one worker per seed.  A fingerprint
+    read_model checked is not computed again.
     """
     if model is None:
         model = generate_instance(cfg.generator)
@@ -469,8 +483,7 @@ def run_experiment(cfg, model=None, jobs=1):
     variants = ["lrcssp"]
     if cfg.baseline_context_blind:
         variants.append("context_blind")
-    tasks = [(cfg, model, seed, variants, cfg.out_dir)
-             for seed in cfg.seeds]
+    tasks = [(cfg, model, seed, variants, cfg.out_dir) for seed in cfg.seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: a serial run does not pay for the pool's modules
@@ -482,7 +495,7 @@ def run_experiment(cfg, model=None, jobs=1):
     # seed-major, so each variant's summaries still aggregate in seed order
     per_run = [run for runs in per_seed for run in runs]
     agg = aggregate_summaries(per_run)
-    lines = [f"model_fingerprint: {model_fingerprint(model)}"]
+    lines = [f"model_fingerprint: {fingerprint or model_fingerprint(model)}"]
     for variant in sorted(agg):
         for key in sorted(agg[variant]):
             lines.append(f"{variant}.{key}: {_fmt(agg[variant][key])}")

@@ -91,6 +91,7 @@ class EviResult:
     residual: float
     converged: bool
     iterations: int
+    rows: list = None  # opt_loss as lists, when every row is emptied
 
 
 def _evi_backup(opt_loss, p_ctx, r, v):
@@ -140,16 +141,18 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     is, so every sweep lands on the same values, each state's from its own
     row only (_emptied_row, as in Learner._row_update).  The plan then skips
     the loop and p_ctx and reports the residual and sweep count the loop
-    would (_emptied_sweeps), bit for bit, with policy and values as lists.
-    Such radii are finite multiples of finite norms: no NaN reaches it.
+    would (_emptied_sweeps), bit for bit, with policy, values and opt_loss's
+    rows as lists.  Such radii are finite multiples of finite norms: no NaN
+    reaches it.
     """
     if radius.min() >= ROW_EMPTYING_RADIUS:
+        rows = opt_loss.tolist()
         values, policy = map(list, zip(*(_emptied_row(row, b_cap)
-                                         for row in opt_loss.tolist())))
+                                         for row in rows)))
         residual, iterations = _emptied_sweeps(max(values), evi_tol,
                                                evi_max_iter)
         return EviResult(policy, values, residual, residual <= evi_tol,
-                         iterations)
+                         iterations, rows)
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
     iterations = 0
@@ -181,18 +184,14 @@ class IntervalRecord:
     context: np.ndarray = None  # read-only, shared by records at one context
     coverage_ok: bool = None  # only filled when diagnostics are enabled
 
+    # an event's keys, in order, and the attribute each one reads
+    EVENT_FIELDS = {key: "m" if key == "interval" else key for key in (
+        "episode", "interval", "trigger", "steps", "interval_loss",
+        "evi_residual", "v_tilde_init", "b_star_cur", "known_fraction")}
+
     def to_event(self):
-        return {
-            "episode": self.episode,
-            "interval": self.m,
-            "trigger": self.trigger,
-            "steps": self.steps,
-            "interval_loss": self.interval_loss,
-            "evi_residual": self.evi_residual,
-            "v_tilde_init": self.v_tilde_init,
-            "b_star_cur": self.b_star_cur,
-            "known_fraction": self.known_fraction,
-        }
+        return {key: getattr(self, name)
+                for key, name in self.EVENT_FIELDS.items()}
 
 
 @dataclass
@@ -437,7 +436,7 @@ class Learner:
                 norms = self._norms_at(c)
                 continue
             self.policy = result.policy
-            self._plan = ((opt_loss.tolist(), result.values)
+            self._plan = ((result.rows, result.values)
                           if p_ctx is None else None)
             planned = result.residual, v_init
         residual, v_init = planned

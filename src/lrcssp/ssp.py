@@ -5,6 +5,7 @@ States are indexed 0..n_states-1.  The goal is never a state index: each
 the probability of jumping to the absorbing, cost-free goal.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,12 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     loops).
 
     On a stack each instance stops at its own first sweep whose residual is
-    at most tol and keeps that sweep's input v; only the instances still
-    above tol are swept again.
+    at most tol and keeps that sweep's input v and greedy policy; the stack
+    is cut to the unfinished ones once at least half of it has finished.
+    The min over actions, a chain of np.minimum, differs from
+    q.min(axis=-1) only on a -0.0/+0.0 tie, and q holds no -0.0: v >= +0,
+    trans >= 0 and a matmul's sum starts at +0.0, so trans @ v >= +0, and
+    loss + (>= +0) is +0 or positive whatever the sign of a zero loss.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -120,26 +125,28 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     trans = ssp.trans[None] if single else ssp.trans
     v_out = np.empty(loss.shape[:-1])
     pi_out = np.empty(loss.shape[:-1], dtype=int)
-    todo = np.arange(len(loss))  # stack positions still sweeping
+    todo = np.arange(len(loss))  # stack positions of the rows below
+    live = np.ones(len(loss), dtype=bool)  # rows still sweeping
     v = np.zeros(loss.shape[:-1])
     residual = np.full(len(loss), np.inf)
     for _ in range(max_iter):
-        if not todo.size:
+        if not live.any():
             break
         q = _lookahead(loss, trans, v)
-        w = q.min(axis=-1)
+        w = functools.reduce(np.minimum, q.transpose(2, 0, 1))
         residual = np.abs(w - v).max(axis=-1, initial=0.0)
-        done = residual <= tol
+        done = (residual <= tol) & live
         if done.any():
             v_out[todo[done]] = v[done]
             pi_out[todo[done]] = q[done].argmin(axis=-1)
-            keep = ~done
-            todo, loss, trans = todo[keep], loss[keep], trans[keep]
-            w, residual = w[keep], residual[keep]
+            live &= ~done
+            if 2 * np.count_nonzero(live) <= len(live):
+                todo, loss, trans = todo[live], loss[live], trans[live]
+                w, residual, live = w[live], residual[live], live[live]
         v = w
-    if todo.size:
-        raise NonConvergenceError(residual[0], max_iter,
-                                  index=None if single else int(todo[0]))
+    if live.any():  # name the first instance still sweeping
+        first = None if single else int(todo[live][0])
+        raise NonConvergenceError(residual[live][0], max_iter, index=first)
     return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
 
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcssp import cli, harness
 from lrcssp.cli import main
-from lrcssp.harness import model_to_dict, read_summary
+from lrcssp.harness import CSV_HEADER, model_to_dict, read_summary
 from lrcssp.linear_model import LinearCsspModel
-from test_harness import tree_bytes
+from test_harness import fmt_oracle, tree_bytes
 
 
 BASE_CONFIG = {
@@ -115,6 +116,29 @@ class TestRun:
         payload["loss_embed"][0] = 0.123456
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", cfg]) == 2
+
+    def test_fingerprint_computed_once(self, tmp_path, monkeypatch):
+        # gen builds the model's dict once; run checks the stored
+        # fingerprint once and writes that one into summary.txt
+        cfg = write_config(tmp_path)
+        calls = []
+
+        def counting(name):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda model: (
+                calls.append(name), real(model))[1])
+
+        counting("model_to_dict")
+        assert main(["gen", "--config", cfg]) == 0
+        assert calls == ["model_to_dict"]
+        calls.clear()
+        counting("model_fingerprint")
+        assert main(["run", "--config", cfg]) == 0
+        assert calls == ["model_fingerprint", "model_to_dict"]
+        stored = json.loads((tmp_path / "out" / "model.json").read_text())
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert summary.startswith(
+            f"model_fingerprint: {stored['fingerprint']}\n")
 
     def test_zero_loss_loop_model_exits_2(self, tmp_path, capsys):
         # a model whose entries are legal, but whose state 1 only loops to
@@ -411,6 +435,76 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("config error") and path in err and key in err
 
+    @staticmethod
+    def _report_oracle(run_dir, variant):
+        """The report's row and plot text for one variant as the former
+        cmd_report built them: the mean over the plotted seeds' last
+        points, and one line per episode."""
+        vdir = os.path.join(run_dir, variant)
+        seeds = sorted(d for d in os.listdir(vdir) if d.startswith("seed_"))
+        curves, truncs, n_episodes = [], 0, 0
+        for sd in seeds:
+            with open(os.path.join(vdir, sd, "regret.csv")) as fh:
+                header = fh.readline().strip().split(",")
+                rows = [dict(zip(header, line.strip().split(",")))
+                        for line in fh]
+            truncated = [int(r["truncated"]) for r in rows]
+            curve = [float(r["cum_regret"]) for r in rows]
+            n_episodes = len(curve)
+            truncs += sum(truncated)
+            if not all(truncated) and not np.isnan(curve[-1]):
+                curves.append(curve)
+        with np.errstate(invalid="ignore"):
+            mean = (float(np.mean([c[-1] for c in curves])) if curves
+                    else float("nan"))
+            plot = (np.mean(curves, axis=0) if curves
+                    else np.full(n_episodes, float("nan")))
+        row = f"{variant:<16}{len(seeds):>6}{fmt_oracle(mean):>20}{truncs:>13}"
+        text = "episode,cum_regret_mean\n"
+        for k, val in enumerate(plot):
+            text += f"{k},{fmt_oracle(val)}\n"
+        return row, text
+
+    @pytest.mark.parametrize("curves", [
+        # seed by seed, (cum_regret, truncated) per episode
+        [[("0.5", 0), ("-0", 0), ("inf", 0), ("1e+30", 0)],
+         [("-0", 0), ("-0", 1), ("-inf", 0), ("1", 0)],
+         [("0", 1), ("0", 1), ("0", 1), ("0", 1)]],
+        [[("-0", 0), ("-0", 0)], [("-0", 1), ("-0", 0)]],
+        [[("1e+30", 0), ("1e+30", 0), ("-1e+30", 0)],
+         [("1e+30", 0), ("1e+30", 0), ("1e+30", 0)]],
+        [[("0.123456789", 0)]],
+        [[("0", 1)], [("0", 1)]],
+        [[("0.25", 0), ("nan", 0)], [("0.5", 0), ("0.75", 0)]],
+    ], ids=["inf_and_truncated", "signed_zeros", "large", "K1",
+            "all_truncated", "nan_point"])
+    def test_report_equals_former_report(self, tmp_path, capsys, curves):
+        run_dir = tmp_path / "run"
+        for seed, curve in enumerate(curves):
+            sdir = run_dir / "lrcssp" / f"seed_{seed}"
+            sdir.mkdir(parents=True)
+            (sdir / "regret.csv").write_text(CSV_HEADER + "\n" + "".join(
+                f"{k},1,0.5,0.5,0,{cum},1,0,{t},1\n"
+                for k, (cum, t) in enumerate(curve)))
+        (run_dir / "summary.txt").write_text("")  # no stored mean to check
+        row, plot = self._report_oracle(str(run_dir), "lrcssp")
+        capsys.readouterr()
+        with np.errstate(invalid="ignore"):
+            assert main(["report", str(run_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == row
+        assert (run_dir / "plot_lrcssp.csv").read_bytes() == plot.encode()
+
+    def test_report_equals_former_report_on_runs(self, tmp_path, capsys):
+        out = self._full_pipeline(tmp_path)
+        capsys.readouterr()
+        assert main(["report", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for variant in ("context_blind", "lrcssp"):
+            row, plot = self._report_oracle(out, variant)
+            assert row in lines
+            with open(os.path.join(out, f"plot_{variant}.csv"), "rb") as fh:
+                assert fh.read() == plot.encode()
+
     def test_report_empty_dir_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "missing")]) == 2
 
@@ -459,6 +553,46 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the same calls, with a usage error among them, through the one
+        # kept parser and through a fresh parser each: the same exit codes,
+        # messages and trees
+        assert cli.build_parser() is cli.build_parser()
+        calls = [
+            ["gen", "--config", "config.json", "--out", "a",
+             "--seed-offset", "3"],
+            ["run", "--config", "config.json", "--out", "a",
+             "--seed-offset", "3", "--jobs", "2"],
+            ["run", "--config", "config.json", "--jobs", "many"],
+            ["report"],
+            ["gen", "--config", "config.json", "--out", "b"],
+            ["run", "--config", "config.json", "--out", "b", "--jobs", "1"],
+            ["report", "a"],
+            ["report", "b"],
+        ]
+        results = []
+        for fresh in (False, True):
+            work = tmp_path / ("fresh" if fresh else "kept")
+            work.mkdir()
+            monkeypatch.chdir(work)
+            write_config(work)
+            raw = json.loads((work / "config.json").read_text())
+            raw["out_dir"] = "out"  # relative: the same in both work dirs
+            (work / "config.json").write_text(json.dumps(raw))
+            codes = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                codes.append(main(argv))
+            results.append((codes, capsys.readouterr(), tree_bytes(work)))
+        (codes, printed, tree), (want_codes, want_printed, want_tree) = results
+        assert codes == want_codes == [0, 0, 2, 2, 0, 0, 0, 0]
+        assert printed == want_printed
+        assert tree == want_tree
+        assert "a/lrcssp/seed_4/regret.csv" in tree
+        assert "b/lrcssp/seed_1/regret.csv" in tree
 
 
 # one field that no run can use, each exiting 2 (TestMalformedInput): a

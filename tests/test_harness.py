@@ -23,7 +23,9 @@ from lrcssp.harness import (
     aggregate_summaries,
     baseline_context_blind,
     build_contexts,
+    RegretCurve,
     compute_regret,
+    final_regret_mean,
     hpe_diagnostics,
     model_fingerprint,
     model_from_dict,
@@ -37,7 +39,7 @@ from lrcssp.harness import (
     write_regret_csv,
     write_summary,
 )
-from lrcssp.learner import IntervalRecord, LearnerConfig, run
+from lrcssp.learner import EpisodeLog, IntervalRecord, LearnerConfig, run
 from lrcssp.linear_model import (
     GeneratorSpec,
     LinearCsspModel,
@@ -275,6 +277,32 @@ class TestHpeDiagnostics:
             for rec in log.interval_records)
         assert diag["interval_loss_violations"] == expect
 
+    @pytest.mark.parametrize("b_star_emp, delta", [
+        (0.5, 0.1), (1.0, 0.05), (2.75, 0.1), (40.0, 1e-6)])
+    def test_violations_equal_full_expression(self, b_star_emp, delta):
+        # losses at, just below and just above the threshold of their own
+        # interval m and of m = 1, which every larger m's threshold exceeds
+        b = max(1.0, b_star_emp)
+
+        def threshold(m):
+            return 48.0 * b * math.log(4.0 * m / delta)
+
+        records = []
+        for m in (1, 2, 3, 7, 100, 10**6):
+            for t in (threshold(m), threshold(1)):
+                for loss in (t, np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                             0.0, -0.0, float("nan"), float("inf")):
+                    records.append(IntervalRecord(0, m, "goal",
+                                                  interval_loss=float(loss)))
+        log = types.SimpleNamespace(
+            interval_records=records, total_intervals=len(records),
+            episodes=[None], unknown_counts=np.zeros((2, 2), dtype=int))
+        oracle = OracleValues(np.zeros(1), np.zeros((1, 2)), b_star_emp, 1.0)
+        diag = hpe_diagnostics(log, oracle, delta)
+        expect = sum(rec.interval_loss > threshold(rec.m) for rec in records)
+        assert diag["interval_loss_violations"] == expect
+        assert 0 < expect < len(records)
+
     def test_interval_count_identity(self):
         _, _, log, _ = small_run(K=12)
         k = len(log.episodes)
@@ -370,6 +398,45 @@ class TestArtifacts:
         # unix line endings
         assert "\r" not in path.read_bytes().decode()
 
+    @pytest.mark.parametrize("K", [1, 8])
+    def test_csv_equals_row_by_row_writer_on_runs(self, tmp_path, K):
+        _, _, log, oracle = small_run(K=K)
+        curve = compute_regret(log, oracle)
+        write_regret_csv(tmp_path / "regret.csv", log, curve)
+        assert (tmp_path / "regret.csv").read_bytes() == \
+            regret_csv_oracle(log, curve).encode()
+
+    def test_csv_equals_row_by_row_writer_on_edge_values(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        values = [0.5, -0.0, 0.0, inf, -inf, 1e30, -1e30, 1e-300, 1 / 3,
+                  nan, 2.0**70, 123456789.123]
+        episodes = [EpisodeLog(k, None, steps=k * 1000, total_loss=x,
+                               intervals_started=k + 1, unknown_triggers=k,
+                               truncated=np.bool_(k % 3 == 1),
+                               b_star_end=(1, 2.0, 2**40, np.float64(8.0))[k % 4])
+                    for k, x in enumerate(values)]
+        v_star = np.array(values[::-1])
+        truncated = np.array([e.truncated for e in episodes])
+        realized = np.array(values)
+        regret = np.where(truncated, np.nan, realized - v_star)
+        with np.errstate(invalid="ignore"):
+            curve = RegretCurve(realized, v_star, regret,
+                                np.cumsum(np.where(truncated, 0.0, regret)),
+                                truncated)
+        log = types.SimpleNamespace(episodes=episodes)
+        path = tmp_path / "regret.csv"
+        for k in (1, 2, len(values)):  # K = 1, and more
+            part = types.SimpleNamespace(episodes=episodes[:k])
+            cut = RegretCurve(*(x[:k] for x in dataclasses.astuple(curve)))
+            write_regret_csv(path, part, cut)
+            assert path.read_bytes() == regret_csv_oracle(part, cut).encode()
+        text = path.read_text()
+        for cell in ("nan", "-0", "inf", "-inf", "1e+30", "1.18059162e+21"):
+            assert f",{cell}," in text
+        # an int b_star_end prints as an int, a float with .9g
+        assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:5]] \
+            == ["1", "2", "1099511627776", "8"]
+
     def assert_events_are_json_dumps(self, path, records):
         write_events_jsonl(path, types.SimpleNamespace(
             interval_records=records))
@@ -424,6 +491,24 @@ class TestArtifacts:
                            0.0, 0.25, 1 if k < 40 else 2.0, 0.0)
             for k in range(100)])
 
+    def test_fmt_equals_former_fmt(self):
+        values = [True, False, 0, -3, 2**70, np.int64(-5), np.uint8(7), 0.5,
+                  -0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e30,
+                  1 / 3, np.float64(2.5), np.float64(-0.0), np.float32(0.1),
+                  np.float16(1.5)]
+        for x in values:
+            assert harness._fmt(x) == fmt_oracle(x), x
+
+    def test_event_keys_and_values(self):
+        rec = IntervalRecord(3, 9, "unknown", 2, 0.5, 1e-7, 1.25, 2.0, 0.25,
+                             context=np.ones(2), coverage_ok=True)
+        event = rec.to_event()
+        assert list(event.items()) == [
+            ("episode", 3), ("interval", 9), ("trigger", "unknown"),
+            ("steps", 2), ("interval_loss", 0.5), ("evi_residual", 1e-7),
+            ("v_tilde_init", 1.25), ("b_star_cur", 2.0),
+            ("known_fraction", 0.25)]
+
     def test_summary_round_trip(self, tmp_path):
         _, _, log, oracle = small_run(K=8)
         curve = compute_regret(log, oracle)
@@ -464,6 +549,45 @@ class TestArtifacts:
         ]
         agg = aggregate_summaries(per_run)["lrcssp"]
         assert agg["final_regret_mean"] == 8.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=False, width=64),
+        st.sampled_from([float("nan"), -0.0, 0.0, 1e308])), max_size=9))
+    def test_final_regret_mean_equals_both_former_means(self, finals):
+        # the summary's mean over the non-NaN finals of an array, and the
+        # report's over those of the seeds it plots
+        arr = np.array(finals, dtype=float)
+        finite = arr[~np.isnan(arr)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = float(finite.mean()) if finite.size else float("nan")
+            kept = [x for x in finals if not np.isnan(x)]
+            report = float(np.mean(kept)) if kept else float("nan")
+            got = final_regret_mean(finals)
+        assert got.hex() == summary.hex() == report.hex()
+
+
+def fmt_oracle(x):
+    """_fmt as it was: bools, then ints, then .9g."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{x:.9g}"
+
+
+def regret_csv_oracle(run_log, curve):
+    """regret.csv's text as the row-by-row writer built it."""
+    lines = [CSV_HEADER]
+    for k, ep in enumerate(run_log.episodes):
+        lines.append(",".join([
+            str(k), str(ep.steps), fmt_oracle(curve.realized_loss[k]),
+            fmt_oracle(curve.optimal_value[k]), fmt_oracle(curve.regret[k]),
+            fmt_oracle(curve.cum_regret[k]), str(ep.intervals_started),
+            str(ep.unknown_triggers), fmt_oracle(bool(ep.truncated)),
+            fmt_oracle(ep.b_star_end),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def tree_bytes(root):

@@ -521,6 +521,7 @@ class TestEmptiedRowOracle:
         assert_same_plan(got, want)
         assert [type(v) for v in got.values] == [float] * S
         assert got.policy == want.policy.tolist()
+        assert bits(got.rows) == opt_loss.tobytes()  # the rows it read
         assert_same_bits(got.residual, want.residual)
         assert got.converged == want.converged
 
@@ -566,6 +567,25 @@ class TestEmptiedRowOracle:
         else:
             assert_same_bits(planned[0], want.residual)
             assert_same_bits(planned[1], v_init)
+
+
+    def test_kept_plan_holds_the_rows_evi_plan_built(self, monkeypatch):
+        # an emptied full plan keeps the rows evi_plan read, not a copy
+        learner = Learner(REF_CFG, generate_instance(REF_SPEC), REF_CFG.l_min)
+        plans = []
+
+        def recording_evi_plan(opt_loss, p_ctx, *args, **kwargs):
+            plans.append((opt_loss.copy(), p_ctx,
+                          evi_plan(opt_loss, p_ctx, *args, **kwargs)))
+            return plans[-1][2]
+
+        monkeypatch.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
+        c = np.array([0.3, 0.7])
+        learner.start_interval(c, 0, "start")
+        (opt_loss, p_ctx, result), = plans
+        assert p_ctx is None and learner._plan[0] is result.rows
+        assert bits(result.rows) == opt_loss.tobytes()
+        assert learner._plan[1] is result.values
 
 
 class TestRun:

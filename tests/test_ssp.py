@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from lrcssp import harness
 from lrcssp.errors import ImproperPolicyError, NonConvergenceError, StructuralError
+from lrcssp.linear_model import (
+    GeneratorSpec,
+    LinearCsspModel,
+    generate_instance,
+    induce_ssp,
+)
 from lrcssp.ssp import (
     SspInstance,
     _lookahead,
@@ -402,3 +409,201 @@ class TestStacks:
         trans[2, 0, 0, 0] = 2.0
         with pytest.raises(StructuralError, match=r"max 1\.500000000000"):
             SspInstance(np.full((3, 1, 1), 0.5), trans)
+
+
+def value_iteration_oracle(ssp, tol=1e-10, max_iter=10**6):
+    """Reference: value_iteration as it was before the np.minimum chain and
+    the deferred cut, q.min(axis=-1) per sweep and the stack cut to the
+    unfinished instances at every sweep in which one finishes."""
+    single = ssp.loss.ndim == 2
+    loss = ssp.loss[None] if single else ssp.loss
+    trans = ssp.trans[None] if single else ssp.trans
+    v_out = np.empty(loss.shape[:-1])
+    pi_out = np.empty(loss.shape[:-1], dtype=int)
+    todo = np.arange(len(loss))
+    v = np.zeros(loss.shape[:-1])
+    residual = np.full(len(loss), np.inf)
+    for _ in range(max_iter):
+        if not todo.size:
+            break
+        q = _lookahead(loss, trans, v)
+        w = q.min(axis=-1)
+        residual = np.abs(w - v).max(axis=-1, initial=0.0)
+        done = residual <= tol
+        if done.any():
+            v_out[todo[done]] = v[done]
+            pi_out[todo[done]] = q[done].argmin(axis=-1)
+            keep = ~done
+            todo, loss, trans = todo[keep], loss[keep], trans[keep]
+            w, residual = w[keep], residual[keep]
+        v = w
+    if todo.size:
+        raise NonConvergenceError(residual[0], max_iter,
+                                  index=None if single else int(todo[0]))
+    return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
+
+
+def assert_same_solution(got, want):
+    (v, pi), (v_want, pi_want) = got, want
+    assert v.shape == v_want.shape and v.tobytes() == v_want.tobytes()
+    assert pi.dtype == pi_want.dtype and pi.tobytes() == pi_want.tobytes()
+
+
+def assert_same_failure(ssp, **kwargs):
+    """value_iteration and the oracle raise the same NonConvergenceError;
+    returns it."""
+    with pytest.raises(NonConvergenceError) as got:
+        value_iteration(ssp, **kwargs)
+    with pytest.raises(NonConvergenceError) as want:
+        value_iteration_oracle(ssp, **kwargs)
+    assert got.value.index == want.value.index
+    assert float(got.value.residual).hex() == \
+        float(want.value.residual).hex()
+    assert str(got.value) == str(want.value)
+    return got.value
+
+
+def stopping_sweeps(stack, tol=1e-10):
+    """Each instance's stopping sweep, by the scalar loop."""
+    sweeps = []
+    for loss, trans in zip(stack.loss, stack.trans):
+        v = np.zeros(len(loss))
+        for sweep in itertools.count(1):
+            w = (loss + trans @ v).min(axis=1)
+            if np.abs(w - v).max() <= tol:
+                break
+            v = w
+        sweeps.append(sweep)
+    return sweeps
+
+
+def mixed_stack(rng, n, n_states, n_actions):
+    """n instances whose goal masses range from 0.05 to 0.95, so that they
+    stop at many different sweeps."""
+    parts = [make_random_ssp(rng, n_states, n_actions,
+                             min_goal_mass=rng.uniform(0.05, 0.95))
+             for _ in range(n)]
+    return SspInstance(np.array([p.loss for p in parts]),
+                       np.array([p.trans for p in parts]))
+
+
+class TestValueIterationOracle:
+    """value_iteration against its former loop, bit for bit."""
+
+    @pytest.mark.parametrize("n_states, n_actions", [
+        (1, 1), (1, 3), (4, 1), (5, 3), (3, 2)])
+    def test_instances_stop_at_different_sweeps(self, n_states, n_actions):
+        rng = np.random.default_rng(100 + 10 * n_states + n_actions)
+        stack = mixed_stack(rng, 40, n_states, n_actions)
+        want = value_iteration_oracle(stack)
+        assert_same_solution(value_iteration(stack), want)
+        for k in range(len(stack.loss)):
+            part = SspInstance(stack.loss[k], stack.trans[k])
+            assert_same_solution(value_iteration(part),
+                                 (want[0][k], want[1][k]))
+        assert len(set(stopping_sweeps(stack))) > 5
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+    def test_tolerances_and_stack_sizes(self, tol):
+        rng = np.random.default_rng(int(-np.log10(tol)))
+        for n in (1, 2, 3, 7, 64):
+            stack = mixed_stack(rng, n, 3, 2)
+            assert_same_solution(value_iteration(stack, tol=tol),
+                                 value_iteration_oracle(stack, tol=tol))
+
+    def test_signed_zero_losses_and_transitions(self):
+        # -0.0 losses and transition entries, given directly: every q and
+        # every value stays +0 or positive, and equals the oracle's
+        rng = np.random.default_rng(7)
+        for n_states, n_actions in [(1, 1), (2, 2), (4, 3)]:
+            loss = rng.uniform(0, 1, size=(6, n_states, n_actions))
+            loss[rng.random(loss.shape) < 0.5] = -0.0
+            loss[0] = -0.0
+            trans = 0.5 * rng.dirichlet(np.ones(n_states),
+                                        size=(6, n_states, n_actions))
+            trans[rng.random(trans.shape) < 0.5] = -0.0
+            trans[1] = -0.0
+            stack = SspInstance(loss, trans)
+            got = value_iteration(stack)
+            assert_same_solution(got, value_iteration_oracle(stack))
+            assert not np.signbit(got[0]).any()
+            q = _lookahead(stack.loss, stack.trans, got[0])
+            assert not np.signbit(q).any()
+
+    def test_zero_loss_row_with_signed_zero_contexts(self):
+        # an all-zero loss_embed row read at contexts with -0.0 entries
+        rng = np.random.default_rng(11)
+        model = generate_instance(GeneratorSpec(
+            d=3, n_states=4, n_actions=3, gamma_goal=0.1, seed=5))
+        loss_embed = model.loss_embed.copy()
+        loss_embed[1, 2] = 0.0
+        loss_embed[3] = 0.0
+        model = LinearCsspModel(loss_embed, model.trans_embed)
+        contexts = rng.dirichlet(np.ones(3), size=30)
+        contexts[:, 0] = np.where(rng.random(30) < 0.6, -0.0, 0.0)
+        contexts /= contexts.sum(axis=1, keepdims=True)
+        contexts[:10] = [-0.0, 1.0, -0.0]
+        assert np.signbit(contexts).sum() > 20
+        stack = induce_ssp(model, contexts)
+        assert (stack.loss[:, 3] == 0).all()
+        assert (stack.loss[:, 1, 2] == 0).all()
+        got = value_iteration(stack)
+        assert_same_solution(got, value_iteration_oracle(stack))
+        assert not np.signbit(got[0]).any()
+
+    def test_budget_runs_out_after_a_deferred_cut(self):
+        # 30 instances converge within a few dozen sweeps and 10 zero-loss
+        # self-loops at positions 5, 9, ... never do; the budget ends after
+        # the stack has been cut, and the error names the first loop
+        rng = np.random.default_rng(3)
+        stack = mixed_stack(rng, 40, 3, 2)
+        loss, trans = stack.loss.copy(), stack.trans.copy()
+        loops = np.arange(5, 40, 4)
+        loss[loops] = 1.0
+        trans[loops] = 0.0
+        trans[loops, :, :, 0] = 1.0
+        stack = SspInstance(loss, trans)
+        converging = np.setdiff1d(np.arange(40), loops)
+        sweeps = sorted(stopping_sweeps(SspInstance(loss[converging],
+                                                    trans[converging])))
+        # before any finishes, after half of the stack has (the cut), with
+        # some converging ones still sweeping, and after all of them
+        assert sweeps[19] < sweeps[20] < sweeps[27] < sweeps[-1]
+        for budget in (1, sweeps[19], sweeps[20], sweeps[27], sweeps[-1],
+                       400):
+            err = assert_same_failure(stack, max_iter=budget)
+        assert err.index == 5 and err.residual == 1.0
+        # the loops alone: no cut before the budget ends
+        err = assert_same_failure(SspInstance(loss[loops], trans[loops]),
+                                  max_iter=30)
+        assert err.index == 0 and err.residual == 1.0
+        # a single instance names no index
+        err = assert_same_failure(SspInstance(loss[5], trans[5]), max_iter=7)
+        assert err.index is None
+        # a budget of no sweep reports an infinite residual
+        err = assert_same_failure(stack, max_iter=0)
+        assert err.index == 0 and err.residual == np.inf
+
+    @pytest.mark.parametrize("generator, K, run_seeds", [
+        ({"n_states": 5, "n_actions": 3, "d": 2}, 1000, [0, 1]),
+        ({"n_states": 30, "n_actions": 5, "d": 4}, 25, range(24)),
+        ({"n_states": 5, "n_actions": 3, "d": 2}, 100, range(12)),
+    ], ids=["ref", "wide", "sweep"])
+    def test_benchmark_contexts(self, monkeypatch, generator, K, run_seeds):
+        # the oracle of every part of the benchmark's workloads at seed 0
+        cfg = harness.ExperimentConfig.from_dict({
+            "generator": dict(generator, gamma_goal=0.1, l_min_target=0.1,
+                              seed=7),
+            "contexts": {"kind": "uniform", "K": K},
+            "learner": {"delta": 0.1, "l_min": 0.1}})
+        model = generate_instance(cfg.generator)
+        for run_seed in run_seeds:
+            contexts = harness.build_contexts(cfg, run_seed)
+            got = harness.oracle_values(model, contexts)
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "value_iteration", value_iteration_oracle)
+                want = harness.oracle_values(model, contexts)
+            assert got.v_star_all.tobytes() == want.v_star_all.tobytes()
+            assert got.v_star.tobytes() == want.v_star.tobytes()
+            assert got.b_star_emp.hex() == want.b_star_emp.hex()
+            assert got.t_star_emp.hex() == want.t_star_emp.hex()
