@@ -129,8 +129,8 @@ def cmd_report(args):
                 else np.full(n_episodes, SENTINEL))
         plot_path = os.path.join(run_dir, f"plot_{variant}.csv")
         with open(plot_path, "w", newline="") as fh:
-            fh.write("episode,cum_regret_mean\n" + "".join(
-                f"{k},{_fmt(x)}\n" for k, x in enumerate(plot.tolist())))
+            fh.write("episode,cum_regret_mean\n" + "".join(map(
+                "{},{:.9g}\n".format, range(len(plot)), plot.tolist())))
     return 0
 
 

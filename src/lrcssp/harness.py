@@ -126,8 +126,7 @@ def final_regret(cum_regret, truncated):
 
 
 def final_regret_mean(finals):
-    """A variant's mean over its seeds' finals that are not NaN (NaN if
-    none is), for the run summary and `report` alike."""
+    """A variant's mean over its seeds' finals that are not NaN, or NaN."""
     finite = [x for x in finals if not math.isnan(x)]
     return float(np.mean(finite)) if finite else SENTINEL
 
@@ -313,16 +312,18 @@ CSV_HEADER = ("episode,steps,realized_loss,optimal_value,regret,cum_regret,"
 
 
 def write_regret_csv(path, run_log, curve):
-    """One row per episode, formatted by columns (each curve column from one
-    tolist(): _fmt prints its Python numbers as it prints numpy's)."""
+    """One row per episode, formatted by columns: ints by str, a float64
+    curve column by .9g from one tolist(), as _fmt prints numpy's floats."""
     eps = run_log.episodes
     columns = [range(len(eps)), [e.steps for e in eps],
-               *(x.tolist() for x in (curve.realized_loss, curve.optimal_value,
-                                      curve.regret, curve.cum_regret)),
+               *(map("{:.9g}".format if x.dtype == float else _fmt, x.tolist())
+                 for x in (curve.realized_loss, curve.optimal_value,
+                           curve.regret, curve.cum_regret)),
                [e.intervals_started for e in eps],
                [e.unknown_triggers for e in eps],
-               [bool(e.truncated) for e in eps], [e.b_star_end for e in eps]]
-    rows = zip(*(map(_fmt, x) for x in columns))
+               ["1" if e.truncated else "0" for e in eps],
+               map(_fmt, [e.b_star_end for e in eps])]
+    rows = zip(*(map(str, x) for x in columns))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
 
@@ -341,14 +342,14 @@ def _json_column(values):
 def write_events_jsonl(path, run_log):
     """json.dumps(rec.to_event()) + "\n" per interval record, byte for byte:
     a %-template over the event keys, filled by columns read from the
-    records' slots, 32 records at a time."""
+    records' slots, 128 records at a time."""
     fields = learner_mod.IntervalRecord.EVENT_FIELDS
     template = "{%s}\n" % ", ".join(json.dumps(key) + ": %s" for key in fields)
     row = attrgetter(*fields.values())
     records = run_log.interval_records
     with open(path, "w", newline="") as fh:
-        for start in range(0, len(records), 32):  # bounds the memory held
-            block = map(row, records[start:start + 32])
+        for start in range(0, len(records), 128):  # bounds the memory held
+            block = map(row, records[start:start + 128])
             columns = map(_json_column, zip(*block))
             fh.write("".join(map(template.__mod__, zip(*columns))))
 

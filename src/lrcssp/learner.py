@@ -141,9 +141,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     is, so every sweep lands on the same values, each state's from its own
     row only (_emptied_row, as in Learner._row_update).  The plan then skips
     the loop and p_ctx and reports the residual and sweep count the loop
-    would (_emptied_sweeps), bit for bit, with policy, values and opt_loss's
-    rows as lists.  Such radii are finite multiples of finite norms: no NaN
-    reaches it.
+    would (_emptied_sweeps), bit for bit, with policy, values and the rows
+    of opt_loss as lists.  Such radii are finite: no NaN reaches it.
     """
     if radius.min() >= ROW_EMPTYING_RADIUS:
         rows = opt_loss.tolist()

@@ -484,12 +484,13 @@ class TestArtifacts:
             IntervalRecord(k, k, "goal", k, 1e308, 1e308, 0.0, 1, 0.0)
             for k in range(3)])
         self.assert_events_are_json_dumps(path, [])
-        # blocks of the writer whose columns differ in kind: b_star_cur an
-        # int, then mixed, then a float, and a residual NaN in one block
+        # blocks of the writer (128 records) whose columns differ in kind:
+        # b_star_cur an int, then mixed, then a float, and a residual NaN
+        # in one block
         self.assert_events_are_json_dumps(path, [
-            IntervalRecord(k, k + 1, "unknown", 1, 0.5, nan if k == 70 else
-                           0.0, 0.25, 1 if k < 40 else 2.0, 0.0)
-            for k in range(100)])
+            IntervalRecord(k, k + 1, "unknown", 1, 0.5, nan if k == 270 else
+                           0.0, 0.25, 1 if k < 150 else 2.0, 0.0)
+            for k in range(300)])
 
     def test_fmt_equals_former_fmt(self):
         values = [True, False, 0, -3, 2**70, np.int64(-5), np.uint8(7), 0.5,
