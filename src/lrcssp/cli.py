@@ -136,25 +136,25 @@ def cmd_report(args):
 
 @functools.cache  # parse_args keeps no state: one parser per process
 def build_parser():
+    """The command-line parser.  main calls cmd_<command> by its module name
+    on every call, so a cmd_ function replaced after the build (as a tracer
+    does) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="lrcssp",
         description="Linear contextual shortest-path learner benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (
-            ("gen", cmd_gen, "generate and store the model"),
-            ("run", cmd_run, "run the full experiment pipeline")):
+    for name, text in (("gen", "generate and store the model"),
+                       ("run", "run the full experiment pipeline")):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
-        if func is cmd_run:
+        if name == "run":
             cmd.add_argument("--jobs", type=int, default=1)
         cmd.add_argument("--seed-offset", type=int, default=0)
-        cmd.set_defaults(func=func)
 
     rep = sub.add_parser("report", help="recompute and print a summary")
     rep.add_argument("run_dir")
-    rep.set_defaults(func=cmd_report)
     return parser
 
 
@@ -164,7 +164,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -392,8 +392,8 @@ def summarize_run(run_log, curve, oracle, delta):
 
 def write_summary(path, summary):
     with open(path, "w", newline="") as fh:
-        for key in sorted(summary):
-            fh.write(f"{key}: {_fmt(summary[key])}\n")
+        fh.write("".join(f"{key}: {_fmt(summary[key])}\n"
+                         for key in sorted(summary)))
 
 
 def read_summary(path):
@@ -479,8 +479,7 @@ def run_experiment(cfg, model=None, jobs=1, fingerprint=None):
         model = generate_instance(cfg.generator)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.json"), "w", newline="") as fh:
-        json.dump(cfg.to_canonical_dict(), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(cfg.to_canonical_dict(), indent=1) + "\n")
     variants = ["lrcssp"]
     if cfg.baseline_context_blind:
         variants.append("context_blind")

@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from lrcssp import learner
+from lrcssp import cli, learner
 from lrcssp.linear_model import GeneratorSpec, context_sequence, generate_instance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,3 +59,22 @@ def test_tracer_patches_observes_and_restores(monkeypatch):
     assert len(t.observed["learner.evi_plan.converged"]) == plans
     for owner, attr, original in originals:
         assert vars(owner).get(attr) is original, (owner, attr)
+
+
+def test_tracer_times_cli_commands_through_the_kept_parser(monkeypatch,
+                                                           tmp_path):
+    for path in ("bench", "src"):
+        monkeypatch.syspath_prepend(os.path.join(ROOT, path))
+    import tracer
+
+    cli.build_parser()  # built before the tracer patches cli
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["report", str(tmp_path / "missing")])
+    finally:
+        t.remove()
+    assert code == 2
+    calls = t.span_counts(tracer.SETUP_REQUEST)
+    assert calls["cli.report"] == 1
+    assert calls["cli.gen"] == calls["cli.run"] == 0

@@ -554,6 +554,11 @@ class TestUsage:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 
+    def test_commands_are_looked_up_at_each_call(self, monkeypatch):
+        cli.build_parser()  # kept from before the replacement
+        monkeypatch.setattr(cli, "cmd_report", lambda args: 7)
+        assert main(["report", "anywhere"]) == 7
+
     def test_one_parser_serves_every_call(self, tmp_path, monkeypatch,
                                           capsys):
         # the same calls, with a usage error among them, through the one
