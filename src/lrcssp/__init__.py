@@ -5,7 +5,6 @@ from .errors import (
     ImproperPolicyError,
     LrcsspError,
     NonConvergenceError,
-    ProjectionError,
     ProtocolError,
     StructuralError,
 )

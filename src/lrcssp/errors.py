@@ -76,27 +76,6 @@ class ImproperPolicyError(LrcsspError):
         self.index = index
 
 
-class ProjectionError(LrcsspError):
-    """The stochastic-matrix projection exceeded its iteration budget.
-
-    Raised inside a learner it also names the pair (s, a), the pair's visit
-    count tau and the interval m the projection ran for.
-    """
-
-    def __init__(self, gap, iterations, pair=None, tau=None, interval=None):
-        where = ("" if pair is None else
-                 f" for pair {pair} at tau {tau} in interval {interval}")
-        super().__init__(
-            f"projection did not converge{where}: objective gap {gap:.3e} "
-            f"after {iterations} iterations"
-        )
-        self.gap = gap
-        self.iterations = iterations
-        self.pair = pair
-        self.tau = tau
-        self.interval = interval
-
-
 class ProtocolError(LrcsspError):
     """The interaction protocol was broken: an adversary callback emitted an
     invalid context, or a learner saw a visit before its first interval."""

@@ -9,11 +9,12 @@ SaStatistics is the one-pair PairStore, of shape ().
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProjectionError, StructuralError
+from .errors import StructuralError
 from .ssp import GOAL
 
 # full re-inversion cadence; bounds drift of the rank-one inverse updates
@@ -114,6 +115,9 @@ def project_to_stochastic(p_raw, v_bar, tol=1e-10, max_iter=10_000):
     Minimizes tr((P - p_raw) v_bar (P - p_raw)^T) over {P : columns >= 0,
     column sums <= 1} by projected gradient with the exact per-column
     capped-simplex projection.  Feasible inputs are returned unchanged.
+    Out of passes after max_iter, it warns (RuntimeWarning) and returns the
+    last accepted iterate: feasible, and the lowest objective seen, since
+    each accepted pass lowers it by at least tol.
     """
     p_raw = np.asarray(p_raw, dtype=float)
     v_bar = np.asarray(v_bar, dtype=float)
@@ -138,7 +142,9 @@ def project_to_stochastic(p_raw, v_bar, tol=1e-10, max_iter=10_000):
         if obj - new_obj < tol:
             return q if new_obj <= obj else p
         p, obj = q, new_obj
-    raise ProjectionError(obj - new_obj, max_iter)
+    warnings.warn(f"projection stopped after {max_iter} passes",
+                  RuntimeWarning, stacklevel=2)
+    return p
 
 
 def loss_radius(tau, d, n_states, n_actions, lam, delta):

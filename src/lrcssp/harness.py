@@ -312,11 +312,11 @@ CSV_HEADER = ("episode,steps,realized_loss,optimal_value,regret,cum_regret,"
 
 
 def write_regret_csv(path, run_log, curve):
-    """One row per episode, formatted by columns: ints by str, a float64
+    """One row per episode, formatted by columns: ints by str, each float64
     curve column by .9g from one tolist(), as _fmt prints numpy's floats."""
     eps = run_log.episodes
     columns = [range(len(eps)), [e.steps for e in eps],
-               *(map("{:.9g}".format if x.dtype == float else _fmt, x.tolist())
+               *(map("{:.9g}".format, x.tolist())
                  for x in (curve.realized_loss, curve.optimal_value,
                            curve.regret, curve.cum_regret)),
                [e.intervals_started for e in eps],

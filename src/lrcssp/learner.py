@@ -20,8 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import estimation
-from .errors import (ConfigError, ProjectionError, ProtocolError,
-                     check_field_types)
+from .errors import ConfigError, ProtocolError, check_field_types
 from .linear_model import (AdaptiveContexts, _induced_products,
                            validate_contexts)
 from .ssp import GOAL
@@ -216,7 +215,6 @@ class RunLog:
     total_intervals: int
     truncation_count: int
     epsilon: float
-    config: LearnerConfig
     # per-step trigger trace for replay checks: (s, a, goal_reached, known)
     step_trace: list = field(default_factory=list)
 
@@ -301,14 +299,9 @@ class Learner:
         if norms is not None:
             wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
         for s, a in zip(*np.nonzero(wanted)):
-            try:
-                self._p_hat[s, a] = estimation.project_to_stochastic(
-                    self.store.xty_trans[s, a] @ self.store.v_bar_inv[s, a],
-                    self.store.v_bar[s, a])
-            except ProjectionError as err:
-                raise ProjectionError(
-                    err.gap, err.iterations, pair=(int(s), int(a)),
-                    tau=int(tau[s, a]), interval=self.m) from err
+            self._p_hat[s, a] = estimation.project_to_stochastic(
+                self.store.xty_trans[s, a] @ self.store.v_bar_inv[s, a],
+                self.store.v_bar[s, a])
             self._projected_tau[s, a] = tau[s, a]
         return self._estimates
 
@@ -581,10 +574,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         log.intervals_started += 1
         sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
-        while True:
-            if log.steps >= cfg.episode_step_cap:
-                log.truncated = True
-                break
+        for _ in range(cfg.episode_step_cap):
             a = int(learner.policy[s])
             nxt, raw_loss = sampler.step(s, a, draws)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
@@ -604,6 +594,8 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
                 log.intervals.append(record)
                 log.intervals_started += 1
             s = nxt
+        else:
+            log.truncated = True
         log.b_star_end = learner.b_star_cur
         all_records.extend(log.intervals)
         episodes.append(log)
@@ -619,6 +611,5 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         total_intervals=sum(e.intervals_started for e in episodes),
         truncation_count=sum(e.truncated for e in episodes),
         epsilon=eps,
-        config=cfg,
         step_trace=step_trace,
     )

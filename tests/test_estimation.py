@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lrcssp.estimation import (
     REFRESH_EVERY,
     PairStore,
     SaStatistics,
+    _capped_simplex_columns,
     capped_simplex_projection,
     context_norms,
     dynamics_radius,
@@ -433,6 +435,91 @@ class TestProjectToStochastic:
             assert mu >= -e - atol
             if p[:, j].sum() < 1.0 - atol:
                 assert abs(mu) <= e + atol
+
+
+def projection_oracle(p_raw, v_bar, tol=1e-10, max_iter=10_000):
+    """project_to_stochastic's loop as it was when it raised out of passes,
+    returning the last accepted iterate there instead."""
+    lam_max = float(np.linalg.eigvalsh(v_bar)[-1])
+    step = 1.0 / (2.0 * lam_max)
+
+    def objective(p):
+        diff = p - p_raw
+        return float(np.einsum("ij,jk,ik->", diff, v_bar, diff))
+
+    p = _capped_simplex_columns(p_raw)
+    obj = objective(p)
+    for _ in range(max_iter):
+        grad = 2.0 * (p - p_raw) @ v_bar
+        q = p - step * grad
+        q = _capped_simplex_columns(q)
+        new_obj = objective(q)
+        if obj - new_obj < tol:
+            return q if new_obj <= obj else p
+        p, obj = q, new_obj
+    return p
+
+
+class TestProjectionOutOfPasses:
+    """A projection that runs out of passes warns and keeps its best
+    feasible iterate."""
+
+    @pytest.fixture(scope="class")
+    def slow_pair(self):
+        # one context, so V has condition 1 + 5000 * |c|^2 = 2901, and the
+        # first column of p_raw sums to 1.076: 69 passes to converge
+        rng = np.random.default_rng(0)
+        stats = SaStatistics(2, 5)
+        c = np.array([0.7, 0.3])
+        for _ in range(5000):
+            nxt = GOAL if rng.random() < 0.1 else int(rng.integers(5))
+            stats.record_visit(c, nxt, 0.0)
+        return stats.xty_trans @ stats.v_bar_inv, stats.v_bar
+
+    @staticmethod
+    def objective(p, p_raw, v_bar):
+        diff = p - p_raw
+        return float(np.einsum("ij,jk,ik->", diff, v_bar, diff))
+
+    def test_fixture_converges_in_69_passes(self, slow_pair):
+        p_raw, v_bar = slow_pair
+        assert np.linalg.cond(v_bar) == pytest.approx(2901.0)
+        assert p_raw.sum(axis=0)[0] > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            project_to_stochastic(p_raw, v_bar, max_iter=69)
+        with pytest.warns(RuntimeWarning):
+            project_to_stochastic(p_raw, v_bar, max_iter=68)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 5, 68])
+    def test_budget_below_convergence(self, slow_pair, max_iter):
+        p_raw, v_bar = slow_pair
+        with pytest.warns(RuntimeWarning) as caught:
+            got = project_to_stochastic(p_raw, v_bar, max_iter=max_iter)
+        assert [str(w.message) for w in caught] == [
+            f"projection stopped after {max_iter} passes"]
+        want = projection_oracle(p_raw, v_bar, max_iter=max_iter)
+        assert got.tobytes() == want.tobytes()
+        # column sums at most 1 up to the capped-simplex step's rounding
+        assert np.all(got >= 0.0)
+        assert np.all(got.sum(axis=0) <= 1.0 + 4 * np.finfo(float).eps)
+        # no worse than the capped-simplex start, and no worse than any
+        # smaller budget
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            objs = [self.objective(
+                project_to_stochastic(p_raw, v_bar, max_iter=k), p_raw, v_bar)
+                for k in range(max_iter, -1, -1)]
+        assert objs == sorted(objs)
+        if max_iter == 0:
+            assert got.tobytes() == _capped_simplex_columns(p_raw).tobytes()
+
+    def test_default_budget_converges_silently(self, slow_pair):
+        p_raw, v_bar = slow_pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project_to_stochastic(p_raw, v_bar)
+        assert got.tobytes() == projection_oracle(p_raw, v_bar).tobytes()
 
 
 class TestRadii:

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 import struct
@@ -14,8 +15,7 @@ from scipy.optimize import linprog
 
 from lrcssp import estimation
 from lrcssp import learner as learner_mod
-from lrcssp.errors import (ConfigError, ProjectionError, ProtocolError,
-                           StructuralError)
+from lrcssp.errors import ConfigError, ProtocolError, StructuralError
 from lrcssp.estimation import (
     REFRESH_EVERY,
     SaStatistics,
@@ -27,6 +27,7 @@ from lrcssp.estimation import (
     loss_radius,
     project_to_stochastic,
 )
+from lrcssp.harness import ExperimentConfig, build_contexts
 from lrcssp.learner import (
     ROW_EMPTYING_RADIUS,
     UNIFORM_BLOCK,
@@ -1456,20 +1457,40 @@ class TestDeferredProjection:
                 # +0.0, not -0.0, as the ridge estimates of zero moments
                 assert not any(np.signbit(g).any() for g in got[:2])
 
-    def test_projection_error_names_pair_tau_and_interval(self, monkeypatch):
-        model, learner = self._pumped_learner(visits=0, pumped=(3, 0))
+    def test_projection_out_of_passes_keeps_the_run_going(self, monkeypatch):
+        """The mixed-regime run of test_reference_runs at d = 2, (d, S, A) =
+        (2, 2, 2), l_min=0.5, K=150, run seed 0, with every projection cut
+        to one pass: each warns and hands back a feasible iterate, and the
+        run ends.  At d = 1 the capped-simplex start is already the weighted
+        projection, and that run's 70 inputs are all feasible, so none of
+        its projections can run out; here all 12 do."""
+        monkeypatch.setattr(estimation, "project_to_stochastic",
+                            functools.partial(project_to_stochastic,
+                                              max_iter=1))
+        snapshots = []
+        snapshot_estimates = Learner.snapshot_estimates
 
-        def failing(p_raw, v_bar):
-            raise ProjectionError(1e-3, 10)
+        def checked_snapshot(learner, norms=None):
+            est = snapshot_estimates(learner, norms)
+            snapshots.append(norms is not None)
+            assert np.all(est.p_hat >= 0.0)
+            assert np.all(est.p_hat.sum(axis=2)
+                          <= 1.0 + 4 * np.finfo(float).eps)
+            return est
 
-        monkeypatch.setattr(estimation, "project_to_stochastic", failing)
-        learner.m = 6
-        with pytest.raises(ProjectionError) as info:
-            learner.start_interval(np.array([0.3, 0.7]), 0, "start")
-        err = info.value
-        assert (err.pair, err.tau, err.interval) == ((3, 0), 20_000, 7)
-        assert "pair (3, 0) at tau 20000 in interval 7" in str(err)
-        assert (err.gap, err.iterations) == (1e-3, 10)
+        monkeypatch.setattr(Learner, "snapshot_estimates", checked_snapshot)
+        cfg = ExperimentConfig.from_dict({
+            "generator": {"d": 2, "n_states": 2, "n_actions": 2,
+                          "gamma_goal": 0.1, "l_min_target": 0.1, "seed": 0},
+            "contexts": {"kind": "uniform", "K": 150},
+            "learner": {"delta": 0.1, "l_min": 0.5}, "seeds": [0]})
+        with pytest.warns(RuntimeWarning,
+                          match="projection stopped after 1 passes") as caught:
+            log = run(cfg.learner, generate_instance(cfg.generator),
+                      build_contexts(cfg, 0), seed=0)
+        assert len(caught) == 12
+        assert len(log.episodes) == 150
+        assert any(snapshots)  # some plan read p_hat
 
 
 def fresh_plan(learner, c):
