@@ -19,6 +19,8 @@ from .ssp import GOAL
 
 # full re-inversion cadence; bounds drift of the rank-one inverse updates
 REFRESH_EVERY = 1024
+# visits a store logs before it folds them into v_bar and xty_trans
+PENDING_LIMIT = 256
 
 
 class PairStore:
@@ -30,6 +32,12 @@ class PairStore:
     v_bar_inv : shape + (d, d) their inverses, maintained by rank-one updates
     xty_loss  : shape + (d,) loss regression moments
     xty_trans : shape + (n_states, d) next-state regression moments
+
+    A visit updates tau, v_bar_inv and xty_loss at once.  v_bar and
+    xty_trans, which only a refresh, a projection or a coverage check reads,
+    take its c c^T and c from a log of pending visits: the store folds the
+    log into them before any read or assignment of either, at every
+    refresh, and whenever the log holds PENDING_LIMIT visits.
     """
 
     def __init__(self, shape, d, n_states, lam=1.0):
@@ -38,35 +46,102 @@ class PairStore:
         self.d = d
         self.n_states = n_states
         self.lam = float(lam)
+        # (pair's flat offset, c as bytes, next state) of each visit not
+        # yet folded, and each visited pair's offset and views
+        self._pending = []
+        self._pairs = {}
         self.tau = np.zeros(shape)
-        self.v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
+        self._v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
         self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
         self.xty_loss = np.zeros(shape + (d,))
-        self.xty_trans = np.zeros(shape + (n_states, d))
+        self._xty_trans = np.zeros(shape + (n_states, d))
 
-    def record_visit(self, c, next_state, loss, index=(), outer=None):
+    def __setattr__(self, name, value):
+        # views of a replaced array would miss the visits after it
+        super().__setattr__(name, value)
+        if name in ("v_bar_inv", "xty_loss"):
+            self._pairs.clear()
+
+    # The folded arrays are kept C-contiguous, so that their flat views
+    # are views: an assigned array is kept as it is when it already is one.
+    @property
+    def v_bar(self):
+        self._fold()
+        return self._v_bar
+
+    @v_bar.setter
+    def v_bar(self, value):
+        self._fold()
+        self._v_bar = np.ascontiguousarray(value, dtype=float)
+
+    @property
+    def xty_trans(self):
+        self._fold()
+        return self._xty_trans
+
+    @xty_trans.setter
+    def xty_trans(self, value):
+        self._fold()
+        self._xty_trans = np.ascontiguousarray(value, dtype=float)
+
+    def _fold(self):
+        """Add each pending visit's c c^T to v_bar and, unless it reached
+        the goal, c to its next state's row of xty_trans.  np.add.at adds
+        at a repeated index in the log's order, so the sums equal the
+        visits' own += bit for bit; on the arrays' flat views, entry by
+        entry, it takes numpy's fast path."""
+        if not self._pending:
+            return
+        offsets, contexts, nexts = zip(*self._pending)
+        self._pending.clear()
+        d = self.d
+        c = np.frombuffer(b"".join(contexts)).reshape(len(offsets), d)
+        offsets, nexts = np.array(offsets), np.array(nexts)
+        np.add.at(self._v_bar.reshape(-1), _entries(offsets, d * d),
+                  (c[:, :, None] * c[:, None, :]).ravel())
+        moved = nexts != GOAL
+        rows = offsets[moved] * self.n_states + nexts[moved]
+        np.add.at(self._xty_trans.reshape(-1), _entries(rows, d),
+                  c[moved].ravel())
+
+    def _pair(self, index):
+        """Pair `index`'s flat offset and (v_bar_inv, xty_loss) views."""
+        offset = np.arange(self.tau.size).reshape(self.tau.shape)[index]
+        views = self._pairs[index] = (int(offset), self.v_bar_inv[index],
+                                      self.xty_loss[index])
+        return views
+
+    def record_visit(self, c, next_state, loss, index=()):
         """Fold one observed transition into the statistics of pair `index`.
 
         The default index () addresses the whole of a one-pair store.  A
         goal transition contributes no next-state row (residual-mass
-        convention); the design matrix and count always advance, V by
-        outer = c c^T if given.  Returns the pair's new visit count.
+        convention); the design matrix and count always advance.  The log
+        keeps a copy of c, so a caller may change c after the call.
+        Returns the pair's new visit count.
         """
+        if not GOAL <= next_state < self.n_states:
+            raise IndexError(f"next state {next_state} out of range")
         c = np.asarray(c, dtype=float)
         tau = self.tau.item(index) + 1
         self.tau[index] = tau
-        v_bar, v_bar_inv = self.v_bar[index], self.v_bar_inv[index]
-        v_bar += c[:, None] * c if outer is None else outer
+        offset, v_bar_inv, xty_loss = (self._pairs.get(index)
+                                       or self._pair(index))
+        pending = self._pending
+        pending.append((offset, c.tobytes(), next_state))
         vc = v_bar_inv @ c
         v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
         if tau % REFRESH_EVERY == 0:
-            v_bar_inv[...] = np.linalg.inv(v_bar)
-        xty_loss = self.xty_loss[index]
+            v_bar_inv[...] = np.linalg.inv(self.v_bar[index])
+        elif len(pending) >= PENDING_LIMIT:
+            self._fold()
         xty_loss += loss * c
-        if next_state != GOAL:
-            xty_trans = self.xty_trans[index]
-            xty_trans[next_state] += c
         return tau
+
+
+def _entries(rows, size):
+    """Flat indices of the entries of rows of `size` entries each."""
+    return (rows[:, None] * size + np.arange(size)).ravel()
 
 
 class SaStatistics(PairStore):

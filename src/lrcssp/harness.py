@@ -265,21 +265,36 @@ def model_from_dict(payload):
     )
 
 
-def _fingerprint(payload):
-    blob = json.dumps(payload, sort_keys=True).encode()
+def _json_object(items):
+    """json.dumps of a dict, from its (key, value as JSON text) items."""
+    return "{%s}" % ", ".join(f"{json.dumps(key)}: {text}"
+                              for key, text in items)
+
+
+def _model_fingerprint(texts):
+    """sha256 of json.dumps(payload, sort_keys=True), from each value's
+    JSON text."""
+    blob = _json_object(sorted(texts.items())).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
+def _model_texts(model):
+    return {key: json.dumps(value)
+            for key, value in model_to_dict(model).items()}
+
+
 def model_fingerprint(model):
-    return _fingerprint(model_to_dict(model))
+    return _model_fingerprint(_model_texts(model))
 
 
 def write_model(path, model):
-    """Store the model with its fingerprint; returns the fingerprint."""
-    payload = model_to_dict(model)
-    payload["fingerprint"] = fingerprint = _fingerprint(payload)
+    """Store the model with its fingerprint; returns the fingerprint.  Each
+    value is encoded once, for the file and for the fingerprint."""
+    texts = _model_texts(model)
+    fingerprint = _model_fingerprint(texts)
+    texts["fingerprint"] = json.dumps(fingerprint)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(_json_object(texts.items()) + "\n")
     return fingerprint
 
 

@@ -115,12 +115,11 @@ def _emptied_sweeps(top, evi_tol, evi_max_iter):
     return (top, 1) if top <= evi_tol or evi_max_iter == 1 else (0.0, 2)
 
 
-def _emptied_row(row, b_cap):
-    """Value and action of a state with every row empty, from its optimistic
-    losses: min(row) + 0.0 (no -0.0) clipped to [0, b_cap] keeping -0.0 as
-    np.clip does, and the first minimum, as argmin finds it (no NaN)."""
-    lo = min(row) + 0.0
-    return (b_cap if lo > b_cap else 0.0 if lo < 0.0 else lo), row.index(lo)
+def _emptied_value(lo, b_cap):
+    """Value of a state with every row empty, from the minimum lo of its
+    optimistic losses: lo + 0.0 (no -0.0) clipped to [0, b_cap] as np.clip
+    does, which keeps -0.0 (no NaN).  Its action is the first minimum."""
+    return b_cap if lo > b_cap else 0.0 if lo < 0.0 else lo + 0.0
 
 
 def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
@@ -138,15 +137,16 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
     is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 whatever v
     is, so every sweep lands on the same values, each state's from its own
-    row only (_emptied_row, as in Learner._row_update).  The plan then skips
-    the loop and p_ctx and reports the residual and sweep count the loop
-    would (_emptied_sweeps), bit for bit, with policy, values and the rows
-    of opt_loss as lists.  Such radii are finite: no NaN reaches it.
+    row only (_emptied_value, as in Learner._row_update).  The plan then
+    skips the loop and p_ctx and reports the residual and sweep count the
+    loop would (_emptied_sweeps), bit for bit, with policy, values and the
+    rows of opt_loss as lists.  Such radii are finite: no NaN reaches it.
     """
     if radius.min() >= ROW_EMPTYING_RADIUS:
         rows = opt_loss.tolist()
-        values, policy = map(list, zip(*(_emptied_row(row, b_cap)
-                                         for row in rows)))
+        policy = opt_loss.argmin(axis=1).tolist()
+        values = [_emptied_value(row[a], b_cap)
+                  for row, a in zip(rows, policy)]
         residual, iterations = _emptied_sweeps(max(values), evi_tol,
                                                evi_max_iter)
         return EviResult(policy, values, residual, residual <= evi_tol,
@@ -239,9 +239,10 @@ class Learner:
         self.b_star_cur = cfg.b_star_init
         self.m = 0
         self.doubling_events = 0
-        # the context last seen, as bytes, as a read-only array shared by
-        # the interval records and as c c^T
-        self._norms_key = self._context = self._outer = None
+        # the context last seen, as bytes and as a read-only array shared
+        # by the interval records; the interval the kept known floor is for
+        self._norms_key = self._context = None
+        self._floor = (0, None)
         self._init_statistics()
         self.policy = np.zeros(self.n_states, dtype=int)
 
@@ -253,6 +254,8 @@ class Learner:
         # and the radii are shared
         self._projected_tau = np.zeros((S, A))
         self._l_hat = np.zeros((S, A, d))
+        # each visited pair's (v_bar_inv, xty_loss, l_hat) views
+        self._views = {}
         self._p_hat = np.zeros((S, A, S, d))
         # the loss and dynamics radii per visit count, and every pair's
         self._by_tau = {}
@@ -277,8 +280,12 @@ class Learner:
 
     def _known_threshold(self, beta_p):
         """estimation.known_threshold at a Python float radius beta_p, the
-        current interval and b_star_cur, in Python floats bit for bit."""
-        floor = estimation.known_floor(self.m, self.cfg.delta)
+        current interval and b_star_cur, in Python floats bit for bit; the
+        floor is computed once per interval m."""
+        m, floor = self._floor
+        if m != self.m:
+            floor = estimation.known_floor(self.m, self.cfg.delta)
+            self._floor = self.m, floor
         return self.l_min_eff / (10.0 * self.b_star_cur * max(beta_p, floor))
 
     def snapshot_estimates(self, norms=None):
@@ -306,12 +313,11 @@ class Learner:
         return self._estimates
 
     def _use_context(self, c):
-        """Keep c, by its bytes, with c c^T; a new c drops norms and plan."""
+        """Keep c by its bytes; a new c drops norms and plan."""
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._norms_key:
             self._norms_key = key
             self._context = np.frombuffer(key)
-            self._outer = self._context[:, None] * self._context
             self._norms = self._plan = None
 
     def _norms_at(self, c):
@@ -335,10 +341,11 @@ class Learner:
         """
         if not self.m:
             raise ProtocolError("visit needs a plan: call start_interval first")
-        store = self.store
         self._use_context(c)
-        tau = store.record_visit(c, next_state, loss, (s, a), self._outer)
-        self._l_hat[s, a] = store.v_bar_inv[s, a] @ store.xty_loss[s, a]
+        tau = self.store.record_visit(c, next_state, loss, (s, a))
+        v_bar_inv, xty_loss, l_hat = (self._views.get((s, a))
+                                      or self._bind(s, a))
+        np.matmul(v_bar_inv, xty_loss, out=l_hat)
         beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
@@ -346,7 +353,7 @@ class Learner:
             norm = self._norms_at(c).item(s, a)
         else:
             # context_norms' bits: maximum(0.0, x) keeps -0.0 and NaN too
-            x = np.vecdot(np.vecmat(c, store.v_bar_inv[s, a]), c).item()
+            x = np.vecdot(np.vecmat(c, v_bar_inv), c).item()
             norm = self._norms[s, a] = math.sqrt(x) if not x < 0.0 else 0.0
             if norm < self._norms_lo:
                 self._norms_lo = norm
@@ -354,6 +361,12 @@ class Learner:
         self._moved = (s, a, norm, beta_l, beta_p) if moved is None or (
             moved and moved[:2] == (s, a)) else False
         return norm < self._known_threshold(beta_p)
+
+    def _bind(self, s, a):
+        store = self.store
+        views = self._views[s, a] = (store.v_bar_inv[s, a],
+                                     store.xty_loss[s, a], self._l_hat[s, a])
+        return views
 
     def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
@@ -374,7 +387,7 @@ class Learner:
         That suffices when the kept plan emptied every row at c, one pair
         (s, a) has moved since, and its row stays empty: then only
         opt_loss[s, a] and state s's value and action change, to what
-        evi_plan would give (_emptied_row).  Returns the plan's residual and
+        evi_plan would give (_emptied_value).  Returns the plan's residual and
         initial value, or None when evi_plan must run.
         """
         if self._plan is None or not self._moved:
@@ -387,7 +400,9 @@ class Learner:
         x = np.einsum("d,d->", self._l_hat[s, a], c).item() - beta_l * norm
         row = opt_loss[s]
         row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
-        values[s], self.policy[s] = _emptied_row(row, 2.0 * self.b_star_cur)
+        lo = min(row)
+        values[s] = _emptied_value(lo, 2.0 * self.b_star_cur)
+        self.policy[s] = row.index(lo)
         v_init = values[self.model.s_init]
         if v_init > self.b_star_cur:
             return None
@@ -413,7 +428,13 @@ class Learner:
             opt_loss = np.minimum(np.maximum(0.0, np.einsum(
                 "sad,d->sa", self._l_hat, c) - self._beta_l * norms), 1.0)
             radius = self._beta_p * norms
-            p_ctx = None if radius.min() >= ROW_EMPTYING_RADIUS else np.einsum(
+            # beta_p grows with tau, so no radius lies below beta_p(0) times
+            # the norms' lower bound; at or above it, evi_plan's check is
+            # the plan's one reduction over the radii
+            emptied = (self._by_tau[0.0][1] * self._norms_lo
+                       >= ROW_EMPTYING_RADIUS
+                       or radius.min() >= ROW_EMPTYING_RADIUS)
+            p_ctx = None if emptied else np.einsum(
                 "sand,d->san", self.snapshot_estimates(norms).p_hat, c)
             result = evi_plan(opt_loss, p_ctx, radius,
                               b_cap=2.0 * self.b_star_cur,
@@ -440,10 +461,9 @@ class Learner:
                 self._beta_p, self.l_min_eff, self.b_star_cur, self.m,
                 self.cfg.delta)))
         record = IntervalRecord(
-            episode, self.m, trigger, evi_residual=residual,
-            v_tilde_init=v_init, b_star_cur=self.b_star_cur,
-            known_fraction=known / (self.n_states * self.n_actions),
-            context=self._context)
+            episode, self.m, trigger, 0, 0.0, residual, v_init,
+            self.b_star_cur, known / (self.n_states * self.n_actions),
+            self._context)
         if self.diagnostics_model is not None:
             record.coverage_ok = self._coverage_ok()
         return record
@@ -451,20 +471,20 @@ class Learner:
 
 def _sampler_tables(model, contexts):
     """The episode samplers' tables for a (k, d) stack of contexts: the
-    (k, S, A, S + 1) induced probabilities, goal last, each row normalised
-    by its pairwise sum, and the (k, S, A) loss means.  Every row is
-    reduced on its own, so a stack's rows equal one context's bit for bit.
+    (k, S, A, S + 1) induced probabilities, goal last, their (k, S, A)
+    pairwise row sums, by which a sampler normalises a row it draws from,
+    and the (k, S, A) loss means.  Every row is reduced on its own, so a
+    stack's rows equal one context's bit for bit.
     """
     means, probs = _induced_products(model, contexts)
     goal = 1.0 - probs.sum(axis=-1, keepdims=True)
     full = np.concatenate((probs, np.maximum(goal, 0.0, out=goal)), -1)
-    full /= full.sum(axis=-1, keepdims=True)
-    return full, means
+    return full, full.sum(axis=-1), means
 
 
 def _environment(model, contexts):
-    """Yield each episode's true context with its sampler's probabilities
-    and means, the tables built once per stack of SAMPLER_STACK_ENTRIES.
+    """Yield each episode's true context with its sampler's tables
+    (_sampler_tables), built once per stack of SAMPLER_STACK_ENTRIES.
 
     An AdaptiveContexts provider is asked for one context at a time, when
     the episode before it has been recorded, so its stacks hold one.
@@ -502,18 +522,22 @@ class _BlockUniforms:
 
 class _EpisodeSampler:
     """Induced categorical for one episode's fixed context, from its rows of
-    the stacked tables (_sampler_tables): a pair's cumulative row is summed
-    on its first draw (see docs/regimes.md)."""
+    the stacked tables (_sampler_tables): a pair's row is normalised and
+    summed on its first draw (see docs/regimes.md)."""
 
-    def __init__(self, model, probs, means):
-        self.probs, self.means, self.rows = probs, means, {}
+    def __init__(self, model, probs, sums, means):
+        self.probs, self.sums, self.means, self.rows = probs, sums, means, {}
         self.n_states = model.n_states
         self.bernoulli = model.loss_noise == "bernoulli"
         self.width = model.noise_width
 
     def row(self, s, a):
-        """The cumulative row of (s, a): left to right, as np.cumsum sums."""
-        row = self.rows[s, a] = list(accumulate(self.probs[s, a].tolist()))
+        """The cumulative normalised row of (s, a): each entry divided by
+        the row's sum, one IEEE division as numpy's, then added left to
+        right, as np.cumsum adds."""
+        total = self.sums.item(s, a)
+        row = self.rows[s, a] = list(accumulate(
+            [p / total for p in self.probs[s, a].tolist()]))
         return row
 
     def step(self, s, a, rng):
@@ -562,9 +586,9 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
     draws = _BlockUniforms(np.random.default_rng(np.random.SeedSequence(seed)))
     learner = Learner(cfg, model, l_min_eff, diagnostics_model)
     episodes, all_records, step_trace = [], [], []
-    unknown_counts = np.zeros((model.n_states, model.n_actions), dtype=int)
+    unknown_counts = [[0] * model.n_actions for _ in range(model.n_states)]
 
-    for k, (c_true, probs, means) in enumerate(_environment(model, contexts)):
+    for k, (c_true, *tables) in enumerate(_environment(model, contexts)):
         c_seen = (perceived_contexts[k] if perceived_contexts is not None
                   else c_true)
         log = EpisodeLog(episode=k, context=c_true)
@@ -572,7 +596,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         record = learner.start_interval(c_seen, k, trigger)
         log.intervals.append(record)
         log.intervals_started += 1
-        sampler = _EpisodeSampler(model, probs, means)
+        sampler = _EpisodeSampler(model, *tables)
         s = model.s_init
         for _ in range(cfg.episode_step_cap):
             a = int(learner.policy[s])
@@ -588,7 +612,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             if reached_goal:
                 break
             if not known:
-                unknown_counts[s, a] += 1
+                unknown_counts[s][a] += 1
                 log.unknown_triggers += 1
                 record = learner.start_interval(c_seen, k, "unknown")
                 log.intervals.append(record)
@@ -605,7 +629,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
     return RunLog(
         episodes=episodes,
         interval_records=all_records,
-        unknown_counts=unknown_counts,
+        unknown_counts=np.array(unknown_counts, dtype=int),
         doubling_events=learner.doubling_events,
         total_steps=sum(e.steps for e in episodes),
         total_intervals=sum(e.intervals_started for e in episodes),

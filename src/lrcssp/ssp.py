@@ -150,14 +150,6 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
 
 
-def _policy_rows(ssp, policy):
-    """Loss (..., S) and transition rows (..., S, S) of the chosen actions."""
-    loss = np.take_along_axis(ssp.loss, policy[..., None], axis=-1)[..., 0]
-    trans = np.take_along_axis(ssp.trans, policy[..., None, None],
-                               axis=-2)[..., 0, :]
-    return loss, trans
-
-
 def _unreachable_states(p_pi):
     """Mask of the states whose support graph under the policy never reaches
     the goal, for transition rows p_pi (..., S, S).
@@ -172,23 +164,33 @@ def _unreachable_states(p_pi):
         reach = grown
 
 
-def policy_evaluation(ssp, policy):
-    """Exact value of a proper policy: solve (I - P_pi) v = loss_pi.
-
-    Raises ImproperPolicyError if some state cannot reach the goal.
-    """
-    loss_pi, p_pi = _policy_rows(ssp, _check_policy(ssp, policy))
+def _proper_system(ssp, policy):
+    """I - P_pi of a policy that reaches the goal from every state, with the
+    checked policy; raises ImproperPolicyError naming the stuck states."""
+    policy = _check_policy(ssp, policy)
+    p_pi = np.take_along_axis(ssp.trans, policy[..., None, None],
+                              axis=-2)[..., 0, :]
     stuck = _unreachable_states(p_pi)
     if stuck.any():
         index = None if stuck.ndim == 1 else int(stuck.any(axis=1).argmax())
         states = np.flatnonzero(stuck if index is None else stuck[index])
         raise ImproperPolicyError(
             f"states {states.tolist()} cannot reach the goal", index=index)
-    return np.linalg.solve(np.eye(ssp.n_states) - p_pi,
-                           loss_pi[..., None])[..., 0]
+    return np.eye(ssp.n_states) - p_pi, policy
+
+
+def policy_evaluation(ssp, policy):
+    """Exact value of a proper policy: solve (I - P_pi) v = loss_pi.
+
+    Raises ImproperPolicyError if some state cannot reach the goal.
+    """
+    system, policy = _proper_system(ssp, policy)
+    loss_pi = np.take_along_axis(ssp.loss, policy[..., None], axis=-1)
+    return np.linalg.solve(system, loss_pi)[..., 0]
 
 
 def expected_hitting_time(ssp, policy):
-    """Expected steps to goal under policy: unit losses through the same dynamics."""
-    unit = SspInstance(np.ones_like(ssp.loss), ssp.trans)
-    return policy_evaluation(unit, policy)
+    """Expected steps to goal under policy: unit losses through the same
+    dynamics, solved like policy_evaluation without a second instance."""
+    system, _ = _proper_system(ssp, policy)
+    return np.linalg.solve(system, np.ones(system.shape[:-1] + (1,)))[..., 0]

@@ -51,6 +51,9 @@ def test_tracer_patches_observes_and_restores(monkeypatch):
     calls = t.span_counts(tracer.SETUP_REQUEST)
     assert calls["learner.run"] == 1
     assert calls["learner.sampler"] == log.total_steps
+    # every interval opens through start_interval, so the traced
+    # learner.intervals_per_step counts each one
+    assert calls["learner.start_interval"] == log.total_intervals
     # every full plan goes through evi_plan, and each episode starts with
     # one at its new context
     plans = calls["learner.evi_plan"]

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lrcssp import estimation
 from lrcssp.errors import StructuralError
 from lrcssp.estimation import (
     REFRESH_EVERY,
@@ -181,6 +183,125 @@ class TestSaStatistics:
         for name in ("tau", "v_bar", "v_bar_inv", "xty_loss", "xty_trans"):
             got, want = getattr(one, name), getattr(store, name)[index]
             assert got.tobytes() == want.tobytes(), name
+
+
+class EagerStore:
+    """Reference: PairStore as it was, every array updated at every visit."""
+
+    def __init__(self, shape, d, n_states, lam=1.0):
+        self.tau = np.zeros(shape)
+        self.v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
+        self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
+        self.xty_loss = np.zeros(shape + (d,))
+        self.xty_trans = np.zeros(shape + (n_states, d))
+
+    def record_visit(self, c, next_state, loss, index=()):
+        c = np.asarray(c, dtype=float)
+        tau = self.tau.item(index) + 1
+        self.tau[index] = tau
+        v_bar, v_bar_inv = self.v_bar[index], self.v_bar_inv[index]
+        v_bar += c[:, None] * c
+        vc = v_bar_inv @ c
+        v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
+        if tau % estimation.REFRESH_EVERY == 0:
+            v_bar_inv[...] = np.linalg.inv(v_bar)
+        xty_loss = self.xty_loss[index]
+        xty_loss += loss * c
+        if next_state != GOAL:
+            xty_trans = self.xty_trans[index]
+            xty_trans[next_state] += c
+        return tau
+
+
+STORE_NAMES = ("tau", "v_bar", "v_bar_inv", "xty_loss", "xty_trans")
+# context entries: both zeros, a tiny and an overflowing c c^T, and the rest
+CONTEXT_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-300, 0.5, 1.0, 1e154, 1e200]),
+    st.floats(-2.0, 2.0))
+
+
+class TestDeferredStore:
+    """v_bar and xty_trans, folded from the pending log on read, equal the
+    eager store's at every read, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), n_states=st.integers(1, 3),
+           grid=st.sampled_from([(), (2, 3)]),
+           lam=st.sampled_from([1.0, 2.5]), refresh=st.integers(1, 6),
+           limit=st.integers(1, 5))
+    def test_folds_equal_the_eager_store(self, data, d, n_states, grid, lam,
+                                         refresh, limit):
+        # a small refresh cadence and log bound, so both run often; reads
+        # and assignments of both folded arrays fall between visits, and
+        # the caller changes c after each visit it hands over
+        store = (SaStatistics(d, n_states, lam) if grid == ()
+                 else PairStore(grid, d, n_states, lam))
+        eager = EagerStore(grid, d, n_states, lam)
+        indices = st.tuples(*(st.integers(0, n - 1) for n in grid))
+        ops = st.sampled_from(["visit"] * 6 + ["read", "assign v_bar",
+                                               "assign xty_trans"])
+        with mock.patch.object(estimation, "REFRESH_EVERY", refresh), \
+                mock.patch.object(estimation, "PENDING_LIMIT", limit), \
+                np.errstate(all="ignore"):
+            for op in data.draw(st.lists(ops, max_size=40)):
+                if op == "visit":
+                    c = np.array(data.draw(st.lists(
+                        CONTEXT_ENTRIES, min_size=d, max_size=d)))
+                    nxt = data.draw(st.integers(-1, n_states - 1))  # -1: goal
+                    loss = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+                    index = data.draw(indices)
+                    try:
+                        want = eager.record_visit(c.copy(), nxt, loss, index)
+                    except np.linalg.LinAlgError:
+                        # a refresh of a V singular in floating point (an
+                        # overflowing c c^T): the store fails at that visit
+                        with pytest.raises(np.linalg.LinAlgError):
+                            store.record_visit(c, nxt, loss, index)
+                        return
+                    assert store.record_visit(c, nxt, loss, index) == want
+                    c[...] = data.draw(st.sampled_from([7.0, np.nan]))
+                elif op == "read":
+                    for name in STORE_NAMES:
+                        assert getattr(store, name).tobytes() == \
+                            getattr(eager, name).tobytes(), name
+                else:
+                    # a Fortran-ordered array, whose flat view would be a
+                    # copy, is kept C-contiguous
+                    name = op.split()[1]
+                    value = data.draw(st.sampled_from([0.5, 3.0])) * \
+                        getattr(eager, name)
+                    setattr(eager, name, value.copy())
+                    setattr(store, name, data.draw(st.sampled_from(
+                        [value, np.asfortranarray(value)])))
+                assert len(store._pending) < limit
+            for name in STORE_NAMES:
+                assert getattr(store, name).tobytes() == \
+                    getattr(eager, name).tobytes(), name
+
+    @pytest.mark.parametrize("grid", [(), (2, 3)])
+    def test_next_state_out_of_range_raises(self, grid):
+        # a flat index past a pair's rows would land in the next pair's
+        store = PairStore(grid, 2, 3)
+        for nxt in (-2, 3):
+            with pytest.raises(IndexError, match="next state"):
+                store.record_visit([0.5, 0.5], nxt, 0.0, (1, 2)[:len(grid)])
+        assert not store.tau.any() and not store._pending
+
+    def test_refresh_reads_the_folded_v_bar(self):
+        # the real cadence and bound: a refresh that read v_bar before its
+        # log was folded would invert lam*I plus the folded visits only
+        rng = np.random.default_rng(3)
+        store, eager = PairStore((2, 2), 2, 3), EagerStore((2, 2), 2, 3)
+        for k in range(2 * REFRESH_EVERY):
+            c = rng.dirichlet(np.ones(2))
+            index = (0, 1) if k % 3 else (int(k % 2), 0)
+            nxt = int(rng.integers(-1, 3))
+            store.record_visit(c, nxt, 0.5, index)
+            eager.record_visit(c, nxt, 0.5, index)
+        assert store.tau[0, 1] > REFRESH_EVERY
+        for name in STORE_NAMES:
+            assert getattr(store, name).tobytes() == \
+                getattr(eager, name).tobytes(), name
 
 
 def capped_simplex_oracle(y, iters=200):

@@ -1092,18 +1092,20 @@ def clip_sampler(model, c):
 
 def episode_sampler(model, c):
     """The episode sampler at c, built from a stack of one context."""
-    probs, means = _sampler_tables(model, np.asarray(c, dtype=float)[None])
-    return _EpisodeSampler(model, probs[0], means[0])
+    tables = _sampler_tables(model, np.asarray(c, dtype=float)[None])
+    return _EpisodeSampler(model, *(x[0] for x in tables))
 
 
 def assert_sampler_equals_clip_oracle(sampler, model, c):
-    """Every forced (s, a) row, the probabilities and the means equal the
-    np.clip oracle's bit for bit."""
+    """Every forced (s, a) row, normalised and summed on its draw, the
+    probabilities over their row sums and the means equal the np.clip
+    oracle's bit for bit."""
     full, cum, means = clip_sampler(model, c)
-    assert sampler.probs.tobytes() == full.tobytes()
     rows = np.array([[sampler.row(s, a) for a in range(cum.shape[1])]
                      for s in range(cum.shape[0])])
     assert rows.tobytes() == cum.tobytes()
+    assert (sampler.probs / sampler.sums[..., None]).tobytes() == \
+        full.tobytes()
     assert sampler.means.tobytes() == means.tobytes()
 
 
@@ -1174,11 +1176,11 @@ class TestEpisodeSampler:
         with mock.patch.object(learner_mod, "SAMPLER_STACK_ENTRIES", entries):
             episodes = list(_environment(model, contexts))
         whole = zip(contexts, *_sampler_tables(model, contexts))
-        for (c, probs, means), (c_run, probs_run, means_run) in zip(
+        for (c, *tables), (c_run, *tables_run) in zip(
                 whole, episodes, strict=True):
             assert c_run.tobytes() == c.tobytes()
-            for sampler in (_EpisodeSampler(model, probs, means),
-                            _EpisodeSampler(model, probs_run, means_run)):
+            for sampler in (_EpisodeSampler(model, *tables),
+                            _EpisodeSampler(model, *tables_run)):
                 assert_sampler_equals_clip_oracle(sampler, model, c)
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -1220,9 +1222,9 @@ class TestEpisodeSampler:
         assert_sampler_equals_clip_oracle(
             episode_sampler(model, np.ones(1)), model, None)
         # and every row of a stack of three
-        for probs, means in zip(*_sampler_tables(model, np.ones((3, 1)))):
+        for tables in zip(*_sampler_tables(model, np.ones((3, 1)))):
             assert_sampler_equals_clip_oracle(
-                _EpisodeSampler(model, probs, means), model, None)
+                _EpisodeSampler(model, *tables), model, None)
 
     @staticmethod
     def draw_points(cum_row):

@@ -7,11 +7,12 @@ the final cumulative regret to a relative 1e-6 (the artifacts print nine
 significant digits).  Seven runs also pin every bit the RunLog records, as
 the benchmark's run_log_digest (bench/workloads.py) in hex, and the golden
 pipeline pins the sha256 of every artifact: a change meant to keep
-behaviour keeps each of them.  Three more digests pin the draw paths no
-benchmark part takes: truncated-uniform losses, adaptive contexts and the
-l_min=0 loss floor.
+behaviour keeps each of them.  Four more digests pin the paths no
+benchmark part takes: truncated-uniform losses, adaptive contexts, the
+l_min=0 loss floor, and a refresh of a pair's inverse with projections.
 """
 
+import collections
 import hashlib
 import importlib.util
 import json
@@ -216,6 +217,38 @@ def test_mixed_regime_run(tmp_path, monkeypatch):
                             cfg.learner.delta)
     assert summary["final_cum_regret"] == pytest.approx(12.039177846179843,
                                                         rel=RTOL)
+
+
+def test_refresh_and_projection_run_bits(monkeypatch):
+    """(d, S, A) = (2, 2, 1), l_min=0.1, K=1200 uniform contexts from
+    default_rng(0), run seed 0, with no doubling: pair (0, 0) passes
+    REFRESH_EVERY visits, so its inverse is refreshed from V, and 2,029
+    projections read V and the next-state moments.  No benchmark part
+    reaches a refresh.  Recorded before a visit's V and next-state moments
+    were folded on read."""
+    calls = {"projections": 0}
+    project = estimation.project_to_stochastic
+
+    def counting_projection(p_raw, v_bar):
+        calls["projections"] += 1
+        return project(p_raw, v_bar)
+
+    monkeypatch.setattr(estimation, "project_to_stochastic",
+                        counting_projection)
+    model = generate_instance(GeneratorSpec(
+        d=2, n_states=2, n_actions=1, gamma_goal=0.1, l_min_target=0.1,
+        seed=0))
+    contexts = context_sequence("uniform", 1200, 2,
+                                rng=np.random.default_rng(0))
+    log = run(LearnerConfig(**LEARNER), model, contexts, seed=0)
+    assert (log.total_steps, log.total_intervals) == (2515, 2515)
+    assert log.doubling_events == 0
+    visits = collections.Counter((s, a) for _, s, a, _, _ in log.step_trace)
+    assert visits == {(0, 0): 1679, (1, 0): 836}
+    assert visits[0, 0] > estimation.REFRESH_EVERY
+    assert calls["projections"] == 2029
+    assert run_log_digest(log) == (
+        "d0f88b115d61041ebb4c7fbf374d099887cd746224b5f39b9f35548e718453c1")
 
 
 REF_SPEC = GeneratorSpec(**REF_GENERATOR)

@@ -443,6 +443,13 @@ def value_iteration_oracle(ssp, tol=1e-10, max_iter=10**6):
     return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
 
 
+def hitting_time_oracle(ssp, policy):
+    """Reference: expected_hitting_time as it was, the policy evaluated on a
+    new, validated instance with unit losses."""
+    return policy_evaluation(SspInstance(np.ones_like(ssp.loss), ssp.trans),
+                             policy)
+
+
 def assert_same_solution(got, want):
     (v, pi), (v_want, pi_want) = got, want
     assert v.shape == v_want.shape and v.tobytes() == v_want.tobytes()
@@ -590,7 +597,8 @@ class TestValueIterationOracle:
         ({"n_states": 5, "n_actions": 3, "d": 2}, 100, range(12)),
     ], ids=["ref", "wide", "sweep"])
     def test_benchmark_contexts(self, monkeypatch, generator, K, run_seeds):
-        # the oracle of every part of the benchmark's workloads at seed 0
+        # the oracle of every part of the benchmark's workloads at seed 0,
+        # and the hitting times of its greedy policies
         cfg = harness.ExperimentConfig.from_dict({
             "generator": dict(generator, gamma_goal=0.1, l_min_target=0.1,
                               seed=7),
@@ -602,8 +610,14 @@ class TestValueIterationOracle:
             got = harness.oracle_values(model, contexts)
             with monkeypatch.context() as mp:
                 mp.setattr(harness, "value_iteration", value_iteration_oracle)
+                mp.setattr(harness, "expected_hitting_time",
+                           hitting_time_oracle)
                 want = harness.oracle_values(model, contexts)
             assert got.v_star_all.tobytes() == want.v_star_all.tobytes()
             assert got.v_star.tobytes() == want.v_star.tobytes()
             assert got.b_star_emp.hex() == want.b_star_emp.hex()
             assert got.t_star_emp.hex() == want.t_star_emp.hex()
+            ssp = induce_ssp(model, contexts)
+            _, pi = value_iteration(ssp)
+            assert expected_hitting_time(ssp, pi).tobytes() == \
+                hitting_time_oracle(ssp, pi).tobytes()
