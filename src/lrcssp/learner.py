@@ -117,8 +117,8 @@ def _emptied_sweeps(top, evi_tol, evi_max_iter):
 
 def _emptied_value(lo, b_cap):
     """Value of a state with every row empty, from the minimum lo of its
-    optimistic losses: lo + 0.0 (no -0.0) clipped to [0, b_cap] as np.clip
-    does, which keeps -0.0 (no NaN).  Its action is the first minimum."""
+    optimistic losses: np.clip(lo + 0.0, 0.0, b_cap) in Python float
+    comparisons, with its bits (no NaN).  Its action is the first minimum."""
     return b_cap if lo > b_cap else 0.0 if lo < 0.0 else lo + 0.0
 
 

@@ -221,8 +221,8 @@ CONTEXT_ENTRIES = st.one_of(
 
 
 class TestDeferredStore:
-    """v_bar and xty_trans, folded from the pending log on read, equal the
-    eager store's at every read, bit for bit."""
+    """v_bar and xty_trans, folded from the pending log on read, and every
+    other array equal the eager store's at every read, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), n_states=st.integers(1, 3),
@@ -238,8 +238,8 @@ class TestDeferredStore:
                  else PairStore(grid, d, n_states, lam))
         eager = EagerStore(grid, d, n_states, lam)
         indices = st.tuples(*(st.integers(0, n - 1) for n in grid))
-        ops = st.sampled_from(["visit"] * 6 + ["read", "assign v_bar",
-                                               "assign xty_trans"])
+        ops = st.sampled_from(["visit"] * 6 + ["read"] + [
+            "assign " + name for name in STORE_NAMES[1:]])
         with mock.patch.object(estimation, "REFRESH_EVERY", refresh), \
                 mock.patch.object(estimation, "PENDING_LIMIT", limit), \
                 np.errstate(all="ignore"):
@@ -261,20 +261,24 @@ class TestDeferredStore:
                     assert store.record_visit(c, nxt, loss, index) == want
                     c[...] = data.draw(st.sampled_from([7.0, np.nan]))
                 elif op == "read":
-                    for name in STORE_NAMES:
+                    # in any order: either folded array may be read first
+                    for name in data.draw(st.permutations(STORE_NAMES)):
                         assert getattr(store, name).tobytes() == \
                             getattr(eager, name).tobytes(), name
                 else:
-                    # a Fortran-ordered array, whose flat view would be a
-                    # copy, is kept C-contiguous
+                    # a folded array in Fortran order, whose flat view
+                    # would be a copy, is kept C-contiguous; the views of
+                    # a replaced v_bar_inv or xty_loss are bound again
                     name = op.split()[1]
                     value = data.draw(st.sampled_from([0.5, 3.0])) * \
                         getattr(eager, name)
                     setattr(eager, name, value.copy())
-                    setattr(store, name, data.draw(st.sampled_from(
-                        [value, np.asfortranarray(value)])))
+                    if name in ("v_bar", "xty_trans"):
+                        value = data.draw(st.sampled_from(
+                            [value, np.asfortranarray(value)]))
+                    setattr(store, name, value)
                 assert len(store._pending) < limit
-            for name in STORE_NAMES:
+            for name in data.draw(st.permutations(STORE_NAMES)):
                 assert getattr(store, name).tobytes() == \
                     getattr(eager, name).tobytes(), name
 

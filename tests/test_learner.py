@@ -476,7 +476,7 @@ class TestEmptiedPlan:
 
 def emptied_plan_oracle(opt_loss, b_cap, evi_tol, evi_max_iter):
     """Reference: evi_plan's emptied branch in numpy, as it was before the
-    rows moved to Python floats (_emptied_row)."""
+    rows moved to Python floats (_emptied_value)."""
     q_vals = opt_loss + 0.0
     values = np.minimum(np.maximum(0.0, q_vals.min(axis=1)), b_cap)
     policy = q_vals.argmin(axis=1)
@@ -505,7 +505,7 @@ def assert_same_bits(got, want):
 
 
 class TestEmptiedRowOracle:
-    """The emptied-row rule in Python floats (_emptied_row), in evi_plan
+    """The emptied-row rule in Python floats (_emptied_value), in evi_plan
     and in Learner._row_update, equals the numpy branch bit for bit."""
 
     @pytest.mark.parametrize("S, A", SHAPES)
