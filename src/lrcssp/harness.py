@@ -265,36 +265,21 @@ def model_from_dict(payload):
     )
 
 
-def _json_object(items):
-    """json.dumps of a dict, from its (key, value as JSON text) items."""
-    return "{%s}" % ", ".join(f"{json.dumps(key)}: {text}"
-                              for key, text in items)
-
-
-def _model_fingerprint(texts):
-    """sha256 of json.dumps(payload, sort_keys=True), from each value's
-    JSON text."""
-    blob = _json_object(sorted(texts.items())).encode()
+def _fingerprint(payload):
+    blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _model_texts(model):
-    return {key: json.dumps(value)
-            for key, value in model_to_dict(model).items()}
-
-
 def model_fingerprint(model):
-    return _model_fingerprint(_model_texts(model))
+    return _fingerprint(model_to_dict(model))
 
 
 def write_model(path, model):
-    """Store the model with its fingerprint; returns the fingerprint.  Each
-    value is encoded once, for the file and for the fingerprint."""
-    texts = _model_texts(model)
-    fingerprint = _model_fingerprint(texts)
-    texts["fingerprint"] = json.dumps(fingerprint)
+    """Store the model with its fingerprint; returns the fingerprint."""
+    payload = model_to_dict(model)
+    payload["fingerprint"] = fingerprint = _fingerprint(payload)
     with open(path, "w", newline="") as fh:
-        fh.write(_json_object(texts.items()) + "\n")
+        fh.write(json.dumps(payload) + "\n")
     return fingerprint
 
 
@@ -327,20 +312,14 @@ CSV_HEADER = ("episode,steps,realized_loss,optimal_value,regret,cum_regret,"
 
 
 def write_regret_csv(path, run_log, curve):
-    """One row per episode, formatted by columns: ints by str, each float64
-    curve column by .9g from one tolist(), as _fmt prints numpy's floats."""
-    eps = run_log.episodes
-    columns = [range(len(eps)), [e.steps for e in eps],
-               *(map("{:.9g}".format, x.tolist())
-                 for x in (curve.realized_loss, curve.optimal_value,
-                           curve.regret, curve.cum_regret)),
-               [e.intervals_started for e in eps],
-               [e.unknown_triggers for e in eps],
-               ["1" if e.truncated else "0" for e in eps],
-               map(_fmt, [e.b_star_end for e in eps])]
-    rows = zip(*(map(str, x) for x in columns))
+    lines = [CSV_HEADER]
+    for k, ep in enumerate(run_log.episodes):
+        lines.append(",".join(map(_fmt, (
+            k, ep.steps, curve.realized_loss[k], curve.optimal_value[k],
+            curve.regret[k], curve.cum_regret[k], ep.intervals_started,
+            ep.unknown_triggers, ep.truncated, ep.b_star_end))))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _json_column(values):

@@ -133,6 +133,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     [0, b_cap]; non-convergence is flagged, not raised.  The EviResult
     carries the greedy policy under the last values, those (S,) values, the
     last sweep's residual, whether it is within evi_tol, and the sweep count.
+    A loop whose sweep returns its NaN-holding input stops there: every
+    later sweep would too, so only the sweep count differs from the budget's.
 
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
     is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 whatever v
@@ -159,8 +161,10 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
         q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
         w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
         residual = float(np.abs(w - v).max())
+        # a sweep depends on v alone: from a NaN fixed point it repeats
+        fixed = math.isnan(residual) and np.array_equal(w, v, equal_nan=True)
         v = w
-        if residual <= evi_tol:
+        if residual <= evi_tol or fixed:
             break
     # greedy policy under the converged values
     q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
@@ -240,9 +244,8 @@ class Learner:
         self.m = 0
         self.doubling_events = 0
         # the context last seen, as bytes and as a read-only array shared
-        # by the interval records; the interval the kept known floor is for
+        # by the interval records
         self._norms_key = self._context = None
-        self._floor = (0, None)
         self._init_statistics()
         self.policy = np.zeros(self.n_states, dtype=int)
 
@@ -280,12 +283,8 @@ class Learner:
 
     def _known_threshold(self, beta_p):
         """estimation.known_threshold at a Python float radius beta_p, the
-        current interval and b_star_cur, in Python floats bit for bit; the
-        floor is computed once per interval m."""
-        m, floor = self._floor
-        if m != self.m:
-            floor = estimation.known_floor(self.m, self.cfg.delta)
-            self._floor = self.m, floor
+        current interval and b_star_cur, in Python floats bit for bit."""
+        floor = estimation.known_floor(self.m, self.cfg.delta)
         return self.l_min_eff / (10.0 * self.b_star_cur * max(beta_p, floor))
 
     def snapshot_estimates(self, norms=None):
@@ -428,13 +427,7 @@ class Learner:
             opt_loss = np.minimum(np.maximum(0.0, np.einsum(
                 "sad,d->sa", self._l_hat, c) - self._beta_l * norms), 1.0)
             radius = self._beta_p * norms
-            # beta_p grows with tau, so no radius lies below beta_p(0) times
-            # the norms' lower bound; at or above it, evi_plan's check is
-            # the plan's one reduction over the radii
-            emptied = (self._by_tau[0.0][1] * self._norms_lo
-                       >= ROW_EMPTYING_RADIUS
-                       or radius.min() >= ROW_EMPTYING_RADIUS)
-            p_ctx = None if emptied else np.einsum(
+            p_ctx = None if radius.min() >= ROW_EMPTYING_RADIUS else np.einsum(
                 "sand,d->san", self.snapshot_estimates(norms).p_hat, c)
             result = evi_plan(opt_loss, p_ctx, radius,
                               b_cap=2.0 * self.b_star_cur,
@@ -471,20 +464,20 @@ class Learner:
 
 def _sampler_tables(model, contexts):
     """The episode samplers' tables for a (k, d) stack of contexts: the
-    (k, S, A, S + 1) induced probabilities, goal last, their (k, S, A)
-    pairwise row sums, by which a sampler normalises a row it draws from,
-    and the (k, S, A) loss means.  Every row is reduced on its own, so a
-    stack's rows equal one context's bit for bit.
+    (k, S, A, S + 1) induced probabilities, goal last, each row normalised
+    by its pairwise sum, and the (k, S, A) loss means.  Every row is
+    reduced on its own, so a stack's rows equal one context's bit for bit.
     """
     means, probs = _induced_products(model, contexts)
     goal = 1.0 - probs.sum(axis=-1, keepdims=True)
     full = np.concatenate((probs, np.maximum(goal, 0.0, out=goal)), -1)
-    return full, full.sum(axis=-1), means
+    full /= full.sum(axis=-1, keepdims=True)
+    return full, means
 
 
 def _environment(model, contexts):
-    """Yield each episode's true context with its sampler's tables
-    (_sampler_tables), built once per stack of SAMPLER_STACK_ENTRIES.
+    """Yield each episode's true context with its sampler's probabilities
+    and means, the tables built once per stack of SAMPLER_STACK_ENTRIES.
 
     An AdaptiveContexts provider is asked for one context at a time, when
     the episode before it has been recorded, so its stacks hold one.
@@ -522,22 +515,18 @@ class _BlockUniforms:
 
 class _EpisodeSampler:
     """Induced categorical for one episode's fixed context, from its rows of
-    the stacked tables (_sampler_tables): a pair's row is normalised and
-    summed on its first draw (see docs/regimes.md)."""
+    the stacked tables (_sampler_tables): a pair's cumulative row is summed
+    on its first draw (see docs/regimes.md)."""
 
-    def __init__(self, model, probs, sums, means):
-        self.probs, self.sums, self.means, self.rows = probs, sums, means, {}
+    def __init__(self, model, probs, means):
+        self.probs, self.means, self.rows = probs, means, {}
         self.n_states = model.n_states
         self.bernoulli = model.loss_noise == "bernoulli"
         self.width = model.noise_width
 
     def row(self, s, a):
-        """The cumulative normalised row of (s, a): each entry divided by
-        the row's sum, one IEEE division as numpy's, then added left to
-        right, as np.cumsum adds."""
-        total = self.sums.item(s, a)
-        row = self.rows[s, a] = list(accumulate(
-            [p / total for p in self.probs[s, a].tolist()]))
+        """The cumulative row of (s, a): left to right, as np.cumsum sums."""
+        row = self.rows[s, a] = list(accumulate(self.probs[s, a].tolist()))
         return row
 
     def step(self, s, a, rng):
@@ -588,7 +577,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
     episodes, all_records, step_trace = [], [], []
     unknown_counts = [[0] * model.n_actions for _ in range(model.n_states)]
 
-    for k, (c_true, *tables) in enumerate(_environment(model, contexts)):
+    for k, (c_true, probs, means) in enumerate(_environment(model, contexts)):
         c_seen = (perceived_contexts[k] if perceived_contexts is not None
                   else c_true)
         log = EpisodeLog(episode=k, context=c_true)
@@ -596,7 +585,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         record = learner.start_interval(c_seen, k, trigger)
         log.intervals.append(record)
         log.intervals_started += 1
-        sampler = _EpisodeSampler(model, *tables)
+        sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
         for _ in range(cfg.episode_step_cap):
             a = int(learner.policy[s])

@@ -111,8 +111,8 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     loops).
 
     On a stack each instance stops at its own first sweep whose residual is
-    at most tol and keeps that sweep's input v and greedy policy; the stack
-    is cut to the unfinished ones once at least half of it has finished.
+    at most tol and keeps that sweep's input v and greedy policy; the whole
+    stack sweeps until every instance has stopped.
     The min over actions, a chain of np.minimum, differs from
     q.min(axis=-1) only on a -0.0/+0.0 tie, and q holds no -0.0: v >= +0,
     trans >= 0 and a matmul's sum starts at +0.0, so trans @ v >= +0, and
@@ -125,8 +125,7 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     trans = ssp.trans[None] if single else ssp.trans
     v_out = np.empty(loss.shape[:-1])
     pi_out = np.empty(loss.shape[:-1], dtype=int)
-    todo = np.arange(len(loss))  # stack positions of the rows below
-    live = np.ones(len(loss), dtype=bool)  # rows still sweeping
+    live = np.ones(len(loss), dtype=bool)  # instances still sweeping
     v = np.zeros(loss.shape[:-1])
     residual = np.full(len(loss), np.inf)
     for _ in range(max_iter):
@@ -137,15 +136,12 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
         residual = np.abs(w - v).max(axis=-1, initial=0.0)
         done = (residual <= tol) & live
         if done.any():
-            v_out[todo[done]] = v[done]
-            pi_out[todo[done]] = q[done].argmin(axis=-1)
+            v_out[done] = v[done]
+            pi_out[done] = q[done].argmin(axis=-1)
             live &= ~done
-            if 2 * np.count_nonzero(live) <= len(live):
-                todo, loss, trans = todo[live], loss[live], trans[live]
-                w, residual, live = w[live], residual[live], live[live]
         v = w
     if live.any():  # name the first instance still sweeping
-        first = None if single else int(todo[live][0])
+        first = None if single else int(live.argmax())
         raise NonConvergenceError(residual[live][0], max_iter, index=first)
     return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
 

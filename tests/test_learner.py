@@ -384,6 +384,30 @@ def assert_same_plan(got, want):
         (want.residual, want.iterations, want.converged)
 
 
+class TestNanFixedPoint:
+    """A loop whose sweep returns its NaN-holding input stops there; every
+    field but the sweep count equals the full-budget loop's."""
+
+    @pytest.mark.parametrize("where", ["opt_loss", "radius", "p_ctx"])
+    @pytest.mark.parametrize("S, A", [(1, 1), (4, 3)])
+    def test_equals_the_full_budget_loop(self, where, S, A):
+        rng = np.random.default_rng(S * A)
+        opt_loss = rng.uniform(0.1, 1.0, size=(S, A))
+        p_ctx = 0.9 * rng.dirichlet(np.ones(S + 1), size=(S, A))[..., :S]
+        radius = rng.uniform(0.0, 0.5, size=(S, A))
+        arrays = {"opt_loss": opt_loss, "radius": radius,
+                  "p_ctx": p_ctx[..., 0]}
+        arrays[where][S - 1, A - 1] = np.nan
+        kwargs = dict(b_cap=10.0, evi_tol=1e-6, evi_max_iter=500)
+        got = evi_plan(opt_loss, p_ctx, radius, **kwargs)
+        want = evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs)
+        assert bits(got.policy) == bits(want.policy)
+        assert bits(got.values) == bits(want.values)
+        assert np.isnan(got.residual) and np.isnan(want.residual)
+        assert not got.converged and not want.converged
+        assert got.iterations <= 3 and want.iterations == 500
+
+
 class TestEmptiedPlan:
     """With every row emptied, evi_plan skips the inner step, same bits."""
 
@@ -1097,15 +1121,13 @@ def episode_sampler(model, c):
 
 
 def assert_sampler_equals_clip_oracle(sampler, model, c):
-    """Every forced (s, a) row, normalised and summed on its draw, the
-    probabilities over their row sums and the means equal the np.clip
-    oracle's bit for bit."""
+    """Every forced (s, a) row, summed on its draw, the normalised
+    probabilities and the means equal the np.clip oracle's bit for bit."""
     full, cum, means = clip_sampler(model, c)
     rows = np.array([[sampler.row(s, a) for a in range(cum.shape[1])]
                      for s in range(cum.shape[0])])
     assert rows.tobytes() == cum.tobytes()
-    assert (sampler.probs / sampler.sums[..., None]).tobytes() == \
-        full.tobytes()
+    assert sampler.probs.tobytes() == full.tobytes()
     assert sampler.means.tobytes() == means.tobytes()
 
 

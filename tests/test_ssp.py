@@ -412,9 +412,9 @@ class TestStacks:
 
 
 def value_iteration_oracle(ssp, tol=1e-10, max_iter=10**6):
-    """Reference: value_iteration as it was before the np.minimum chain and
-    the deferred cut, q.min(axis=-1) per sweep and the stack cut to the
-    unfinished instances at every sweep in which one finishes."""
+    """Reference: value_iteration as it was before the np.minimum chain,
+    q.min(axis=-1) per sweep, with the stack cut to the unfinished
+    instances at every sweep in which one finishes."""
     single = ssp.loss.ndim == 2
     loss = ssp.loss[None] if single else ssp.loss
     trans = ssp.trans[None] if single else ssp.trans
@@ -560,8 +560,9 @@ class TestValueIterationOracle:
 
     def test_budget_runs_out_after_a_deferred_cut(self):
         # 30 instances converge within a few dozen sweeps and 10 zero-loss
-        # self-loops at positions 5, 9, ... never do; the budget ends after
-        # the stack has been cut, and the error names the first loop
+        # self-loops at positions 5, 9, ... never do; the budget ends while
+        # finished instances are swept along, and the error names the first
+        # loop
         rng = np.random.default_rng(3)
         stack = mixed_stack(rng, 40, 3, 2)
         loss, trans = stack.loss.copy(), stack.trans.copy()
@@ -573,14 +574,14 @@ class TestValueIterationOracle:
         converging = np.setdiff1d(np.arange(40), loops)
         sweeps = sorted(stopping_sweeps(SspInstance(loss[converging],
                                                     trans[converging])))
-        # before any finishes, after half of the stack has (the cut), with
-        # some converging ones still sweeping, and after all of them
+        # before any finishes, once half of the stack has, with some
+        # converging ones still sweeping, and after all of them
         assert sweeps[19] < sweeps[20] < sweeps[27] < sweeps[-1]
         for budget in (1, sweeps[19], sweeps[20], sweeps[27], sweeps[-1],
                        400):
             err = assert_same_failure(stack, max_iter=budget)
         assert err.index == 5 and err.residual == 1.0
-        # the loops alone: no cut before the budget ends
+        # the loops alone: none finishes before the budget ends
         err = assert_same_failure(SspInstance(loss[loops], trans[loops]),
                                   max_iter=30)
         assert err.index == 0 and err.residual == 1.0
