@@ -47,14 +47,20 @@ class PairStore:
         self.n_states = n_states
         self.lam = float(lam)
         # (pair's flat offset, c as bytes, next state) of each visit not
-        # yet folded, and each pair's flat offset
+        # yet folded, and each visited pair's offset and views
         self._pending = []
-        self._offsets = np.arange(math.prod(shape)).reshape(shape)
+        self._pairs = {}
         self.tau = np.zeros(shape)
         self._v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
         self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
         self.xty_loss = np.zeros(shape + (d,))
         self._xty_trans = np.zeros(shape + (n_states, d))
+
+    def __setattr__(self, name, value):
+        # views of a replaced array would miss the visits after it
+        super().__setattr__(name, value)
+        if name in ("v_bar_inv", "xty_loss"):
+            self._pairs.clear()
 
     # The folded arrays are kept C-contiguous, so that their flat views
     # are views: an assigned array is kept as it is when it already is one.
@@ -98,6 +104,13 @@ class PairStore:
         np.add.at(self._xty_trans.reshape(-1), _entries(rows, d),
                   c[moved].ravel())
 
+    def _pair(self, index):
+        """Pair `index`'s flat offset and (v_bar_inv, xty_loss) views."""
+        offset = np.arange(self.tau.size).reshape(self.tau.shape)[index]
+        views = self._pairs[index] = (int(offset), self.v_bar_inv[index],
+                                      self.xty_loss[index])
+        return views
+
     def record_visit(self, c, next_state, loss, index=()):
         """Fold one observed transition into the statistics of pair `index`.
 
@@ -112,16 +125,17 @@ class PairStore:
         c = np.asarray(c, dtype=float)
         tau = self.tau.item(index) + 1
         self.tau[index] = tau
+        offset, v_bar_inv, xty_loss = (self._pairs.get(index)
+                                       or self._pair(index))
         pending = self._pending
-        pending.append((self._offsets.item(index), c.tobytes(), next_state))
-        v_bar_inv = self.v_bar_inv[index]
+        pending.append((offset, c.tobytes(), next_state))
         vc = v_bar_inv @ c
         v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
         if tau % REFRESH_EVERY == 0:
             v_bar_inv[...] = np.linalg.inv(self.v_bar[index])
         elif len(pending) >= PENDING_LIMIT:
             self._fold()
-        self.xty_loss[index] += loss * c
+        xty_loss += loss * c
         return tau
 
 

@@ -133,8 +133,6 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     [0, b_cap]; non-convergence is flagged, not raised.  The EviResult
     carries the greedy policy under the last values, those (S,) values, the
     last sweep's residual, whether it is within evi_tol, and the sweep count.
-    A loop whose sweep returns its NaN-holding input stops there: every
-    later sweep would too, so only the sweep count differs from the budget's.
 
     When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
     is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 whatever v
@@ -161,7 +159,7 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
         q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
         w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
         residual = float(np.abs(w - v).max())
-        # a sweep depends on v alone: from a NaN fixed point it repeats
+        # a sweep depends on v alone, so each sweep repeats a NaN fixed point
         fixed = math.isnan(residual) and np.array_equal(w, v, equal_nan=True)
         v = w
         if residual <= evi_tol or fixed:

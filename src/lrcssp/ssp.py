@@ -110,9 +110,8 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     the residual is still above tol after max_iter sweeps (e.g. zero-loss
     loops).
 
-    On a stack each instance stops at its own first sweep whose residual is
-    at most tol and keeps that sweep's input v and greedy policy; the whole
-    stack sweeps until every instance has stopped.
+    On a stack each instance keeps the input v and greedy policy of its own
+    first sweep whose residual is at most tol, swept along until all stop.
     The min over actions, a chain of np.minimum, differs from
     q.min(axis=-1) only on a -0.0/+0.0 tie, and q holds no -0.0: v >= +0,
     trans >= 0 and a matmul's sum starts at +0.0, so trans @ v >= +0, and

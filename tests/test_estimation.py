@@ -267,8 +267,8 @@ class TestDeferredStore:
                             getattr(eager, name).tobytes(), name
                 else:
                     # a folded array in Fortran order, whose flat view
-                    # would be a copy, is kept C-contiguous; a replaced
-                    # v_bar_inv or xty_loss takes the visits after it
+                    # would be a copy, is kept C-contiguous; the views of
+                    # a replaced v_bar_inv or xty_loss are bound again
                     name = op.split()[1]
                     value = data.draw(st.sampled_from([0.5, 3.0])) * \
                         getattr(eager, name)
