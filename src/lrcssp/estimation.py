@@ -129,8 +129,8 @@ class PairStore:
                                        or self._pair(index))
         pending = self._pending
         pending.append((offset, c.tobytes(), next_state))
-        vc = v_bar_inv @ c
-        v_bar_inv -= vc[:, None] * vc / (1.0 + c @ vc)
+        vc = v_bar_inv.dot(c)
+        v_bar_inv -= vc[:, None] * vc / (1.0 + c.dot(vc))
         if tau % REFRESH_EVERY == 0:
             v_bar_inv[...] = np.linalg.inv(self.v_bar[index])
         elif len(pending) >= PENDING_LIMIT:
@@ -210,7 +210,7 @@ def project_to_stochastic(p_raw, v_bar, tol=1e-10, max_iter=10_000):
     p = _capped_simplex_columns(p_raw)
     obj = objective(p)
     for _ in range(max_iter):
-        grad = 2.0 * (p - p_raw) @ v_bar
+        grad = 2.0 * (p - p_raw).dot(v_bar)
         q = p - step * grad
         q = _capped_simplex_columns(q)
         new_obj = objective(q)

@@ -304,7 +304,7 @@ class Learner:
             wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
         for s, a in zip(*np.nonzero(wanted)):
             self._p_hat[s, a] = estimation.project_to_stochastic(
-                self.store.xty_trans[s, a] @ self.store.v_bar_inv[s, a],
+                self.store.xty_trans[s, a].dot(self.store.v_bar_inv[s, a]),
                 self.store.v_bar[s, a])
             self._projected_tau[s, a] = tau[s, a]
         return self._estimates
@@ -342,7 +342,7 @@ class Learner:
         tau = self.store.record_visit(c, next_state, loss, (s, a))
         v_bar_inv, xty_loss, l_hat = (self._views.get((s, a))
                                       or self._bind(s, a))
-        np.matmul(v_bar_inv, xty_loss, out=l_hat)
+        v_bar_inv.dot(xty_loss, out=l_hat)
         beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
@@ -350,7 +350,7 @@ class Learner:
             norm = self._norms_at(c).item(s, a)
         else:
             # context_norms' bits: maximum(0.0, x) keeps -0.0 and NaN too
-            x = np.vecdot(np.vecmat(c, v_bar_inv), c).item()
+            x = self._context.dot(v_bar_inv).dot(self._context).item()
             norm = self._norms[s, a] = math.sqrt(x) if not x < 0.0 else 0.0
             if norm < self._norms_lo:
                 self._norms_lo = norm

@@ -293,19 +293,114 @@ class TestDeferredStore:
 
     def test_refresh_reads_the_folded_v_bar(self):
         # the real cadence and bound: a refresh that read v_bar before its
-        # log was folded would invert lam*I plus the folded visits only
-        rng = np.random.default_rng(3)
-        store, eager = PairStore((2, 2), 2, 3), EagerStore((2, 2), 2, 3)
-        for k in range(2 * REFRESH_EVERY):
-            c = rng.dirichlet(np.ones(2))
-            index = (0, 1) if k % 3 else (int(k % 2), 0)
-            nxt = int(rng.integers(-1, 3))
-            store.record_visit(c, nxt, 0.5, index)
-            eager.record_visit(c, nxt, 0.5, index)
-        assert store.tau[0, 1] > REFRESH_EVERY
-        for name in STORE_NAMES:
-            assert getattr(store, name).tobytes() == \
-                getattr(eager, name).tobytes(), name
+        # log was folded would invert lam*I plus the folded visits only.
+        # Every third context has a -0.0 entry, where the store's
+        # v_bar_inv.dot(c) may return -0.0 and the eager @ +0.0
+        # (TestDotSpelling, d = 1); neither zero moves a bit
+        for d in (1, 2):
+            rng = np.random.default_rng(3)
+            store, eager = PairStore((2, 2), d, 3), EagerStore((2, 2), d, 3)
+            for k in range(2 * REFRESH_EVERY):
+                c = rng.dirichlet(np.ones(d))
+                if k % 3 == 1:
+                    c[rng.integers(d)] = -0.0
+                index = (0, 1) if k % 3 else (int(k % 2), 0)
+                nxt = int(rng.integers(-1, 3))
+                store.record_visit(c, nxt, 0.5, index)
+                eager.record_visit(c, nxt, 0.5, index)
+            assert store.tau[0, 1] > REFRESH_EVERY
+            for name in STORE_NAMES:
+                assert getattr(store, name).tobytes() == \
+                    getattr(eager, name).tobytes(), name
+
+
+# entries that stress a sum's bits: signed zeros, subnormals, huge and
+# non-finite values, and ordinary floats
+DOT_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e300, -1e300, 1.7e308,
+                     np.inf, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0))
+
+
+def same_bits(new, old):
+    """Equal bytes entry by entry, where two NaNs count as equal."""
+    new, old = np.asarray(new), np.asarray(old)
+    nan = np.isnan(old)
+    return (np.isnan(new) == nan).all() and \
+        new[~nan].tobytes() == old[~nan].tobytes()
+
+
+def all_negative_zero(products):
+    """Is every product of a sum (the last axis) -0.0?"""
+    return ((products == 0.0) & np.signbit(products)).all(axis=-1)
+
+
+class TestDotSpelling:
+    """The per-visit products, spelled with ndarray.dot, give the bits of the
+    operator each replaced: PairStore.record_visit's V^-1 c and c.(V^-1 c),
+    Learner.visit's l_hat (out=) and one-pair norm c V^-1 c, and the (S, d)
+    by (d, d) products of snapshot_estimates and project_to_stochastic.
+
+    They differ in two ways, neither of which the learner meets.  Where
+    every product of a sum is -0.0, the two may return zeros of opposite
+    sign: the one-pair operators' sums start at +0.0, and .dot returns -0.0
+    at d = 1 (test_all_negative_zero_sum_keeps_its_sign).  The learner's
+    V^-1 has a positive diagonal and its xty_loss never holds -0.0, and a
+    -0.0 in V^-1 c leaves every bit of the update (TestDeferredStore).  And
+    an (S, 1) by (1, 1) .dot scales by the one entry, which at 0 gives 0
+    for a non-finite entry where the operator gives NaN; the learner's
+    (1, 1) V and V^-1 are positive.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 8), n_rows=st.integers(1, 6),
+           symmetric=st.booleans())
+    def test_dot_equals_the_operator(self, data, d, n_rows, symmetric):
+        def draw(*shape):
+            n = math.prod(shape)
+            return np.array(data.draw(st.lists(
+                DOT_ENTRIES, min_size=n, max_size=n))).reshape(shape)
+
+        m, c, x, rows = draw(d, d), draw(d), draw(d), draw(n_rows, d)
+        if symmetric:
+            m = np.triu(m) + np.triu(m, 1).T
+        with np.errstate(all="ignore"):
+            spelled = [
+                # new, old and the products each entry's sum runs over
+                # (for the norm, its second sum's, as .dot forms them)
+                (m.dot(c), m @ c, m * c),
+                (c.dot(x), c @ x, c * x),
+                (m.dot(x, out=np.empty(d)), np.matmul(m, x, out=np.empty(d)),
+                 m * x),
+                (c.dot(m).dot(c).item(), np.vecdot(np.vecmat(c, m), c).item(),
+                 c.dot(m) * c),
+                (rows.dot(m), rows @ m, rows[:, None, :] * m.T),
+            ]
+        for new, old, products in spelled:
+            new, old = np.asarray(new), np.asarray(old)
+            if products.ndim == 3 and d == 1 and m.item() == 0.0:
+                seen = np.isfinite(rows)  # scaled by zero
+                new, old, products = new[seen], old[seen], products[seen]
+            signed = all_negative_zero(products)
+            assert (new[signed] == 0.0).all() and (old[signed] == 0.0).all()
+            assert same_bits(new[~signed], old[~signed]), (new, old)
+
+    def test_all_negative_zero_sum_keeps_its_sign(self):
+        # d = 1: every product is -0.0
+        v_bar_inv, c = np.array([[2.0]]), np.array([-0.0])
+        assert np.signbit(v_bar_inv.dot(c)).all()
+        assert not np.signbit(v_bar_inv @ c).any()
+        assert np.signbit(c.dot(np.ones(1)))
+        assert not np.signbit(c @ np.ones(1))
+        l_hat = np.empty(1)
+        v_bar_inv.dot(c, out=l_hat)
+        assert np.signbit(l_hat).all()
+        np.matmul(v_bar_inv, c, out=l_hat)
+        assert not np.signbit(l_hat).any()
+        # the norm's second sum is over (-0)(-0) = +0.0 either way
+        assert np.signbit(c.dot(v_bar_inv)).all()
+        assert not np.signbit(np.vecmat(c, v_bar_inv)).any()
+        assert not np.signbit(c.dot(v_bar_inv).dot(c))
 
 
 def capped_simplex_oracle(y, iters=200):

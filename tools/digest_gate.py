@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Print the digest gate of the lrcssp package under a source directory.
+
+    python3 tools/digest_gate.py src > gate.json
+    python3 tools/digest_gate.py /path/to/other/checkout/src > other.json
+    diff gate.json other.json
+
+A change meant to keep behaviour keeps every digest printed here (ROADMAP,
+"The digest gate"):
+
+- the run_log_digest of every part of the `ref` workload at seeds 0 and 1009
+  and of the `wide` workload at seeds 0 and 1;
+- the artifact-tree digest of every part of the `sweep` workload at seed 0
+  and of the golden pipeline;
+- the run_log_digest of the REF_SPEC K=8000 run (uniform contexts from
+  default_rng(0), run seed 0), which reads open rows and projects.
+
+The workloads and digests are the benchmark's own (bench/workloads.py, read
+only); the package comes from <src-dir>.  Output is one JSON object with
+sorted keys, one digest a line, so two trees compare with `diff`.
+"""
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
+GATE_SEEDS = {"ref": (0, 1009), "wide": (0, 1), "sweep": (0,)}
+LONG_K = 8000
+
+
+def load_package(src):
+    """Put src and bench/ first on the path; check lrcssp loads from src."""
+    src = os.path.abspath(src)
+    if not os.path.isfile(os.path.join(src, "lrcssp", "__init__.py")):
+        sys.exit(f"digest_gate: no lrcssp source under {src}")
+    sys.path[:0] = [src, BENCH]
+    import lrcssp
+    if not os.path.abspath(lrcssp.__file__).startswith(src + os.sep):
+        sys.exit(f"digest_gate: lrcssp loaded from {lrcssp.__file__}, "
+                 f"not {src}")
+
+
+def part_digests(workload, seed, workdir):
+    """{key: digest} of every part of one workload seed, checked as the
+    benchmark checks a unit."""
+    digests = {}
+    for p, part in enumerate(workload.setup(seed, workdir)):
+        outcome = workload.inspect(part, workload.unit(part))
+        if outcome.problems:
+            sys.exit(f"digest_gate: {workload.name} seed {seed} part {p}: "
+                     f"{outcome.problems}")
+        digests[f"{workload.name}/seed_{seed}/part_{p}"] = outcome.digest
+    return digests
+
+
+def long_run_digest():
+    """run_log_digest of the REF_SPEC run at K = LONG_K."""
+    import workloads
+    from lrcssp import learner, linear_model
+    model = linear_model.generate_instance(
+        linear_model.GeneratorSpec(**workloads.REF_GENERATOR))
+    contexts = linear_model.context_sequence(
+        "uniform", LONG_K, model.d, rng=np.random.default_rng(0))
+    log = learner.run(learner.LearnerConfig(**workloads.REF_LEARNER), model,
+                      contexts, seed=0)
+    return workloads.run_log_digest(log)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="directory that holds the lrcssp package")
+    args = parser.parse_args(argv)
+    load_package(args.src)
+    import workloads
+    gate = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, seeds in GATE_SEEDS.items():
+            for seed in seeds:
+                gate.update(part_digests(
+                    workloads.WORKLOADS[name], seed,
+                    os.path.join(workdir, f"{name}_{seed}")))
+        gate.update(part_digests(workloads.GOLDEN, workloads.GOLDEN_SEED,
+                                 os.path.join(workdir, "golden")))
+    gate[f"ref_spec_k{LONG_K}/seed_0"] = long_run_digest()
+    print(json.dumps(gate, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
