@@ -1,11 +1,11 @@
 """Per-pair online ridge regression, confidence radii, and projection.
 
 Each state-action pair keeps sufficient statistics only: the design matrix
-V = lambda*I + sum c c^T, its incrementally maintained inverse, and the
-regression moments for the loss target and the one-hot next-state targets.
-A run keeps those of all pairs as stacked arrays (PairStore), so context
-norms and the known count cover every pair in one array expression;
-SaStatistics is the one-pair PairStore, of shape ().
+V = lambda*I + sum c c^T, its incrementally maintained inverse, the
+regression moments for the loss and the one-hot next-state targets, and the
+ridge loss estimate.  A run keeps those of all pairs as stacked arrays
+(PairStore), so context norms and the known count cover every pair in one
+array expression; SaStatistics is the one-pair PairStore, of shape ().
 """
 
 import math
@@ -31,13 +31,14 @@ class PairStore:
     v_bar     : shape + (d, d) design matrices lambda*I + sum c c^T
     v_bar_inv : shape + (d, d) their inverses, maintained by rank-one updates
     xty_loss  : shape + (d,) loss regression moments
+    l_hat     : shape + (d,) ridge loss estimates v_bar_inv @ xty_loss
     xty_trans : shape + (n_states, d) next-state regression moments
 
-    A visit updates tau, v_bar_inv and xty_loss at once.  v_bar and
-    xty_trans, which only a refresh, a projection or a coverage check reads,
-    take its c c^T and c from a log of pending visits: the store folds the
-    log into them before any read or assignment of either, at every
-    refresh, and whenever the log holds PENDING_LIMIT visits.
+    A visit updates tau, v_bar_inv, xty_loss and l_hat at once through the
+    pair's kept views, so the arrays are written in place, never assigned.
+    v_bar and xty_trans, which only a refresh, a projection or a coverage
+    check reads, take its c c^T and c from a log of pending visits, folded
+    into them before any read, at each refresh and when it holds PENDING_LIMIT.
     """
 
     def __init__(self, shape, d, n_states, lam=1.0):
@@ -54,35 +55,24 @@ class PairStore:
         self._v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
         self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
         self.xty_loss = np.zeros(shape + (d,))
+        self.l_hat = np.zeros(shape + (d,))
         self._xty_trans = np.zeros(shape + (n_states, d))
 
     def __setattr__(self, name, value):
-        # views of a replaced array would miss the visits after it
+        # the cached views of a replaced array would miss the visits after it
+        if name in ("v_bar_inv", "xty_loss", "l_hat") and name in vars(self):
+            raise AttributeError(f"{name} is written in place, not replaced")
         super().__setattr__(name, value)
-        if name in ("v_bar_inv", "xty_loss"):
-            self._pairs.clear()
 
-    # The folded arrays are kept C-contiguous, so that their flat views
-    # are views: an assigned array is kept as it is when it already is one.
     @property
     def v_bar(self):
         self._fold()
         return self._v_bar
 
-    @v_bar.setter
-    def v_bar(self, value):
-        self._fold()
-        self._v_bar = np.ascontiguousarray(value, dtype=float)
-
     @property
     def xty_trans(self):
         self._fold()
         return self._xty_trans
-
-    @xty_trans.setter
-    def xty_trans(self, value):
-        self._fold()
-        self._xty_trans = np.ascontiguousarray(value, dtype=float)
 
     def _fold(self):
         """Add each pending visit's c c^T to v_bar and, unless it reached
@@ -105,10 +95,10 @@ class PairStore:
                   c[moved].ravel())
 
     def _pair(self, index):
-        """Pair `index`'s flat offset and (v_bar_inv, xty_loss) views."""
+        """Pair `index`'s flat offset and v_bar_inv, xty_loss, l_hat views."""
         offset = np.arange(self.tau.size).reshape(self.tau.shape)[index]
         views = self._pairs[index] = (int(offset), self.v_bar_inv[index],
-                                      self.xty_loss[index])
+                                      self.xty_loss[index], self.l_hat[index])
         return views
 
     def record_visit(self, c, next_state, loss, index=()):
@@ -118,15 +108,15 @@ class PairStore:
         goal transition contributes no next-state row (residual-mass
         convention); the design matrix and count always advance.  The log
         keeps a copy of c, so a caller may change c after the call.
-        Returns the pair's new visit count.
+        The pair's l_hat follows its moments.  Returns its new visit count.
         """
         if not GOAL <= next_state < self.n_states:
             raise IndexError(f"next state {next_state} out of range")
         c = np.asarray(c, dtype=float)
         tau = self.tau.item(index) + 1
         self.tau[index] = tau
-        offset, v_bar_inv, xty_loss = (self._pairs.get(index)
-                                       or self._pair(index))
+        offset, v_bar_inv, xty_loss, l_hat = (self._pairs.get(index)
+                                              or self._pair(index))
         pending = self._pending
         pending.append((offset, c.tobytes(), next_state))
         vc = v_bar_inv.dot(c)
@@ -136,7 +126,15 @@ class PairStore:
         elif len(pending) >= PENDING_LIMIT:
             self._fold()
         xty_loss += loss * c
+        v_bar_inv.dot(xty_loss, out=l_hat)
         return tau
+
+    def pair_norm(self, c, index):
+        """context_norms at pair `index` for a float64 c, as a Python float
+        with its bits: maximum(0.0, x) keeps -0.0 and NaN too."""
+        v_bar_inv = (self._pairs.get(index) or self._pair(index))[1]
+        x = c.dot(v_bar_inv).dot(c).item()
+        return math.sqrt(x) if not x < 0.0 else 0.0
 
 
 def _entries(rows, size):

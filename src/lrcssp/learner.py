@@ -254,17 +254,14 @@ class Learner:
         # starts at tau = 0, where zero moments give exactly +0.0 estimates
         # and the radii are shared
         self._projected_tau = np.zeros((S, A))
-        self._l_hat = np.zeros((S, A, d))
-        # each visited pair's (v_bar_inv, xty_loss, l_hat) views
-        self._views = {}
         self._p_hat = np.zeros((S, A, S, d))
         # the loss and dynamics radii per visit count, and every pair's
         self._by_tau = {}
         self._beta_l, self._beta_p = (
             np.full((S, A), x) for x in self._tau_row(0.0))
         self._estimates = estimation.Estimates(*(
-            _read_only(x) for x in (self._l_hat, self._p_hat, self._beta_l,
-                                    self._beta_p)))
+            _read_only(x) for x in (self.store.l_hat, self._p_hat,
+                                    self._beta_l, self._beta_p)))
         # the (S, A) norms at the kept context (visits keep them current)
         # and a lower bound on them; the last plan's (opt_loss, values) as
         # lists while it emptied every row; (s, a, norm, beta_l, beta_p) of
@@ -329,41 +326,31 @@ class Learner:
     def visit(self, s, a, c, next_state, loss):
         """Fold one observed step at (s, a) into the statistics and test it.
 
-        The only path that moves a pair's statistics: it refreshes the
-        pair's l_hat, both radii and its context norm at c (every pair's
-        when c is not the context of the kept norms); p_hat follows in
-        snapshot_estimates.  Returns the paper's known test for the pair at
-        c: its norm below known_threshold at the pair's new radius, the
-        current interval m and b_star_cur (_known_threshold).
+        The only path that moves a pair's statistics: the store refreshes
+        the pair's l_hat, and visit its radii and its context norm at c
+        (every pair's when c is not the context of the kept norms); p_hat
+        follows in snapshot_estimates.  Returns the paper's known test for
+        the pair at c: its norm below known_threshold at the pair's new
+        radius, the current interval m and b_star_cur (_known_threshold).
         """
         if not self.m:
             raise ProtocolError("visit needs a plan: call start_interval first")
         self._use_context(c)
         tau = self.store.record_visit(c, next_state, loss, (s, a))
-        v_bar_inv, xty_loss, l_hat = (self._views.get((s, a))
-                                      or self._bind(s, a))
-        v_bar_inv.dot(xty_loss, out=l_hat)
         beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
         if self._norms is None:
             norm = self._norms_at(c).item(s, a)
         else:
-            # context_norms' bits: maximum(0.0, x) keeps -0.0 and NaN too
-            x = self._context.dot(v_bar_inv).dot(self._context).item()
-            norm = self._norms[s, a] = math.sqrt(x) if not x < 0.0 else 0.0
+            norm = self._norms[s, a] = self.store.pair_norm(self._context,
+                                                            (s, a))
             if norm < self._norms_lo:
                 self._norms_lo = norm
         moved = self._moved
         self._moved = (s, a, norm, beta_l, beta_p) if moved is None or (
             moved and moved[:2] == (s, a)) else False
         return norm < self._known_threshold(beta_p)
-
-    def _bind(self, s, a):
-        store = self.store
-        views = self._views[s, a] = (store.v_bar_inv[s, a],
-                                     store.xty_loss[s, a], self._l_hat[s, a])
-        return views
 
     def _coverage_ok(self):
         """Do the true embeddings lie in every pair's confidence set right now?"""
@@ -394,7 +381,7 @@ class Learner:
             return None
         opt_loss, values = self._plan
         # np.clip(x, 0.0, 1.0) in Python floats: the comparisons keep -0.0
-        x = np.einsum("d,d->", self._l_hat[s, a], c).item() - beta_l * norm
+        x = np.einsum("d,d->", self.store.l_hat[s, a], c).item() - beta_l * norm
         row = opt_loss[s]
         row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
         lo = min(row)
@@ -423,7 +410,7 @@ class Learner:
             # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products); with
             # every row emptied no p_hat is read or projected
             opt_loss = np.minimum(np.maximum(0.0, np.einsum(
-                "sad,d->sa", self._l_hat, c) - self._beta_l * norms), 1.0)
+                "sad,d->sa", self.store.l_hat, c) - self._beta_l * norms), 1.0)
             radius = self._beta_p * norms
             p_ctx = None if radius.min() >= ROW_EMPTYING_RADIUS else np.einsum(
                 "sand,d->san", self.snapshot_estimates(norms).p_hat, c)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 import time
 
@@ -376,14 +377,14 @@ class TestReport:
         for variant in ("lrcssp", "context_blind"):
             plot = os.path.join(out, f"plot_{variant}.csv")
             assert os.path.exists(plot)
-            lines = open(plot).read().splitlines()
+            lines = pathlib.Path(plot).read_text().splitlines()
             assert lines[0] == "episode,cum_regret_mean"
             assert len(lines) == 1 + BASE_CONFIG["contexts"]["K"]
 
     def test_report_detects_tampered_csv(self, tmp_path):
         out = self._full_pipeline(tmp_path)
         path = os.path.join(out, "lrcssp", "seed_0", "regret.csv")
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         cols = lines[-1].split(",")
         cols[5] = "99999"  # cum_regret
         lines[-1] = ",".join(cols)
@@ -407,7 +408,8 @@ class TestReport:
         # the second seed's file, read after a well-formed first one
         out = self._full_pipeline(tmp_path)
         path = os.path.join(out, "lrcssp", "seed_1", "regret.csv")
-        lines = [line.split(",") for line in open(path).read().splitlines()]
+        lines = [line.split(",")
+                 for line in pathlib.Path(path).read_text().splitlines()]
         assert lines[0][5] == "cum_regret" and lines[0][8] == "truncated"
         header, rows = edit(lines[0], lines[1:])
         with open(path, "w") as fh:
@@ -425,7 +427,7 @@ class TestReport:
         out = self._full_pipeline(tmp_path)
         path = os.path.join(out, "summary.txt")
         key = "lrcssp.final_regret_mean"
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         assert sum(line.startswith(key + ": ") for line in lines) == 1
         with open(path, "w") as fh:
             fh.write("".join((f"{key}: {value}" if line.startswith(key + ": ")

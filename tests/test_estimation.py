@@ -21,6 +21,8 @@ from lrcssp.estimation import (
     loss_radius,
     project_to_stochastic,
 )
+from lrcssp.learner import Learner, LearnerConfig
+from lrcssp.linear_model import GeneratorSpec, generate_instance
 from lrcssp.ssp import GOAL
 
 
@@ -193,6 +195,7 @@ class EagerStore:
         self.v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
         self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
         self.xty_loss = np.zeros(shape + (d,))
+        self.l_hat = np.zeros(shape + (d,))
         self.xty_trans = np.zeros(shape + (n_states, d))
 
     def record_visit(self, c, next_state, loss, index=()):
@@ -207,13 +210,16 @@ class EagerStore:
             v_bar_inv[...] = np.linalg.inv(v_bar)
         xty_loss = self.xty_loss[index]
         xty_loss += loss * c
+        # as the learner wrote l_hat after each visit
+        v_bar_inv.dot(xty_loss, out=self.l_hat[index])
         if next_state != GOAL:
             xty_trans = self.xty_trans[index]
             xty_trans[next_state] += c
         return tau
 
 
-STORE_NAMES = ("tau", "v_bar", "v_bar_inv", "xty_loss", "xty_trans")
+STORE_NAMES = ("tau", "v_bar", "v_bar_inv", "xty_loss", "l_hat",
+               "xty_trans")
 # context entries: both zeros, a tiny and an overflowing c c^T, and the rest
 CONTEXT_ENTRIES = st.one_of(
     st.sampled_from([-0.0, 0.0, 1e-300, 0.5, 1.0, 1e154, 1e200]),
@@ -232,14 +238,14 @@ class TestDeferredStore:
     def test_folds_equal_the_eager_store(self, data, d, n_states, grid, lam,
                                          refresh, limit):
         # a small refresh cadence and log bound, so both run often; reads
-        # and assignments of both folded arrays fall between visits, and
-        # the caller changes c after each visit it hands over
+        # and in-place writes of every array fall between visits, and the
+        # caller changes c after each visit it hands over
         store = (SaStatistics(d, n_states, lam) if grid == ()
                  else PairStore(grid, d, n_states, lam))
         eager = EagerStore(grid, d, n_states, lam)
         indices = st.tuples(*(st.integers(0, n - 1) for n in grid))
         ops = st.sampled_from(["visit"] * 6 + ["read"] + [
-            "assign " + name for name in STORE_NAMES[1:]])
+            "write " + name for name in STORE_NAMES[1:]])
         with mock.patch.object(estimation, "REFRESH_EVERY", refresh), \
                 mock.patch.object(estimation, "PENDING_LIMIT", limit), \
                 np.errstate(all="ignore"):
@@ -266,17 +272,11 @@ class TestDeferredStore:
                         assert getattr(store, name).tobytes() == \
                             getattr(eager, name).tobytes(), name
                 else:
-                    # a folded array in Fortran order, whose flat view
-                    # would be a copy, is kept C-contiguous; the views of
-                    # a replaced v_bar_inv or xty_loss are bound again
                     name = op.split()[1]
                     value = data.draw(st.sampled_from([0.5, 3.0])) * \
                         getattr(eager, name)
-                    setattr(eager, name, value.copy())
-                    if name in ("v_bar", "xty_trans"):
-                        value = data.draw(st.sampled_from(
-                            [value, np.asfortranarray(value)]))
-                    setattr(store, name, value)
+                    getattr(eager, name)[...] = value
+                    getattr(store, name)[...] = value
                 assert len(store._pending) < limit
             for name in data.draw(st.permutations(STORE_NAMES)):
                 assert getattr(store, name).tobytes() == \
@@ -314,6 +314,53 @@ class TestDeferredStore:
                     getattr(eager, name).tobytes(), name
 
 
+class TestArraysWrittenInPlace:
+    """A store's arrays are allocated once and written in place, so the
+    views a visit writes through, kept per pair, are the arrays' own."""
+
+    @pytest.mark.parametrize("name", STORE_NAMES[1:])
+    @pytest.mark.parametrize("grid", [(), (2, 3)])
+    def test_assigning_an_array_raises_and_changes_nothing(self, grid, name):
+        index = (1, 2)[:len(grid)]
+        stores = [SaStatistics(2, 3) if grid == () else PairStore(grid, 2, 3)
+                  for _ in range(2)]
+        for store in stores:
+            store.record_visit([0.3, 0.7], 1, 0.5, index)
+        store, twin = stores
+        pending, pairs = list(store._pending), dict(store._pairs)
+        with pytest.raises(AttributeError):
+            setattr(store, name, np.zeros_like(getattr(twin, name)))
+        assert store._pending == pending
+        assert store._pairs.keys() == pairs.keys()
+        assert all(x is y for x, y in zip(store._pairs[index], pairs[index]))
+        for visit in (False, True):
+            # and a visit after it goes through the same views
+            for each in stores if visit else ():
+                each.record_visit([0.6, 0.4], GOAL, 0.25, index)
+            for each in STORE_NAMES:
+                assert getattr(store, each).tobytes() == \
+                    getattr(twin, each).tobytes(), each
+        assert store.l_hat[index].tobytes() == store.v_bar_inv[index].dot(
+            store.xty_loss[index]).tobytes()
+
+    def test_a_learner_sees_no_stale_view(self):
+        # replacing v_bar_inv once left the learner's own views on the old
+        # array, so the next visit's l_hat and norm disagreed with the store
+        spec = GeneratorSpec(d=2, n_states=3, n_actions=2, seed=0)
+        learner = Learner(LearnerConfig(), generate_instance(spec), 0.1)
+        c = np.array([0.3, 0.7])
+        learner.start_interval(c, 0, "start")
+        learner.visit(1, 0, c, 2, 0.5)
+        store = learner.store
+        with pytest.raises(AttributeError):
+            store.v_bar_inv = store.v_bar_inv.copy()
+        learner.visit(1, 0, c, 0, 0.75)
+        assert learner.snapshot_estimates().l_hat[1, 0].tobytes() == \
+            store.v_bar_inv[1, 0].dot(store.xty_loss[1, 0]).tobytes()
+        assert learner._norms_at(c).tobytes() == \
+            context_norms(store.v_bar_inv, c).tobytes()
+
+
 # entries that stress a sum's bits: signed zeros, subnormals, huge and
 # non-finite values, and ordinary floats
 DOT_ENTRIES = st.one_of(
@@ -337,9 +384,9 @@ def all_negative_zero(products):
 
 class TestDotSpelling:
     """The per-visit products, spelled with ndarray.dot, give the bits of the
-    operator each replaced: PairStore.record_visit's V^-1 c and c.(V^-1 c),
-    Learner.visit's l_hat (out=) and one-pair norm c V^-1 c, and the (S, d)
-    by (d, d) products of snapshot_estimates and project_to_stochastic.
+    operator each replaced: PairStore.record_visit's V^-1 c, c.(V^-1 c)
+    and l_hat (out=), PairStore.pair_norm's c V^-1 c, and the (S, d) by
+    (d, d) products of snapshot_estimates and project_to_stochastic.
 
     They differ in two ways, neither of which the learner meets.  Where
     every product of a sum is -0.0, the two may return zeros of opposite
@@ -783,8 +830,8 @@ class TestIsKnown:
         # drive the norm below the threshold by faking a huge design matrix
         stats = SaStatistics(2, 3, lam=1.0)
         stats.tau[...] = 10**9
-        stats.v_bar = 1e12 * np.eye(2)
-        stats.v_bar_inv = 1e-12 * np.eye(2)
+        stats.v_bar[...] = 1e12 * np.eye(2)
+        stats.v_bar_inv[...] = 1e-12 * np.eye(2)
         assert is_known(stats, np.array([0.5, 0.5]), l_min=0.1, b_star=1.0,
                         m=100, delta=0.1, n_states=3, n_actions=2)
 
@@ -794,7 +841,7 @@ class TestIsKnown:
         # larger tau
         stats = SaStatistics(2, 3, lam=1.0)
         c = np.array([0.5, 0.5])
-        stats.v_bar_inv = 1.8e-7 * np.eye(2)  # norm ~3e-4, between thresholds
+        stats.v_bar_inv[...] = 1.8e-7 * np.eye(2)  # norm ~3e-4, between thresholds
         stats.tau[...] = 10
         known_small = is_known(stats, c, 0.1, 1.0, 100, 0.1, 3, 2)
         stats.tau[...] = 10**300

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import shutil
 import types
 from unittest import mock
@@ -594,7 +595,7 @@ def regret_csv_oracle(run_log, curve):
 def tree_bytes(root):
     """Every file under root by its relative path, with its bytes."""
     return {os.path.relpath(os.path.join(d, f), root):
-            open(os.path.join(d, f), "rb").read()
+            pathlib.Path(d, f).read_bytes()
             for d, _, files in os.walk(root) for f in files}
 
 

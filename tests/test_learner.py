@@ -574,13 +574,14 @@ class TestEmptiedRowOracle:
         learner._plan = (rows, kept.values)
         # (s, a, norm, beta_l, beta_p): the radius 2 leaves the row empty
         learner._moved = (s, a, 2.0, 0.25, 1.0)
-        learner._l_hat[s, a] = x
+        learner.store.l_hat[s, a] = x
         c = np.array([1.0])
         planned = learner._row_update(c)
 
         opt_loss = np.array([row[:] for row in rows])
-        opt_loss[s, a] = np.clip(np.einsum("sad,d->sa", learner._l_hat, c)
-                                 - 0.25 * 2.0, 0.0, 1.0)[s, a]
+        opt_loss[s, a] = np.clip(
+            np.einsum("sad,d->sa", learner.store.l_hat, c) - 0.25 * 2.0,
+            0.0, 1.0)[s, a]
         want = emptied_plan_oracle(opt_loss, **kwargs)
         assert np.array(rows).tobytes() == opt_loss.tobytes()
         assert bits(learner._plan[1]) == want.values.tobytes()
