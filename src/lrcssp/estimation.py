@@ -11,6 +11,7 @@ array expression; SaStatistics is the one-pair PairStore, of shape ().
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -53,16 +54,14 @@ class PairStore:
         self._pairs = {}
         self.tau = np.zeros(shape)
         self._v_bar = np.tile(lam * np.eye(d), shape + (1, 1))
-        self.v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
-        self.xty_loss = np.zeros(shape + (d,))
-        self.l_hat = np.zeros(shape + (d,))
+        self._v_bar_inv = np.tile(np.eye(d) / lam, shape + (1, 1))
+        self._xty_loss = np.zeros(shape + (d,))
+        self._l_hat = np.zeros(shape + (d,))
         self._xty_trans = np.zeros(shape + (n_states, d))
 
-    def __setattr__(self, name, value):
-        # the cached views of a replaced array would miss the visits after it
-        if name in ("v_bar_inv", "xty_loss", "l_hat") and name in vars(self):
-            raise AttributeError(f"{name} is written in place, not replaced")
-        super().__setattr__(name, value)
+    v_bar_inv = property(attrgetter("_v_bar_inv"))
+    xty_loss = property(attrgetter("_xty_loss"))
+    l_hat = property(attrgetter("_l_hat"))
 
     @property
     def v_bar(self):
@@ -97,8 +96,8 @@ class PairStore:
     def _pair(self, index):
         """Pair `index`'s flat offset and v_bar_inv, xty_loss, l_hat views."""
         offset = np.arange(self.tau.size).reshape(self.tau.shape)[index]
-        views = self._pairs[index] = (int(offset), self.v_bar_inv[index],
-                                      self.xty_loss[index], self.l_hat[index])
+        views = self._pairs[index] = (int(offset), *(
+            x[index] for x in (self._v_bar_inv, self._xty_loss, self._l_hat)))
         return views
 
     def record_visit(self, c, next_state, loss, index=()):
@@ -245,7 +244,8 @@ def known_threshold(beta_dyn, l_min, b_star, m, delta):
 
 @dataclass(frozen=True)
 class Estimates:
-    """Immutable snapshot of all per-pair estimates at an interval boundary.
+    """Per-pair estimates as read-only views that follow later visits until
+    a doubling, which allocates new arrays: an earlier Estimates keeps the old.
 
     l_hat     : (S, A, d)
     p_hat     : (S, A, S, d) projected, sub-stochastic columns

@@ -293,7 +293,8 @@ class Learner:
         there p_hat may lag until a later call needs it.
 
         The arrays are read-only views of the learner's state: they follow
-        later visits, so copy them to keep a snapshot.
+        later visits up to a doubling, whose new arrays (_init_statistics) an
+        Estimates taken before it never sees; copy them to keep a snapshot.
         """
         tau = self.store.tau
         wanted = self._projected_tau != tau
@@ -307,46 +308,37 @@ class Learner:
         return self._estimates
 
     def _use_context(self, c):
-        """Keep c by its bytes; a new c drops norms and plan."""
+        """Keep c, the interval's context, by its bytes (a new c drops norms
+        and plan) and return the (S, A) context norms at it, built when unset
+        with their lower bound _norms_lo; visit keeps both current."""
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._norms_key:
             self._norms_key = key
             self._context = np.frombuffer(key)
             self._norms = self._plan = None
-
-    def _norms_at(self, c):
-        """The (S, A) context norms of the current statistics at the kept c,
-        kept across calls at that context (visit updates the visited pair's
-        and lowers their bound _norms_lo to it)."""
         if self._norms is None:
             self._norms = estimation.context_norms(self.store.v_bar_inv, c)
             self._norms_lo = float(self._norms.min())
         return self._norms
 
-    def visit(self, s, a, c, next_state, loss):
+    def visit(self, s, a, next_state, loss):
         """Fold one observed step at (s, a) into the statistics and test it.
 
-        The only path that moves a pair's statistics: the store refreshes
-        the pair's l_hat, and visit its radii and its context norm at c
-        (every pair's when c is not the context of the kept norms); p_hat
-        follows in snapshot_estimates.  Returns the paper's known test for
-        the pair at c: its norm below known_threshold at the pair's new
-        radius, the current interval m and b_star_cur (_known_threshold).
+        The step is at the interval's context (_use_context).  The only path
+        that moves a pair's statistics: the store refreshes the pair's
+        l_hat, and visit its radii and its context norm; p_hat follows in
+        snapshot_estimates.  Returns the paper's known test: the pair's norm
+        below known_threshold at its new radius, m and b_star_cur.
         """
-        if not self.m:
+        if not self.m or self._context is None:
             raise ProtocolError("visit needs a plan: call start_interval first")
-        self._use_context(c)
-        tau = self.store.record_visit(c, next_state, loss, (s, a))
+        tau = self.store.record_visit(self._context, next_state, loss, (s, a))
         beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
-        if self._norms is None:
-            norm = self._norms_at(c).item(s, a)
-        else:
-            norm = self._norms[s, a] = self.store.pair_norm(self._context,
-                                                            (s, a))
-            if norm < self._norms_lo:
-                self._norms_lo = norm
+        norm = self._norms[s, a] = self.store.pair_norm(self._context, (s, a))
+        if norm < self._norms_lo:
+            self._norms_lo = norm
         moved = self._moved
         self._moved = (s, a, norm, beta_l, beta_p) if moved is None or (
             moved and moved[:2] == (s, a)) else False
@@ -403,8 +395,7 @@ class Learner:
         statistics, while the plan's initial value escapes it.
         """
         self.m += 1
-        self._use_context(c)
-        norms = self._norms_at(c)
+        norms = self._use_context(c)
         planned = self._row_update(c)
         while planned is None:
             # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products); with
@@ -424,7 +415,7 @@ class Learner:
                 self.b_star_cur *= 2.0
                 self.doubling_events += 1
                 self._init_statistics()
-                norms = self._norms_at(c)
+                norms = self._use_context(c)
                 continue
             self.policy = result.policy
             self._plan = ((result.rows, result.values)
@@ -576,7 +567,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             a = int(learner.policy[s])
             nxt, raw_loss = sampler.step(s, a, draws)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
-            known = learner.visit(s, a, c_seen, nxt, obs_loss)
+            known = learner.visit(s, a, nxt, obs_loss)
             log.steps += 1
             log.total_loss += raw_loss
             record.steps += 1

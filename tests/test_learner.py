@@ -66,6 +66,13 @@ def pair_stats(learner, s, a):
     return stats
 
 
+def visit_at(learner, s, a, c, next_state, loss):
+    """learner.visit with c made the interval's context first, as
+    start_interval makes it."""
+    learner._use_context(c)
+    return learner.visit(s, a, next_state, loss)
+
+
 ESTIMATES = ("l_hat", "p_hat", "beta_loss", "beta_dyn")
 
 
@@ -802,8 +809,8 @@ class TestStackedStatistics:
             s = int(rng.integers(model.n_states))
             a = int(rng.integers(model.n_actions))
             nxt = int(rng.integers(-1, model.n_states))
-            learner.visit(s, a, rng.dirichlet(np.ones(model.d)), nxt,
-                          float(rng.random()))
+            visit_at(learner, s, a, rng.dirichlet(np.ones(model.d)), nxt,
+                     float(rng.random()))
         return model, learner
 
     def _make_known(self, learner, pairs):
@@ -863,7 +870,7 @@ class TestStackedStatistics:
             # the largest threshold, the one at the floor
             cap = learner.l_min_eff / (10.0 * learner.b_star_cur * known_floor(
                 learner.m, REF_CFG.delta))
-            assert learner._norms_at(c).tobytes() == norms.tobytes()
+            assert learner._use_context(c).tobytes() == norms.tobytes()
             assert not learner._norms_lo > np.nanmin(norms)
             assert record.known_fraction == full / n_pairs
             skipped.append((learner._norms_lo >= cap, full))
@@ -873,15 +880,15 @@ class TestStackedStatistics:
         rng = np.random.default_rng(5)
         checked_start_interval(c, "start")
         for s, a in [(1, 1), (0, 0), (3, 2), (1, 1)]:
-            learner.visit(s, a, c, int(rng.integers(-1, 5)), 0.5)
+            visit_at(learner, s, a, c, int(rng.integers(-1, 5)), 0.5)
             checked_start_interval(c)
-        learner.visit(1, 0, other, 1, 0.5)  # a context change
+        visit_at(learner, 1, 0, other, 1, 0.5)  # a context change
         checked_start_interval(other)
         # a NaN norm, first from a visit at the kept context, then among
         # the norms a new context recomputes
         learner.store.v_bar_inv[3, 1] = np.nan
-        learner.visit(3, 1, other, 1, 0.5)
-        assert np.isnan(learner._norms_at(other)[3, 1])
+        visit_at(learner, 3, 1, other, 1, 0.5)
+        assert np.isnan(learner._use_context(other)[3, 1])
         checked_start_interval(other)
         checked_start_interval(c)
         assert math.isnan(learner._norms_lo)
@@ -893,7 +900,7 @@ class TestStackedStatistics:
             checked_start_interval(c)  # a doubling resets the statistics
         assert learner.doubling_events == 1
         for s, a in [(2, 2), (2, 2), (4, 0)]:
-            learner.visit(s, a, c, int(rng.integers(-1, 5)), 0.5)
+            visit_at(learner, s, a, c, int(rng.integers(-1, 5)), 0.5)
             checked_start_interval(c)
         # a visit that leaves its pair's norm just below the threshold of
         # the next interval lowers the bound below it
@@ -906,10 +913,10 @@ class TestStackedStatistics:
         k = t * t / (1.0 - t * t) / (c @ c)  # the visit makes c V^-1 c t^2
         learner.store.v_bar[1, 2] = np.eye(model.d) / k
         learner.store.v_bar_inv[1, 2] = k * np.eye(model.d)
-        assert learner.visit(1, 2, c, 1, 0.5)
+        assert visit_at(learner, 1, 2, c, 1, 0.5)
         checked_start_interval(c)
         learner.store.v_bar_inv[0, 1] = np.nan
-        learner.visit(0, 1, other, 1, 0.5)
+        visit_at(learner, 0, 1, other, 1, 0.5)
         checked_start_interval(other)
         assert math.isnan(learner._norms_lo)
         # known pairs, a bound just below the threshold and a NaN bound take
@@ -927,15 +934,15 @@ class TestStackedStatistics:
         bits = []
         for s, a in pumped + [(1, 1), (3, 0), (0, 0)]:
             c = rng.dirichlet(np.ones(model.d))
-            known = learner.visit(s, a, c, int(rng.integers(-1, 5)),
-                                  float(rng.random()))
+            known = visit_at(learner, s, a, c, int(rng.integers(-1, 5)),
+                             float(rng.random()))
             # the scalar test, after the visit, at the same m and b_star
             assert known == is_known(
                 pair_stats(learner, s, a), c, learner.l_min_eff,
                 learner.b_star_cur, learner.m, REF_CFG.delta, model.n_states,
                 model.n_actions)
             # the learner keeps every pair's norm at c current
-            norms = learner._norms_at(c)
+            norms = learner._use_context(c)
             fresh = context_norms(learner.store.v_bar_inv, c)
             assert norms.tobytes() == fresh.tobytes()
             assert norms[s, a] == context_norm(pair_stats(learner, s, a), c)
@@ -953,7 +960,7 @@ class TestStackedStatistics:
         model, learner = self._learner(visits=200)
         c = np.array([0.3, 0.7])
         learner.m = 3
-        learner.visit(1, 1, c, 0, 0.5)
+        visit_at(learner, 1, 1, c, 0, 0.5)
         norms = context_norms(learner.store.v_bar_inv, c)
         radii = []
 
@@ -1061,7 +1068,7 @@ class TestStackedStatistics:
         stats = SaStatistics(model.d, model.n_states, REF_CFG.lam)
         rng = np.random.default_rng(2)
         for c in rng.dirichlet(np.ones(model.d), size=REFRESH_EVERY + 100):
-            learner.visit(1, 2, c, 0, 0.0)
+            visit_at(learner, 1, 2, c, 0, 0.0)
             stats.record_visit(c, 0, 0.0)
         assert learner.store.tau[1, 2] == REFRESH_EVERY + 100
         np.testing.assert_allclose(learner.store.v_bar_inv[1, 2],
@@ -1357,8 +1364,8 @@ class TestDeferredProjection:
         model, learner = TestStackedStatistics()._learner(visits=visits)
         rng = np.random.default_rng(5)
         for c in rng.dirichlet(np.ones(model.d), size=pump):
-            learner.visit(*pumped, c, int(rng.integers(model.n_states)),
-                          float(rng.random()))
+            visit_at(learner, *pumped, c, int(rng.integers(model.n_states)),
+                     float(rng.random()))
         return model, learner
 
     def _radius(self, learner, c):
@@ -1644,10 +1651,10 @@ class TestRowUpdate:
             # mostly one pair, so its inverse is refreshed once
             s, a = (1, 2) if i % 4 else (int(rng.integers(5)),
                                          int(rng.integers(3)))
-            learner.visit(s, a, c, int(rng.integers(-1, 5)),
-                          float(rng.random()))
+            visit_at(learner, s, a, c, int(rng.integers(-1, 5)),
+                     float(rng.random()))
             fresh = context_norms(learner.store.v_bar_inv, c)
-            assert learner._norms_at(c).tobytes() == fresh.tobytes()
+            assert learner._use_context(c).tobytes() == fresh.tobytes()
 
     def test_a_visit_at_another_context_replans_in_full(self):
         model = generate_instance(REF_SPEC)
@@ -1662,14 +1669,14 @@ class TestRowUpdate:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
             learner.start_interval(c, 0, "start")
-            learner.visit(0, 0, c, 1, 0.5)
+            visit_at(learner, 0, 0, c, 1, 0.5)
             learner.start_interval(c, 0, "unknown")
             assert len(plans) == 1  # the row update
-            learner.visit(1, 0, other, 1, 0.5)
+            visit_at(learner, 1, 0, other, 1, 0.5)
             learner.start_interval(c, 0, "unknown")
             assert len(plans) == 2
-            learner.visit(1, 0, c, 1, 0.5)
-            learner.visit(2, 0, c, 1, 0.5)  # a second pair moved
+            visit_at(learner, 1, 0, c, 1, 0.5)
+            visit_at(learner, 2, 0, c, 1, 0.5)  # a second pair moved
             learner.start_interval(c, 0, "unknown")
             assert len(plans) == 3
 
@@ -1708,12 +1715,42 @@ class TestStepState:
         model = generate_instance(REF_SPEC)
         learner = Learner(REF_CFG, model, REF_CFG.l_min)
         with pytest.raises(ProtocolError, match="start_interval"):
-            learner.visit(0, 0, np.array([0.3, 0.7]), 1, 0.5)
+            visit_at(learner, 0, 0, np.array([0.3, 0.7]), 1, 0.5)
         # the refused visit left the statistics as they were
         assert not learner.store.tau.any()
         learner.start_interval(np.array([0.3, 0.7]), 0, "start")
-        learner.visit(0, 0, np.array([0.3, 0.7]), 1, 0.5)
+        visit_at(learner, 0, 0, np.array([0.3, 0.7]), 1, 0.5)
         assert learner.store.tau[0, 0] == 1
+
+    def test_visit_without_a_context_is_named(self):
+        # m set by hand, as the tests do, leaves no context to fold at
+        learner = Learner(REF_CFG, generate_instance(REF_SPEC), REF_CFG.l_min)
+        learner.m = 1
+        with pytest.raises(ProtocolError, match="start_interval"):
+            learner.visit(0, 0, 1, 0.5)
+        assert not learner.store.tau.any() and not learner.store._pending
+
+    @pytest.mark.parametrize("spec, l_min, K, doublings", [
+        (REF_SPEC, REF_CFG.l_min, 30, 0), TINY["doubling"] + (1,)])
+    def test_the_context_is_keyed_once_per_interval(self, monkeypatch, spec,
+                                                    l_min, K, doublings):
+        """A visit folds its step at the interval's context: run keys the
+        context at each interval's start and after each doubling, never at
+        a step."""
+        use_context = Learner._use_context
+        calls = []
+
+        def counting_use_context(learner, c):
+            calls.append(c)
+            return use_context(learner, c)
+
+        monkeypatch.setattr(Learner, "_use_context", counting_use_context)
+        contexts = context_sequence("uniform", K, spec.d,
+                                    rng=np.random.default_rng(0))
+        log = run(LearnerConfig(delta=0.1, l_min=l_min),
+                  generate_instance(spec), contexts, seed=0)
+        assert log.doubling_events == doublings
+        assert len(calls) == log.total_intervals + log.doubling_events
 
     def test_radii_follow_the_visit_count(self, monkeypatch):
         model = generate_instance(REF_SPEC)
@@ -1732,8 +1769,8 @@ class TestStepState:
         rng = np.random.default_rng(6)
         check_every_pair()
         for _ in range(REFRESH_EVERY + 1):
-            learner.visit(2, 1, c, int(rng.integers(-1, 5)),
-                          float(rng.random()))
+            visit_at(learner, 2, 1, c, int(rng.integers(-1, 5)),
+                     float(rng.random()))
             check_every_pair()
         assert learner.store.tau[2, 1] == REFRESH_EVERY + 1
         # a doubling resets every count to 0; the radii follow it down and
@@ -1741,8 +1778,8 @@ class TestStepState:
         self._doubling(monkeypatch, learner, c)
         check_every_pair()
         for _ in range(3):
-            learner.visit(2, 1, c, 0, 0.5)
-            learner.visit(0, 0, c, 1, 0.5)
+            visit_at(learner, 2, 1, c, 0, 0.5)
+            visit_at(learner, 0, 0, c, 1, 0.5)
             check_every_pair()
         assert learner.store.tau[2, 1] == 3
 
@@ -1783,7 +1820,7 @@ class TestStepState:
         def visit(s, a, norm):
             # pin the pair's norm at c after the visit (d = 1, c = 1)
             learner.store.v_bar_inv[s, a] = norm**2 / (1.0 - norm**2)
-            known = learner.visit(s, a, c, GOAL, 0.5)
+            known = visit_at(learner, s, a, c, GOAL, 0.5)
             norms = context_norms(learner.store.v_bar_inv, c)
             beta = learner.snapshot_estimates().beta_dyn
             assert known == (norms[s, a] < threshold(beta)[s, a])
@@ -1832,13 +1869,14 @@ class TestStepState:
                 super().__init__(*args, **kwargs)
                 self.m = m0
 
-            def visit(self, s, a, c, next_state, loss):
-                known = super().visit(s, a, c, next_state, loss)
+            def visit(self, s, a, next_state, loss):
+                known = super().visit(s, a, next_state, loss)
                 cfg = self.cfg
                 beta = dynamics_radius(self.store.tau[s, a], self.d,
                                        self.n_states, self.n_actions,
                                        cfg.lam, cfg.delta)
-                norm = context_norms(self.store.v_bar_inv[s, a], c)
+                norm = context_norms(self.store.v_bar_inv[s, a],
+                                     self._context)
                 assert known == (norm < known_threshold(
                     beta, self.l_min_eff, self.b_star_cur, self.m,
                     cfg.delta))
@@ -1873,7 +1911,7 @@ class TestStepState:
                                    cfg.lam, cfg.delta)
             norm = 0.99 * cfg.l_min / (10.0 * learner.b_star_cur * beta)
             learner.store.v_bar_inv[0, 0] = norm**2 / (1.0 - norm**2)
-            bits.append(learner.visit(0, 0, c, GOAL, 0.5))
+            bits.append(visit_at(learner, 0, 0, c, GOAL, 0.5))
         assert bits == [False, True, False, True]
 
     def test_known_count_just_below_the_floor(self):
@@ -1894,7 +1932,7 @@ class TestStepState:
                                 * known_floor(learner.m + 1, cfg.delta))
         learner.store.v_bar[0, 0] = (1.0 - t * t) / (t * t)
         learner.store.v_bar_inv[0, 0] = t * t / (1.0 - t * t)
-        assert learner.visit(0, 0, c, GOAL, 0.5)
+        assert visit_at(learner, 0, 0, c, GOAL, 0.5)
         assert learner.start_interval(c, 0, "goal").known_fraction == 0.5
         assert np.all(thresholds() / 2 < learner._norms_lo)
         assert np.all(learner._norms_lo < thresholds())
