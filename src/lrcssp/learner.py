@@ -6,9 +6,9 @@ Cauchy-Schwarz), and over next-state distributions in an L1 ball around the
 projected estimate, with freed mass absorbed by the zero-value goal.
 
 A plan whose L1 radii all empty their rows is state-separable: each state's
-value and action depend on its own optimistic losses only.  While the
-context stays the same and a visit moves one pair whose row stays empty,
-the learner replans that one row in place of a full plan (see
+value and action depend on its own optimistic losses only.  The learner
+plans it without the EVI loop, and while the context stays the same and the
+rows of the pairs visited since stay empty, it replans only those rows (see
 docs/regimes.md, "What a replan costs").
 """
 
@@ -85,12 +85,11 @@ def auto_epsilon(n_states, d, n_actions, K):
 
 @dataclass
 class EviResult:
-    policy: np.ndarray  # or a list, as values, when every row is emptied
+    policy: np.ndarray
     values: np.ndarray
     residual: float
     converged: bool
     iterations: int
-    rows: list = None  # opt_loss as lists, when every row is emptied
 
 
 def _evi_backup(opt_loss, p_ctx, r, v):
@@ -108,49 +107,17 @@ def _evi_backup(opt_loss, p_ctx, r, v):
     return opt_loss + q_ord @ v[order], order, q_ord
 
 
-def _emptied_sweeps(top, evi_tol, evi_max_iter):
-    """Residual and sweep count of the EVI loop when every sweep lands on
-    values of maximum top: the first moves v from zero by top and stops
-    there within evi_tol or the budget; else a second confirms them, at 0."""
-    return (top, 1) if top <= evi_tol or evi_max_iter == 1 else (0.0, 2)
-
-
-def _emptied_value(lo, b_cap):
-    """Value of a state with every row empty, from the minimum lo of its
-    optimistic losses: np.clip(lo + 0.0, 0.0, b_cap) in Python float
-    comparisons, with its bits (no NaN).  Its action is the first minimum."""
-    return b_cap if lo > b_cap else 0.0 if lo < 0.0 else lo + 0.0
-
-
 def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     """Extended value iteration over per-pair confidence sets.
 
     opt_loss : (S, A) optimistic losses for the current context
-    p_ctx    : (S, A, S) projected dynamics applied to the context; not read
-               (and may be None) when every radius empties its row
+    p_ctx    : (S, A, S) projected dynamics applied to the context
     radius   : (S, A) L1 radii beta_P * ||c||_{V^-1}
     Values start at zero, grow monotonically, and are truncated to
     [0, b_cap]; non-convergence is flagged, not raised.  The EviResult
     carries the greedy policy under the last values, those (S,) values, the
     last sweep's residual, whether it is within evi_tol, and the sweep count.
-
-    When every radius is at least ROW_EMPTYING_RADIUS, every optimistic row
-    is empty and backs up to opt_loss + 0 @ v = opt_loss + 0.0 whatever v
-    is, so every sweep lands on the same values, each state's from its own
-    row only (_emptied_value, as in Learner._row_update).  The plan then
-    skips the loop and p_ctx and reports the residual and sweep count the
-    loop would (_emptied_sweeps), bit for bit, with policy, values and the
-    rows of opt_loss as lists.  Such radii are finite: no NaN reaches it.
     """
-    if radius.min() >= ROW_EMPTYING_RADIUS:
-        rows = opt_loss.tolist()
-        policy = opt_loss.argmin(axis=1).tolist()
-        values = [_emptied_value(row[a], b_cap)
-                  for row, a in zip(rows, policy)]
-        residual, iterations = _emptied_sweeps(max(values), evi_tol,
-                                               evi_max_iter)
-        return EviResult(policy, values, residual, residual <= evi_tol,
-                         iterations, rows)
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
     iterations = 0
@@ -245,7 +212,9 @@ class Learner:
         # by the interval records
         self._norms_key = self._context = None
         self._init_statistics()
+        # the last plan's action and value per state
         self.policy = np.zeros(self.n_states, dtype=int)
+        self.values = np.zeros(self.n_states)
 
     def _init_statistics(self):
         S, A, d = self.n_states, self.n_actions, self.d
@@ -263,10 +232,11 @@ class Learner:
             _read_only(x) for x in (self.store.l_hat, self._p_hat,
                                     self._beta_l, self._beta_p)))
         # the (S, A) norms at the kept context (visits keep them current)
-        # and a lower bound on them; the last plan's (opt_loss, values) as
-        # lists while it emptied every row; (s, a, norm, beta_l, beta_p) of
-        # the pair visited since (None before a visit, False after a second)
-        self._norms = self._norms_lo = self._plan = self._moved = None
+        # and a lower bound on them; the last plan's opt_loss as lists while
+        # it empties every row at the kept context; and (norm, beta_l,
+        # beta_p) by pair of the pairs visited since the plan
+        self._norms = self._norms_lo = self._rows = None
+        self._moved = {}
 
     def _tau_row(self, tau):
         """Compute and keep the _by_tau entry of visit count tau."""
@@ -309,13 +279,13 @@ class Learner:
 
     def _use_context(self, c):
         """Keep c, the interval's context, by its bytes (a new c drops norms
-        and plan) and return the (S, A) context norms at it, built when unset
+        and rows) and return the (S, A) context norms at it, built when unset
         with their lower bound _norms_lo; visit keeps both current."""
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._norms_key:
             self._norms_key = key
             self._context = np.frombuffer(key)
-            self._norms = self._plan = None
+            self._norms = self._rows = None
         if self._norms is None:
             self._norms = estimation.context_norms(self.store.v_bar_inv, c)
             self._norms_lo = float(self._norms.min())
@@ -339,9 +309,7 @@ class Learner:
         norm = self._norms[s, a] = self.store.pair_norm(self._context, (s, a))
         if norm < self._norms_lo:
             self._norms_lo = norm
-        moved = self._moved
-        self._moved = (s, a, norm, beta_l, beta_p) if moved is None or (
-            moved and moved[:2] == (s, a)) else False
+        self._moved[s, a] = norm, beta_l, beta_p
         return norm < self._known_threshold(beta_p)
 
     def _coverage_ok(self):
@@ -357,72 +325,71 @@ class Learner:
             or np.any(np.sqrt(np.einsum("sari,saij,sarj->sa", dp, v_bar, dp))
                       > est.beta_dyn))
 
-    def _row_update(self, c):
-        """Replan only the row of the one pair moved since the kept plan.
-
-        That suffices when the kept plan emptied every row at c, one pair
-        (s, a) has moved since, and its row stays empty: then only
-        opt_loss[s, a] and state s's value and action change, to what
-        evi_plan would give (_emptied_value).  Returns the plan's residual and
-        initial value, or None when evi_plan must run.
-        """
-        if self._plan is None or not self._moved:
-            return None
-        s, a, norm, beta_l, beta_p = self._moved
-        if beta_p * norm < ROW_EMPTYING_RADIUS:
-            return None
-        opt_loss, values = self._plan
-        # np.clip(x, 0.0, 1.0) in Python floats: the comparisons keep -0.0
-        x = np.einsum("d,d->", self.store.l_hat[s, a], c).item() - beta_l * norm
-        row = opt_loss[s]
-        row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
-        lo = min(row)
-        values[s] = _emptied_value(lo, 2.0 * self.b_star_cur)
-        self.policy[s] = row.index(lo)
-        v_init = values[self.model.s_init]
-        if v_init > self.b_star_cur:
-            return None
-        residual, _ = _emptied_sweeps(max(values), self.cfg.evi_tol,
-                                      self.cfg.evi_max_iter)
-        return residual, v_init
-
     def start_interval(self, c, episode, trigger):
         """Advance the interval counter, refresh estimates, and replan at c.
 
-        After a visit to one pair whose row the kept plan empties, and still
-        empties, only that row is replanned (_row_update).  Otherwise
-        evi_plan runs over every pair, and b_star_cur doubles, resetting the
-        statistics, while the plan's initial value escapes it.
+        While the kept plan empties every row at c and the rows of the pairs
+        visited since stay empty, only those rows are replanned.  Otherwise
+        every pair is: with every row emptied each state takes its first
+        minimum optimistic loss, else evi_plan runs.  b_star_cur doubles,
+        resetting the statistics, while the plan's initial value escapes it.
         """
         self.m += 1
         norms = self._use_context(c)
-        planned = self._row_update(c)
-        while planned is None:
-            # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products); with
-            # every row emptied no p_hat is read or projected
-            opt_loss = np.minimum(np.maximum(0.0, np.einsum(
-                "sad,d->sa", self.store.l_hat, c) - self._beta_l * norms), 1.0)
-            radius = self._beta_p * norms
-            p_ctx = None if radius.min() >= ROW_EMPTYING_RADIUS else np.einsum(
-                "sand,d->san", self.snapshot_estimates(norms).p_hat, c)
-            result = evi_plan(opt_loss, p_ctx, radius,
-                              b_cap=2.0 * self.b_star_cur,
-                              evi_tol=self.cfg.evi_tol,
-                              evi_max_iter=self.cfg.evi_max_iter)
-            v_init = float(result.values[self.model.s_init])
-            if v_init > self.b_star_cur:
-                # doubling trick: optimistic value escaped the current bound
-                self.b_star_cur *= 2.0
-                self.doubling_events += 1
-                self._init_statistics()
-                norms = self._use_context(c)
-                continue
-            self.policy = result.policy
-            self._plan = ((result.rows, result.values)
-                          if p_ctx is None else None)
-            planned = result.residual, v_init
-        residual, v_init = planned
-        self._moved = None
+        rows = self._rows
+        for (s, a), (norm, beta_l, beta_p) in self._moved.items():
+            if rows is None or beta_p * norm < ROW_EMPTYING_RADIUS:
+                rows = None
+                break
+            # np.clip(x, 0.0, 1.0) in Python floats: the comparisons keep -0.0
+            x = np.einsum("d,d->", self.store.l_hat[s, a], c).item() - (
+                beta_l * norm)
+            row = rows[s]
+            row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
+            lo = min(row)
+            self.values[s] = lo + 0.0
+            self.policy[s] = row.index(lo)
+        while True:
+            if rows is None:
+                # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products)
+                opt_loss = np.minimum(np.maximum(0.0, np.einsum(
+                    "sad,d->sa", self.store.l_hat, c)
+                    - self._beta_l * norms), 1.0)
+                radius = self._beta_p * norms
+                if radius.min() >= ROW_EMPTYING_RADIUS:
+                    # every row empties: no p_hat is read or projected, and
+                    # each sweep of evi_plan would land on these values.
+                    # lo + 0.0 is its np.clip(lo + 0.0, 0.0, 2B) here and in
+                    # the row update: opt_loss lies in [-0.0, 1] or is NaN
+                    # and 2B >= 2, so the clip never binds
+                    rows = opt_loss.tolist()
+                    self.policy = opt_loss.argmin(axis=1).tolist()
+                    self.values = [row[a] + 0.0
+                                   for row, a in zip(rows, self.policy)]
+                else:
+                    result = evi_plan(opt_loss, np.einsum(
+                        "sand,d->san", self.snapshot_estimates(norms).p_hat,
+                        c), radius, b_cap=2.0 * self.b_star_cur,
+                        evi_tol=self.cfg.evi_tol,
+                        evi_max_iter=self.cfg.evi_max_iter)
+                    self.policy, self.values = result.policy, result.values
+            v_init = float(self.values[self.model.s_init])
+            if not v_init > self.b_star_cur:  # a NaN value does not double
+                break
+            # doubling trick: optimistic value escaped the current bound
+            self.b_star_cur *= 2.0
+            self.doubling_events += 1
+            self._init_statistics()
+            norms, rows = self._use_context(c), None
+        if rows is None:
+            residual = result.residual
+        else:
+            # the EVI loop's: a sweep moves v from zero by max v and stops
+            # within evi_tol or the budget, else a second confirms v at 0
+            top = max(self.values)
+            residual = (top if top <= self.cfg.evi_tol
+                        or self.cfg.evi_max_iter == 1 else 0.0)
+        self._rows, self._moved = rows, {}
         # no norm lies below _norms_lo, and no threshold above the one at
         # the floor, radius 0 (a NaN bound takes the full count)
         known = 0 if self._norms_lo >= self._known_threshold(0.0) else (

@@ -10,12 +10,14 @@ import os
 import numpy as np
 
 from lrcssp import cli, learner
+from lrcssp.estimation import context_norms, dynamics_radius
 from lrcssp.linear_model import GeneratorSpec, context_sequence, generate_instance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-REF_SPEC = GeneratorSpec(d=2, n_states=5, n_actions=3, gamma_goal=0.1,
-                         l_min_target=0.1, seed=7)
+# rows open after about 73 visits (docs/regimes.md), so some plans run EVI
+OPEN_ROWS_SPEC = GeneratorSpec(d=1, n_states=2, n_actions=2, gamma_goal=0.1,
+                               l_min_target=0.1, seed=0)
 
 # bindings the tracer still names but the package no longer has; their
 # metrics read 0 until the benchmark's trace points are brought up to date
@@ -33,16 +35,32 @@ def test_tracer_patches_observes_and_restores(monkeypatch):
         monkeypatch.syspath_prepend(os.path.join(ROOT, path))
     import tracer
 
+    # plans that read an open row, counted from the store after each one
+    open_plans = []
+    start_interval = learner.Learner.start_interval
+
+    def counting_start_interval(self, c, episode, trigger):
+        record = start_interval(self, c, episode, trigger)
+        store, cfg = self.store, self.cfg
+        beta = np.vectorize(dynamics_radius)(
+            store.tau, store.d, store.n_states, self.n_actions, store.lam,
+            cfg.delta)
+        radius = beta * context_norms(store.v_bar_inv, c)
+        open_plans.append(radius.min() < learner.ROW_EMPTYING_RADIUS)
+        return record
+
+    monkeypatch.setattr(learner.Learner, "start_interval",
+                        counting_start_interval)
     originals = [(owner, attr, vars(owner).get(attr))
                  for _, bindings, _ in tracer.TRACE_POINTS
                  for owner, attr in bindings]
-    model = generate_instance(REF_SPEC)
-    contexts = context_sequence("uniform", 5, model.d,
+    model = generate_instance(OPEN_ROWS_SPEC)
+    contexts = context_sequence("uniform", 150, model.d,
                                 rng=np.random.default_rng(0))
     t = tracer.Tracer()
     t.install()
     try:
-        log = learner.run(learner.LearnerConfig(delta=0.1, l_min=0.1), model,
+        log = learner.run(learner.LearnerConfig(delta=0.1, l_min=0.5), model,
                           contexts, seed=0)
     finally:
         t.remove()
@@ -54,10 +72,11 @@ def test_tracer_patches_observes_and_restores(monkeypatch):
     # every interval opens through start_interval, so the traced
     # learner.intervals_per_step counts each one
     assert calls["learner.start_interval"] == log.total_intervals
-    # every full plan goes through evi_plan, and each episode starts with
-    # one at its new context
+    # evi_plan runs exactly for the plans that read an open row (an
+    # emptied plan needs no EVI loop), and the tracer observes each call
     plans = calls["learner.evi_plan"]
-    assert plans >= len(log.episodes)
+    assert log.doubling_events == 0
+    assert 0 < plans == sum(open_plans) < log.total_intervals
     assert len(t.observed["learner.evi_plan.iters"]) == plans
     assert len(t.observed["learner.evi_plan.converged"]) == plans
     for owner, attr, original in originals:

@@ -37,7 +37,6 @@ from lrcssp.learner import (
     _BlockUniforms,
     _environment,
     _EpisodeSampler,
-    _emptied_sweeps,
     _evi_backup,
     _sampler_tables,
     auto_epsilon,
@@ -384,13 +383,6 @@ def bits(x):
     return np.asarray(x).tobytes()
 
 
-def assert_same_plan(got, want):
-    assert bits(got.policy) == bits(want.policy)
-    assert bits(got.values) == bits(want.values)
-    assert (got.residual, got.iterations, got.converged) == \
-        (want.residual, want.iterations, want.converged)
-
-
 class TestNanFixedPoint:
     """A loop whose sweep returns its NaN-holding input stops there; every
     field but the sweep count equals the full-budget loop's."""
@@ -415,8 +407,36 @@ class TestNanFixedPoint:
         assert got.iterations <= 3 and want.iterations == 500
 
 
+def emptied_start(opt_loss, radius=None, b_star=1.0, **cfg):
+    """start_interval at d = 1 and c = [1] on a fresh learner whose
+    optimistic losses are opt_loss and whose L1 radii are radius (every row
+    at ROW_EMPTYING_RADIUS by default): store.l_hat holds the losses, beta_l
+    is 0 and beta_p the radius, since a fresh pair's norm at c is 1.
+    Returns the learner and the interval's record."""
+    S, A = opt_loss.shape
+    spec = GeneratorSpec(d=1, n_states=S, n_actions=A, gamma_goal=0.1,
+                         l_min_target=0.1, seed=0)
+    cfg = dataclasses.replace(REF_CFG, b_star_init=b_star, **cfg)
+    learner = Learner(cfg, generate_instance(spec), cfg.l_min)
+    learner.store.l_hat[...] = opt_loss[..., None]
+    learner._beta_l[...] = 0.0
+    learner._beta_p[...] = ROW_EMPTYING_RADIUS if radius is None else radius
+    return learner, learner.start_interval(np.array([1.0]), 0, "start")
+
+
+def assert_plans_as(learner, record, want):
+    """The learner's plan is want's, bit for bit: policy, values, residual
+    and initial value."""
+    assert bits(learner.policy) == bits(want.policy)
+    assert bits(learner.values) == bits(want.values)
+    assert_same_bits(record.evi_residual, want.residual)
+    assert_same_bits(record.v_tilde_init,
+                     want.values.item(learner.model.s_init))
+
+
 class TestEmptiedPlan:
-    """With every row emptied, evi_plan skips the inner step, same bits."""
+    """With every row emptied, start_interval plans without the EVI loop and
+    matches the full loop bit for bit."""
 
     def _case(self, seed, S=4, A=3, d=2, radius_lo=ROW_EMPTYING_RADIUS):
         rng = np.random.default_rng(seed)
@@ -428,34 +448,35 @@ class TestEmptiedPlan:
         opt_loss = rng.uniform(0.0, 1.0, size=(S, A))
         return opt_loss, p_ctx, radius
 
-    def _both(self, opt_loss, p_ctx, radius, b_cap=10.0, evi_tol=1e-6,
+    def _both(self, opt_loss, p_ctx, radius, b_star=5.0, evi_tol=1e-6,
               evi_max_iter=10**5):
-        kwargs = dict(b_cap=b_cap, evi_tol=evi_tol, evi_max_iter=evi_max_iter)
-        # p_ctx=None: the emptied path must not read the dynamics
-        return (evi_plan(opt_loss, None, radius, **kwargs),
-                evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs))
+        """The learner's plan over opt_loss and radius, its record, and the
+        full loop's plan over the same with the dynamics p_ctx."""
+        kwargs = dict(evi_tol=evi_tol, evi_max_iter=evi_max_iter)
+        with mock.patch("lrcssp.learner.evi_plan") as evi:
+            learner, record = emptied_start(opt_loss, radius, b_star, **kwargs)
+        assert not evi.called  # an emptied plan reads no dynamics
+        assert bits(learner._rows) == (opt_loss + 0.0).tobytes()
+        return learner, record, evi_plan_full_loop(
+            opt_loss, p_ctx, radius, b_cap=2.0 * b_star, **kwargs)
 
     def test_values_above_tolerance_take_two_sweeps(self):
         opt_loss, p_ctx, radius = self._case(0)
-        got, want = self._both(opt_loss, p_ctx, radius)
-        assert_same_plan(got, want)
-        assert (got.iterations, got.residual, got.converged) == (2, 0.0, True)
+        learner, record, want = self._both(opt_loss, p_ctx, radius)
+        assert_plans_as(learner, record, want)
+        assert (want.iterations, want.residual) == (2, 0.0)
+        assert record.evi_residual == 0.0
         assert np.array_equal(
-            optimistic_model(opt_loss, p_ctx, radius, np.asarray(got.values)),
+            optimistic_model(opt_loss, p_ctx, radius,
+                             np.asarray(learner.values)),
             np.zeros((4, 3, 4)))
 
     def test_values_below_tolerance_take_one_sweep(self):
         opt_loss, p_ctx, radius = self._case(1)
-        got, want = self._both(1e-8 * opt_loss, p_ctx, radius)
-        assert_same_plan(got, want)
-        assert got.iterations == 1 and got.converged
-        assert got.residual == max(got.values) > 0
-
-    def test_cap_clips_values(self):
-        opt_loss, p_ctx, radius = self._case(2)
-        got, want = self._both(opt_loss, p_ctx, radius, b_cap=0.3)
-        assert_same_plan(got, want)
-        assert max(got.values) == 0.3
+        learner, record, want = self._both(1e-8 * opt_loss, p_ctx, radius)
+        assert_plans_as(learner, record, want)
+        assert want.iterations == 1 and want.converged
+        assert record.evi_residual == max(learner.values) > 0
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2])
     def test_sweep_budget(self, max_iter):
@@ -463,32 +484,53 @@ class TestEmptiedPlan:
             with pytest.raises(ConfigError, match="evi_max_iter"):
                 LearnerConfig(evi_max_iter=max_iter)
             return
-        got, want = self._both(*self._case(3), evi_max_iter=max_iter)
-        assert_same_plan(got, want)
-        assert got.iterations == max_iter
-        assert got.converged == (max_iter == 2)
+        learner, record, want = self._both(*self._case(3),
+                                           evi_max_iter=max_iter)
+        assert_plans_as(learner, record, want)
+        assert want.iterations == max_iter
+        assert want.converged == (max_iter == 2)
+        assert (record.evi_residual == 0.0) == (max_iter == 2)
 
     def test_radius_exactly_at_bound(self):
         opt_loss, p_ctx, radius = self._case(4)
         radius[::2] = ROW_EMPTYING_RADIUS
-        got, want = self._both(opt_loss, p_ctx, radius)
-        assert_same_plan(got, want)
+        assert_plans_as(*self._both(opt_loss, p_ctx, radius))
 
     def test_signed_zero_losses(self):
+        # the learner's einsum sums from +0.0, so its rows hold +0.0 where
+        # l_hat holds -0.0; the full loop reads the -0.0 itself
         opt_loss, p_ctx, radius = self._case(5)
         opt_loss[0] = -0.0
         opt_loss[1, 0] = 0.0
-        got, want = self._both(opt_loss, p_ctx, radius)
-        assert_same_plan(got, want)
+        assert_plans_as(*self._both(opt_loss, p_ctx, radius))
+
+    def test_ties_take_the_first_action(self):
+        opt_loss, p_ctx, radius = self._case(7)
+        opt_loss[1] = 0.25
+        opt_loss[2, 1:] = opt_loss[2, 0]
+        learner, record, want = self._both(opt_loss, p_ctx, radius)
+        assert_plans_as(learner, record, want)
+        assert learner.policy[1] == learner.policy[2] == 0
 
     def test_one_open_row_takes_the_full_path(self):
         opt_loss, p_ctx, radius = self._case(6)
         radius[2, 1] = np.nextafter(ROW_EMPTYING_RADIUS, 0.0)
-        kwargs = dict(b_cap=10.0, evi_tol=1e-6, evi_max_iter=10**5)
-        with pytest.raises(TypeError):  # the full path reads p_ctx
-            evi_plan(opt_loss, None, radius, **kwargs)
-        assert_same_plan(evi_plan(opt_loss, p_ctx, radius, **kwargs),
-                         evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs))
+        plans = []
+
+        def recording_evi_plan(opt_loss, p_ctx, radius, **kwargs):
+            plans.append((p_ctx, evi_plan(opt_loss, p_ctx, radius, **kwargs)))
+            return plans[-1][1]
+
+        with mock.patch("lrcssp.learner.evi_plan", recording_evi_plan):
+            learner, record = emptied_start(opt_loss, radius, b_star=5.0)
+        # the fresh learner's p_hat is zero: nothing was projected
+        (p_zero, result), = plans
+        assert learner._rows is None and not p_zero.any()
+        want = evi_plan_full_loop(opt_loss, p_zero, radius, b_cap=10.0,
+                                  evi_tol=REF_CFG.evi_tol,
+                                  evi_max_iter=REF_CFG.evi_max_iter)
+        assert_plans_as(learner, record, want)
+        assert learner.policy is result.policy
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -497,30 +539,35 @@ class TestEmptiedPlan:
         opt_loss, p_ctx, radius = self._case(data.draw(st.integers(0, 10**6)),
                                              S=S, A=A)
         opt_loss = opt_loss * data.draw(st.sampled_from([0.0, 1e-7, 1.0]))
-        got, want = self._both(
+        assert_plans_as(*self._both(
             opt_loss, p_ctx, radius,
-            b_cap=data.draw(st.floats(0.0, 4.0)),
+            b_star=data.draw(st.floats(1.0, 4.0)),
             evi_tol=data.draw(st.sampled_from([1e-10, 1e-6, 0.5])),
-            evi_max_iter=data.draw(st.integers(1, 4)))
-        assert_same_plan(got, want)
+            evi_max_iter=data.draw(st.integers(1, 4))))
 
 
 def emptied_plan_oracle(opt_loss, b_cap, evi_tol, evi_max_iter):
-    """Reference: evi_plan's emptied branch in numpy, as it was before the
-    rows moved to Python floats (_emptied_value)."""
+    """Reference: the EVI loop over emptied rows in numpy.  Every sweep
+    lands on v = clip(min_a opt_loss + 0.0, 0, b_cap); the first moves v
+    from zero by max v and stops there within evi_tol or the budget, else a
+    second confirms v with residual 0."""
     q_vals = opt_loss + 0.0
     values = np.minimum(np.maximum(0.0, q_vals.min(axis=1)), b_cap)
-    policy = q_vals.argmin(axis=1)
-    residual, iterations = _emptied_sweeps(float(values.max()), evi_tol,
-                                           evi_max_iter)
-    return EviResult(policy, values, residual, residual <= evi_tol,
-                     iterations)
+    top = float(values.max())
+    residual, iterations = ((top, 1) if top <= evi_tol or evi_max_iter == 1
+                            else (0.0, 2))
+    return EviResult(q_vals.argmin(axis=1), values, residual,
+                     residual <= evi_tol, iterations)
 
 
-# entries with ties, both zeros, and minima on both sides of the caps drawn
-LOSSES = st.one_of(st.sampled_from([-0.0, 0.0, 1e-7, 0.5, 1.0, 3.0]),
-                   st.floats(-1.0, 5.0, allow_nan=False))
-CAPS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
+# what the learner builds: losses in [0, 1] with ties, and -0.0 written to
+# l_hat, which reaches opt_loss as +0.0; and the working bound B >= 1
+LOSSES = st.one_of(st.sampled_from([-0.0, 0.0, 1e-7, 0.5, 1.0]),
+                   st.floats(0.0, 1.0))
+B_STARS = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(1.0, 8.0))
+# loss estimates of a moved pair, on both sides of the row update's clip
+LOSS_ESTIMATES = st.one_of(st.sampled_from([-0.0, 0.0, 1e-7, 0.5, 1.0, 3.0]),
+                      st.floats(-1.0, 5.0, allow_nan=False))
 SHAPES = [(1, 1), (1, 3), (4, 1), (3, 2), (5, 4)]
 
 
@@ -536,89 +583,67 @@ def assert_same_bits(got, want):
 
 
 class TestEmptiedRowOracle:
-    """The emptied-row rule in Python floats (_emptied_value), in evi_plan
-    and in Learner._row_update, equals the numpy branch bit for bit."""
+    """The emptied-row rule in Python floats, in start_interval's full plan
+    and in its row update, equals the numpy oracle bit for bit."""
 
     @pytest.mark.parametrize("S, A", SHAPES)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_evi_plan_equals_numpy_branch(self, S, A, data):
+    def test_full_plan_equals_numpy_branch(self, S, A, data):
         opt_loss = np.array(loss_rows(data, S, A))
-        kwargs = dict(b_cap=data.draw(CAPS),
-                      evi_tol=data.draw(st.sampled_from([1e-10, 1e-6, 0.5])),
+        b_star = data.draw(B_STARS)
+        kwargs = dict(evi_tol=data.draw(st.sampled_from([1e-10, 1e-6, 0.5])),
                       evi_max_iter=data.draw(st.integers(1, 4)))
-        got = evi_plan(opt_loss, None, np.full((S, A), ROW_EMPTYING_RADIUS),
-                       **kwargs)
-        want = emptied_plan_oracle(opt_loss, **kwargs)
-        assert_same_plan(got, want)
-        assert [type(v) for v in got.values] == [float] * S
-        assert got.policy == want.policy.tolist()
-        assert bits(got.rows) == opt_loss.tobytes()  # the rows it read
-        assert_same_bits(got.residual, want.residual)
-        assert got.converged == want.converged
+        learner, record = emptied_start(opt_loss, b_star=b_star, **kwargs)
+        want = emptied_plan_oracle(opt_loss, 2.0 * b_star, **kwargs)
+        assert_plans_as(learner, record, want)
+        assert [type(v) for v in learner.values] == [float] * S
+        assert learner.policy == want.policy.tolist()
+        assert bits(learner._rows) == (opt_loss + 0.0).tobytes()
 
     @pytest.mark.parametrize("S, A", SHAPES)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_row_update_equals_numpy_branch(self, S, A, data):
-        """A kept emptied plan over drawn losses, then one pair (s, a) moved
-        to a drawn loss estimate x at c = [1]: the replanned row, value,
-        action and residual are the oracle's over the updated losses."""
-        rows = loss_rows(data, S, A)
-        b_star = data.draw(CAPS)
-        b_cap = 2.0 * b_star
-        s, a = data.draw(st.integers(0, S - 1)), data.draw(st.integers(0, A - 1))
-        x = data.draw(LOSSES)
-        spec = GeneratorSpec(d=1, n_states=S, n_actions=A, gamma_goal=0.1,
-                             l_min_target=0.1, seed=0)
-        learner = Learner(REF_CFG, generate_instance(spec), REF_CFG.l_min)
-        learner.b_star_cur = b_star
-        kwargs = dict(b_cap=b_cap, evi_tol=REF_CFG.evi_tol,
-                      evi_max_iter=REF_CFG.evi_max_iter)
-        kept = evi_plan(np.array(rows), None,
-                        np.full((S, A), ROW_EMPTYING_RADIUS), **kwargs)
-        learner.policy = kept.policy
-        learner._plan = (rows, kept.values)
-        # (s, a, norm, beta_l, beta_p): the radius 2 leaves the row empty
-        learner._moved = (s, a, 2.0, 0.25, 1.0)
-        learner.store.l_hat[s, a] = x
-        c = np.array([1.0])
-        planned = learner._row_update(c)
-
-        opt_loss = np.array([row[:] for row in rows])
-        opt_loss[s, a] = np.clip(
-            np.einsum("sad,d->sa", learner.store.l_hat, c) - 0.25 * 2.0,
-            0.0, 1.0)[s, a]
-        want = emptied_plan_oracle(opt_loss, **kwargs)
-        assert np.array(rows).tobytes() == opt_loss.tobytes()
-        assert bits(learner._plan[1]) == want.values.tobytes()
+        """A kept emptied plan over drawn losses, then one to three moves of
+        a pair (s, a) to a drawn loss estimate at c = [1], each handed over
+        as a visit hands it: the rows updated in place, the values, actions
+        and residual are the oracle's over the updated losses."""
+        b_star = data.draw(B_STARS)
+        learner, _ = emptied_start(np.array(loss_rows(data, S, A)),
+                                   b_star=b_star)
+        rows = learner._rows
+        opt_loss = np.array(rows)
+        for _ in range(data.draw(st.integers(1, 3))):
+            s = data.draw(st.integers(0, S - 1))
+            a = data.draw(st.integers(0, A - 1))
+            beta_l = data.draw(st.sampled_from([0.0, 0.25]))
+            # (norm, beta_l, beta_p): the radius 2 leaves the row empty
+            learner._moved[s, a] = 2.0, beta_l, 1.0
+            learner.store.l_hat[s, a] = data.draw(LOSS_ESTIMATES)
+            opt_loss[s, a] = np.clip(
+                np.einsum("sad,d->sa", learner.store.l_hat, [1.0])
+                - beta_l * 2.0, 0.0, 1.0)[s, a]
+        record = learner.start_interval(np.array([1.0]), 0, "unknown")
+        want = emptied_plan_oracle(opt_loss, 2.0 * b_star, REF_CFG.evi_tol,
+                                   REF_CFG.evi_max_iter)
+        assert learner._rows is rows and not learner._moved
+        assert bits(rows) == opt_loss.tobytes()
+        assert_plans_as(learner, record, want)
         assert learner.policy == want.policy.tolist()
-        assert_same_bits(learner._plan[1][s], want.values.item(s))
-        v_init = want.values.item(learner.model.s_init)
-        if v_init > learner.b_star_cur:
-            assert planned is None  # start_interval doubles in a full plan
-        else:
-            assert_same_bits(planned[0], want.residual)
-            assert_same_bits(planned[1], v_init)
 
-
-    def test_kept_plan_holds_the_rows_evi_plan_built(self, monkeypatch):
-        # an emptied full plan keeps the rows evi_plan read, not a copy
+    def test_emptied_full_plan_keeps_its_rows(self):
+        # an emptied full plan keeps opt_loss as lists without evi_plan
         learner = Learner(REF_CFG, generate_instance(REF_SPEC), REF_CFG.l_min)
-        plans = []
-
-        def recording_evi_plan(opt_loss, p_ctx, *args, **kwargs):
-            plans.append((opt_loss.copy(), p_ctx,
-                          evi_plan(opt_loss, p_ctx, *args, **kwargs)))
-            return plans[-1][2]
-
-        monkeypatch.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
         c = np.array([0.3, 0.7])
-        learner.start_interval(c, 0, "start")
-        (opt_loss, p_ctx, result), = plans
-        assert p_ctx is None and learner._plan[0] is result.rows
-        assert bits(result.rows) == opt_loss.tobytes()
-        assert learner._plan[1] is result.values
+        with mock.patch("lrcssp.learner.evi_plan") as evi:
+            record = learner.start_interval(c, 0, "start")
+        assert not evi.called
+        plan, opt_loss, _, open_row = fresh_plan(learner, c)
+        assert not open_row
+        assert bits(learner._rows) == opt_loss.tobytes()
+        assert type(learner.policy) is type(learner.values) is list
+        assert_plans_as(learner, record, plan)
 
 
 class TestRun:
@@ -893,6 +918,8 @@ class TestStackedStatistics:
         checked_start_interval(c)
         assert math.isnan(learner._norms_lo)
         with monkeypatch.context() as mp:
+            # every plan reads an open row, so evi_plan runs and escapes
+            mp.setattr("lrcssp.learner.ROW_EMPTYING_RADIUS", math.inf)
             mp.setattr("lrcssp.learner.evi_plan", lambda *args, **kwargs: (
                 EviResult([0] * 5, [2.0 * kwargs["b_cap"]] * 5, 0.0, True, 1)
                 if learner.doubling_events == 0
@@ -972,6 +999,8 @@ class TestStackedStatistics:
             return result
 
         monkeypatch.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
+        # every plan reads an open row, so evi_plan sees every radius
+        monkeypatch.setattr("lrcssp.learner.ROW_EMPTYING_RADIUS", math.inf)
         beta_before = learner.snapshot_estimates().beta_dyn.copy()
         learner.start_interval(c, 0, "unknown")
         assert learner.doubling_events == 1 and len(radii) == 2
@@ -984,27 +1013,22 @@ class TestStackedStatistics:
                                 REF_CFG.lam, REF_CFG.delta)
         assert np.array_equal(radii[1], beta0 * fresh)
 
-    def test_interval_losses_match_scalar_oracle(self, monkeypatch):
-        # enough visits that the optimistic losses lie inside (0, 1)
+    def test_interval_losses_match_scalar_oracle(self):
+        # enough visits that the optimistic losses lie inside (0, 1); the
+        # plan empties every row and keeps them
         model, learner = self._learner(visits=20_000)
-        calls = []
-
-        def recording_evi_plan(opt_loss, *args, **kwargs):
-            calls.append(opt_loss.copy())
-            return evi_plan(opt_loss, *args, **kwargs)
-
-        monkeypatch.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
         c = np.array([0.3, 0.7])
         learner.start_interval(c, 0, "start")
-        assert learner.doubling_events == 0 and len(calls) == 1
-        assert 0 < calls[0].min() and calls[0].max() < 1
+        assert learner.doubling_events == 0
+        opt_loss = np.array(learner._rows)
+        assert 0 < opt_loss.min() and opt_loss.max() < 1
         est = learner.snapshot_estimates()
         for s in range(model.n_states):
             for a in range(model.n_actions):
                 want = optimistic_loss(c, est.l_hat[s, a], est.beta_loss[s, a],
                                        context_norm(pair_stats(learner, s, a),
                                                     c))
-                assert calls[0][s, a] == pytest.approx(want, rel=0, abs=1e-15)
+                assert opt_loss[s, a] == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_coverage_flag_matches_pair_loop(self):
         model, learner = self._learner(visits=3000)
@@ -1548,10 +1572,12 @@ def fresh_plan(learner, c):
 def checked_run(cfg, model, contexts, seed, perceived=None):
     """run() with every interval checked against fresh_plan.
 
-    Returns the log, the number of evi_plan calls and the number of plans
-    that read an open row.
+    Returns the log, the number of full plans (the intervals that are not
+    row updates of the kept rows) and the number of plans that read an open
+    row.  evi_plan runs once for each plan that reads an open row and once
+    for each doubling: only a plan over an open row can escape B >= 1.
     """
-    counts = {"evi_plan": 0, "open": 0}
+    counts = {"evi_plan": 0, "full": 0, "open": 0}
     start_interval = Learner.start_interval
 
     def counting_evi_plan(*args, **kwargs):
@@ -1559,16 +1585,17 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
         return evi_plan(*args, **kwargs)
 
     def checked_start_interval(learner, c, episode, trigger):
+        kept = learner._rows
         record = start_interval(learner, c, episode, trigger)
         plan, opt_loss, known_fraction, open_row = fresh_plan(learner, c)
         assert bits(learner.policy) == bits(plan.policy)
+        assert bits(learner.values) == bits(plan.values)
         assert record.evi_residual == plan.residual
         assert record.v_tilde_init == plan.values[model.s_init]
         assert record.known_fraction == known_fraction
-        if learner._plan is not None:  # kept for the next row update
-            kept_loss, kept_values = map(np.asarray, learner._plan)
-            assert kept_loss.tobytes() == opt_loss.tobytes()
-            assert kept_values.tobytes() == bits(plan.values)
+        if learner._rows is not None:  # kept for the next row update
+            assert bits(learner._rows) == opt_loss.tobytes()
+        counts["full"] += kept is None or learner._rows is not kept
         counts["open"] += open_row
         return record
 
@@ -1577,12 +1604,13 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
         mp.setattr(Learner, "start_interval", checked_start_interval)
         log = run(cfg, model, contexts, seed=seed,
                   perceived_contexts=perceived)
+    assert counts["evi_plan"] == counts["open"] + log.doubling_events
     # the checks read the learner's state without disturbing the run
     plain = run(cfg, model, contexts, seed=seed, perceived_contexts=perceived)
     assert log.step_trace == plain.step_trace
     assert [r.to_event() for r in log.interval_records] == \
         [r.to_event() for r in plain.interval_records]
-    return log, counts["evi_plan"], counts["open"]
+    return log, counts["full"], counts["open"]
 
 
 # tiny configs: (generator, l_min, K)
@@ -1598,6 +1626,11 @@ TINY = {
     # optimistic values escape B = 1 once the single row opens
     "doubling": (GeneratorSpec(d=1, n_states=1, n_actions=1, gamma_goal=0.02,
                                l_min_target=0.5, seed=0), 0.5, 8),
+    # l_min > 10 B: pairs turn known while their rows are empty, so a known
+    # step moves a second pair before the next plan
+    "known_steps": (GeneratorSpec(d=1, n_states=2, n_actions=2,
+                                  gamma_goal=0.1, l_min_target=0.1, seed=0),
+                    20.0, 60),
 }
 
 
@@ -1613,7 +1646,7 @@ def tiny_run(name, kind="uniform", ctx_seed=0, run_seed=0, perceived=False):
 
 
 class TestRowUpdate:
-    """An emptied plan replans only the row a visit moved, and every
+    """An emptied plan replans only the rows visits moved, and every
     interval's plan equals a fresh evi_plan over every pair."""
 
     @settings(max_examples=20, deadline=None)
@@ -1641,6 +1674,20 @@ class TestRowUpdate:
         assert log.doubling_events == 1 and open_plans > 0
         assert plans < log.total_intervals
 
+    def test_known_steps_update_several_rows(self, monkeypatch):
+        moved = []
+        start_interval = Learner.start_interval
+
+        def counting_start_interval(learner, c, episode, trigger):
+            if learner._rows is not None:
+                moved.append(len(learner._moved))
+            return start_interval(learner, c, episode, trigger)
+
+        monkeypatch.setattr(Learner, "start_interval", counting_start_interval)
+        log, plans, open_plans = tiny_run("known_steps")
+        assert max(moved) > 1 and open_plans == 0
+        assert plans < log.total_intervals
+
     def test_kept_norms_follow_visits_at_one_context(self):
         model = generate_instance(REF_SPEC)
         learner = Learner(REF_CFG, model, REF_CFG.l_min)
@@ -1659,26 +1706,44 @@ class TestRowUpdate:
     def test_a_visit_at_another_context_replans_in_full(self):
         model = generate_instance(REF_SPEC)
         learner = Learner(REF_CFG, model, REF_CFG.l_min)
-        plans = []
-
-        def recording_evi_plan(*args, **kwargs):
-            plans.append(evi_plan(*args, **kwargs))
-            return plans[-1]
-
         c, other = np.array([0.3, 0.7]), np.array([0.6, 0.4])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("lrcssp.learner.evi_plan", recording_evi_plan)
+        with mock.patch("lrcssp.learner.evi_plan") as evi:
             learner.start_interval(c, 0, "start")
+            rows = learner._rows
             visit_at(learner, 0, 0, c, 1, 0.5)
             learner.start_interval(c, 0, "unknown")
-            assert len(plans) == 1  # the row update
+            assert learner._rows is rows  # the row update
             visit_at(learner, 1, 0, other, 1, 0.5)
             learner.start_interval(c, 0, "unknown")
-            assert len(plans) == 2
-            visit_at(learner, 1, 0, c, 1, 0.5)
-            visit_at(learner, 2, 0, c, 1, 0.5)  # a second pair moved
-            learner.start_interval(c, 0, "unknown")
-            assert len(plans) == 3
+            assert learner._rows is not rows  # a full plan
+        assert not evi.called  # every row stays empty
+
+    def test_two_moved_pairs_update_their_rows_in_place(self):
+        """Two distinct pairs visited at the kept context since an emptied
+        plan, both rows still empty: both rows are updated in place, and
+        the plan equals a fresh one bit for bit.  run reaches this only
+        after a known step, whose pair's radius lies below
+        l_min_eff / (10 B), so only where l_min_eff > 10 B."""
+        # enough visits that the optimistic losses lie inside (0, 1)
+        model, learner = TestStackedStatistics()._learner(visits=20_000)
+        c = np.array([0.3, 0.7])
+        learner.start_interval(c, 0, "start")
+        rows = learner._rows
+        before = np.array(rows)
+        visit_at(learner, 1, 0, c, 1, 0.5)
+        visit_at(learner, 2, 2, c, GOAL, 0.0)
+        assert sorted(learner._moved) == [(1, 0), (2, 2)]
+        record = learner.start_interval(c, 0, "unknown")
+        assert learner._rows is rows and not learner._moved
+        plan, opt_loss, known_fraction, open_row = fresh_plan(learner, c)
+        assert not open_row
+        assert bits(rows) == opt_loss.tobytes()
+        assert (before != opt_loss).sum() == 2
+        assert bits(learner.policy) == bits(plan.policy)
+        assert bits(learner.values) == bits(plan.values)
+        assert_same_bits(record.evi_residual, plan.residual)
+        assert_same_bits(record.v_tilde_init, plan.values.item(model.s_init))
+        assert bits(record.known_fraction) == bits(known_fraction)
 
 
 class TestStepState:
@@ -1699,7 +1764,10 @@ class TestStepState:
         doublings = learner.doubling_events
         with monkeypatch.context() as mp:
             mp.setattr("lrcssp.learner.evi_plan", escaping_evi_plan)
-            mp.setattr(Learner, "_row_update", lambda self, c: None)
+            # every row reads open, so the plan is neither an emptied one
+            # nor an update of the kept rows, which no visit may have moved
+            mp.setattr("lrcssp.learner.ROW_EMPTYING_RADIUS", math.inf)
+            learner._rows = None
             record = learner.start_interval(c, 0, "unknown")
         assert learner.doubling_events == doublings + 1
         return record
