@@ -184,7 +184,7 @@ class RunLog:
     total_intervals: int
     truncation_count: int
     epsilon: float
-    # per-step trigger trace for replay checks: (s, a, goal_reached, known)
+    # per-step trace for replay checks: (episode, s, a, goal_reached, known)
     step_trace: list = field(default_factory=list)
 
 
@@ -341,7 +341,7 @@ class Learner:
             if rows is None or beta_p * norm < ROW_EMPTYING_RADIUS:
                 rows = None
                 break
-            # np.clip(x, 0.0, 1.0) in Python floats: the comparisons keep -0.0
+            # np.clip(x, 0.0, 1.0) in Python floats
             x = np.einsum("d,d->", self.store.l_hat[s, a], c).item() - (
                 beta_l * norm)
             row = rows[s]
@@ -358,10 +358,9 @@ class Learner:
                 radius = self._beta_p * norms
                 if radius.min() >= ROW_EMPTYING_RADIUS:
                     # every row empties: no p_hat is read or projected, and
-                    # each sweep of evi_plan would land on these values.
-                    # lo + 0.0 is its np.clip(lo + 0.0, 0.0, 2B) here and in
-                    # the row update: opt_loss lies in [-0.0, 1] or is NaN
-                    # and 2B >= 2, so the clip never binds
+                    # each sweep of evi_plan would land on these values, its
+                    # clip to [0, 2B >= 2] never binding: opt_loss is NaN or
+                    # in [0, 1], as einsum sums from +0.0 (no -0.0 reaches it)
                     rows = opt_loss.tolist()
                     self.policy = opt_loss.argmin(axis=1).tolist()
                     self.values = [row[a] + 0.0

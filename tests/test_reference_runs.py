@@ -7,9 +7,10 @@ the final cumulative regret to a relative 1e-6 (the artifacts print nine
 significant digits).  Seven runs also pin every bit the RunLog records, as
 the benchmark's run_log_digest (bench/workloads.py) in hex, and the golden
 pipeline pins the sha256 of every artifact: a change meant to keep
-behaviour keeps each of them.  Four more digests pin the paths no
+behaviour keeps each of them.  Five more digests pin the paths no
 benchmark part takes: truncated-uniform losses, adaptive contexts, the
-l_min=0 loss floor, and a refresh of a pair's inverse with projections.
+l_min=0 loss floor, a refresh of a pair's inverse with projections, and
+known steps, which open no interval.
 """
 
 import collections
@@ -298,3 +299,56 @@ def test_perturbed_losses_bits():
     assert log.epsilon == 1.5536162529769295
     assert run_log_digest(log) == (
         "c24e569393abddf4b7db6c5fb8ee5aeb06986ade74c6629e05e0223edb3fad88")
+
+
+# the known-step run: one state, two actions, the single context [1.0];
+# docs/regimes.md tabulates its counts under these names
+KNOWN_STEP_GENERATOR = {"d": 1, "n_states": 1, "n_actions": 2,
+                        "gamma_goal": 0.1, "l_min_target": 0.9, "seed": 7}
+KNOWN_STEP_LEARNER = {"delta": 0.1, "l_min": 0.9}
+KNOWN_STEP_K = 4000
+KNOWN_STEP_COUNTS = {
+    "episodes": 4000, "steps": 4378, "intervals": 4321,
+    "unknown triggers": 321, "known steps": 1196,
+    "first known step (index)": 3158, "known steps that miss the goal": 57,
+    "intervals with one pair of two known": 1162, "doublings": 0,
+    "truncations": 0}
+KNOWN_STEP_DIGEST = (
+    "eae59c171cdb17f5dca3f734c8e7bfaab94f6d90e3d2a21f3d91c10b6be50725")
+
+
+def test_known_step_run():
+    """(d, S, A) = (1, 1, 2), l_min=0.9, K=4000 contexts [1.0], run seed 0.
+
+    A pair is known after about 2,609 visits (docs/regimes.md), so the run's
+    last episodes take known steps.  The paper's accounting holds: an
+    interval opens at each episode start and at each unknown step that
+    misses the goal, and never at a known step.
+    """
+    log = run(LearnerConfig(**KNOWN_STEP_LEARNER),
+              generate_instance(GeneratorSpec(**KNOWN_STEP_GENERATOR)),
+              np.ones((KNOWN_STEP_K, 1)), seed=0)
+    known = [i for i, step in enumerate(log.step_trace) if step[4]]
+    assert {
+        "episodes": len(log.episodes), "steps": log.total_steps,
+        "intervals": log.total_intervals,
+        "unknown triggers": log.unknown_counts.sum(),
+        "known steps": len(known), "first known step (index)": known[0],
+        "known steps that miss the goal": sum(
+            not log.step_trace[i][3] for i in known),
+        "intervals with one pair of two known": sum(
+            r.known_fraction == 0.5 for r in log.interval_records),
+        "doublings": log.doubling_events,
+        "truncations": log.truncation_count} == KNOWN_STEP_COUNTS
+    assert log.total_intervals == KNOWN_STEP_K + log.unknown_counts.sum()
+    trace = iter(log.step_trace)
+    for episode in log.episodes:
+        steps = [next(trace) for _ in range(episode.steps)]
+        # an interval ends at the goal or at an unknown step
+        ends = [i + 1 for i, (_, _, _, goal, is_known) in enumerate(steps)
+                if goal or not is_known]
+        assert [r.steps for r in episode.intervals] == np.diff(
+            [0] + ends).tolist()
+        assert [r.trigger for r in episode.intervals[1:]] == (
+            ["unknown"] * (len(ends) - 1))
+    assert run_log_digest(log) == KNOWN_STEP_DIGEST

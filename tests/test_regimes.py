@@ -1,11 +1,19 @@
-"""The crossover table of docs/regimes.md against the package's own tests.
+"""docs/regimes.md against the package: its figures and what it cites.
 
-A pair visited tau times with the centre context c (|c|^2 = 1/d) has
-||c||^2_{V^-1} = 1 / (d*lam + tau).  Its L1 radius falls below 1 once
-d*lam + tau > beta_P(tau)^2, and it is known once
+The crossover table against the package's own radius and threshold
+functions.  A pair visited tau times with the centre context c
+(|c|^2 = 1/d) has ||c||^2_{V^-1} = 1 / (d*lam + tau).  Its L1 radius falls
+below 1 once d*lam + tau > beta_P(tau)^2, and it is known once
 d*lam + tau > (10 * B * beta_P(tau) / l_min)^2.
+
+The known-step table against the pinned run's counts, and a lint of the
+page: every BENCH_*.json file, test, module constant and backticked
+`module.name` or `Class.attr` it cites must exist at this tree.
 """
 
+import ast
+import functools
+import json
 import math
 import os
 import re
@@ -13,17 +21,26 @@ import re
 import numpy as np
 import pytest
 
+from lrcssp import cli, estimation, harness, learner, linear_model, ssp
 from lrcssp.estimation import context_norms, dynamics_radius, known_threshold
 from lrcssp.learner import auto_epsilon
+from test_reference_runs import KNOWN_STEP_COUNTS, KNOWN_STEP_GENERATOR
 
 LAM, DELTA, B = 1.0, 0.1, 1.0
-DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "regimes.md")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+DOC = os.path.join(ROOT, "docs", "regimes.md")
+MODULES = {module.__name__.rsplit(".", 1)[1]: module for module in (
+    cli, estimation, harness, learner, linear_model, ssp)}
+
+
+def doc_text():
+    with open(DOC) as fh:
+        return fh.read()
 
 
 def documented_rows():
     """(d, S, A, l_min, radius tau, known tau) for each row of the table."""
-    with open(DOC) as fh:
-        text = fh.read()
+    text = doc_text()
     row = re.compile(r"^\| \((\d+), (\d+), (\d+)\) \| ([\d.]+) \| ([\d,]+) "
                      r"\| ([\d,]+) \|$", re.M)
     return [(int(d), int(s), int(a), float(l_min), int(r.replace(",", "")),
@@ -52,9 +69,10 @@ def centre_norm(d, tau):
     return float(context_norms(np.linalg.inv(v_bar), c))
 
 
-def test_table_has_the_four_configs():
+def test_table_has_the_five_configs():
     assert [row[:4] for row in documented_rows()] == [
-        (2, 5, 3, 0.1), (4, 30, 5, 0.1), (1, 1, 1, 0.1), (1, 2, 2, 0.5)]
+        (2, 5, 3, 0.1), (4, 30, 5, 0.1), (1, 1, 1, 0.1), (1, 2, 2, 0.5),
+        (1, 1, 2, 0.9)]
 
 
 @pytest.mark.parametrize("d, S, A, l_min, radius_tau, known_tau",
@@ -98,5 +116,99 @@ def test_perturbation_mode_crossover():
 
     assert first_tau(
         lambda t: d * LAM + t > (10 * B * beta(t) / eps) ** 2) == 167_582
-    with open(DOC) as fh:
-        assert "167,582" in fh.read()
+    assert "167,582" in doc_text()
+
+
+def test_known_step_counts_match_the_pin():
+    section = doc_text().split("## The known-step run")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| ([^|]+?) \| ([\d,]+) \|$", section, re.M)
+    assert {label: int(value.replace(",", "")) for label, value in rows} == (
+        KNOWN_STEP_COUNTS)
+
+
+def backticked():
+    return re.findall(r"`([^`\n]+)`", doc_text())
+
+
+def test_cited_bench_files_exist():
+    cited = set(re.findall(r"BENCH_\d+\.json", doc_text()))
+    assert cited
+    assert sorted(name for name in cited
+                  if not os.path.isfile(os.path.join(ROOT, name))) == []
+
+
+@functools.cache
+def parsed(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def test_cited_tests_exist():
+    """tests/<file>.py::<Class or function>[::<method>] names a definition."""
+    missing = []
+    for span in backticked():
+        match = re.fullmatch(r"(tests/\w+\.py)((?:::\w+)*)", span)
+        if not match:
+            continue
+        path = os.path.join(ROOT, match[1])
+        if not os.path.isfile(path):
+            missing.append(span)
+            continue
+        scope = parsed(path).body
+        for part in match[2].split("::")[1:]:
+            found = [node for node in scope if isinstance(node, (
+                ast.ClassDef, ast.FunctionDef)) and node.name == part]
+            if not found:
+                missing.append(span)
+                break
+            scope = found[0].body
+    assert missing == []
+
+
+def namespaces():
+    """Where a cited name may live: the module, or the class and an
+    instance of it built the way a run builds one."""
+    model = linear_model.generate_instance(
+        linear_model.GeneratorSpec(**KNOWN_STEP_GENERATOR))
+    fresh = learner.Learner(learner.LearnerConfig(), model, 0.9)
+    return dict({name: [module] for name, module in MODULES.items()},
+                Learner=[learner.Learner, fresh],
+                PairStore=[estimation.PairStore, fresh.store])
+
+
+def test_cited_names_resolve():
+    """A backticked name under a module, Learner or PairStore (a file name
+    aside) resolves at this tree, or is a per-layer metric of
+    BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = {m["name"] for m in json.load(fh)["per_layer"]}
+    spaces = namespaces()
+
+    def resolves(head, rest):
+        for obj in spaces[head]:
+            try:
+                functools.reduce(getattr, rest, obj)
+                return True
+            except AttributeError:
+                pass
+        return False
+
+    cited, missing = 0, []
+    for span in backticked():
+        name = re.sub(r"\(.*\)$", "", span)
+        match = re.fullmatch(r"(\w+)((?:\.\w+)+)", name)
+        if not match or match[1] not in spaces or name.endswith(".py"):
+            continue
+        cited += 1
+        if name not in metrics and not resolves(
+                match[1], match[2].split(".")[1:]):
+            missing.append(span)
+    assert cited and missing == []
+
+
+def test_stated_constants_match():
+    stated = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = ([\d,]+)",
+                        doc_text())
+    assert stated
+    for module, name, value in stated:
+        assert getattr(MODULES[module], name) == int(value.replace(",", ""))

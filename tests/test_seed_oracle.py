@@ -6,7 +6,9 @@ never edited: the benchmark's calibration rests on it.  Every rewrite of the
 learner since the seed kept every bit a RunLog records, so on every config
 drawn here the two runs must have the same run_log_digest (bench/workloads.py).
 This checks the learner's fast paths together, on configs no one picked by
-hand; each path keeps its own oracle test as well.
+hand; each path keeps its own oracle test as well.  The drawn configs never
+reach a known step, so the known-step run of test_reference_runs is a fixed
+case here: the seed learner alone must give its pinned digest.
 """
 
 import importlib.util
@@ -18,6 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcssp import learner, linear_model
+from test_reference_runs import (
+    KNOWN_STEP_DIGEST,
+    KNOWN_STEP_GENERATOR,
+    KNOWN_STEP_K,
+    KNOWN_STEP_LEARNER,
+)
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
@@ -65,3 +73,10 @@ def test_run_equals_the_seed_learner(d, n_states, n_actions, l_min, K, kind,
                         perceived_contexts=None if perceived is None
                         else list(perceived))
     assert run_log_digest(log) == run_log_digest(seed_log)
+
+
+def test_seed_learner_gives_the_known_step_digest():
+    model = seed.generate_instance(seed.GeneratorSpec(**KNOWN_STEP_GENERATOR))
+    log = seed.run(seed.LearnerConfig(**KNOWN_STEP_LEARNER), model,
+                   [np.ones(1)] * KNOWN_STEP_K, seed=0)
+    assert run_log_digest(log) == KNOWN_STEP_DIGEST
