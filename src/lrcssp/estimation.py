@@ -107,7 +107,9 @@ class PairStore:
         goal transition contributes no next-state row (residual-mass
         convention); the design matrix and count always advance.  The log
         keeps a copy of c, so a caller may change c after the call.
-        The pair's l_hat follows its moments.  Returns its new visit count.
+        The pair's l_hat follows its moments.  Returns its new visit count
+        and its context_norms at c as a Python float with their bits:
+        maximum(0.0, x) keeps -0.0 and NaN too.
         """
         if not GOAL <= next_state < self.n_states:
             raise IndexError(f"next state {next_state} out of range")
@@ -126,14 +128,8 @@ class PairStore:
             self._fold()
         xty_loss += loss * c
         v_bar_inv.dot(xty_loss, out=l_hat)
-        return tau
-
-    def pair_norm(self, c, index):
-        """context_norms at pair `index` for a float64 c, as a Python float
-        with its bits: maximum(0.0, x) keeps -0.0 and NaN too."""
-        v_bar_inv = (self._pairs.get(index) or self._pair(index))[1]
         x = c.dot(v_bar_inv).dot(c).item()
-        return math.sqrt(x) if not x < 0.0 else 0.0
+        return tau, math.sqrt(x) if not x < 0.0 else 0.0
 
 
 def _entries(rows, size):

@@ -211,6 +211,8 @@ class Learner:
         # the context last seen, as bytes and as a read-only array shared
         # by the interval records
         self._norms_key = self._context = None
+        # the loss and dynamics radii per visit count, which outlive a doubling
+        self._by_tau = {}
         self._init_statistics()
         # the last plan's action and value per state
         self.policy = np.zeros(self.n_states, dtype=int)
@@ -224,8 +226,7 @@ class Learner:
         # and the radii are shared
         self._projected_tau = np.zeros((S, A))
         self._p_hat = np.zeros((S, A, S, d))
-        # the loss and dynamics radii per visit count, and every pair's
-        self._by_tau = {}
+        # every pair's loss and dynamics radii
         self._beta_l, self._beta_p = (
             np.full((S, A), x) for x in self._tau_row(0.0))
         self._estimates = estimation.Estimates(*(
@@ -252,15 +253,15 @@ class Learner:
         floor = estimation.known_floor(self.m, self.cfg.delta)
         return self.l_min_eff / (10.0 * self.b_star_cur * max(beta_p, floor))
 
-    def snapshot_estimates(self, norms=None):
+    def snapshot_estimates(self, radius=None):
         """Current Estimates over all pairs, updating the lagging p_hat.
 
         visit keeps l_hat and the radii current; p_hat, the projected ridge
         estimate xty_trans @ V^-1 (the costly part), follows here: every
-        pair's without norms, and given a plan's (S, A) context norms only
-        those whose L1 radius beta_dyn * norm is below ROW_EMPTYING_RADIUS.
-        The plan empties every other pair's row whatever p_hat holds, so
-        there p_hat may lag until a later call needs it.
+        pair's without radius, and given a plan's (S, A) L1 radii only
+        those of pairs whose radius is below ROW_EMPTYING_RADIUS.  The plan
+        empties every other pair's row whatever p_hat holds, so there p_hat
+        may lag until a later call needs it.
 
         The arrays are read-only views of the learner's state: they follow
         later visits up to a doubling, whose new arrays (_init_statistics) an
@@ -268,8 +269,8 @@ class Learner:
         """
         tau = self.store.tau
         wanted = self._projected_tau != tau
-        if norms is not None:
-            wanted &= self._beta_p * norms < ROW_EMPTYING_RADIUS
+        if radius is not None:
+            wanted &= radius < ROW_EMPTYING_RADIUS
         for s, a in zip(*np.nonzero(wanted)):
             self._p_hat[s, a] = estimation.project_to_stochastic(
                 self.store.xty_trans[s, a].dot(self.store.v_bar_inv[s, a]),
@@ -295,18 +296,19 @@ class Learner:
         """Fold one observed step at (s, a) into the statistics and test it.
 
         The step is at the interval's context (_use_context).  The only path
-        that moves a pair's statistics: the store refreshes the pair's
-        l_hat, and visit its radii and its context norm; p_hat follows in
+        that moves a pair's statistics: the store refreshes the pair's l_hat
+        and returns its norm, kept here with its radii; p_hat follows in
         snapshot_estimates.  Returns the paper's known test: the pair's norm
         below known_threshold at its new radius, m and b_star_cur.
         """
         if not self.m or self._context is None:
             raise ProtocolError("visit needs a plan: call start_interval first")
-        tau = self.store.record_visit(self._context, next_state, loss, (s, a))
+        tau, norm = self.store.record_visit(self._context, next_state, loss,
+                                            (s, a))
         beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
-        norm = self._norms[s, a] = self.store.pair_norm(self._context, (s, a))
+        self._norms[s, a] = norm
         if norm < self._norms_lo:
             self._norms_lo = norm
         self._moved[s, a] = norm, beta_l, beta_p
@@ -367,7 +369,7 @@ class Learner:
                                    for row, a in zip(rows, self.policy)]
                 else:
                     result = evi_plan(opt_loss, np.einsum(
-                        "sand,d->san", self.snapshot_estimates(norms).p_hat,
+                        "sand,d->san", self.snapshot_estimates(radius).p_hat,
                         c), radius, b_cap=2.0 * self.b_star_cur,
                         evi_tol=self.cfg.evi_tol,
                         evi_max_iter=self.cfg.evi_max_iter)

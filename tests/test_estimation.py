@@ -215,7 +215,7 @@ class EagerStore:
         if next_state != GOAL:
             xty_trans = self.xty_trans[index]
             xty_trans[next_state] += c
-        return tau
+        return tau, context_norms(v_bar_inv, c)
 
 
 STORE_NAMES = ("tau", "v_bar", "v_bar_inv", "xty_loss", "l_hat",
@@ -264,7 +264,9 @@ class TestDeferredStore:
                         with pytest.raises(np.linalg.LinAlgError):
                             store.record_visit(c, nxt, loss, index)
                         return
-                    assert store.record_visit(c, nxt, loss, index) == want
+                    tau, norm = store.record_visit(c, nxt, loss, index)
+                    assert tau == want[0] and type(norm) is float
+                    assert np.float64(norm).tobytes() == want[1].tobytes()
                     c[...] = data.draw(st.sampled_from([7.0, np.nan]))
                 elif op == "read":
                     # in any order: either folded array may be read first
@@ -387,9 +389,9 @@ def all_negative_zero(products):
 
 class TestDotSpelling:
     """The per-visit products, spelled with ndarray.dot, give the bits of the
-    operator each replaced: PairStore.record_visit's V^-1 c, c.(V^-1 c)
-    and l_hat (out=), PairStore.pair_norm's c V^-1 c, and the (S, d) by
-    (d, d) products of snapshot_estimates and project_to_stochastic.
+    operator each replaced: PairStore.record_visit's V^-1 c, c.(V^-1 c),
+    l_hat (out=) and the returned norm's c V^-1 c, and the (S, d) by (d, d)
+    products of snapshot_estimates and project_to_stochastic.
 
     They differ in two ways, neither of which the learner meets.  Where
     every product of a sum is -0.0, the two may return zeros of opposite

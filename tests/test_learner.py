@@ -1526,9 +1526,9 @@ class TestDeferredProjection:
         snapshots = []
         snapshot_estimates = Learner.snapshot_estimates
 
-        def checked_snapshot(learner, norms=None):
-            est = snapshot_estimates(learner, norms)
-            snapshots.append(norms is not None)
+        def checked_snapshot(learner, radius=None):
+            est = snapshot_estimates(learner, radius)
+            snapshots.append(radius is not None)
             assert np.all(est.p_hat >= 0.0)
             assert np.all(est.p_hat.sum(axis=2)
                           <= 1.0 + 4 * np.finfo(float).eps)
@@ -1555,11 +1555,11 @@ def fresh_plan(learner, c):
     open."""
     cfg = learner.cfg
     norms = context_norms(learner.store.v_bar_inv, c)
-    est = learner.snapshot_estimates(norms)
+    radius = learner._beta_p * norms
+    est = learner.snapshot_estimates(radius)
     opt_loss = np.clip(
         np.einsum("sad,d->sa", est.l_hat, c) - est.beta_loss * norms,
         0.0, 1.0)
-    radius = est.beta_dyn * norms
     plan = evi_plan(opt_loss, np.einsum("sand,d->san", est.p_hat, c), radius,
                     b_cap=2.0 * learner.b_star_cur, evi_tol=cfg.evi_tol,
                     evi_max_iter=cfg.evi_max_iter)

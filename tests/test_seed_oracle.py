@@ -6,20 +6,24 @@ never edited: the benchmark's calibration rests on it.  Every rewrite of the
 learner since the seed kept every bit a RunLog records, so on every config
 drawn here the two runs must have the same run_log_digest (bench/workloads.py).
 This checks the learner's fast paths together, on configs no one picked by
-hand; each path keeps its own oracle test as well.  The drawn configs never
-reach a known step, so the known-step run of test_reference_runs is a fixed
-case here: the seed learner alone must give its pinned digest.
+hand; each path keeps its own oracle test as well.  The draw is fixed
+(derandomize), so the suite's time does not move with it; tools/oracle_soak.py
+draws fresh, longer configs that reach open rows and known pairs.  The
+configs drawn here never reach a known step, so the known-step run of
+test_reference_runs is a fixed case here: the seed learner alone must give
+its pinned digest.
 """
 
 import importlib.util
 import os
+import re
 import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcssp import learner, linear_model
+from lrcssp import estimation, learner, linear_model
 from test_reference_runs import (
     KNOWN_STEP_DIGEST,
     KNOWN_STEP_GENERATOR,
@@ -47,7 +51,7 @@ run_log_digest = _load("bench_workloads_for_oracle",
                        os.path.join(BENCH, "workloads.py")).run_log_digest
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(d=st.integers(1, 4), n_states=st.integers(1, 6),
        n_actions=st.integers(1, 4),
        l_min=st.sampled_from([0.0, 0.1, 0.5, 0.9]), K=st.integers(1, 300),
@@ -80,3 +84,35 @@ def test_seed_learner_gives_the_known_step_digest():
     log = seed.run(seed.LearnerConfig(**KNOWN_STEP_LEARNER), model,
                    [np.ones(1)] * KNOWN_STEP_K, seed=0)
     assert run_log_digest(log) == KNOWN_STEP_DIGEST
+
+
+# the soak's one tiny config: rows open after about 73 visits
+# (docs/regimes.md), and an l_min far above 1 makes pairs known early
+TINY_SOAK_CONFIG = {
+    "generator": {"d": 1, "n_states": 2, "n_actions": 2, "gamma_goal": 0.1,
+                  "l_min_target": 0.1, "seed": 0},
+    "l_min": 20.0, "K": 150, "contexts": "uniform", "run_seed": 0}
+
+
+def test_oracle_soak_on_a_tiny_config(monkeypatch, capsys):
+    soak = _load("oracle_soak", os.path.join(
+        os.path.dirname(BENCH), "tools", "oracle_soak.py"))
+    monkeypatch.setattr(soak, "draw_config", lambda rng: TINY_SOAK_CONFIG)
+    bindings = learner.evi_plan, estimation.project_to_stochastic
+    assert soak.main(["--seed", "0", "--configs", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[2].endswith(" equal")
+    totals = re.fullmatch(
+        r"1 configs equal in [\d.]+ s: (\d+) open-row plans, "
+        r"(\d+) projections, (\d+) known steps, (\d+) doublings", out[3])
+    plans, projections, known, doublings = map(int, totals.groups())
+    assert plans > 0 and projections > 0 and known > 0 and doublings == 0
+    # the counting wrappers are gone
+    assert (learner.evi_plan, estimation.project_to_stochastic) == bindings
+    # a seed learner one run seed off: the soak stops at the first config
+    seed_run = soak.seed.run
+    monkeypatch.setattr(soak.seed, "run", lambda *args, seed, **kwargs:
+                        seed_run(*args, seed=seed + 1, **kwargs))
+    assert soak.main(["--seed", "0", "--configs", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and out[2].endswith(" MISMATCH")
