@@ -55,9 +55,7 @@ def cmd_run(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, path = _load_config(args)
-    model, fingerprint = read_model(path)
-    per_run, agg = run_experiment(cfg, model=model, jobs=args.jobs,
-                                  fingerprint=fingerprint)
+    per_run, agg = run_experiment(cfg, model=read_model(path), jobs=args.jobs)
     for variant in sorted(agg):
         print(f"{variant}: final regret mean "
               f"{_fmt(agg[variant]['final_regret_mean'])} over "

@@ -109,7 +109,9 @@ class PairStore:
         keeps a copy of c, so a caller may change c after the call.
         The pair's l_hat follows its moments.  Returns its new visit count
         and its context_norms at c as a Python float with their bits:
-        maximum(0.0, x) keeps -0.0 and NaN too.
+        maximum(0.0, x) keeps -0.0 and NaN too, and + 0.0 turns the -0.0
+        that .dot returns for a sum of -0.0 products into the +0.0 that
+        context_norms' sums start from.
         """
         if not GOAL <= next_state < self.n_states:
             raise IndexError(f"next state {next_state} out of range")
@@ -128,7 +130,7 @@ class PairStore:
             self._fold()
         xty_loss += loss * c
         v_bar_inv.dot(xty_loss, out=l_hat)
-        x = c.dot(v_bar_inv).dot(c).item()
+        x = c.dot(v_bar_inv).dot(c).item() + 0.0
         return tau, math.sqrt(x) if not x < 0.0 else 0.0
 
 

@@ -135,7 +135,7 @@ def hpe_diagnostics(run_log, oracle, delta):
     """Statistical sanity report on interval losses and interval counts.
 
     Checks every interval's loss against 48 * B_emp * log(4m / delta) and
-    reports the violating fraction; also asserts the interval-count
+    reports the violating fraction; also checks the interval-count
     identity M <= K + |S||A| * max per-pair unknown triggers.
     """
     b = max(1.0, oracle.b_star_emp)
@@ -154,8 +154,6 @@ def hpe_diagnostics(run_log, oracle, delta):
         "interval_loss_violations": violations,
         "violation_fraction": violations / max(1, m_total),
         "interval_count_bound_ok": bool(interval_bound_ok),
-        "max_unknown_triggers": max_unknown,
-        "unknown_counts": run_log.unknown_counts.tolist(),
     }
 
 
@@ -284,21 +282,21 @@ def write_model(path, model):
 
 
 def read_model(path):
-    """The model stored at path and its checked fingerprint; a malformed
-    file raises a ConfigError naming it."""
+    """The model stored at path, its fingerprint checked; a malformed file
+    raises a ConfigError naming it."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
         stored_fp = payload.pop("fingerprint", None)
         model = model_from_dict(payload)
-        if stored_fp not in (None, fingerprint := model_fingerprint(model)):
+        if stored_fp not in (None, model_fingerprint(model)):
             raise ConfigError("fingerprint mismatch")
     except FileNotFoundError:
         raise ConfigError(f"model file missing: {path} (run 'gen' first)")
     except (LrcsspError, AttributeError, KeyError, TypeError,
             ValueError) as exc:
         raise ConfigError(f"model file {path} rejected: {exc!r}") from None
-    return model, fingerprint
+    return model
 
 
 def _fmt(x):
@@ -462,12 +460,11 @@ def aggregate_summaries(per_run):
     return out
 
 
-def run_experiment(cfg, model=None, jobs=1, fingerprint=None):
+def run_experiment(cfg, model=None, jobs=1):
     """Full pipeline: model -> contexts -> learner runs -> artifact files.
 
     Deterministic per (generator seed, run seeds); jobs only parallelizes
-    independent seeds, with at most one worker per seed.  A fingerprint
-    read_model checked is not computed again.
+    independent seeds, with at most one worker per seed.
     """
     if model is None:
         model = generate_instance(cfg.generator)
@@ -489,7 +486,7 @@ def run_experiment(cfg, model=None, jobs=1, fingerprint=None):
     # seed-major, so each variant's summaries still aggregate in seed order
     per_run = [run for runs in per_seed for run in runs]
     agg = aggregate_summaries(per_run)
-    lines = [f"model_fingerprint: {fingerprint or model_fingerprint(model)}"]
+    lines = [f"model_fingerprint: {model_fingerprint(model)}"]
     for variant in sorted(agg):
         for key in sorted(agg[variant]):
             lines.append(f"{variant}.{key}: {_fmt(agg[variant][key])}")

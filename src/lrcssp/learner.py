@@ -83,13 +83,17 @@ def auto_epsilon(n_states, d, n_actions, K):
     return n_states * (d * d * n_actions / K) ** (1.0 / 3.0)
 
 
-@dataclass
-class EviResult:
+@dataclass(slots=True)
+class Plan:
+    """One plan: the greedy action and value per state, the last sweep's
+    residual, whether it is within evi_tol, the sweep count, and for a plan
+    that empties every row its opt_loss as lists (else None)."""
     policy: np.ndarray
     values: np.ndarray
     residual: float
     converged: bool
     iterations: int
+    rows: list = None
 
 
 def _evi_backup(opt_loss, p_ctx, r, v):
@@ -114,9 +118,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     p_ctx    : (S, A, S) projected dynamics applied to the context
     radius   : (S, A) L1 radii beta_P * ||c||_{V^-1}
     Values start at zero, grow monotonically, and are truncated to
-    [0, b_cap]; non-convergence is flagged, not raised.  The EviResult
-    carries the greedy policy under the last values, those (S,) values, the
-    last sweep's residual, whether it is within evi_tol, and the sweep count.
+    [0, b_cap]; non-convergence is flagged, not raised.  Returns the Plan
+    of the greedy policy under the last (S,) values, with rows None.
     """
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
@@ -133,8 +136,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
             break
     # greedy policy under the converged values
     q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
-    return EviResult(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
-                     iterations)
+    return Plan(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
+                iterations)
 
 
 @dataclass(slots=True)
@@ -214,9 +217,8 @@ class Learner:
         # the loss and dynamics radii per visit count, which outlive a doubling
         self._by_tau = {}
         self._init_statistics()
-        # the last plan's action and value per state
-        self.policy = np.zeros(self.n_states, dtype=int)
-        self.values = np.zeros(self.n_states)
+        # the last Plan, kept with its rows for row updates at its context
+        self.plan = None
 
     def _init_statistics(self):
         S, A, d = self.n_states, self.n_actions, self.d
@@ -233,10 +235,9 @@ class Learner:
             _read_only(x) for x in (self.store.l_hat, self._p_hat,
                                     self._beta_l, self._beta_p)))
         # the (S, A) norms at the kept context (visits keep them current)
-        # and a lower bound on them; the last plan's opt_loss as lists while
-        # it empties every row at the kept context; and (norm, beta_l,
-        # beta_p) by pair of the pairs visited since the plan
-        self._norms = self._norms_lo = self._rows = None
+        # and a lower bound on them; and (norm, beta_l, beta_p) by pair of
+        # the pairs visited since the plan
+        self._norms = self._norms_lo = None
         self._moved = {}
 
     def _tau_row(self, tau):
@@ -280,13 +281,13 @@ class Learner:
 
     def _use_context(self, c):
         """Keep c, the interval's context, by its bytes (a new c drops norms
-        and rows) and return the (S, A) context norms at it, built when unset
-        with their lower bound _norms_lo; visit keeps both current."""
+        and the plan) and return the (S, A) context norms at it, built when
+        unset with their lower bound _norms_lo; visit keeps both current."""
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._norms_key:
             self._norms_key = key
             self._context = np.frombuffer(key)
-            self._norms = self._rows = None
+            self._norms = self.plan = None
         if self._norms is None:
             self._norms = estimation.context_norms(self.store.v_bar_inv, c)
             self._norms_lo = float(self._norms.min())
@@ -334,11 +335,13 @@ class Learner:
         visited since stay empty, only those rows are replanned.  Otherwise
         every pair is: with every row emptied each state takes its first
         minimum optimistic loss, else evi_plan runs.  b_star_cur doubles,
-        resetting the statistics, while the plan's initial value escapes it.
+        resetting the statistics, while an EVI plan's initial value escapes
+        it; an emptied plan's values lie in [0, 1], so it never doubles.
         """
         self.m += 1
         norms = self._use_context(c)
-        rows = self._rows
+        plan = self.plan
+        rows = None if plan is None else plan.rows
         for (s, a), (norm, beta_l, beta_p) in self._moved.items():
             if rows is None or beta_p * norm < ROW_EMPTYING_RADIUS:
                 rows = None
@@ -349,48 +352,44 @@ class Learner:
             row = rows[s]
             row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
             lo = min(row)
-            self.values[s] = lo + 0.0
-            self.policy[s] = row.index(lo)
-        while True:
-            if rows is None:
-                # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products)
-                opt_loss = np.minimum(np.maximum(0.0, np.einsum(
-                    "sad,d->sa", self.store.l_hat, c)
-                    - self._beta_l * norms), 1.0)
-                radius = self._beta_p * norms
-                if radius.min() >= ROW_EMPTYING_RADIUS:
-                    # every row empties: no p_hat is read or projected, and
-                    # each sweep of evi_plan would land on these values, its
-                    # clip to [0, 2B >= 2] never binding: opt_loss is NaN or
-                    # in [0, 1], as einsum sums from +0.0 (no -0.0 reaches it)
-                    rows = opt_loss.tolist()
-                    self.policy = opt_loss.argmin(axis=1).tolist()
-                    self.values = [row[a] + 0.0
-                                   for row, a in zip(rows, self.policy)]
-                else:
-                    result = evi_plan(opt_loss, np.einsum(
-                        "sand,d->san", self.snapshot_estimates(radius).p_hat,
-                        c), radius, b_cap=2.0 * self.b_star_cur,
-                        evi_tol=self.cfg.evi_tol,
-                        evi_max_iter=self.cfg.evi_max_iter)
-                    self.policy, self.values = result.policy, result.values
-            v_init = float(self.values[self.model.s_init])
-            if not v_init > self.b_star_cur:  # a NaN value does not double
-                break
+            plan.values[s] = lo + 0.0
+            plan.policy[s] = row.index(lo)
+        while rows is None:
+            # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products)
+            opt_loss = np.minimum(np.maximum(0.0, np.einsum(
+                "sad,d->sa", self.store.l_hat, c)
+                - self._beta_l * norms), 1.0)
+            radius = self._beta_p * norms
+            if radius.min() >= ROW_EMPTYING_RADIUS:
+                # every row empties: no p_hat is read or projected, and each
+                # sweep of evi_plan would land on these values, its clip to
+                # [0, 2B >= 2] never binding: opt_loss is NaN or in [0, 1],
+                # as einsum sums from +0.0 (no -0.0 reaches it)
+                rows = opt_loss.tolist()
+                policy = opt_loss.argmin(axis=1).tolist()
+                values = [row[a] + 0.0 for row, a in zip(rows, policy)]
+                plan = Plan(policy, values, None, None, None, rows)
+                break  # its sweeps are set below
+            plan = evi_plan(opt_loss, np.einsum(
+                "sand,d->san", self.snapshot_estimates(radius).p_hat, c),
+                radius, b_cap=2.0 * self.b_star_cur, evi_tol=self.cfg.evi_tol,
+                evi_max_iter=self.cfg.evi_max_iter)
+            if not plan.values[self.model.s_init] > self.b_star_cur:
+                break  # a NaN value does not double
             # doubling trick: optimistic value escaped the current bound
             self.b_star_cur *= 2.0
             self.doubling_events += 1
             self._init_statistics()
-            norms, rows = self._use_context(c), None
-        if rows is None:
-            residual = result.residual
-        else:
+            norms = self._use_context(c)
+        if rows is not None:
             # the EVI loop's: a sweep moves v from zero by max v and stops
             # within evi_tol or the budget, else a second confirms v at 0
-            top = max(self.values)
-            residual = (top if top <= self.cfg.evi_tol
-                        or self.cfg.evi_max_iter == 1 else 0.0)
-        self._rows, self._moved = rows, {}
+            top = max(plan.values)
+            plan.residual, plan.iterations = (
+                (top, 1) if top <= self.cfg.evi_tol
+                or self.cfg.evi_max_iter == 1 else (0.0, 2))
+            plan.converged = plan.residual <= self.cfg.evi_tol
+        self.plan, self._moved = plan, {}
         # no norm lies below _norms_lo, and no threshold above the one at
         # the floor, radius 0 (a NaN bound takes the full count)
         known = 0 if self._norms_lo >= self._known_threshold(0.0) else (
@@ -398,7 +397,8 @@ class Learner:
                 self._beta_p, self.l_min_eff, self.b_star_cur, self.m,
                 self.cfg.delta)))
         record = IntervalRecord(
-            episode, self.m, trigger, 0, 0.0, residual, v_init,
+            episode, self.m, trigger, 0, 0.0, plan.residual,
+            float(plan.values[self.model.s_init]),
             self.b_star_cur, known / (self.n_states * self.n_actions),
             self._context)
         if self.diagnostics_model is not None:
@@ -532,7 +532,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
         for _ in range(cfg.episode_step_cap):
-            a = int(learner.policy[s])
+            a = int(learner.plan.policy[s])
             nxt, raw_loss = sampler.step(s, a, draws)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
             known = learner.visit(s, a, nxt, obs_loss)

@@ -118,9 +118,10 @@ class TestRun:
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", cfg]) == 2
 
-    def test_fingerprint_computed_once(self, tmp_path, monkeypatch):
+    def test_fingerprint_checked_then_summarised(self, tmp_path, monkeypatch):
         # gen builds the model's dict once; run checks the stored
-        # fingerprint once and writes that one into summary.txt
+        # fingerprint, then computes it again for summary.txt, which holds
+        # the stored one
         cfg = write_config(tmp_path)
         calls = []
 
@@ -135,7 +136,7 @@ class TestRun:
         calls.clear()
         counting("model_fingerprint")
         assert main(["run", "--config", cfg]) == 0
-        assert calls == ["model_fingerprint", "model_to_dict"]
+        assert calls == ["model_fingerprint", "model_to_dict"] * 2
         stored = json.loads((tmp_path / "out" / "model.json").read_text())
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert summary.startswith(

@@ -315,6 +315,18 @@ class TestDeferredStore:
                 assert getattr(store, name).tobytes() == \
                     getattr(eager, name).tobytes(), name
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_norm_of_a_negative_zero_sum(self, d):
+        # every product of c V^-1 c is -0.0: .dot keeps the sign, while
+        # context_norms' sums start at +0.0 (a V^-1 gone negative, as an
+        # overflowing c c^T can leave it)
+        store = PairStore((), d, 1)
+        store.v_bar_inv[...] = -2.0 * np.eye(d)
+        c = np.zeros(d)
+        _, norm = store.record_visit(c, 0, 0.5)
+        assert np.float64(norm).tobytes() == context_norms(
+            store.v_bar_inv, c).tobytes() == np.float64(0.0).tobytes()
+
 
 class TestArraysWrittenInPlace:
     """A store's arrays are allocated once and written in place, so the

@@ -31,7 +31,7 @@ from lrcssp.harness import ExperimentConfig, build_contexts
 from lrcssp.learner import (
     ROW_EMPTYING_RADIUS,
     UNIFORM_BLOCK,
-    EviResult,
+    Plan,
     Learner,
     LearnerConfig,
     _BlockUniforms,
@@ -373,8 +373,8 @@ def evi_plan_full_loop(opt_loss, p_ctx, radius, b_cap, evi_tol,
         if residual <= evi_tol:
             break
     q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
-    return EviResult(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
-                     iterations)
+    return Plan(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
+                iterations)
 
 
 def bits(x):
@@ -426,9 +426,11 @@ def emptied_start(opt_loss, radius=None, b_star=1.0, **cfg):
 
 def assert_plans_as(learner, record, want):
     """The learner's plan is want's, bit for bit: policy, values, residual
-    and initial value."""
-    assert bits(learner.policy) == bits(want.policy)
-    assert bits(learner.values) == bits(want.values)
+    and initial value, and its sweeps and convergence."""
+    assert bits(learner.plan.policy) == bits(want.policy)
+    assert bits(learner.plan.values) == bits(want.values)
+    assert (learner.plan.iterations, learner.plan.converged) == (
+        want.iterations, want.converged)
     assert_same_bits(record.evi_residual, want.residual)
     assert_same_bits(record.v_tilde_init,
                      want.values.item(learner.model.s_init))
@@ -456,7 +458,7 @@ class TestEmptiedPlan:
         with mock.patch("lrcssp.learner.evi_plan") as evi:
             learner, record = emptied_start(opt_loss, radius, b_star, **kwargs)
         assert not evi.called  # an emptied plan reads no dynamics
-        assert bits(learner._rows) == (opt_loss + 0.0).tobytes()
+        assert bits(learner.plan.rows) == (opt_loss + 0.0).tobytes()
         return learner, record, evi_plan_full_loop(
             opt_loss, p_ctx, radius, b_cap=2.0 * b_star, **kwargs)
 
@@ -468,7 +470,7 @@ class TestEmptiedPlan:
         assert record.evi_residual == 0.0
         assert np.array_equal(
             optimistic_model(opt_loss, p_ctx, radius,
-                             np.asarray(learner.values)),
+                             np.asarray(learner.plan.values)),
             np.zeros((4, 3, 4)))
 
     def test_values_below_tolerance_take_one_sweep(self):
@@ -476,7 +478,7 @@ class TestEmptiedPlan:
         learner, record, want = self._both(1e-8 * opt_loss, p_ctx, radius)
         assert_plans_as(learner, record, want)
         assert want.iterations == 1 and want.converged
-        assert record.evi_residual == max(learner.values) > 0
+        assert record.evi_residual == max(learner.plan.values) > 0
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2])
     def test_sweep_budget(self, max_iter):
@@ -510,7 +512,7 @@ class TestEmptiedPlan:
         opt_loss[2, 1:] = opt_loss[2, 0]
         learner, record, want = self._both(opt_loss, p_ctx, radius)
         assert_plans_as(learner, record, want)
-        assert learner.policy[1] == learner.policy[2] == 0
+        assert learner.plan.policy[1] == learner.plan.policy[2] == 0
 
     def test_one_open_row_takes_the_full_path(self):
         opt_loss, p_ctx, radius = self._case(6)
@@ -525,12 +527,12 @@ class TestEmptiedPlan:
             learner, record = emptied_start(opt_loss, radius, b_star=5.0)
         # the fresh learner's p_hat is zero: nothing was projected
         (p_zero, result), = plans
-        assert learner._rows is None and not p_zero.any()
+        assert learner.plan.rows is None and not p_zero.any()
         want = evi_plan_full_loop(opt_loss, p_zero, radius, b_cap=10.0,
                                   evi_tol=REF_CFG.evi_tol,
                                   evi_max_iter=REF_CFG.evi_max_iter)
         assert_plans_as(learner, record, want)
-        assert learner.policy is result.policy
+        assert learner.plan is result
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -556,8 +558,8 @@ def emptied_plan_oracle(opt_loss, b_cap, evi_tol, evi_max_iter):
     top = float(values.max())
     residual, iterations = ((top, 1) if top <= evi_tol or evi_max_iter == 1
                             else (0.0, 2))
-    return EviResult(q_vals.argmin(axis=1), values, residual,
-                     residual <= evi_tol, iterations)
+    return Plan(q_vals.argmin(axis=1), values, residual,
+                residual <= evi_tol, iterations)
 
 
 # what the learner builds: losses in [0, 1] with ties, and -0.0 written to
@@ -597,9 +599,9 @@ class TestEmptiedRowOracle:
         learner, record = emptied_start(opt_loss, b_star=b_star, **kwargs)
         want = emptied_plan_oracle(opt_loss, 2.0 * b_star, **kwargs)
         assert_plans_as(learner, record, want)
-        assert [type(v) for v in learner.values] == [float] * S
-        assert learner.policy == want.policy.tolist()
-        assert bits(learner._rows) == (opt_loss + 0.0).tobytes()
+        assert [type(v) for v in learner.plan.values] == [float] * S
+        assert learner.plan.policy == want.policy.tolist()
+        assert bits(learner.plan.rows) == (opt_loss + 0.0).tobytes()
 
     @pytest.mark.parametrize("S, A", SHAPES)
     @settings(max_examples=60, deadline=None)
@@ -612,7 +614,7 @@ class TestEmptiedRowOracle:
         b_star = data.draw(B_STARS)
         learner, _ = emptied_start(np.array(loss_rows(data, S, A)),
                                    b_star=b_star)
-        rows = learner._rows
+        rows = learner.plan.rows
         opt_loss = np.array(rows)
         for _ in range(data.draw(st.integers(1, 3))):
             s = data.draw(st.integers(0, S - 1))
@@ -627,10 +629,10 @@ class TestEmptiedRowOracle:
         record = learner.start_interval(np.array([1.0]), 0, "unknown")
         want = emptied_plan_oracle(opt_loss, 2.0 * b_star, REF_CFG.evi_tol,
                                    REF_CFG.evi_max_iter)
-        assert learner._rows is rows and not learner._moved
+        assert learner.plan.rows is rows and not learner._moved
         assert bits(rows) == opt_loss.tobytes()
         assert_plans_as(learner, record, want)
-        assert learner.policy == want.policy.tolist()
+        assert learner.plan.policy == want.policy.tolist()
 
     def test_emptied_full_plan_keeps_its_rows(self):
         # an emptied full plan keeps opt_loss as lists without evi_plan
@@ -641,8 +643,8 @@ class TestEmptiedRowOracle:
         assert not evi.called
         plan, opt_loss, _, open_row = fresh_plan(learner, c)
         assert not open_row
-        assert bits(learner._rows) == opt_loss.tobytes()
-        assert type(learner.policy) is type(learner.values) is list
+        assert bits(learner.plan.rows) == opt_loss.tobytes()
+        assert type(learner.plan.policy) is type(learner.plan.values) is list
         assert_plans_as(learner, record, plan)
 
 
@@ -921,7 +923,7 @@ class TestStackedStatistics:
             # every plan reads an open row, so evi_plan runs and escapes
             mp.setattr("lrcssp.learner.ROW_EMPTYING_RADIUS", math.inf)
             mp.setattr("lrcssp.learner.evi_plan", lambda *args, **kwargs: (
-                EviResult([0] * 5, [2.0 * kwargs["b_cap"]] * 5, 0.0, True, 1)
+                Plan([0] * 5, [2.0 * kwargs["b_cap"]] * 5, 0.0, True, 1)
                 if learner.doubling_events == 0
                 else evi_plan(*args, **kwargs)))
             checked_start_interval(c)  # a doubling resets the statistics
@@ -1020,7 +1022,7 @@ class TestStackedStatistics:
         c = np.array([0.3, 0.7])
         learner.start_interval(c, 0, "start")
         assert learner.doubling_events == 0
-        opt_loss = np.array(learner._rows)
+        opt_loss = np.array(learner.plan.rows)
         assert 0 < opt_loss.min() and opt_loss.max() < 1
         est = learner.snapshot_estimates()
         for s in range(model.n_states):
@@ -1585,17 +1587,19 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
         return evi_plan(*args, **kwargs)
 
     def checked_start_interval(learner, c, episode, trigger):
-        kept = learner._rows
+        kept = None if learner.plan is None else learner.plan.rows
         record = start_interval(learner, c, episode, trigger)
         plan, opt_loss, known_fraction, open_row = fresh_plan(learner, c)
-        assert bits(learner.policy) == bits(plan.policy)
-        assert bits(learner.values) == bits(plan.values)
+        assert bits(learner.plan.policy) == bits(plan.policy)
+        assert bits(learner.plan.values) == bits(plan.values)
+        assert (learner.plan.iterations, learner.plan.converged) == (
+            plan.iterations, plan.converged)
         assert record.evi_residual == plan.residual
         assert record.v_tilde_init == plan.values[model.s_init]
         assert record.known_fraction == known_fraction
-        if learner._rows is not None:  # kept for the next row update
-            assert bits(learner._rows) == opt_loss.tobytes()
-        counts["full"] += kept is None or learner._rows is not kept
+        if learner.plan.rows is not None:  # kept for the next row update
+            assert bits(learner.plan.rows) == opt_loss.tobytes()
+        counts["full"] += kept is None or learner.plan.rows is not kept
         counts["open"] += open_row
         return record
 
@@ -1679,7 +1683,7 @@ class TestRowUpdate:
         start_interval = Learner.start_interval
 
         def counting_start_interval(learner, c, episode, trigger):
-            if learner._rows is not None:
+            if learner.plan is not None and learner.plan.rows is not None:
                 moved.append(len(learner._moved))
             return start_interval(learner, c, episode, trigger)
 
@@ -1709,13 +1713,13 @@ class TestRowUpdate:
         c, other = np.array([0.3, 0.7]), np.array([0.6, 0.4])
         with mock.patch("lrcssp.learner.evi_plan") as evi:
             learner.start_interval(c, 0, "start")
-            rows = learner._rows
+            rows = learner.plan.rows
             visit_at(learner, 0, 0, c, 1, 0.5)
             learner.start_interval(c, 0, "unknown")
-            assert learner._rows is rows  # the row update
+            assert learner.plan.rows is rows  # the row update
             visit_at(learner, 1, 0, other, 1, 0.5)
             learner.start_interval(c, 0, "unknown")
-            assert learner._rows is not rows  # a full plan
+            assert learner.plan.rows is not rows  # a full plan
         assert not evi.called  # every row stays empty
 
     def test_two_moved_pairs_update_their_rows_in_place(self):
@@ -1728,21 +1732,18 @@ class TestRowUpdate:
         model, learner = TestStackedStatistics()._learner(visits=20_000)
         c = np.array([0.3, 0.7])
         learner.start_interval(c, 0, "start")
-        rows = learner._rows
+        rows = learner.plan.rows
         before = np.array(rows)
         visit_at(learner, 1, 0, c, 1, 0.5)
         visit_at(learner, 2, 2, c, GOAL, 0.0)
         assert sorted(learner._moved) == [(1, 0), (2, 2)]
         record = learner.start_interval(c, 0, "unknown")
-        assert learner._rows is rows and not learner._moved
+        assert learner.plan.rows is rows and not learner._moved
         plan, opt_loss, known_fraction, open_row = fresh_plan(learner, c)
         assert not open_row
         assert bits(rows) == opt_loss.tobytes()
         assert (before != opt_loss).sum() == 2
-        assert bits(learner.policy) == bits(plan.policy)
-        assert bits(learner.values) == bits(plan.values)
-        assert_same_bits(record.evi_residual, plan.residual)
-        assert_same_bits(record.v_tilde_init, plan.values.item(model.s_init))
+        assert_plans_as(learner, record, plan)
         assert bits(record.known_fraction) == bits(known_fraction)
 
 
@@ -1767,7 +1768,7 @@ class TestStepState:
             # every row reads open, so the plan is neither an emptied one
             # nor an update of the kept rows, which no visit may have moved
             mp.setattr("lrcssp.learner.ROW_EMPTYING_RADIUS", math.inf)
-            learner._rows = None
+            learner.plan = None
             record = learner.start_interval(c, 0, "unknown")
         assert learner.doubling_events == doublings + 1
         return record

@@ -1,0 +1,49 @@
+"""tools/ledger.py: two trees timed in one process, after their digests.
+
+The ledger loads this tree and another under two package names.  Against a
+copy of itself every part's digest agrees and each pair times both trees;
+a copy whose learner moves one event field stops it with exit code 1
+before any timing.
+"""
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+LEDGER = os.path.join(ROOT, "tools", "ledger.py")
+
+
+def load_ledger():
+    spec = importlib.util.spec_from_file_location("ledger_tool", LEDGER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_tree_against_itself_times_both_sides():
+    ledger = load_ledger()
+    seconds = ledger.time_half({"this": SRC, "other": SRC},
+                               ("other", "this"), "wide", 2)
+    assert len(seconds) == 2
+    assert all(this > 0 and other > 0 for this, other in seconds)
+    # each tree is its own package, bench/workloads.py bound to it
+    assert sys.modules["lrcssp_this"] is not sys.modules["lrcssp_other"]
+
+
+def test_a_moved_digest_exits_1(tmp_path):
+    other = tmp_path / "src"
+    shutil.copytree(SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
+    path = other / "lrcssp" / "learner.py"
+    code = path.read_text()
+    assert code.count('else "goal"') == 1
+    path.write_text(code.replace('else "goal"', 'else "Goal"'))
+    done = subprocess.run(
+        [sys.executable, LEDGER, str(other), "--workload", "ref", "--pairs",
+         "2"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("ledger: ref differs at part 0:")
+    assert done.stdout == ""

@@ -167,18 +167,19 @@ def test_cited_tests_exist():
 
 def namespaces():
     """Where a cited name may live: the module, or the class and an
-    instance of it built the way a run builds one."""
+    instance of it built the way a run builds one (Plan: the class)."""
     model = linear_model.generate_instance(
         linear_model.GeneratorSpec(**KNOWN_STEP_GENERATOR))
     fresh = learner.Learner(learner.LearnerConfig(), model, 0.9)
     return dict({name: [module] for name, module in MODULES.items()},
                 Learner=[learner.Learner, fresh],
-                PairStore=[estimation.PairStore, fresh.store])
+                PairStore=[estimation.PairStore, fresh.store],
+                Plan=[learner.Plan])
 
 
 def test_cited_names_resolve():
-    """A backticked name under a module, Learner or PairStore (a file name
-    aside) resolves at this tree, or is a per-layer metric of
+    """A backticked name under a module, Learner, PairStore or Plan (a file
+    name aside) resolves at this tree, or is a per-layer metric of
     BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = {m["name"] for m in json.load(fh)["per_layer"]}
