@@ -77,8 +77,7 @@ class PairStore:
         """Add each pending visit's c c^T to v_bar and, unless it reached
         the goal, c to its next state's row of xty_trans.  np.add.at adds
         at a repeated index in the log's order, so the sums equal the
-        visits' own += bit for bit; on the arrays' flat views, entry by
-        entry, it takes numpy's fast path."""
+        visits' own += bit for bit."""
         if not self._pending:
             return
         offsets, contexts, nexts = zip(*self._pending)
@@ -86,12 +85,11 @@ class PairStore:
         d = self.d
         c = np.frombuffer(b"".join(contexts)).reshape(len(offsets), d)
         offsets, nexts = np.array(offsets), np.array(nexts)
-        np.add.at(self._v_bar.reshape(-1), _entries(offsets, d * d),
-                  (c[:, :, None] * c[:, None, :]).ravel())
+        np.add.at(self._v_bar.reshape(-1, d, d), offsets,
+                  c[:, :, None] * c[:, None, :])
         moved = nexts != GOAL
-        rows = offsets[moved] * self.n_states + nexts[moved]
-        np.add.at(self._xty_trans.reshape(-1), _entries(rows, d),
-                  c[moved].ravel())
+        np.add.at(self._xty_trans.reshape(-1, d),
+                  offsets[moved] * self.n_states + nexts[moved], c[moved])
 
     def _pair(self, index):
         """Pair `index`'s flat offset and v_bar_inv, xty_loss, l_hat views."""
@@ -132,11 +130,6 @@ class PairStore:
         v_bar_inv.dot(xty_loss, out=l_hat)
         x = c.dot(v_bar_inv).dot(c).item() + 0.0
         return tau, math.sqrt(x) if not x < 0.0 else 0.0
-
-
-def _entries(rows, size):
-    """Flat indices of the entries of rows of `size` entries each."""
-    return (rows[:, None] * size + np.arange(size)).ravel()
 
 
 class SaStatistics(PairStore):

@@ -12,6 +12,7 @@ rows of the pairs visited since stay empty, it replans only those rows (see
 docs/regimes.md, "What a replan costs").
 """
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ ROW_EMPTYING_RADIUS = 1.0 + 1e-6
 # of every episode's context was slower than one context at a time at
 # (30, 5): the larger tables fall out of the cache.
 SAMPLER_STACK_ENTRIES = 2**13
-# Uniform doubles _BlockUniforms draws from the generator at once.
+# Uniform doubles _uniforms draws from the generator at once.
 UNIFORM_BLOCK = 1024
 
 
@@ -214,8 +215,13 @@ class Learner:
         # the context last seen, as bytes and as a read-only array shared
         # by the interval records
         self._norms_key = self._context = None
-        # the loss and dynamics radii per visit count, which outlive a doubling
-        self._by_tau = {}
+        # the loss and dynamics radii at a visit count, which outlive a
+        # doubling
+        dims = (self.d, self.n_states, self.n_actions, float(cfg.lam),
+                cfg.delta)
+        self._radii = functools.cache(lambda tau: (
+            estimation.loss_radius(tau, *dims),
+            estimation.dynamics_radius(tau, *dims)))
         self._init_statistics()
         # the last Plan, kept with its rows for row updates at its context
         self.plan = None
@@ -230,7 +236,7 @@ class Learner:
         self._p_hat = np.zeros((S, A, S, d))
         # every pair's loss and dynamics radii
         self._beta_l, self._beta_p = (
-            np.full((S, A), x) for x in self._tau_row(0.0))
+            np.full((S, A), x) for x in self._radii(0.0))
         self._estimates = estimation.Estimates(*(
             _read_only(x) for x in (self.store.l_hat, self._p_hat,
                                     self._beta_l, self._beta_p)))
@@ -239,14 +245,6 @@ class Learner:
         # the pairs visited since the plan
         self._norms = self._norms_lo = None
         self._moved = {}
-
-    def _tau_row(self, tau):
-        """Compute and keep the _by_tau entry of visit count tau."""
-        dims = (self.d, self.n_states, self.n_actions, self.store.lam,
-                self.cfg.delta)
-        row = self._by_tau[tau] = (estimation.loss_radius(tau, *dims),
-                                   estimation.dynamics_radius(tau, *dims))
-        return row
 
     def _known_threshold(self, beta_p):
         """estimation.known_threshold at a Python float radius beta_p, the
@@ -306,7 +304,7 @@ class Learner:
             raise ProtocolError("visit needs a plan: call start_interval first")
         tau, norm = self.store.record_visit(self._context, next_state, loss,
                                             (s, a))
-        beta_l, beta_p = self._by_tau.get(tau) or self._tau_row(tau)
+        beta_l, beta_p = self._radii(tau)
         self._beta_l[s, a] = beta_l
         self._beta_p[s, a] = beta_p
         self._norms[s, a] = norm
@@ -436,25 +434,11 @@ def _environment(model, contexts):
         yield from zip(stack, *_sampler_tables(model, stack))
 
 
-class _BlockUniforms:
-    """A numpy Generator's uniform doubles, drawn UNIFORM_BLOCK at a time.
-
-    The n-th random() is the generator's n-th random() bit for bit, and
-    uniform(low, high) is low + (high - low) * random(), the formula
-    Generator.uniform applies to the one double it draws.
-    """
-
-    def __init__(self, rng):
-        self._rng = rng
-        self._block = []
-
-    def random(self):
-        if not self._block:
-            self._block = self._rng.random(UNIFORM_BLOCK).tolist()[::-1]
-        return self._block.pop()
-
-    def uniform(self, low, high):
-        return low + (high - low) * self.random()
+def _uniforms(rng):
+    """Yield a numpy Generator's random() doubles, drawn UNIFORM_BLOCK at a
+    time: the n-th is the generator's n-th random() bit for bit."""
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
 
 
 class _EpisodeSampler:
@@ -473,17 +457,21 @@ class _EpisodeSampler:
         row = self.rows[s, a] = list(accumulate(self.probs[s, a].tolist()))
         return row
 
-    def step(self, s, a, rng):
+    def step(self, s, a, random):
+        """Draw (s, a)'s next state and loss with random(), a uniform double
+        a call.  A truncated-uniform loss is low + (high - low) * random(),
+        the formula Generator.uniform applies to the one double it draws."""
         row = self.rows.get((s, a)) or self.row(s, a)
-        nxt = bisect_right(row, rng.random())
+        nxt = bisect_right(row, random())
         if nxt >= self.n_states:
             nxt = GOAL
         mean = self.means.item(s, a)
         if self.bernoulli:
-            loss = float(rng.random() < mean)
+            loss = float(random() < mean)
         else:
             half = min(mean, 1.0 - mean, self.width)
-            loss = float(rng.uniform(mean - half, mean + half))
+            low, high = mean - half, mean + half
+            loss = low + (high - low) * random()
         return nxt, loss
 
 
@@ -516,7 +504,8 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         eps = 0.0
         l_min_eff = cfg.l_min
 
-    draws = _BlockUniforms(np.random.default_rng(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    random = _uniforms(rng).__next__
     learner = Learner(cfg, model, l_min_eff, diagnostics_model)
     episodes, all_records, step_trace = [], [], []
     unknown_counts = [[0] * model.n_actions for _ in range(model.n_states)]
@@ -533,7 +522,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         s = model.s_init
         for _ in range(cfg.episode_step_cap):
             a = int(learner.plan.policy[s])
-            nxt, raw_loss = sampler.step(s, a, draws)
+            nxt, raw_loss = sampler.step(s, a, random)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
             known = learner.visit(s, a, nxt, obs_loss)
             log.steps += 1

@@ -34,11 +34,11 @@ from lrcssp.learner import (
     Plan,
     Learner,
     LearnerConfig,
-    _BlockUniforms,
     _environment,
     _EpisodeSampler,
     _evi_backup,
     _sampler_tables,
+    _uniforms,
     auto_epsilon,
     evi_plan,
     run,
@@ -1310,8 +1310,7 @@ class TestEpisodeSampler:
                     want = int(np.searchsorted(cum[s, a], u, side="right"))
                     assert bisect.bisect_right(row, u) == want, (s, a, u)
                     # and through step, whose uniform draws all read u
-                    nxt, _ = sampler.step(s, a, types.SimpleNamespace(
-                        random=lambda: u))
+                    nxt, _ = sampler.step(s, a, lambda: u)
                     assert nxt == (GOAL if want >= model.n_states else want)
         assert repeated or not negative
 
@@ -1339,7 +1338,7 @@ class TestEpisodeSampler:
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         pairs = [(s, a) for s in range(4) for a in range(2)] * 25
         for s, a in pairs:
-            nxt, _ = sampler.step(s, a, rng)
+            nxt, _ = sampler.step(s, a, rng.random)
             want = int(np.searchsorted(cum[s, a], ref.random(), side="right"))
             assert nxt == (GOAL if want >= model.n_states else want)
             ref.random() if noise == "bernoulli" else ref.uniform()
@@ -1347,17 +1346,20 @@ class TestEpisodeSampler:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_block_uniforms_equal_the_generator(self):
-        # random() and uniform(lo, hi) in turn, as a truncated-uniform step
-        # draws them, across three block boundaries; the bounds include the
-        # equal bounds a clipped mean of 0 or 1 gives, and a signed zero
+        # a double and a truncated-uniform loss lo + (hi - lo) * u in turn,
+        # as a truncated-uniform step draws them, across three block
+        # boundaries, against random() and uniform(lo, hi); the bounds
+        # include the equal bounds a clipped mean of 0 or 1 gives, and a
+        # signed zero
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        blocks = _BlockUniforms(rng)
+        random = _uniforms(rng).__next__
         bounds = [(0.0, 0.0), (-0.0, 0.0), (0.25, 0.35),
                   (0.95, 1.0), (0.0, 1.0), (1.0, 1.0)]
         for i in range(3 * UNIFORM_BLOCK // 2 + 7):
-            assert blocks.random().hex() == ref.random().hex()
+            assert random().hex() == ref.random().hex()
             lo, hi = bounds[i % len(bounds)]
-            assert blocks.uniform(lo, hi).hex() == ref.uniform(lo, hi).hex()
+            loss = lo + (hi - lo) * random()
+            assert loss.hex() == ref.uniform(lo, hi).hex()
         # the generator ran ahead by whole blocks only
         drawn = 2 * (3 * UNIFORM_BLOCK // 2 + 7)
         ahead = -drawn % UNIFORM_BLOCK
@@ -1373,11 +1375,12 @@ class TestEpisodeSampler:
         model = LinearCsspModel(base.loss_embed, base.trans_embed,
                                 loss_noise=noise, noise_width=0.05)
         sampler = episode_sampler(model, np.array([0.5, 0.0, 0.5]))
-        blocks = _BlockUniforms(np.random.default_rng(8))
+        blocks = _uniforms(np.random.default_rng(8)).__next__
         ref = np.random.default_rng(8)
         pairs = [(s, a) for s in range(5) for a in range(3)] * 100
         for s, a in pairs:
-            got, want = sampler.step(s, a, blocks), sampler.step(s, a, ref)
+            got = sampler.step(s, a, blocks)
+            want = sampler.step(s, a, ref.random)
             assert (got[0], got[1].hex()) == (want[0], want[1].hex())
 
 

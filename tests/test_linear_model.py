@@ -180,7 +180,7 @@ class TestSampleStep:
         n = 50_000
         counts = np.zeros(model.n_states + 1)
         for _ in range(n):
-            nxt, _ = sampler.step(s, a, rng)
+            nxt, _ = sampler.step(s, a, rng.random)
             counts[nxt if nxt != GOAL else model.n_states] += 1
         freq = counts / n
         target = np.append(ssp.trans[s, a], ssp.goal_mass[s, a])
@@ -193,7 +193,7 @@ class TestSampleStep:
         mean = float(model.loss_embed[0, 0] @ c)
         sampler = episode_sampler(model, c)
         rng = np.random.default_rng(11)
-        losses = np.array([sampler.step(0, 0, rng)[1]
+        losses = np.array([sampler.step(0, 0, rng.random)[1]
                            for _ in range(40_000)])
         assert set(np.unique(losses)) <= {0.0, 1.0}
         se = np.sqrt(mean * (1 - mean) / losses.size)
@@ -208,7 +208,7 @@ class TestSampleStep:
         mean = float(model.loss_embed[1, 2] @ c)
         sampler = episode_sampler(model, c)
         rng = np.random.default_rng(12)
-        losses = np.array([sampler.step(1, 2, rng)[1]
+        losses = np.array([sampler.step(1, 2, rng.random)[1]
                            for _ in range(20_000)])
         assert losses.min() >= 0.0 and losses.max() <= 1.0
         assert np.all(np.abs(losses - mean) <= 0.05 + 1e-12)

@@ -191,7 +191,7 @@ def test_mixed_regime_run(tmp_path, monkeypatch):
     project = estimation.project_to_stochastic
 
     def counting_evi_plan(opt_loss, p_ctx, radius, **kwargs):
-        calls["open"] += p_ctx is not None
+        calls["open"] += 1  # evi_plan runs only for open-row plans
         return evi_plan(opt_loss, p_ctx, radius, **kwargs)
 
     def counting_projection(p_raw, v_bar):

@@ -17,7 +17,6 @@ its pinned digest.
 import importlib.util
 import os
 import re
-import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,24 +30,14 @@ from test_reference_runs import (
     KNOWN_STEP_LEARNER,
 )
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench")
-
-
-def _load(name, path, package_dir=None):
-    spec = importlib.util.spec_from_file_location(
-        name, path, submodule_search_locations=package_dir and [package_dir])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # the package's relative imports find it
-    spec.loader.exec_module(module)
-    return module
-
-
-seed = _load("bench_yardstick",
-             os.path.join(BENCH, "yardstick", "__init__.py"),
-             os.path.join(BENCH, "yardstick"))
-run_log_digest = _load("bench_workloads_for_oracle",
-                       os.path.join(BENCH, "workloads.py")).run_log_digest
+# the soak loads the seed learner and bench/workloads.py; both are used
+# from it
+spec = importlib.util.spec_from_file_location("oracle_soak", os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
+    "oracle_soak.py"))
+soak = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(soak)
+seed, run_log_digest = soak.seed, soak.workloads.run_log_digest
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -95,8 +84,6 @@ TINY_SOAK_CONFIG = {
 
 
 def test_oracle_soak_on_a_tiny_config(monkeypatch, capsys):
-    soak = _load("oracle_soak", os.path.join(
-        os.path.dirname(BENCH), "tools", "oracle_soak.py"))
     monkeypatch.setattr(soak, "draw_config", lambda rng: TINY_SOAK_CONFIG)
     bindings = learner.evi_plan, estimation.project_to_stochastic
     assert soak.main(["--seed", "0", "--configs", "1"]) == 0
