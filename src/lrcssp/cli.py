@@ -20,6 +20,7 @@ from .harness import (
     final_regret_mean,
     generate_instance,
     read_model,
+    read_regret_csv,
     read_summary,
     run_experiment,
     write_model,
@@ -63,13 +64,6 @@ def cmd_run(args):
     return 0
 
 
-def _read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return {name: [r[i] for r in rows] for i, name in enumerate(header)}
-
-
 def cmd_report(args):
     run_dir = args.run_dir
     variants = sorted(
@@ -91,9 +85,8 @@ def cmd_report(args):
             # a missing column, a short row, no row, a non-number cell or an
             # uneven episode count is a malformed file, like a missing one
             try:
-                cols = _read_csv(path)
-                truncated = [int(t) for t in cols["truncated"]]
-                curve = [float(x) for x in cols["cum_regret"]]
+                cols = read_regret_csv(path)
+                truncated, curve = cols["truncated"], cols["cum_regret"]
                 final = final_regret(curve, truncated)
                 if n_episodes and len(curve) != n_episodes:
                     raise ValueError(f"{len(curve)} rows, not {n_episodes}")

@@ -217,9 +217,8 @@ def loss_radius(tau, d, n_states, n_actions, lam, delta):
 
 
 def dynamics_radius(tau, d, n_states, n_actions, lam, delta):
-    """|S|-scaled confidence radius for the projected dynamics embedding."""
-    arg = 8.0 * n_states**2 * n_actions * (1.0 + tau / lam) / delta
-    return n_states * (math.sqrt(d * math.log(arg)) + math.sqrt(lam))
+    """The dynamics embedding's radius: S times the loss radius at S^2 A."""
+    return n_states * loss_radius(tau, d, n_states**2, n_actions, lam, delta)
 
 
 def known_floor(m, delta):

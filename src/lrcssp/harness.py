@@ -28,7 +28,7 @@ from .linear_model import (
     induce_ssp,
     validate_context,
 )
-from .ssp import expected_hitting_time, value_iteration
+from .ssp import check_goal_reachable, expected_hitting_time, value_iteration
 
 SENTINEL = float("nan")
 
@@ -60,9 +60,9 @@ def oracle_values(model, contexts):
     The contexts are solved as stacks of induced instances: one value
     iteration per stack, in which each context stops at its own sweep, and
     one batched hitting-time solve.  A context that induces no valid
-    instance, whose value iteration does not converge, or whose greedy
-    policy cannot reach the goal, rejects the model with a ConfigError
-    naming the context.
+    instance, a state no policy takes to the goal (seen before any sweep),
+    no convergence, or a greedy policy that cannot reach the goal, rejects
+    the model with a ConfigError naming the context.
     """
     n = model.n_states * model.n_actions * model.n_states
     chunk = max(1, ORACLE_STACK_ENTRIES // n)
@@ -76,6 +76,7 @@ def oracle_values(model, contexts):
             raise ConfigError(f"model rejected: context {start + exc.index} "
                               f"induces an invalid instance ({exc})")
         try:
+            check_goal_reachable(ssp.trans)
             v, pi = value_iteration(ssp)
             t_max = max(t_max, float(expected_hitting_time(ssp, pi).max()))
         except (NonConvergenceError, ImproperPolicyError) as exc:
@@ -139,10 +140,10 @@ def hpe_diagnostics(run_log, oracle, delta):
     identity M <= K + |S||A| * max per-pair unknown triggers.
     """
     b = max(1.0, oracle.b_star_emp)
-    # thresholds grow with m >= 1 (log is monotone): none below m = 1's
+    # thresholds grow with the interval (log is monotone): none below 1's
     first = 48.0 * b * math.log(4.0 / delta)
     violations = sum(
-        rec.interval_loss > 48.0 * b * math.log(4.0 * rec.m / delta)
+        rec.interval_loss > 48.0 * b * math.log(4.0 * rec.interval / delta)
         for rec in run_log.interval_records if rec.interval_loss > first)
     m_total = run_log.total_intervals
     k = len(run_log.episodes)
@@ -307,6 +308,7 @@ def _fmt(x):
 
 CSV_HEADER = ("episode,steps,realized_loss,optimal_value,regret,cum_regret,"
               "intervals,unknown_triggers,truncated,b_star_cur")
+CSV_INTS = {"episode", "steps", "intervals", "unknown_triggers", "truncated"}
 
 
 def write_regret_csv(path, run_log, curve):
@@ -318,6 +320,15 @@ def write_regret_csv(path, run_log, curve):
             ep.unknown_triggers, ep.truncated, ep.b_star_end))))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_regret_csv(path):
+    """regret.csv's columns by name: lists of int in CSV_INTS, else float."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    return {name: [(int if name in CSV_INTS else float)(row[i])
+                   for row in rows] for i, name in enumerate(header)}
 
 
 def _json_column(values):
@@ -337,7 +348,7 @@ def write_events_jsonl(path, run_log):
     records' slots, 128 records at a time."""
     fields = learner_mod.IntervalRecord.EVENT_FIELDS
     template = "{%s}\n" % ", ".join(json.dumps(key) + ": %s" for key in fields)
-    row = attrgetter(*fields.values())
+    row = attrgetter(*fields)
     records = run_log.interval_records
     with open(path, "w", newline="") as fh:
         for start in range(0, len(records), 128):  # bounds the memory held

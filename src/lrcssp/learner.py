@@ -86,11 +86,11 @@ def auto_epsilon(n_states, d, n_actions, K):
 
 @dataclass(slots=True)
 class Plan:
-    """One plan: the greedy action and value per state, the last sweep's
-    residual, whether it is within evi_tol, the sweep count, and for a plan
-    that empties every row its opt_loss as lists (else None)."""
-    policy: np.ndarray
-    values: np.ndarray
+    """One plan: the greedy action and value per state as lists, the last
+    sweep's residual, whether it is within evi_tol, the sweep count, and for
+    a plan that empties every row its opt_loss as lists (else None)."""
+    policy: list
+    values: list
     residual: float
     converged: bool
     iterations: int
@@ -120,7 +120,7 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     radius   : (S, A) L1 radii beta_P * ||c||_{V^-1}
     Values start at zero, grow monotonically, and are truncated to
     [0, b_cap]; non-convergence is flagged, not raised.  Returns the Plan
-    of the greedy policy under the last (S,) values, with rows None.
+    of the greedy policy under the last values, with rows None.
     """
     v = np.zeros(opt_loss.shape[0])
     residual = np.inf
@@ -137,14 +137,14 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
             break
     # greedy policy under the converged values
     q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
-    return Plan(q_vals.argmin(axis=1), v, residual, residual <= evi_tol,
-                iterations)
+    return Plan(q_vals.argmin(axis=1).tolist(), v.tolist(), residual,
+                residual <= evi_tol, iterations)
 
 
 @dataclass(slots=True)
 class IntervalRecord:
     episode: int
-    m: int
+    interval: int
     trigger: str  # "start" | "goal" | "unknown"
     steps: int = 0
     interval_loss: float = 0.0
@@ -155,14 +155,12 @@ class IntervalRecord:
     context: np.ndarray = None  # read-only, shared by records at one context
     coverage_ok: bool = None  # only filled when diagnostics are enabled
 
-    # an event's keys, in order, and the attribute each one reads
-    EVENT_FIELDS = {key: "m" if key == "interval" else key for key in (
-        "episode", "interval", "trigger", "steps", "interval_loss",
-        "evi_residual", "v_tilde_init", "b_star_cur", "known_fraction")}
+    EVENT_FIELDS = ("episode", "interval", "trigger", "steps",
+                    "interval_loss", "evi_residual", "v_tilde_init",
+                    "b_star_cur", "known_fraction")
 
     def to_event(self):
-        return {key: getattr(self, name)
-                for key, name in self.EVENT_FIELDS.items()}
+        return {key: getattr(self, key) for key in self.EVENT_FIELDS}
 
 
 @dataclass
@@ -396,9 +394,8 @@ class Learner:
                 self.cfg.delta)))
         record = IntervalRecord(
             episode, self.m, trigger, 0, 0.0, plan.residual,
-            float(plan.values[self.model.s_init]),
-            self.b_star_cur, known / (self.n_states * self.n_actions),
-            self._context)
+            plan.values[self.model.s_init], self.b_star_cur,
+            known / (self.n_states * self.n_actions), self._context)
         if self.diagnostics_model is not None:
             record.coverage_ok = self._coverage_ok()
         return record
@@ -521,7 +518,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
         for _ in range(cfg.episode_step_cap):
-            a = int(learner.plan.policy[s])
+            a = learner.plan.policy[s]
             nxt, raw_loss = sampler.step(s, a, random)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
             known = learner.visit(s, a, nxt, obs_loss)

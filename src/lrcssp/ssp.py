@@ -145,33 +145,32 @@ def value_iteration(ssp, tol=1e-10, max_iter=10**6):
     return (v_out[0], pi_out[0]) if single else (v_out, pi_out)
 
 
-def _unreachable_states(p_pi):
-    """Mask of the states whose support graph under the policy never reaches
-    the goal, for transition rows p_pi (..., S, S).
-
-    The goal counts as reached from a state whose goal mass exceeds _MASS_TOL.
-    """
-    reach = 1.0 - p_pi.sum(axis=-1) > _MASS_TOL
+def check_goal_reachable(trans):
+    """Raise ImproperPolicyError naming the first instance's states that no
+    policy takes to the goal under trans (..., S, A, S): a state reaches it by
+    an action's goal mass above _MASS_TOL or a move to one that does."""
+    reach = (1.0 - trans.sum(axis=-1) > _MASS_TOL).any(axis=-1)
     while True:
-        grown = reach | ((p_pi > 0) & reach[..., None, :]).any(axis=-1)
+        grown = reach | ((trans > 0) & reach[..., None, None, :]).any(
+            axis=(-2, -1))
         if np.array_equal(grown, reach):
-            return ~reach
+            break
         reach = grown
+    stuck = ~reach
+    if stuck.any():
+        index = None if stuck.ndim == 1 else int(stuck.any(axis=1).argmax())
+        states = np.flatnonzero(stuck if index is None else stuck[index])
+        raise ImproperPolicyError(
+            f"states {states.tolist()} cannot reach the goal", index=index)
 
 
 def _proper_system(ssp, policy):
     """I - P_pi of a policy that reaches the goal from every state, with the
     checked policy; raises ImproperPolicyError naming the stuck states."""
     policy = _check_policy(ssp, policy)
-    p_pi = np.take_along_axis(ssp.trans, policy[..., None, None],
-                              axis=-2)[..., 0, :]
-    stuck = _unreachable_states(p_pi)
-    if stuck.any():
-        index = None if stuck.ndim == 1 else int(stuck.any(axis=1).argmax())
-        states = np.flatnonzero(stuck if index is None else stuck[index])
-        raise ImproperPolicyError(
-            f"states {states.tolist()} cannot reach the goal", index=index)
-    return np.eye(ssp.n_states) - p_pi, policy
+    p_pi = np.take_along_axis(ssp.trans, policy[..., None, None], axis=-2)
+    check_goal_reachable(p_pi)  # the policy's one action per state
+    return np.eye(ssp.n_states) - p_pi[..., 0, :], policy
 
 
 def policy_evaluation(ssp, policy):

@@ -161,6 +161,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert "model rejected" in err and "context 0" in err
 
+    def test_stuck_state_exits_2_before_any_sweep(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # state 1 only loops to itself at loss 1, whatever the action: no
+        # policy reaches the goal from it, which the oracle sees before it
+        # sweeps (a sweep would run to its 10**6 budget)
+        cfg = write_config(tmp_path, {
+            "generator": {"d": 1, "n_states": 2, "n_actions": 2},
+            "contexts": {"kind": "uniform", "K": 3},
+            "seeds": [0]})
+        trans_embed = np.zeros((2, 2, 2, 1))
+        trans_embed[0, :, 1] = 0.5
+        trans_embed[1, :, 1] = 1.0
+        model = LinearCsspModel(np.ones((2, 2, 1)), trans_embed)
+        os.makedirs(tmp_path / "out")
+        (tmp_path / "out" / "model.json").write_text(
+            json.dumps(model_to_dict(model)))
+
+        def value_iteration(*args, **kwargs):
+            raise AssertionError("value_iteration ran")
+
+        monkeypatch.setattr(harness, "value_iteration", value_iteration)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert ("model rejected: oracle planning failed at context 0 "
+                "(policy appears improper: states [1] cannot reach the "
+                "goal)") in err
+
     @pytest.mark.parametrize("c0, code", [(1.0 + 0.9e-9, 2), (1.0, 0)])
     def test_mass_at_both_tolerances(self, tmp_path, capsys, c0, code):
         # column mass and context sum each within validation's 1e-9, whose

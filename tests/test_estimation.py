@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -819,6 +820,22 @@ class TestRadii:
             d * math.log(8 * s * s * a * (1 + tau / lam) / delta))
             + math.sqrt(lam))
         assert dynamics_radius(tau, d, s, a, lam, delta) == pytest.approx(expect)
+
+    def test_dynamics_radius_keeps_the_two_line_bits(self):
+        # dynamics_radius is S times loss_radius at S^2 A: the same float
+        # operations, in the same order, as the formula written out
+        def two_line(tau, d, n_states, n_actions, lam, delta):
+            arg = 8.0 * n_states**2 * n_actions * (1.0 + tau / lam) / delta
+            return n_states * (math.sqrt(d * math.log(arg)) + math.sqrt(lam))
+
+        rng = random.Random(0)
+        for i in range(5000):
+            tau = ([0, 1023, 1024, 1e9][i] if i < 4 else rng.choice(
+                [rng.randint(0, 10**7), rng.uniform(0.0, 1e12)]))
+            args = (tau, rng.randint(1, 16), rng.randint(1, 60),
+                    rng.randint(1, 12), rng.choice([1.0, rng.uniform(1, 100)]),
+                    rng.choice([0.1, rng.uniform(1e-9, 1.0)]))
+            assert dynamics_radius(*args).hex() == two_line(*args).hex(), args
 
     def test_radii_grow_with_tau(self):
         r = [loss_radius(t, 2, 3, 2, 1.0, 0.1) for t in (0, 10, 100, 1000)]

@@ -240,7 +240,8 @@ class TestL1OptimisticDistribution:
 def optimistic_model(opt_loss, p_ctx, radius, values):
     """(S, A, S) optimistic transitions of one EVI backup at values: what a
     plan with those values, radii and dynamics picks."""
-    _, order, q_ord = _evi_backup(opt_loss, p_ctx, radius[:, :, None], values)
+    _, order, q_ord = _evi_backup(opt_loss, p_ctx, radius[:, :, None],
+                                  np.asarray(values))
     q_trans = np.empty_like(p_ctx)
     q_trans[:, :, order] = q_ord
     return q_trans
@@ -288,7 +289,7 @@ class TestEviPlan:
         # the converged model directly against the oracle at its own values
         res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e9,
                        evi_tol=1e-10, evi_max_iter=10**5)
-        v = res.values
+        v = np.asarray(res.values)
         q_trans = optimistic_model(opt_loss, p_ctx, radius, v)
         for s in range(n_states):
             for a in range(n_actions):
@@ -320,7 +321,7 @@ class TestEviPlan:
                         evi_tol=1e-10, evi_max_iter=10**5)
         wide = evi_plan(opt_loss, p_ctx, rng.uniform(0, 0.5, size=(4, 3)),
                         b_cap=1e6, evi_tol=1e-10, evi_max_iter=10**5)
-        assert np.all(wide.values <= base.values + 1e-8)
+        assert np.all(np.asarray(wide.values) <= np.add(base.values, 1e-8))
 
     def test_cap_is_enforced(self):
         # improper optimistic model: self loop with positive loss, tiny cap
@@ -348,7 +349,7 @@ class TestEviPlan:
             res = evi_plan(opt_loss, p_ctx, radius, b_cap=1e6,
                            evi_tol=0.0, evi_max_iter=iters)
             assert np.all(res.values >= prev - 1e-12)
-            prev = res.values
+            prev = np.asarray(res.values)
 
     def test_tie_break_lowest_action(self):
         opt_loss = np.array([[0.5, 0.5]])
@@ -381,6 +382,25 @@ def bits(x):
     """The bytes of x as an array: a plan's lists of Python ints and floats
     give the bytes of the int64 and float64 arrays holding the same values."""
     return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evi_plan_lists_equal_the_full_loop_arrays(seed):
+    """evi_plan converts its policy and values to lists once; they hold the
+    bytes of the full loop's arrays, and every other field is the loop's."""
+    rng = np.random.default_rng(seed)
+    S, A = rng.integers(1, 7, size=2)
+    opt_loss = rng.uniform(0.0, 1.0, size=(S, A))
+    p_ctx = 0.9 * rng.dirichlet(np.ones(S + 1), size=(S, A))[..., :S]
+    radius = rng.uniform(0.0, 1.2, size=(S, A))
+    kwargs = dict(b_cap=10.0, evi_tol=1e-6, evi_max_iter=500)
+    got = evi_plan(opt_loss, p_ctx, radius, **kwargs)
+    want = evi_plan_full_loop(opt_loss, p_ctx, radius, **kwargs)
+    assert type(got.policy) is type(got.values) is list
+    assert bits(got.policy) == bits(want.policy)
+    assert bits(got.values) == bits(want.values)
+    assert (got.residual, got.converged, got.iterations, got.rows) == (
+        want.residual, want.converged, want.iterations, None)
 
 
 class TestNanFixedPoint:
@@ -433,7 +453,7 @@ def assert_plans_as(learner, record, want):
         want.iterations, want.converged)
     assert_same_bits(record.evi_residual, want.residual)
     assert_same_bits(record.v_tilde_init,
-                     want.values.item(learner.model.s_init))
+                     np.asarray(want.values).item(learner.model.s_init))
 
 
 class TestEmptiedPlan:
@@ -702,7 +722,7 @@ class TestRun:
 
     def test_interval_indices_strictly_increase(self):
         _, log = ref_run(K=10)
-        ms = [r.m for r in log.interval_records]
+        ms = [r.interval for r in log.interval_records]
         assert ms == list(range(1, len(ms) + 1))
 
     def test_doubling_bound(self):

@@ -3,29 +3,27 @@
 The ledger loads this tree and another under two package names.  Against a
 copy of itself every part's digest agrees and each pair times both trees;
 a copy whose learner moves one event field stops it with exit code 1
-before any timing.
+before any timing.  Its load_tree is how every tool loads a tree, and
+loading a tool changes neither sys.path nor the package named lrcssp.
 """
 
+import glob
 import importlib.util
 import os
 import shutil
 import subprocess
 import sys
 
+import pytest
+
+import ledger
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 LEDGER = os.path.join(ROOT, "tools", "ledger.py")
 
 
-def load_ledger():
-    spec = importlib.util.spec_from_file_location("ledger_tool", LEDGER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_a_tree_against_itself_times_both_sides():
-    ledger = load_ledger()
     seconds = ledger.time_half({"this": SRC, "other": SRC},
                                ("other", "this"), "wide", 2)
     assert len(seconds) == 2
@@ -47,3 +45,14 @@ def test_a_moved_digest_exits_1(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith("ledger: ref differs at part 0:")
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(
+    os.path.join(ROOT, "tools", "*.py"))), ids=os.path.basename)
+def test_loading_a_tool_keeps_the_path_and_the_package(path):
+    path_before, package = list(sys.path), sys.modules.get("lrcssp")
+    name = "loaded_" + os.path.basename(path)[:-3]
+    spec = importlib.util.spec_from_file_location(name, path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert sys.path == path_before
+    assert sys.modules.get("lrcssp") is package

@@ -14,15 +14,14 @@ test_reference_runs is a fixed case here: the seed learner alone must give
 its pinned digest.
 """
 
-import importlib.util
-import os
 import re
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcssp import estimation, learner, linear_model
+import oracle_soak as soak
+from lrcssp import learner, linear_model
 from test_reference_runs import (
     KNOWN_STEP_DIGEST,
     KNOWN_STEP_GENERATOR,
@@ -32,11 +31,6 @@ from test_reference_runs import (
 
 # the soak loads the seed learner and bench/workloads.py; both are used
 # from it
-spec = importlib.util.spec_from_file_location("oracle_soak", os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
-    "oracle_soak.py"))
-soak = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(soak)
 seed, run_log_digest = soak.seed, soak.workloads.run_log_digest
 
 
@@ -85,7 +79,7 @@ TINY_SOAK_CONFIG = {
 
 def test_oracle_soak_on_a_tiny_config(monkeypatch, capsys):
     monkeypatch.setattr(soak, "draw_config", lambda rng: TINY_SOAK_CONFIG)
-    bindings = learner.evi_plan, estimation.project_to_stochastic
+    bindings = soak.learner.evi_plan, soak.estimation.project_to_stochastic
     assert soak.main(["--seed", "0", "--configs", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4 and out[2].endswith(" equal")
@@ -95,7 +89,8 @@ def test_oracle_soak_on_a_tiny_config(monkeypatch, capsys):
     plans, projections, known, doublings = map(int, totals.groups())
     assert plans > 0 and projections > 0 and known > 0 and doublings == 0
     # the counting wrappers are gone
-    assert (learner.evi_plan, estimation.project_to_stochastic) == bindings
+    assert (soak.learner.evi_plan,
+            soak.estimation.project_to_stochastic) == bindings
     # a seed learner one run seed off: the soak stops at the first config
     seed_run = soak.seed.run
     monkeypatch.setattr(soak.seed, "run", lambda *args, seed, **kwargs:

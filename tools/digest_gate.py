@@ -16,8 +16,9 @@ A change meant to keep behaviour keeps every digest printed here (ROADMAP,
   default_rng(0), run seed 0), which reads open rows and projects.
 
 The workloads and digests are the benchmark's own (bench/workloads.py, read
-only); the package comes from <src-dir>.  Output is one JSON object with
-sorted keys, one digest a line, so two trees compare with `diff`.
+only), bound to the package under <src-dir> by tools/ledger.py's load_tree.
+Output is one JSON object with sorted keys, one digest a line, so two trees
+compare with `diff`.
 """
 
 import argparse
@@ -28,22 +29,10 @@ import tempfile
 
 import numpy as np
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench")
+from ledger import load_tree
+
 GATE_SEEDS = {"ref": (0, 1009), "wide": (0, 1), "sweep": (0,)}
 LONG_K = 8000
-
-
-def load_package(src):
-    """Put src and bench/ first on the path; check lrcssp loads from src."""
-    src = os.path.abspath(src)
-    if not os.path.isfile(os.path.join(src, "lrcssp", "__init__.py")):
-        sys.exit(f"digest_gate: no lrcssp source under {src}")
-    sys.path[:0] = [src, BENCH]
-    import lrcssp
-    if not os.path.abspath(lrcssp.__file__).startswith(src + os.sep):
-        sys.exit(f"digest_gate: lrcssp loaded from {lrcssp.__file__}, "
-                 f"not {src}")
 
 
 def part_digests(workload, seed, workdir):
@@ -59,10 +48,9 @@ def part_digests(workload, seed, workdir):
     return digests
 
 
-def long_run_digest():
+def long_run_digest(workloads):
     """run_log_digest of the REF_SPEC run at K = LONG_K."""
-    import workloads
-    from lrcssp import learner, linear_model
+    learner, linear_model = workloads.learner, workloads.linear_model
     model = linear_model.generate_instance(
         linear_model.GeneratorSpec(**workloads.REF_GENERATOR))
     contexts = linear_model.context_sequence(
@@ -76,8 +64,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that holds the lrcssp package")
     args = parser.parse_args(argv)
-    load_package(args.src)
-    import workloads
+    src = os.path.abspath(args.src)
+    if not os.path.isfile(os.path.join(src, "lrcssp", "__init__.py")):
+        sys.exit(f"digest_gate: no lrcssp source under {src}")
+    workloads = load_tree("gate", src)
     gate = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, seeds in GATE_SEEDS.items():
@@ -87,7 +77,7 @@ def main(argv=None):
                     os.path.join(workdir, f"{name}_{seed}")))
         gate.update(part_digests(workloads.GOLDEN, workloads.GOLDEN_SEED,
                                  os.path.join(workdir, "golden")))
-    gate[f"ref_spec_k{LONG_K}/seed_0"] = long_run_digest()
+    gate[f"ref_spec_k{LONG_K}/seed_0"] = long_run_digest(workloads)
     print(json.dumps(gate, indent=1, sort_keys=True))
 
 

@@ -43,32 +43,35 @@ BENCH = os.path.join(ROOT, "bench")
 PAIRS = {"ref": 40, "wide": 40, "sweep": 30}
 
 
+def load_module(name, directory, file="__init__.py"):
+    """Load directory/file by its path as the module sys.modules[name], a
+    package when file is __init__.py, without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(directory, file),
+        submodule_search_locations=[directory] if file == "__init__.py"
+        else None)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # relative imports find sys.modules[name]
+    return module
+
+
 def load_tree(side, src):
     """bench/workloads.py bound to the lrcssp package under src, which is
-    loaded as the package lrcssp_<side>."""
+    loaded as the package lrcssp_<side>: the tools' one way to load a tree."""
     name = f"lrcssp_{side}"
-    package_dir = os.path.join(os.path.abspath(src), "lrcssp")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(package_dir, "__init__.py"),
-        submodule_search_locations=[package_dir])
-    package = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(package)
+    package = load_module(name, os.path.join(os.path.abspath(src), "lrcssp"))
     importlib.import_module(f"{name}.cli")  # the package does not import it
     # workloads.py imports from lrcssp: the name is this package while it
     # loads
     saved = sys.modules.get("lrcssp")
     sys.modules["lrcssp"] = package
     try:
-        spec = importlib.util.spec_from_file_location(
-            f"workloads_{side}", os.path.join(BENCH, "workloads.py"))
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        return load_module(f"workloads_{side}", BENCH, "workloads.py")
     finally:
         if saved is None:
             del sys.modules["lrcssp"]
         else:
             sys.modules["lrcssp"] = saved
-    return workloads
 
 
 def time_half(srcs, load_order, workload_name, pairs):

@@ -4,11 +4,12 @@
     python3 tools/oracle_soak.py --seed 0              # about 5 minutes
     python3 tools/oracle_soak.py --seed 3 --configs 20
 
-Each config runs through `lrcssp.learner.run` and through the seed learner
-in bench/yardstick, imported read-only as tests/test_seed_oracle.py imports
-it, and the two RunLogs must have the same run_log_digest
-(bench/workloads.py).  The draws lean towards the paths that the tests'
-draws seldom reach, plans that read an open row and known pairs:
+Each config runs through `lrcssp.learner.run` of this checkout's src/ and
+through the seed learner in bench/yardstick, both loaded read-only by
+tools/ledger.py's loaders, and the two RunLogs must have the same
+run_log_digest (bench/workloads.py).  The draws lean towards the paths
+that the tests' draws seldom reach, plans that read an open row and known
+pairs:
 
 - one config in five is the acceptance REF_SPEC at K 1,000-3,000;
 - the rest are small instances, d 1-2, S 1-3 and A 1-3, with l_min 0.5 or
@@ -28,7 +29,6 @@ bench/tracer.py does.
 """
 
 import argparse
-import importlib.util
 import os
 import random
 import sys
@@ -36,11 +36,12 @@ import time
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "bench")
-sys.path.insert(0, os.path.join(ROOT, "src"))
+from ledger import BENCH, ROOT, load_module, load_tree
 
-from lrcssp import estimation, learner, linear_model  # noqa: E402
+workloads = load_tree("soak", os.path.join(ROOT, "src"))
+learner, linear_model = workloads.learner, workloads.linear_model
+estimation = learner.estimation
+seed = load_module("bench_yardstick", os.path.join(BENCH, "yardstick"))
 
 # configs at the default --configs take about 5 minutes on a 2-core machine
 DEFAULT_CONFIGS = 75
@@ -48,22 +49,6 @@ COUNTED = ("plans", "projections", "known", "doublings")
 # the module bindings whose calls the soak counts, and their counts
 COUNTED_CALLS = ((learner, "evi_plan", "plans"),
                  (estimation, "project_to_stochastic", "projections"))
-
-
-def _load(name, path, package_dir=None):
-    spec = importlib.util.spec_from_file_location(
-        name, path, submodule_search_locations=package_dir and [package_dir])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # the package's relative imports find it
-    spec.loader.exec_module(module)
-    return module
-
-
-seed = _load("bench_yardstick",
-             os.path.join(BENCH, "yardstick", "__init__.py"),
-             os.path.join(BENCH, "yardstick"))
-workloads = _load("bench_workloads_for_soak",
-                  os.path.join(BENCH, "workloads.py"))
 
 
 def draw_config(rng):
