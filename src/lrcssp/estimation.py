@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import StructuralError
 from .ssp import GOAL
@@ -161,11 +162,13 @@ def _capped_simplex_columns(y):
         return x
     z = y[:, over]
     n = z.shape[0]
-    u = -np.sort(-z, axis=0)
-    css = np.cumsum(u, axis=0) - 1.0
+    u = -z
+    u.sort(axis=0)
+    np.negative(u, out=u)
+    css = u.cumsum(axis=0) - 1.0
     ranks = np.arange(1, n + 1)[:, None]
     cond = u * ranks > css
-    rho = n - 1 - np.argmax(cond[::-1], axis=0)  # last True per column
+    rho = n - 1 - cond[::-1].argmax(axis=0)  # last True per column
     cols = np.arange(z.shape[1])
     theta = css[rho, cols] / (rho + 1.0)
     x[:, over] = np.maximum(z - theta, 0.0)
@@ -186,14 +189,14 @@ def project_to_stochastic(p_raw, v_bar, tol=1e-10, max_iter=10_000):
     v_bar = np.asarray(v_bar, dtype=float)
     if p_raw.ndim != 2 or v_bar.shape != (p_raw.shape[1], p_raw.shape[1]):
         raise StructuralError("p_raw must be (S, d) and v_bar (d, d)")
-    if np.all(p_raw >= 0) and np.all(p_raw.sum(axis=0) <= 1.0):
+    if (p_raw >= 0).all() and (p_raw.sum(axis=0) <= 1.0).all():
         return p_raw.copy()
     lam_max = float(np.linalg.eigvalsh(v_bar)[-1])
     step = 1.0 / (2.0 * lam_max)
 
     def objective(p):
         diff = p - p_raw
-        return float(np.einsum("ij,jk,ik->", diff, v_bar, diff))
+        return float(c_einsum("ij,jk,ik->", diff, v_bar, diff))
 
     p = _capped_simplex_columns(p_raw)
     obj = objective(p)

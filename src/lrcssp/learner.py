@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from . import estimation
 from .errors import ConfigError, ProtocolError, check_field_types
@@ -105,10 +106,12 @@ def _evi_backup(opt_loss, p_ctx, r, v):
     value-descending state order, and the optimistic transitions in that
     order.
     """
-    order = np.argsort(-v)
+    order = (-v).argsort()
     p_ord = p_ctx[:, :, order]
-    prior = np.cumsum(p_ord, axis=2) - p_ord
-    q_ord = p_ord - np.clip(r - prior, 0.0, p_ord)
+    prior = p_ord.cumsum(axis=2) - p_ord
+    # np.clip(r - prior, 0.0, p_ord) in ufuncs: with an array bound, clip
+    # turns -0.0 into +0.0 as maximum(x, 0.0) does (see _induced_products)
+    q_ord = p_ord - np.minimum(np.maximum(r - prior, 0.0), p_ord)
     return opt_loss + q_ord @ v[order], order, q_ord
 
 
@@ -128,7 +131,8 @@ def evi_plan(opt_loss, p_ctx, radius, b_cap, evi_tol, evi_max_iter):
     r = radius[:, :, None]
     for iterations in range(1, evi_max_iter + 1):
         q_vals, _, _ = _evi_backup(opt_loss, p_ctx, r, v)
-        w = np.clip(q_vals.min(axis=1), 0.0, b_cap)
+        # np.clip(x, 0.0, b_cap) in ufuncs (see _induced_products)
+        w = np.minimum(np.maximum(0.0, q_vals.min(axis=1)), b_cap)
         residual = float(np.abs(w - v).max())
         # a sweep depends on v alone, so each sweep repeats a NaN fixed point
         fixed = math.isnan(residual) and np.array_equal(w, v, equal_nan=True)
@@ -268,7 +272,7 @@ class Learner:
         wanted = self._projected_tau != tau
         if radius is not None:
             wanted &= radius < ROW_EMPTYING_RADIUS
-        for s, a in zip(*np.nonzero(wanted)):
+        for s, a in zip(*wanted.nonzero()):
             self._p_hat[s, a] = estimation.project_to_stochastic(
                 self.store.xty_trans[s, a].dot(self.store.v_bar_inv[s, a]),
                 self.store.v_bar[s, a])
@@ -319,9 +323,9 @@ class Learner:
         dl = model.loss_embed - est.l_hat
         dp = model.trans_embed - est.p_hat
         return not (
-            np.any(np.sqrt(np.einsum("sai,saij,saj->sa", dl, v_bar, dl))
+            np.any(np.sqrt(c_einsum("sai,saij,saj->sa", dl, v_bar, dl))
                    > est.beta_loss)
-            or np.any(np.sqrt(np.einsum("sari,saij,sarj->sa", dp, v_bar, dp))
+            or np.any(np.sqrt(c_einsum("sari,saij,sarj->sa", dp, v_bar, dp))
                       > est.beta_dyn))
 
     def start_interval(self, c, episode, trigger):
@@ -343,7 +347,7 @@ class Learner:
                 rows = None
                 break
             # np.clip(x, 0.0, 1.0) in Python floats
-            x = np.einsum("d,d->", self.store.l_hat[s, a], c).item() - (
+            x = c_einsum("d,d->", self.store.l_hat[s, a], c).item() - (
                 beta_l * norm)
             row = rows[s]
             row[a] = 1.0 if x > 1.0 else 0.0 if x < 0.0 else x
@@ -352,7 +356,7 @@ class Learner:
             plan.policy[s] = row.index(lo)
         while rows is None:
             # np.clip(x, 0.0, 1.0) in ufuncs (see _induced_products)
-            opt_loss = np.minimum(np.maximum(0.0, np.einsum(
+            opt_loss = np.minimum(np.maximum(0.0, c_einsum(
                 "sad,d->sa", self.store.l_hat, c)
                 - self._beta_l * norms), 1.0)
             radius = self._beta_p * norms
@@ -366,7 +370,7 @@ class Learner:
                 values = [row[a] + 0.0 for row, a in zip(rows, policy)]
                 plan = Plan(policy, values, None, None, None, rows)
                 break  # its sweeps are set below
-            plan = evi_plan(opt_loss, np.einsum(
+            plan = evi_plan(opt_loss, c_einsum(
                 "sand,d->san", self.snapshot_estimates(radius).p_hat, c),
                 radius, b_cap=2.0 * self.b_star_cur, evi_tol=self.cfg.evi_tol,
                 evi_max_iter=self.cfg.evi_max_iter)

@@ -351,6 +351,15 @@ class TestEviPlan:
             assert np.all(res.values >= prev - 1e-12)
             prev = np.asarray(res.values)
 
+    def test_residual_at_evi_tol_stops_after_one_sweep(self):
+        # the first sweep moves v from 0 to opt_loss, a residual of exactly
+        # evi_tol: the stop test is residual <= evi_tol, so one sweep
+        res = evi_plan(np.array([[0.25]]), np.zeros((1, 1, 1)),
+                       np.zeros((1, 1)), b_cap=1.0, evi_tol=0.25,
+                       evi_max_iter=10)
+        assert (res.residual, res.converged, res.iterations) == (
+            0.25, True, 1)
+
     def test_tie_break_lowest_action(self):
         opt_loss = np.array([[0.5, 0.5]])
         p_ctx = np.zeros((1, 2, 1))
@@ -454,6 +463,16 @@ def assert_plans_as(learner, record, want):
     assert_same_bits(record.evi_residual, want.residual)
     assert_same_bits(record.v_tilde_init,
                      np.asarray(want.values).item(learner.model.s_init))
+
+
+def test_a_value_at_the_bound_does_not_double():
+    """An EVI plan whose value at s_init equals b_star_cur exactly keeps the
+    bound: the doubling test is value > b_star_cur.  A loss of 1 at an open
+    row whose p_hat is still zero plans the value 1 = b_star_init."""
+    learner, record = emptied_start(np.array([[1.0]]), np.array([[0.5]]))
+    assert learner.plan.iterations == 2  # the EVI loop planned it
+    assert record.v_tilde_init == learner.b_star_cur == 1.0
+    assert learner.doubling_events == 0
 
 
 class TestEmptiedPlan:

@@ -10,6 +10,7 @@ loading a tool changes neither sys.path nor the package named lrcssp.
 import glob
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,6 +31,20 @@ def test_a_tree_against_itself_times_both_sides():
     assert all(this > 0 and other > 0 for this, other in seconds)
     # each tree is its own package, bench/workloads.py bound to it
     assert sys.modules["lrcssp_this"] is not sys.modules["lrcssp_other"]
+
+
+def test_a_side_loaded_from_another_tree_is_refused(tmp_path):
+    """A side's submodules stay in sys.modules, so loading it again from
+    another tree would bind the first tree's learner: load_tree refuses."""
+    other = tmp_path / "src"
+    shutil.copytree(SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
+    first = ledger.load_tree("reused", SRC)
+    assert ledger.load_tree("reused", SRC).learner is first.learner
+    with pytest.raises(ValueError, match="side 'reused' is already loaded "
+                       "from .*, not " + re.escape(str(other / "lrcssp"))):
+        ledger.load_tree("reused", other)
+    assert ledger.load_tree("other_side", other).learner.__file__ == str(
+        other / "lrcssp" / "learner.py")
 
 
 def test_a_moved_digest_exits_1(tmp_path):

@@ -22,7 +22,8 @@ import os
 import numpy as np
 import pytest
 
-from lrcssp import estimation, learner
+from digest_gate import KNOWN_STEP_GENERATOR, KNOWN_STEP_K, known_step_run
+from lrcssp import estimation, learner, linear_model
 from lrcssp.cli import main
 from lrcssp.harness import (
     ExperimentConfig,
@@ -301,12 +302,8 @@ def test_perturbed_losses_bits():
         "c24e569393abddf4b7db6c5fb8ee5aeb06986ade74c6629e05e0223edb3fad88")
 
 
-# the known-step run: one state, two actions, the single context [1.0];
-# docs/regimes.md tabulates its counts under these names
-KNOWN_STEP_GENERATOR = {"d": 1, "n_states": 1, "n_actions": 2,
-                        "gamma_goal": 0.1, "l_min_target": 0.9, "seed": 7}
-KNOWN_STEP_LEARNER = {"delta": 0.1, "l_min": 0.9}
-KNOWN_STEP_K = 4000
+# the known-step run, defined in tools/digest_gate.py, whose gate prints
+# its digest; docs/regimes.md tabulates its counts under these names
 KNOWN_STEP_COUNTS = {
     "episodes": 4000, "steps": 4378, "intervals": 4321,
     "unknown triggers": 321, "known steps": 1196,
@@ -325,9 +322,7 @@ def test_known_step_run():
     interval opens at each episode start and at each unknown step that
     misses the goal, and never at a known step.
     """
-    log = run(LearnerConfig(**KNOWN_STEP_LEARNER),
-              generate_instance(GeneratorSpec(**KNOWN_STEP_GENERATOR)),
-              np.ones((KNOWN_STEP_K, 1)), seed=0)
+    log = known_step_run(learner, linear_model)
     known = [i for i, step in enumerate(log.step_trace) if step[4]]
     assert {
         "episodes": len(log.episodes), "steps": log.total_steps,

@@ -22,12 +22,8 @@ from hypothesis import strategies as st
 
 import oracle_soak as soak
 from lrcssp import learner, linear_model
-from test_reference_runs import (
-    KNOWN_STEP_DIGEST,
-    KNOWN_STEP_GENERATOR,
-    KNOWN_STEP_K,
-    KNOWN_STEP_LEARNER,
-)
+from digest_gate import known_step_run
+from test_reference_runs import KNOWN_STEP_DIGEST
 
 # the soak loads the seed learner and bench/workloads.py; both are used
 # from it
@@ -63,9 +59,8 @@ def test_run_equals_the_seed_learner(d, n_states, n_actions, l_min, K, kind,
 
 
 def test_seed_learner_gives_the_known_step_digest():
-    model = seed.generate_instance(seed.GeneratorSpec(**KNOWN_STEP_GENERATOR))
-    log = seed.run(seed.LearnerConfig(**KNOWN_STEP_LEARNER), model,
-                   [np.ones(1)] * KNOWN_STEP_K, seed=0)
+    # the seed learner's one module holds both the learner and the model
+    log = known_step_run(seed, seed)
     assert run_log_digest(log) == KNOWN_STEP_DIGEST
 
 

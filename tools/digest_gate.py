@@ -13,7 +13,9 @@ A change meant to keep behaviour keeps every digest printed here (ROADMAP,
 - the artifact-tree digest of every part of the `sweep` workload at seed 0
   and of the golden pipeline;
 - the run_log_digest of the REF_SPEC K=8000 run (uniform contexts from
-  default_rng(0), run seed 0), which reads open rows and projects.
+  default_rng(0), run seed 0), which reads open rows and projects;
+- the run_log_digest of the known-step run (known_step_run), the one run
+  here that takes known steps, so a change to the known test moves it.
 
 The workloads and digests are the benchmark's own (bench/workloads.py, read
 only), bound to the package under <src-dir> by tools/ledger.py's load_tree.
@@ -33,6 +35,12 @@ from ledger import load_tree
 
 GATE_SEEDS = {"ref": (0, 1009), "wide": (0, 1), "sweep": (0,)}
 LONG_K = 8000
+# the known-step run: one state, two actions, KNOWN_STEP_K episodes at the
+# single context [1.0], run seed 0 (tests/test_reference_runs.py pins it)
+KNOWN_STEP_GENERATOR = {"d": 1, "n_states": 1, "n_actions": 2,
+                        "gamma_goal": 0.1, "l_min_target": 0.9, "seed": 7}
+KNOWN_STEP_LEARNER = {"delta": 0.1, "l_min": 0.9}
+KNOWN_STEP_K = 4000
 
 
 def part_digests(workload, seed, workdir):
@@ -60,6 +68,16 @@ def long_run_digest(workloads):
     return workloads.run_log_digest(log)
 
 
+def known_step_run(learner, linear_model):
+    """The known-step run's RunLog, by the given learner and linear_model
+    modules of one tree."""
+    return learner.run(
+        learner.LearnerConfig(**KNOWN_STEP_LEARNER),
+        linear_model.generate_instance(
+            linear_model.GeneratorSpec(**KNOWN_STEP_GENERATOR)),
+        np.ones((KNOWN_STEP_K, 1)), seed=0)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that holds the lrcssp package")
@@ -78,6 +96,8 @@ def main(argv=None):
         gate.update(part_digests(workloads.GOLDEN, workloads.GOLDEN_SEED,
                                  os.path.join(workdir, "golden")))
     gate[f"ref_spec_k{LONG_K}/seed_0"] = long_run_digest(workloads)
+    gate[f"known_step_k{KNOWN_STEP_K}/seed_0"] = workloads.run_log_digest(
+        known_step_run(workloads.learner, workloads.linear_model))
     print(json.dumps(gate, indent=1, sort_keys=True))
 
 

@@ -57,9 +57,16 @@ def load_module(name, directory, file="__init__.py"):
 
 def load_tree(side, src):
     """bench/workloads.py bound to the lrcssp package under src, which is
-    loaded as the package lrcssp_<side>: the tools' one way to load a tree."""
+    loaded as the package lrcssp_<side>: the tools' one way to load a tree.
+    A side loaded from another src is refused: its submodules would stay
+    the other tree's."""
     name = f"lrcssp_{side}"
-    package = load_module(name, os.path.join(os.path.abspath(src), "lrcssp"))
+    directory = os.path.join(os.path.abspath(src), "lrcssp")
+    loaded = getattr(sys.modules.get(name), "__file__", None)
+    if loaded is not None and os.path.dirname(loaded) != directory:
+        raise ValueError(f"load_tree: side {side!r} is already loaded from "
+                         f"{os.path.dirname(loaded)}, not {directory}")
+    package = load_module(name, directory)
     importlib.import_module(f"{name}.cli")  # the package does not import it
     # workloads.py imports from lrcssp: the name is this package while it
     # loads
