@@ -106,21 +106,13 @@ def bit_equal(got, want):
 
 @settings(max_examples=200, deadline=None)
 @given(x=hnp.arrays(np.float64, st.integers(1, 40), elements=any_floats()),
-       b_cap=st.one_of(st.sampled_from((2.0, math.inf)),
-                       st.floats(min_value=2.0)))
-def test_scalar_bound_spelling_keeps_clip_bits(x, b_cap):
+       bound=st.one_of(st.sampled_from((2.0, math.inf, -math.inf)),
+                       st.floats(min_value=2.0),
+                       st.floats(allow_nan=False).filter(bool)))
+def test_scalar_bound_spelling_keeps_clip_bits(x, bound):
     """evi_plan's clip of the min-over-actions to [0, b_cap]: b_cap is
-    2 * b_star_cur >= 2, and +inf only after 1,023 doublings."""
-    assert bit_equal(np.minimum(np.maximum(0.0, x), b_cap),
-                     np.clip(x, 0.0, b_cap))
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=hnp.arrays(np.float64, st.integers(1, 40), elements=any_floats()),
-       bound=st.floats(allow_nan=False).filter(lambda b: b != 0.0))
-def test_scalar_bound_spelling_keeps_clip_bits_at_any_nonzero_bound(x, bound):
-    """The same at every bound but +-0.0 and NaN, -inf and negative bounds
-    included."""
+    2 * b_star_cur >= 2, and +inf only after 1,023 doublings.  Every other
+    bound but +-0.0 and NaN keeps the bits too, negative ones included."""
     assert bit_equal(np.minimum(np.maximum(0.0, x), bound),
                      np.clip(x, 0.0, bound))
 
