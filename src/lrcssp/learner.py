@@ -70,6 +70,8 @@ class LearnerConfig:
             raise ConfigError("l_min must be >= 0")
         if self.epsilon_perturb is not None and self.epsilon_perturb < 0:
             raise ConfigError("epsilon_perturb must be >= 0")
+        if self.epsilon_perturb is not None and self.l_min > 0:
+            raise ConfigError("epsilon_perturb applies only when l_min == 0")
         if self.b_star_init < 1:
             raise ConfigError("b_star_init must be >= 1")
         if self.evi_tol <= 0:
@@ -521,7 +523,7 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         log.intervals_started += 1
         sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
-        for _ in range(cfg.episode_step_cap):
+        for step in range(1, cfg.episode_step_cap + 1):
             a = learner.plan.policy[s]
             nxt, raw_loss = sampler.step(s, a, random)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
@@ -534,7 +536,8 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             step_trace.append((k, s, a, reached_goal, known))
             if reached_goal:
                 break
-            if not known:
+            # the capped last step truncates the episode: no interval opens
+            if not known and step < cfg.episode_step_cap:
                 unknown_counts[s][a] += 1
                 log.unknown_triggers += 1
                 record = learner.start_interval(c_seen, k, "unknown")

@@ -67,6 +67,12 @@ class TestGen:
         cfg = write_config(tmp_path, {"generator": {"gamma_goal": 0.0}})
         assert main(["gen", "--config", cfg]) == 2
 
+    def test_epsilon_perturb_beside_l_min_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"learner": {"l_min": 0.1,
+                                                  "epsilon_perturb": 0.3}})
+        assert main(["gen", "--config", cfg]) == 2
+        assert "epsilon_perturb" in capsys.readouterr().err
+
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         (tmp_path / "file").write_text("")

@@ -2,7 +2,8 @@
 
 A change meant to keep behaviour is checked by diffing the gate's output on
 two trees, so the gate must compute what the pins of test_reference_runs
-pin: its `ref` digests at seed 0 are REF_DIGESTS[0] and [1].
+pin: its `ref` digests at seed 0 are REF_DIGESTS[0] and [1], and its
+known-step and refresh lines are KNOWN_STEP_DIGEST and REFRESH_DIGEST.
 """
 
 import os
@@ -10,7 +11,7 @@ import os
 import pytest
 
 import digest_gate as gate
-from test_reference_runs import REF_DIGESTS
+from test_reference_runs import KNOWN_STEP_DIGEST, REF_DIGESTS, REFRESH_DIGEST
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,6 +21,19 @@ def test_ref_digests_equal_the_pins(tmp_path):
     digests = gate.part_digests(workloads.WORKLOADS["ref"], 0, str(tmp_path))
     assert digests == {"ref/seed_0/part_0": REF_DIGESTS[0],
                        "ref/seed_0/part_1": REF_DIGESTS[1]}
+
+
+# the gate lines of CHECKED_RUNS that test_reference_runs pins
+PINS = {"known_step_k4000/seed_0": KNOWN_STEP_DIGEST,
+        "refresh_k1200/seed_0": REFRESH_DIGEST}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_checked_run_digests_equal_the_pins(name):
+    workloads = gate.load_tree("gate", os.path.join(ROOT, "src"))
+    log = gate.whole_run(gate.CHECKED_RUNS[name], workloads.learner,
+                         workloads.linear_model)
+    assert workloads.run_log_digest(log) == PINS[name]
 
 
 def test_a_tree_without_the_package_exits(tmp_path):

@@ -53,6 +53,7 @@ from lrcssp.linear_model import (
     validate_context,
 )
 from lrcssp.ssp import GOAL, SspInstance, value_iteration
+from test_acceptance import _check_identities
 from test_estimation import compute_pair_estimate, context_norm, is_known
 
 
@@ -133,6 +134,11 @@ class TestLearnerConfig:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
             LearnerConfig(**bad)
+
+    def test_rejects_epsilon_perturb_beside_l_min(self):
+        # epsilon_perturb is the loss floor of l_min == 0 only
+        with pytest.raises(ConfigError, match="epsilon_perturb"):
+            LearnerConfig(l_min=0.1, epsilon_perturb=0.3)
 
 
 class TestAutoEpsilon:
@@ -853,6 +859,19 @@ class TestRun:
         # truncates; with gamma_goal = 0.1 some must
         assert log.truncation_count >= 1
         assert all(e.steps <= 1 for e in log.episodes)
+
+    def test_capped_last_step_opens_no_interval(self):
+        # an unknown step that is the episode's episode_step_cap-th ends it
+        # as truncated, so no interval of 0 steps opens after it
+        cfg = LearnerConfig(delta=0.1, l_min=0.1, episode_step_cap=2)
+        log = run(cfg, generate_instance(REF_SPEC), context_sequence(
+            "uniform", 20, 2, rng=np.random.default_rng(0)), seed=0)
+        assert log.truncation_count == 7
+        assert min(r.steps for r in log.interval_records) >= 1
+        assert log.unknown_counts.sum() == sum(
+            e.unknown_triggers for e in log.episodes) == (
+            log.total_intervals - len(log.episodes))
+        _check_identities(log)
 
     def test_diagnostics_do_not_disturb_run(self):
         model, plain = ref_run(K=12)

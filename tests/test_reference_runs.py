@@ -15,14 +15,13 @@ known steps, which open no interval.
 
 import collections
 import hashlib
-import importlib.util
 import json
-import os
 
 import numpy as np
 import pytest
 
-from digest_gate import KNOWN_STEP_GENERATOR, KNOWN_STEP_K, known_step_run
+import oracle_soak as soak
+from digest_gate import CHECKED_RUNS, whole_run
 from lrcssp import estimation, learner, linear_model
 from lrcssp.cli import main
 from lrcssp.harness import (
@@ -51,16 +50,8 @@ LEARNER = {"delta": 0.1, "l_min": 0.1}
 RTOL = 1e-6
 
 
-def _bench_run_log_digest():
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.run_log_digest
-
-
-run_log_digest = _bench_run_log_digest()
+# the soak loads bench/workloads.py by the tools' one loader
+run_log_digest = soak.workloads.run_log_digest
 
 
 def experiment(generator, K, seed, out_dir, baseline=False):
@@ -221,13 +212,17 @@ def test_mixed_regime_run(tmp_path, monkeypatch):
                                                         rel=RTOL)
 
 
+REFRESH_DIGEST = (
+    "d0f88b115d61041ebb4c7fbf374d099887cd746224b5f39b9f35548e718453c1")
+
+
 def test_refresh_and_projection_run_bits(monkeypatch):
-    """(d, S, A) = (2, 2, 1), l_min=0.1, K=1200 uniform contexts from
-    default_rng(0), run seed 0, with no doubling: pair (0, 0) passes
-    REFRESH_EVERY visits, so its inverse is refreshed from V, and 2,029
-    projections read V and the next-state moments.  No benchmark part
-    reaches a refresh.  Recorded before a visit's V and next-state moments
-    were folded on read."""
+    """The gate's refresh run: (d, S, A) = (2, 2, 1), l_min=0.1, K=1200
+    uniform contexts from default_rng(0), run seed 0, with no doubling: pair
+    (0, 0) passes REFRESH_EVERY visits, so its inverse is refreshed from V,
+    and 2,029 projections read V and the next-state moments.  No benchmark
+    part reaches a refresh.  Recorded before a visit's V and next-state
+    moments were folded on read."""
     calls = {"projections": 0}
     project = estimation.project_to_stochastic
 
@@ -237,20 +232,15 @@ def test_refresh_and_projection_run_bits(monkeypatch):
 
     monkeypatch.setattr(estimation, "project_to_stochastic",
                         counting_projection)
-    model = generate_instance(GeneratorSpec(
-        d=2, n_states=2, n_actions=1, gamma_goal=0.1, l_min_target=0.1,
-        seed=0))
-    contexts = context_sequence("uniform", 1200, 2,
-                                rng=np.random.default_rng(0))
-    log = run(LearnerConfig(**LEARNER), model, contexts, seed=0)
+    log = whole_run(CHECKED_RUNS["refresh_k1200/seed_0"], learner,
+                    linear_model)
     assert (log.total_steps, log.total_intervals) == (2515, 2515)
     assert log.doubling_events == 0
     visits = collections.Counter((s, a) for _, s, a, _, _ in log.step_trace)
     assert visits == {(0, 0): 1679, (1, 0): 836}
     assert visits[0, 0] > estimation.REFRESH_EVERY
     assert calls["projections"] == 2029
-    assert run_log_digest(log) == (
-        "d0f88b115d61041ebb4c7fbf374d099887cd746224b5f39b9f35548e718453c1")
+    assert run_log_digest(log) == REFRESH_DIGEST
 
 
 REF_SPEC = GeneratorSpec(**REF_GENERATOR)
@@ -302,8 +292,10 @@ def test_perturbed_losses_bits():
         "c24e569393abddf4b7db6c5fb8ee5aeb06986ade74c6629e05e0223edb3fad88")
 
 
-# the known-step run, defined in tools/digest_gate.py, whose gate prints
-# its digest; docs/regimes.md tabulates its counts under these names
+# the known-step run, defined in tools/digest_gate.py's CHECKED_RUNS, whose
+# gate prints its digest; docs/regimes.md tabulates its counts under these
+# names
+KNOWN_STEP = CHECKED_RUNS["known_step_k4000/seed_0"]
 KNOWN_STEP_COUNTS = {
     "episodes": 4000, "steps": 4378, "intervals": 4321,
     "unknown triggers": 321, "known steps": 1196,
@@ -322,7 +314,7 @@ def test_known_step_run():
     interval opens at each episode start and at each unknown step that
     misses the goal, and never at a known step.
     """
-    log = known_step_run(learner, linear_model)
+    log = whole_run(KNOWN_STEP, learner, linear_model)
     known = [i for i, step in enumerate(log.step_trace) if step[4]]
     assert {
         "episodes": len(log.episodes), "steps": log.total_steps,
@@ -335,7 +327,7 @@ def test_known_step_run():
             r.known_fraction == 0.5 for r in log.interval_records),
         "doublings": log.doubling_events,
         "truncations": log.truncation_count} == KNOWN_STEP_COUNTS
-    assert log.total_intervals == KNOWN_STEP_K + log.unknown_counts.sum()
+    assert log.total_intervals == KNOWN_STEP["K"] + log.unknown_counts.sum()
     trace = iter(log.step_trace)
     for episode in log.episodes:
         steps = [next(trace) for _ in range(episode.steps)]

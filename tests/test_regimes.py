@@ -24,7 +24,7 @@ import pytest
 from lrcssp import cli, estimation, harness, learner, linear_model, ssp
 from lrcssp.estimation import context_norms, dynamics_radius, known_threshold
 from lrcssp.learner import auto_epsilon
-from test_reference_runs import KNOWN_STEP_COUNTS, KNOWN_STEP_GENERATOR
+from test_reference_runs import KNOWN_STEP, KNOWN_STEP_COUNTS
 
 LAM, DELTA, B = 1.0, 0.1, 1.0
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -169,7 +169,7 @@ def namespaces():
     """Where a cited name may live: the module, or the class and an
     instance of it built the way a run builds one (Plan: the class)."""
     model = linear_model.generate_instance(
-        linear_model.GeneratorSpec(**KNOWN_STEP_GENERATOR))
+        linear_model.GeneratorSpec(**KNOWN_STEP["generator"]))
     fresh = learner.Learner(learner.LearnerConfig(), model, 0.9)
     return dict({name: [module] for name, module in MODULES.items()},
                 Learner=[learner.Learner, fresh],

@@ -7,22 +7,22 @@ learner since the seed kept every bit a RunLog records, so on every config
 drawn here the two runs must have the same run_log_digest (bench/workloads.py).
 This checks the learner's fast paths together, on configs no one picked by
 hand; each path keeps its own oracle test as well.  The draw is fixed
-(derandomize), so the suite's time does not move with it; tools/oracle_soak.py
-draws fresh, longer configs that reach open rows and known pairs.  The
-configs drawn here never reach a known step, so the known-step run of
-test_reference_runs is a fixed case here: the seed learner alone must give
-its pinned digest.
+(derandomize), so the suite's time does not move with it.  Each draw runs
+through the soak's run_config, which checks that both sides' model
+embeddings are equal byte for byte and runs both by digest_gate.whole_run;
+tools/oracle_soak.py draws fresh, longer configs that reach open rows and
+known pairs.  The configs drawn here never reach a known step, so the
+known-step run of test_reference_runs is a fixed case here: the seed
+learner alone must give its pinned digest.
 """
 
 import re
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_soak as soak
-from lrcssp import learner, linear_model
-from digest_gate import known_step_run
+from digest_gate import CHECKED_RUNS, whole_run
 from test_reference_runs import KNOWN_STEP_DIGEST
 
 # the soak loads the seed learner and bench/workloads.py; both are used
@@ -40,27 +40,19 @@ seed, run_log_digest = soak.seed, soak.workloads.run_log_digest
 def test_run_equals_the_seed_learner(d, n_states, n_actions, l_min, K, kind,
                                      blind, model_seed, run_seed):
     # the context-blind baseline perceives the uniform context throughout
-    spec = dict(d=d, n_states=n_states, n_actions=n_actions, gamma_goal=0.1,
-                l_min_target=0.1, seed=model_seed)
-    model = linear_model.generate_instance(linear_model.GeneratorSpec(**spec))
-    seed_model = seed.generate_instance(seed.GeneratorSpec(**spec))
-    assert model.loss_embed.tobytes() == seed_model.loss_embed.tobytes()
-    assert model.trans_embed.tobytes() == seed_model.trans_embed.tobytes()
-    contexts = linear_model.context_sequence(
-        kind, K, d, rng=np.random.default_rng(run_seed))
-    perceived = np.full((K, d), 1.0 / d) if blind else None
-    log = learner.run(learner.LearnerConfig(delta=0.1, l_min=l_min), model,
-                      contexts, seed=run_seed, perceived_contexts=perceived)
-    seed_log = seed.run(seed.LearnerConfig(delta=0.1, l_min=l_min), seed_model,
-                        list(contexts), seed=run_seed,
-                        perceived_contexts=None if perceived is None
-                        else list(perceived))
-    assert run_log_digest(log) == run_log_digest(seed_log)
+    config = {"generator": dict(d=d, n_states=n_states, n_actions=n_actions,
+                                gamma_goal=0.1, l_min_target=0.1,
+                                seed=model_seed),
+              "l_min": l_min, "K": K,
+              "contexts": f"blind {kind}" if blind else kind,
+              "run_seed": run_seed}
+    ours, theirs, _ = soak.run_config(config)
+    assert ours == theirs
 
 
 def test_seed_learner_gives_the_known_step_digest():
     # the seed learner's one module holds both the learner and the model
-    log = known_step_run(seed, seed)
+    log = whole_run(CHECKED_RUNS["known_step_k4000/seed_0"], seed, seed)
     assert run_log_digest(log) == KNOWN_STEP_DIGEST
 
 

@@ -12,10 +12,11 @@ A change meant to keep behaviour keeps every digest printed here (ROADMAP,
   and of the `wide` workload at seeds 0 and 1;
 - the artifact-tree digest of every part of the `sweep` workload at seed 0
   and of the golden pipeline;
-- the run_log_digest of the REF_SPEC K=8000 run (uniform contexts from
-  default_rng(0), run seed 0), which reads open rows and projects;
-- the run_log_digest of the known-step run (known_step_run), the one run
-  here that takes known steps, so a change to the known test moves it.
+- the run_log_digest of each whole run of CHECKED_RUNS, run by whole_run:
+  the REF_SPEC K=8000 run, which reads open rows and projects; the
+  known-step run, the one run here that takes known steps, so a change to
+  the known test moves it; and the refresh run, whose busiest pair passes
+  REFRESH_EVERY visits, so its inverse is refreshed.
 
 The workloads and digests are the benchmark's own (bench/workloads.py, read
 only), bound to the package under <src-dir> by tools/ledger.py's load_tree.
@@ -34,13 +35,47 @@ import numpy as np
 from ledger import load_tree
 
 GATE_SEEDS = {"ref": (0, 1009), "wide": (0, 1), "sweep": (0,)}
-LONG_K = 8000
-# the known-step run: one state, two actions, KNOWN_STEP_K episodes at the
-# single context [1.0], run seed 0 (tests/test_reference_runs.py pins it)
-KNOWN_STEP_GENERATOR = {"d": 1, "n_states": 1, "n_actions": 2,
-                        "gamma_goal": 0.1, "l_min_target": 0.9, "seed": 7}
-KNOWN_STEP_LEARNER = {"delta": 0.1, "l_min": 0.9}
-KNOWN_STEP_K = 4000
+# gate line -> whole run, in tools/oracle_soak.py's config format; the
+# tests of tests/test_reference_runs.py pin the last two
+CHECKED_RUNS = {
+    "ref_spec_k8000/seed_0": {
+        "generator": {"d": 2, "n_states": 5, "n_actions": 3,
+                      "gamma_goal": 0.1, "l_min_target": 0.1, "seed": 7},
+        "l_min": 0.1, "K": 8000, "contexts": "uniform", "run_seed": 0},
+    # one state, two actions, every context [1.0]
+    "known_step_k4000/seed_0": {
+        "generator": {"d": 1, "n_states": 1, "n_actions": 2,
+                      "gamma_goal": 0.1, "l_min_target": 0.9, "seed": 7},
+        "l_min": 0.9, "K": 4000, "contexts": "cyclic_vertices",
+        "run_seed": 0},
+    "refresh_k1200/seed_0": {
+        "generator": {"d": 2, "n_states": 2, "n_actions": 1,
+                      "gamma_goal": 0.1, "l_min_target": 0.1, "seed": 0},
+        "l_min": 0.1, "K": 1200, "contexts": "uniform", "run_seed": 0},
+}
+
+
+def whole_run(config, learner, linear_model):
+    """The RunLog of one config, run by the given learner and linear_model
+    modules: a loaded tree's, or the seed learner's one module for both.
+
+    A config is tools/oracle_soak.py's: the generator spec, l_min, K, the
+    context kind, and the run seed, which also seeds the uniform contexts.
+    A kind "blind <kind>" draws the contexts of <kind>, and the learner
+    perceives the centre context throughout (the context-blind baseline).
+    """
+    spec, K, run_seed = config["generator"], config["K"], config["run_seed"]
+    kind = config["contexts"]
+    blind = kind.startswith("blind ")
+    model = linear_model.generate_instance(linear_model.GeneratorSpec(**spec))
+    contexts = linear_model.context_sequence(
+        kind.removeprefix("blind "), K, spec["d"],
+        rng=np.random.default_rng(run_seed))
+    return learner.run(
+        learner.LearnerConfig(delta=0.1, l_min=config["l_min"]), model,
+        contexts, seed=run_seed,
+        perceived_contexts=np.full((K, spec["d"]), 1.0 / spec["d"])
+        if blind else None)
 
 
 def part_digests(workload, seed, workdir):
@@ -54,28 +89,6 @@ def part_digests(workload, seed, workdir):
                      f"{outcome.problems}")
         digests[f"{workload.name}/seed_{seed}/part_{p}"] = outcome.digest
     return digests
-
-
-def long_run_digest(workloads):
-    """run_log_digest of the REF_SPEC run at K = LONG_K."""
-    learner, linear_model = workloads.learner, workloads.linear_model
-    model = linear_model.generate_instance(
-        linear_model.GeneratorSpec(**workloads.REF_GENERATOR))
-    contexts = linear_model.context_sequence(
-        "uniform", LONG_K, model.d, rng=np.random.default_rng(0))
-    log = learner.run(learner.LearnerConfig(**workloads.REF_LEARNER), model,
-                      contexts, seed=0)
-    return workloads.run_log_digest(log)
-
-
-def known_step_run(learner, linear_model):
-    """The known-step run's RunLog, by the given learner and linear_model
-    modules of one tree."""
-    return learner.run(
-        learner.LearnerConfig(**KNOWN_STEP_LEARNER),
-        linear_model.generate_instance(
-            linear_model.GeneratorSpec(**KNOWN_STEP_GENERATOR)),
-        np.ones((KNOWN_STEP_K, 1)), seed=0)
 
 
 def main(argv=None):
@@ -95,9 +108,9 @@ def main(argv=None):
                     os.path.join(workdir, f"{name}_{seed}")))
         gate.update(part_digests(workloads.GOLDEN, workloads.GOLDEN_SEED,
                                  os.path.join(workdir, "golden")))
-    gate[f"ref_spec_k{LONG_K}/seed_0"] = long_run_digest(workloads)
-    gate[f"known_step_k{KNOWN_STEP_K}/seed_0"] = workloads.run_log_digest(
-        known_step_run(workloads.learner, workloads.linear_model))
+    for name, config in CHECKED_RUNS.items():
+        gate[name] = workloads.run_log_digest(whole_run(
+            config, workloads.learner, workloads.linear_model))
     print(json.dumps(gate, indent=1, sort_keys=True))
 
 

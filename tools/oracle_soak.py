@@ -19,23 +19,23 @@ pairs:
 - each takes uniform or cyclic_vertices contexts, or the context-blind
   baseline, which perceives the uniform context throughout.
 
-Each config prints what the learner's run covered and both digests; the
-first mismatch ends the soak with exit code 1.  The last line gives the
-wall time and the totals of what the runs covered: plans that read an
-open row (calls of learner.evi_plan), projections (calls of
-estimation.project_to_stochastic), known steps and doublings.  The two
-calls are counted by wrapping their module bindings from outside, as
-bench/tracer.py does.
+Each config prints as JSON, the form digest_gate.whole_run runs, with what
+the learner's run covered and both digests; the first mismatch ends the
+soak with exit code 1.  The last line gives the wall time and the totals
+of what the runs covered: plans that read an open row (calls of
+learner.evi_plan), projections (calls of estimation.project_to_stochastic),
+known steps and doublings.  The two calls are counted by wrapping their
+module bindings from outside, as bench/tracer.py does.
 """
 
 import argparse
+import json
 import os
 import random
 import sys
 import time
 
-import numpy as np
-
+from digest_gate import whole_run
 from ledger import BENCH, ROOT, load_module, load_tree
 
 workloads = load_tree("soak", os.path.join(ROOT, "src"))
@@ -53,7 +53,7 @@ COUNTED_CALLS = ((learner, "evi_plan", "plans"),
 
 def draw_config(rng):
     """One config from a random.Random: the generator spec, l_min, K, the
-    context kind (or "blind") and the run seed."""
+    context kind (or "blind uniform") and the run seed."""
     kind = rng.random()
     if kind < 0.2:
         generator = dict(workloads.REF_GENERATOR)
@@ -72,18 +72,9 @@ def draw_config(rng):
                      "l_min_target": rng.choice([0.1, l_min]),
                      "seed": rng.randint(0, 2**16)}
         K = rng.randint(2500 if known else 1, 4000)
-    contexts = rng.choice(["uniform", "cyclic_vertices", "blind"])
+    contexts = rng.choice(["uniform", "cyclic_vertices", "blind uniform"])
     return {"generator": generator, "l_min": l_min, "K": K,
             "contexts": contexts, "run_seed": rng.randint(0, 2**16)}
-
-
-def describe(config):
-    """A config on one line."""
-    spec = config["generator"]
-    return (f"d={spec['d']} S={spec['n_states']} A={spec['n_actions']} "
-            f"l_min_target={spec['l_min_target']} model_seed={spec['seed']} "
-            f"l_min={config['l_min']} K={config['K']} {config['contexts']} "
-            f"run_seed={config['run_seed']}")
 
 
 def _counted(function, counts, key):
@@ -97,36 +88,30 @@ def _counted(function, counts, key):
 
 def run_config(config):
     """Both learners' run_log_digest on one config, and what the learner's
-    run covered, by the names in COUNTED."""
+    run covered, by the names in COUNTED.  Exits if the two sides' model
+    embeddings differ."""
+    embeddings, spec = [], config["generator"]
+    for side in (linear_model, seed):
+        model = side.generate_instance(side.GeneratorSpec(**spec))
+        embeddings.append((model.loss_embed.tobytes(),
+                           model.trans_embed.tobytes()))
+    if embeddings[0] != embeddings[1]:
+        sys.exit(f"oracle_soak: model embeddings differ on "
+                 f"{json.dumps(config)}")
     counts = dict.fromkeys(COUNTED, 0)
-    spec = config["generator"]
-    d, K, run_seed = spec["d"], config["K"], config["run_seed"]
-    model = linear_model.generate_instance(linear_model.GeneratorSpec(**spec))
-    seed_model = seed.generate_instance(seed.GeneratorSpec(**spec))
-    kind = config["contexts"]
-    contexts = linear_model.context_sequence(
-        "uniform" if kind == "blind" else kind, K, d,
-        rng=np.random.default_rng(run_seed))
-    perceived = np.full((K, d), 1.0 / d) if kind == "blind" else None
-    cfg = learner.LearnerConfig(delta=0.1, l_min=config["l_min"])
     originals = {(owner, attr): getattr(owner, attr)
                  for owner, attr, _ in COUNTED_CALLS}
     for owner, attr, key in COUNTED_CALLS:
         setattr(owner, attr, _counted(originals[owner, attr], counts, key))
     try:
-        log = learner.run(cfg, model, contexts, seed=run_seed,
-                          perceived_contexts=perceived)
+        log = whole_run(config, learner, linear_model)
     finally:
         for (owner, attr), original in originals.items():
             setattr(owner, attr, original)
     counts["known"] = sum(step[4] for step in log.step_trace)
     counts["doublings"] = log.doubling_events
-    seed_log = seed.run(seed.LearnerConfig(delta=0.1, l_min=config["l_min"]),
-                        seed_model, list(contexts), seed=run_seed,
-                        perceived_contexts=None if perceived is None
-                        else list(perceived))
-    return (workloads.run_log_digest(log), workloads.run_log_digest(seed_log),
-            counts)
+    return (workloads.run_log_digest(log),
+            workloads.run_log_digest(whole_run(config, seed, seed)), counts)
 
 
 def covered(counts):
@@ -150,7 +135,7 @@ def main(argv=None):
         config = draw_config(rng)
         ours, theirs, counts = run_config(config)
         equal = ours == theirs
-        print(f"{i} {describe(config)}: {covered(counts)}\n"
+        print(f"{i} {json.dumps(config)}: {covered(counts)}\n"
               f"  learner {ours}\n  seed    {theirs} "
               f"{'equal' if equal else 'MISMATCH'}", flush=True)
         if not equal:
