@@ -194,6 +194,8 @@ class RunLog:
     epsilon: float
     # per-step trace for replay checks: (episode, s, a, goal_reached, known)
     step_trace: list = field(default_factory=list)
+    # Learner.work, which no digest or artifact reads
+    work: dict = field(default_factory=dict)
 
 
 def _read_only(x):
@@ -216,6 +218,9 @@ class Learner:
         self.b_star_cur = cfg.b_star_init
         self.m = 0
         self.doubling_events = 0
+        # the run's plans by kind and projections, kept across a doubling
+        self.work = dict.fromkeys(("emptied_plans", "evi_plans",
+                                   "projections"), 0)
         # the context last seen, as bytes and as a read-only array shared
         # by the interval records
         self._norms_key = self._context = None
@@ -279,6 +284,7 @@ class Learner:
                 self.store.xty_trans[s, a].dot(self.store.v_bar_inv[s, a]),
                 self.store.v_bar[s, a])
             self._projected_tau[s, a] = tau[s, a]
+            self.work["projections"] += 1
         return self._estimates
 
     def _use_context(self, c):
@@ -371,11 +377,13 @@ class Learner:
                 policy = opt_loss.argmin(axis=1).tolist()
                 values = [row[a] + 0.0 for row, a in zip(rows, policy)]
                 plan = Plan(policy, values, None, None, None, rows)
+                self.work["emptied_plans"] += 1
                 break  # its sweeps are set below
             plan = evi_plan(opt_loss, c_einsum(
                 "sand,d->san", self.snapshot_estimates(radius).p_hat, c),
                 radius, b_cap=2.0 * self.b_star_cur, evi_tol=self.cfg.evi_tol,
                 evi_max_iter=self.cfg.evi_max_iter)
+            self.work["evi_plans"] += 1
             if not plan.values[self.model.s_init] > self.b_star_cur:
                 break  # a NaN value does not double
             # doubling trick: optimistic value escaped the current bound
@@ -562,4 +570,5 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         truncation_count=sum(e.truncated for e in episodes),
         epsilon=eps,
         step_trace=step_trace,
+        work=learner.work,
     )

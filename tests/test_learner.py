@@ -1637,15 +1637,13 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
 
     Returns the log, the number of full plans (the intervals that are not
     row updates of the kept rows) and the number of plans that read an open
-    row.  evi_plan runs once for each plan that reads an open row and once
-    for each doubling: only a plan over an open row can escape B >= 1.
+    row.  The run's own RunLog.work agrees: evi_plan runs once for each plan
+    that reads an open row and once for each doubling, as only a plan over
+    an open row can escape B >= 1, and a full plan is an emptied one or the
+    last evi_plan call of its interval.
     """
-    counts = {"evi_plan": 0, "full": 0, "open": 0}
+    counts = {"full": 0, "open": 0}
     start_interval = Learner.start_interval
-
-    def counting_evi_plan(*args, **kwargs):
-        counts["evi_plan"] += 1
-        return evi_plan(*args, **kwargs)
 
     def checked_start_interval(learner, c, episode, trigger):
         kept = None if learner.plan is None else learner.plan.rows
@@ -1665,11 +1663,13 @@ def checked_run(cfg, model, contexts, seed, perceived=None):
         return record
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lrcssp.learner.evi_plan", counting_evi_plan)
         mp.setattr(Learner, "start_interval", checked_start_interval)
         log = run(cfg, model, contexts, seed=seed,
                   perceived_contexts=perceived)
-    assert counts["evi_plan"] == counts["open"] + log.doubling_events
+    work = log.work
+    assert work["evi_plans"] == counts["open"] + log.doubling_events
+    assert counts["full"] == (
+        work["emptied_plans"] + work["evi_plans"] - log.doubling_events)
     # the checks read the learner's state without disturbing the run
     plain = run(cfg, model, contexts, seed=seed, perceived_contexts=perceived)
     assert log.step_trace == plain.step_trace
@@ -2076,3 +2076,15 @@ class TestStepState:
         assert learner.start_interval(c, 0, "start").known_fraction == 1.0
         record = self._doubling(monkeypatch, learner, c)
         assert learner.b_star_cur == 2.0 and record.known_fraction == 0.0
+
+    def test_a_doubling_keeps_the_work_counts(self, monkeypatch):
+        # one emptied plan; then a visited pair projected for the EVI plan
+        # that escapes, and its rerun on the reset statistics, which
+        # projects nothing
+        learner = Learner(REF_CFG, generate_instance(REF_SPEC), REF_CFG.l_min)
+        c = np.array([0.3, 0.7])
+        learner.start_interval(c, 0, "start")
+        visit_at(learner, 0, 0, c, 1, 0.5)
+        self._doubling(monkeypatch, learner, c)
+        assert learner.work == {"emptied_plans": 1, "evi_plans": 2,
+                                "projections": 1}

@@ -170,29 +170,16 @@ def test_wide_runs(tmp_path, run_seed, steps, intervals, regret):
     assert summary["final_cum_regret"] == pytest.approx(regret, rel=RTOL)
 
 
-def test_mixed_regime_run(tmp_path, monkeypatch):
+def test_mixed_regime_run(tmp_path):
     """(d, S, A) = (1, 2, 2), l_min=0.5, K=150, run seed 0.
 
     Rows open after about 73 visits (docs/regimes.md), so the run's plans
     switch between the one-row update of an emptied plan and the full EVI
-    loop: 91 of its 244 plans read an open row, and the pairs they read are
-    projected.  Recorded before the row update existed; the digest after it.
+    loop: of its 244 plans, 91 read an open row and make 70 projections in
+    all, 15 empty every row, and the other 138 are row updates
+    (RunLog.work).  Recorded before the row update existed; the digest and
+    work after it.
     """
-    calls = {"open": 0, "projections": 0}
-    evi_plan = learner.evi_plan
-    project = estimation.project_to_stochastic
-
-    def counting_evi_plan(opt_loss, p_ctx, radius, **kwargs):
-        calls["open"] += 1  # evi_plan runs only for open-row plans
-        return evi_plan(opt_loss, p_ctx, radius, **kwargs)
-
-    def counting_projection(p_raw, v_bar):
-        calls["projections"] += 1
-        return project(p_raw, v_bar)
-
-    monkeypatch.setattr(learner, "evi_plan", counting_evi_plan)
-    monkeypatch.setattr(estimation, "project_to_stochastic",
-                        counting_projection)
     generator = {"d": 1, "n_states": 2, "n_actions": 2, "gamma_goal": 0.1,
                  "l_min_target": 0.1, "seed": 0}
     raw = experiment(generator, 150, 0, str(tmp_path))
@@ -202,7 +189,8 @@ def test_mixed_regime_run(tmp_path, monkeypatch):
     contexts = build_contexts(cfg, 0)
     log = run(cfg.learner, model, contexts, seed=0)
     assert (log.total_steps, log.total_intervals) == (244, 244)
-    assert calls == {"open": 91, "projections": 70}
+    assert log.work == {"emptied_plans": 15, "evi_plans": 91,
+                        "projections": 70}
     assert run_log_digest(log) == (
         "e48f565d33c6390826c9ec06aab4075d2701a064595ddade2f0da80ea2ac4c6c")
     oracle = oracle_values(model, contexts)
@@ -214,24 +202,16 @@ def test_mixed_regime_run(tmp_path, monkeypatch):
 
 REFRESH_DIGEST = (
     "d0f88b115d61041ebb4c7fbf374d099887cd746224b5f39b9f35548e718453c1")
+REFRESH_WORK = {"emptied_plans": 211, "evi_plans": 2112, "projections": 2029}
 
 
-def test_refresh_and_projection_run_bits(monkeypatch):
+def test_refresh_and_projection_run_bits():
     """The gate's refresh run: (d, S, A) = (2, 2, 1), l_min=0.1, K=1200
     uniform contexts from default_rng(0), run seed 0, with no doubling: pair
     (0, 0) passes REFRESH_EVERY visits, so its inverse is refreshed from V,
     and 2,029 projections read V and the next-state moments.  No benchmark
     part reaches a refresh.  Recorded before a visit's V and next-state
     moments were folded on read."""
-    calls = {"projections": 0}
-    project = estimation.project_to_stochastic
-
-    def counting_projection(p_raw, v_bar):
-        calls["projections"] += 1
-        return project(p_raw, v_bar)
-
-    monkeypatch.setattr(estimation, "project_to_stochastic",
-                        counting_projection)
     log = whole_run(CHECKED_RUNS["refresh_k1200/seed_0"], learner,
                     linear_model)
     assert (log.total_steps, log.total_intervals) == (2515, 2515)
@@ -239,7 +219,7 @@ def test_refresh_and_projection_run_bits(monkeypatch):
     visits = collections.Counter((s, a) for _, s, a, _, _ in log.step_trace)
     assert visits == {(0, 0): 1679, (1, 0): 836}
     assert visits[0, 0] > estimation.REFRESH_EVERY
-    assert calls["projections"] == 2029
+    assert log.work == REFRESH_WORK
     assert run_log_digest(log) == REFRESH_DIGEST
 
 
@@ -301,7 +281,8 @@ KNOWN_STEP_COUNTS = {
     "unknown triggers": 321, "known steps": 1196,
     "first known step (index)": 3158, "known steps that miss the goal": 57,
     "intervals with one pair of two known": 1162, "doublings": 0,
-    "truncations": 0}
+    "truncations": 0, "emptied plans": 1, "EVI plans": 4307,
+    "projections": 4294}
 KNOWN_STEP_DIGEST = (
     "eae59c171cdb17f5dca3f734c8e7bfaab94f6d90e3d2a21f3d91c10b6be50725")
 
@@ -326,7 +307,10 @@ def test_known_step_run():
         "intervals with one pair of two known": sum(
             r.known_fraction == 0.5 for r in log.interval_records),
         "doublings": log.doubling_events,
-        "truncations": log.truncation_count} == KNOWN_STEP_COUNTS
+        "truncations": log.truncation_count,
+        "emptied plans": log.work["emptied_plans"],
+        "EVI plans": log.work["evi_plans"],
+        "projections": log.work["projections"]} == KNOWN_STEP_COUNTS
     assert log.total_intervals == KNOWN_STEP["K"] + log.unknown_counts.sum()
     trace = iter(log.step_trace)
     for episode in log.episodes:

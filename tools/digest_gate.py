@@ -16,12 +16,16 @@ A change meant to keep behaviour keeps every digest printed here (ROADMAP,
   the REF_SPEC K=8000 run, which reads open rows and projects; the
   known-step run, the one run here that takes known steps, so a change to
   the known test moves it; and the refresh run, whose busiest pair passes
-  REFRESH_EVERY visits, so its inverse is refreshed.
+  REFRESH_EVERY visits, so its inverse is refreshed;
+- the work of each of those runs, one `<run>/work` line by work_line: its
+  emptied full plans, evi_plan calls, projections (RunLog.work) and
+  doublings, so a change to how much a run plans or projects moves a line
+  even where no bit of the RunLog moves.
 
 The workloads and digests are the benchmark's own (bench/workloads.py, read
 only), bound to the package under <src-dir> by tools/ledger.py's load_tree.
-Output is one JSON object with sorted keys, one digest a line, so two trees
-compare with `diff`.
+Output is one JSON object with sorted keys, one digest or work count a line,
+so two trees compare with `diff`.
 """
 
 import argparse
@@ -78,6 +82,12 @@ def whole_run(config, learner, linear_model):
         if blind else None)
 
 
+def work_line(log):
+    """A RunLog's work and doublings as one gate line."""
+    return ", ".join(f"{key} {count}" for key, count in dict(
+        log.work, doublings=log.doubling_events).items())
+
+
 def part_digests(workload, seed, workdir):
     """{key: digest} of every part of one workload seed, checked as the
     benchmark checks a unit."""
@@ -109,8 +119,9 @@ def main(argv=None):
         gate.update(part_digests(workloads.GOLDEN, workloads.GOLDEN_SEED,
                                  os.path.join(workdir, "golden")))
     for name, config in CHECKED_RUNS.items():
-        gate[name] = workloads.run_log_digest(whole_run(
-            config, workloads.learner, workloads.linear_model))
+        log = whole_run(config, workloads.learner, workloads.linear_model)
+        gate[name] = workloads.run_log_digest(log)
+        gate[f"{name}/work"] = work_line(log)
     print(json.dumps(gate, indent=1, sort_keys=True))
 
 

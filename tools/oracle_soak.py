@@ -24,8 +24,8 @@ the learner's run covered and both digests; the first mismatch ends the
 soak with exit code 1.  The last line gives the wall time and the totals
 of what the runs covered: plans that read an open row (calls of
 learner.evi_plan), projections (calls of estimation.project_to_stochastic),
-known steps and doublings.  The two calls are counted by wrapping their
-module bindings from outside, as bench/tracer.py does.
+known steps and doublings.  The run counts the two calls itself, in
+RunLog.work; the soak patches no binding.
 """
 
 import argparse
@@ -40,15 +40,11 @@ from ledger import BENCH, ROOT, load_module, load_tree
 
 workloads = load_tree("soak", os.path.join(ROOT, "src"))
 learner, linear_model = workloads.learner, workloads.linear_model
-estimation = learner.estimation
 seed = load_module("bench_yardstick", os.path.join(BENCH, "yardstick"))
 
 # configs at the default --configs take about 5 minutes on a 2-core machine
 DEFAULT_CONFIGS = 75
 COUNTED = ("plans", "projections", "known", "doublings")
-# the module bindings whose calls the soak counts, and their counts
-COUNTED_CALLS = ((learner, "evi_plan", "plans"),
-                 (estimation, "project_to_stochastic", "projections"))
 
 
 def draw_config(rng):
@@ -77,15 +73,6 @@ def draw_config(rng):
             "contexts": contexts, "run_seed": rng.randint(0, 2**16)}
 
 
-def _counted(function, counts, key):
-    """function, adding one to counts[key] at each call."""
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        return function(*args, **kwargs)
-
-    return counted
-
-
 def run_config(config):
     """Both learners' run_log_digest on one config, and what the learner's
     run covered, by the names in COUNTED.  Exits if the two sides' model
@@ -98,18 +85,11 @@ def run_config(config):
     if embeddings[0] != embeddings[1]:
         sys.exit(f"oracle_soak: model embeddings differ on "
                  f"{json.dumps(config)}")
-    counts = dict.fromkeys(COUNTED, 0)
-    originals = {(owner, attr): getattr(owner, attr)
-                 for owner, attr, _ in COUNTED_CALLS}
-    for owner, attr, key in COUNTED_CALLS:
-        setattr(owner, attr, _counted(originals[owner, attr], counts, key))
-    try:
-        log = whole_run(config, learner, linear_model)
-    finally:
-        for (owner, attr), original in originals.items():
-            setattr(owner, attr, original)
-    counts["known"] = sum(step[4] for step in log.step_trace)
-    counts["doublings"] = log.doubling_events
+    log = whole_run(config, learner, linear_model)
+    counts = {"plans": log.work["evi_plans"],
+              "projections": log.work["projections"],
+              "known": sum(step[4] for step in log.step_trace),
+              "doublings": log.doubling_events}
     return (workloads.run_log_digest(log),
             workloads.run_log_digest(whole_run(config, seed, seed)), counts)
 
