@@ -4,8 +4,8 @@ Each state-action pair keeps sufficient statistics only: the design matrix
 V = lambda*I + sum c c^T, its incrementally maintained inverse, the
 regression moments for the loss and the one-hot next-state targets, and the
 ridge loss estimate.  A run keeps those of all pairs as stacked arrays
-(PairStore), so context norms and the known count cover every pair in one
-array expression; SaStatistics is the one-pair PairStore, of shape ().
+(PairStore), so the context norms of every pair are one array expression;
+SaStatistics is the one-pair PairStore, of shape ().
 """
 
 import math
@@ -222,17 +222,6 @@ def loss_radius(tau, d, n_states, n_actions, lam, delta):
 def dynamics_radius(tau, d, n_states, n_actions, lam, delta):
     """The dynamics embedding's radius: S times the loss radius at S^2 A."""
     return n_states * loss_radius(tau, d, n_states**2, n_actions, lam, delta)
-
-
-def known_floor(m, delta):
-    """The lower bound known_threshold puts under beta_dyn in interval m."""
-    return math.sqrt(math.log(4.0 * m / delta))
-
-
-def known_threshold(beta_dyn, l_min, b_star, m, delta):
-    """Context norm below which a pair is known; beta_dyn may be an array."""
-    floor = known_floor(m, delta)
-    return l_min / (10.0 * b_star * np.maximum(beta_dyn, floor))
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,12 @@ def _read_only(x):
     return view
 
 
+def known_floor(m, delta):
+    """The floor sqrt(log(4m / delta)) under a pair's radius in interval m's
+    known threshold (Learner._known_threshold)."""
+    return math.sqrt(math.log(4.0 * m / delta))
+
+
 class Learner:
     """State of one run of the interval-based optimistic learner."""
 
@@ -256,9 +262,10 @@ class Learner:
         self._moved = {}
 
     def _known_threshold(self, beta_p):
-        """estimation.known_threshold at a Python float radius beta_p, the
-        current interval and b_star_cur, in Python floats bit for bit."""
-        floor = estimation.known_floor(self.m, self.cfg.delta)
+        """The package's one form of the paper's known threshold, in Python
+        floats: l_min / (10 B max(beta_p, known_floor)) at a pair's radius
+        beta_p, the current m and B = b_star_cur (NaN at a NaN beta_p)."""
+        floor = known_floor(self.m, self.cfg.delta)
         return self.l_min_eff / (10.0 * self.b_star_cur * max(beta_p, floor))
 
     def snapshot_estimates(self, radius=None):
@@ -308,7 +315,7 @@ class Learner:
         that moves a pair's statistics: the store refreshes the pair's l_hat
         and returns its norm, kept here with its radii; p_hat follows in
         snapshot_estimates.  Returns the paper's known test: the pair's norm
-        below known_threshold at its new radius, m and b_star_cur.
+        below _known_threshold at its new radius.
         """
         if not self.m or self._context is None:
             raise ProtocolError("visit needs a plan: call start_interval first")
@@ -402,10 +409,9 @@ class Learner:
         self.plan, self._moved = plan, {}
         # no norm lies below _norms_lo, and no threshold above the one at
         # the floor, radius 0 (a NaN bound takes the full count)
-        known = 0 if self._norms_lo >= self._known_threshold(0.0) else (
-            np.count_nonzero(norms < estimation.known_threshold(
-                self._beta_p, self.l_min_eff, self.b_star_cur, self.m,
-                self.cfg.delta)))
+        known = 0 if self._norms_lo >= self._known_threshold(0.0) else sum(
+            norm < self._known_threshold(beta) for norm, beta in zip(
+                norms.ravel().tolist(), self._beta_p.ravel().tolist()))
         record = IntervalRecord(
             episode, self.m, trigger, 0, 0.0, plan.residual,
             plan.values[self.model.s_init], self.b_star_cur,
@@ -528,7 +534,6 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
         trigger = "start" if k == 0 else "goal"
         record = learner.start_interval(c_seen, k, trigger)
         log.intervals.append(record)
-        log.intervals_started += 1
         sampler = _EpisodeSampler(model, probs, means)
         s = model.s_init
         for step in range(1, cfg.episode_step_cap + 1):
@@ -536,7 +541,6 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             nxt, raw_loss = sampler.step(s, a, random)
             obs_loss = max(raw_loss, eps) if eps > 0 else raw_loss
             known = learner.visit(s, a, nxt, obs_loss)
-            log.steps += 1
             log.total_loss += raw_loss
             record.steps += 1
             record.interval_loss += raw_loss
@@ -547,13 +551,15 @@ def run(cfg, model, contexts, seed=0, perceived_contexts=None,
             # the capped last step truncates the episode: no interval opens
             if not known and step < cfg.episode_step_cap:
                 unknown_counts[s][a] += 1
-                log.unknown_triggers += 1
                 record = learner.start_interval(c_seen, k, "unknown")
                 log.intervals.append(record)
-                log.intervals_started += 1
             s = nxt
         else:
             log.truncated = True
+        # an interval opens at the start and at each unknown trigger
+        log.steps = sum(rec.steps for rec in log.intervals)
+        log.intervals_started = len(log.intervals)
+        log.unknown_triggers = len(log.intervals) - 1
         log.b_star_end = learner.b_star_cur
         all_records.extend(log.intervals)
         episodes.append(log)

@@ -4,7 +4,8 @@ A change meant to keep behaviour is checked by diffing the gate's output on
 two trees, so the gate must compute what the pins of test_reference_runs
 pin: its `ref` digests at seed 0 are REF_DIGESTS[0] and [1], its
 known-step and refresh lines are KNOWN_STEP_DIGEST and REFRESH_DIGEST, and
-their work lines hold the pinned counts of RunLog.work.
+their work lines hold the pinned counts of RunLog.work.  Each whole run is
+run once, by test_reference_runs.checked_run, for both modules.
 """
 
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import digest_gate as gate
 from test_reference_runs import (KNOWN_STEP_COUNTS, KNOWN_STEP_DIGEST,
-                                 REF_DIGESTS, REFRESH_DIGEST, REFRESH_WORK)
+                                 REF_DIGESTS, REFRESH_DIGEST, REFRESH_WORK,
+                                 checked_run, run_log_digest)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,11 +40,9 @@ WORK = {"ref_spec_k8000/seed_0": (2894, 17166, 12723),
 
 @pytest.mark.parametrize("name", sorted(gate.CHECKED_RUNS))
 def test_checked_run_digests_equal_the_pins(name):
-    workloads = gate.load_tree("gate", os.path.join(ROOT, "src"))
-    log = gate.whole_run(gate.CHECKED_RUNS[name], workloads.learner,
-                         workloads.linear_model)
+    log = checked_run(name)
     if name in PINS:
-        assert workloads.run_log_digest(log) == PINS[name]
+        assert run_log_digest(log) == PINS[name]
     assert gate.work_line(log) == (
         "emptied_plans {}, evi_plans {}, projections {}, doublings 0"
         .format(*WORK[name]))

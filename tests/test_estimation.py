@@ -18,13 +18,13 @@ from lrcssp.estimation import (
     capped_simplex_projection,
     context_norms,
     dynamics_radius,
-    known_threshold,
     loss_radius,
     project_to_stochastic,
 )
 from lrcssp.learner import Learner, LearnerConfig
 from lrcssp.linear_model import GeneratorSpec, generate_instance
 from lrcssp.ssp import GOAL
+from known_oracle import known_threshold
 
 
 def random_contexts(rng, n, d):

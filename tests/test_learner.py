@@ -22,8 +22,6 @@ from lrcssp.estimation import (
     _capped_simplex_columns,
     context_norms,
     dynamics_radius,
-    known_floor,
-    known_threshold,
     loss_radius,
     project_to_stochastic,
 )
@@ -41,6 +39,7 @@ from lrcssp.learner import (
     _uniforms,
     auto_epsilon,
     evi_plan,
+    known_floor,
     run,
 )
 from lrcssp.linear_model import (
@@ -53,6 +52,7 @@ from lrcssp.linear_model import (
     validate_context,
 )
 from lrcssp.ssp import GOAL, SspInstance, value_iteration
+from known_oracle import known_threshold
 from test_acceptance import _check_identities
 from test_estimation import compute_pair_estimate, context_norm, is_known
 
@@ -1121,9 +1121,9 @@ class TestStackedStatistics:
         assert True in flags and False in flags
 
     def test_known_threshold_array_matches_scalar(self, monkeypatch):
-        """known_threshold over an array and at a float, and the learner's
-        scalar threshold, all equal l_min / (10 B max(beta, floor)) bit for
-        bit: beta below, at and above the floor, l_min 0, and B after a
+        """The learner's threshold and the array oracle, over an array and
+        at a float, all equal l_min / (10 B max(beta, floor)) bit for bit:
+        beta below, at and above the floor, l_min 0, and B after a
         doubling."""
         m, delta = 50, 0.1
         floor = math.sqrt(math.log(4.0 * m / delta))

@@ -14,6 +14,7 @@ known steps, which open no interval.
 """
 
 import collections
+import functools
 import hashlib
 import json
 
@@ -52,6 +53,13 @@ RTOL = 1e-6
 
 # the soak loads bench/workloads.py by the tools' one loader
 run_log_digest = soak.workloads.run_log_digest
+
+
+@functools.cache
+def checked_run(name):
+    """The RunLog of CHECKED_RUNS[name] by this package, run once a session:
+    test_digest_gate reads the same logs."""
+    return whole_run(CHECKED_RUNS[name], learner, linear_model)
 
 
 def experiment(generator, K, seed, out_dir, baseline=False):
@@ -212,8 +220,7 @@ def test_refresh_and_projection_run_bits():
     and 2,029 projections read V and the next-state moments.  No benchmark
     part reaches a refresh.  Recorded before a visit's V and next-state
     moments were folded on read."""
-    log = whole_run(CHECKED_RUNS["refresh_k1200/seed_0"], learner,
-                    linear_model)
+    log = checked_run("refresh_k1200/seed_0")
     assert (log.total_steps, log.total_intervals) == (2515, 2515)
     assert log.doubling_events == 0
     visits = collections.Counter((s, a) for _, s, a, _, _ in log.step_trace)
@@ -295,7 +302,7 @@ def test_known_step_run():
     interval opens at each episode start and at each unknown step that
     misses the goal, and never at a known step.
     """
-    log = whole_run(KNOWN_STEP, learner, linear_model)
+    log = checked_run("known_step_k4000/seed_0")
     known = [i for i, step in enumerate(log.step_trace) if step[4]]
     assert {
         "episodes": len(log.episodes), "steps": log.total_steps,

@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from lrcssp import cli, estimation, harness, learner, linear_model, ssp
-from lrcssp.estimation import context_norms, dynamics_radius, known_threshold
+from lrcssp.estimation import context_norms, dynamics_radius
 from lrcssp.learner import auto_epsilon
+from known_oracle import known_threshold
 from test_reference_runs import KNOWN_STEP, KNOWN_STEP_COUNTS
 
 LAM, DELTA, B = 1.0, 0.1, 1.0
